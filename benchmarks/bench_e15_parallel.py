@@ -2,7 +2,7 @@
 
 E14 made the serial engine fast; E15 makes one *exploration* scale.
 :mod:`repro.core.parallel` shards a single query (result-set
-enumeration, DPOR, DRF0, guided membership) across a fork pool of
+enumeration, DPOR, guided membership) across a fork pool of
 compiled engines: phase 1 enumerates a deterministic prefix frontier,
 phase 2 dispatches subtrees, phase 3 merges -- and source-DPOR workers
 feed newly discovered backtrack points back to the coordinator as steal
@@ -50,7 +50,6 @@ from conftest import RESULTS_DIR, emit_table
 from repro.core import parallel
 from repro.core.contract import is_sc_result
 from repro.core.dpor import sc_results_dpor
-from repro.core.drf0 import check_program
 from repro.core.execution import Result
 from repro.core.sc import ExplorationConfig, sc_results
 from repro.litmus.catalog import by_name
@@ -154,24 +153,6 @@ def _workloads(quick: bool) -> List[Tuple[str, str, Callable]]:
         )
     )
 
-    gen5 = random_program(
-        5, GeneratorConfig(max_threads=4, max_ops_per_thread=5)
-    )
-    rows.append(
-        (
-            "gen5",
-            "drf0",
-            lambda jobs=None: check_program(
-                gen5,
-                config=(
-                    ExplorationConfig()
-                    if jobs is None
-                    else ExplorationConfig(explore_jobs=jobs)
-                ),
-            ).obeys,
-        )
-    )
-
     if not quick:
         # Deep rows: serial >= 1 s, where the speedup gate has teeth.
         gen37 = random_program(
@@ -190,25 +171,6 @@ def _workloads(quick: bool) -> List[Tuple[str, str, Callable]]:
                         else ExplorationConfig(explore_jobs=jobs, **deep_caps)
                     ),
                 ),
-            )
-        )
-        # A DRF0-obeying deep program: racy ones exit at the first race,
-        # so only race-free rows exercise the full sharded enumeration.
-        gen40 = random_program(
-            40, GeneratorConfig(max_threads=4, max_ops_per_thread=6)
-        )
-        rows.append(
-            (
-                "gen40",
-                "drf0-deep",
-                lambda jobs=None: check_program(
-                    gen40,
-                    config=(
-                        ExplorationConfig(**deep_caps)
-                        if jobs is None
-                        else ExplorationConfig(explore_jobs=jobs, **deep_caps)
-                    ),
-                ).obeys,
             )
         )
     return rows

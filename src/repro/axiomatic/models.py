@@ -242,20 +242,25 @@ class WeakOrderingDRF(AxiomaticModel):
     name = "WO-DRF0"
 
     def __init__(self) -> None:
+        #: ``id(program) -> (program, verdict)``.  The entry holds the
+        #: program itself: that keeps its id from being reused by another
+        #: program while the entry exists, and lets a lookup confirm it.
         self._verdicts: dict = {}
 
     def program_is_drf0(self, program: Program) -> bool:
         """The (cached) operational DRF0 verdict the contract hinges on."""
-        key = id(program)
-        if key not in self._verdicts:
-            from repro.core.drf0 import check_program
+        entry = self._verdicts.get(id(program))
+        if entry is not None and entry[0] is program:
+            return entry[1]
+        from repro.core.drf0 import check_program
 
-            self._verdicts[key] = check_program(program).obeys
-        return self._verdicts[key]
+        obeys = check_program(program).obeys
+        self.prime_verdict(program, obeys)
+        return obeys
 
     def prime_verdict(self, program: Program, obeys: bool) -> None:
         """Pre-seed the DRF0 verdict (campaigns that already know it)."""
-        self._verdicts[id(program)] = bool(obeys)
+        self._verdicts[id(program)] = (program, bool(obeys))
 
     def axiom_graphs(
         self, program: Program, layout: EventLayout

@@ -282,8 +282,9 @@ def cmd_drf0(args) -> int:
     tracer = _make_tracer(args)
     # The drf0 command drives the explorer directly (no engine), so the
     # monitor plans its single cell here; shard workers spawned by
-    # --explore-jobs heartbeat into the same spool and the exploration
-    # coordinator polls them into the snapshot as the run progresses.
+    # --dpor --explore-jobs heartbeat into the same spool and the
+    # exploration coordinator polls them into the snapshot as the run
+    # progresses.
     monitor = _make_monitor(args, f"drf0 {args.name}")
     if monitor is not None:
         monitor.claim_plan()
@@ -311,12 +312,9 @@ def cmd_drf0(args) -> int:
                 mode += ", sleep sets off"
         else:
             report = check_program(
-                program,
-                config=ExplorationConfig(
-                    max_ops=400, tracer=tracer, explore_jobs=args.explore_jobs
-                ),
+                program, config=ExplorationConfig(max_ops=400, tracer=tracer)
             )
-            mode = f"exhaustive over {report.executions_checked} executions"
+            mode = f"exhaustive over {report.stats.states} configurations"
     except BaseException as exc:
         if monitor is not None:
             monitor.fail(f"{type(exc).__name__}: {exc}")
@@ -450,13 +448,14 @@ def _print_evidence_table(rows) -> None:
     """The Definition-2 evidence table -- shared by ``sweep`` and
     ``submit`` so a daemon campaign's output diffs clean against the
     batch path's."""
+    width = max([len("program")] + [len(row["program"]) for row in rows]) + 1
     print(
-        f"{'program':<14}{'DRF0':<7}{'policy':<22}{'appears-SC':<12}"
+        f"{'program':<{width}}{'DRF0':<7}{'policy':<22}{'appears-SC':<12}"
         f"{'distinct':<10}{'5.1-viol':<10}{'mean cycles'}"
     )
     for row in rows:
         print(
-            f"{row['program']:<14}"
+            f"{row['program']:<{width}}"
             f"{'yes' if row['program_drf0'] else 'no':<7}"
             f"{row['policy']:<22}"
             f"{'yes' if row['appears_sc'] else 'NO':<12}"
@@ -700,9 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --dpor: disable the sleep-set pruning layer")
     p.add_argument("--seeds", type=int, default=50)
     p.add_argument("--explore-jobs", type=int, default=1,
-                   help="shard the exploration across N forked engine "
-                        "processes (0 = one per CPU); the verdict is "
-                        "identical to --explore-jobs 1")
+                   help="with --dpor: shard the exploration across N "
+                        "forked engine processes (0 = one per CPU); the "
+                        "verdict is identical to --explore-jobs 1")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="print explorer counters (states/sec, undo depth, "
@@ -743,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drf0-seeds", type=int, default=30,
                    help="seeds for the sampled DRF0 premise check")
     p.add_argument("--exhaustive-drf0", action="store_true",
-                   help="enumerate every interleaving for the DRF0 verdict")
+                   help="search every reachable configuration for the "
+                        "DRF0 verdict")
     p.add_argument("--check-51", action="store_true",
                    help="run the Section-5.1 condition monitor on every run")
     p.add_argument("--jobs", type=int, default=1,
@@ -942,7 +942,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drf0-seeds", type=int, default=30,
                    help="seeds for the sampled DRF0 premise check")
     p.add_argument("--exhaustive-drf0", action="store_true",
-                   help="enumerate every interleaving for the DRF0 verdict")
+                   help="search every reachable configuration for the "
+                        "DRF0 verdict")
     p.add_argument("--check-51", action="store_true",
                    help="run the Section-5.1 condition monitor on every run")
     p.add_argument("--no-wait", action="store_true",

@@ -44,9 +44,9 @@ without the sleep-set pruning.
 
 Scope: programs whose executions are bounded (no unbounded spin loops) --
 the algorithm's completeness argument assumes a finite, acyclic state
-space.  `max_ops` guards against spinning; the naive explorer with
-livelock-cycle pruning (`repro.core.drf0.check_program`) remains the tool
-for spin programs.
+space.  `max_ops` guards against spinning; the reachable-configuration
+search of `repro.core.drf0.check_program` remains the tool for spin
+programs.
 
 The module provides:
 

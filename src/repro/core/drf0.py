@@ -10,9 +10,10 @@ provides:
 * :func:`races_in_execution_vc` -- an equivalent vector-clock detector
   (in the style the paper cites from Netzer & Miller) that scales to long
   traces; the two are property-tested against each other;
-* :func:`check_program` -- the exhaustive Definition-3 verdict, enumerating
-  every idealized interleaving (with livelock-cycle pruning so spin loops
-  terminate) and race-checking each;
+* :func:`check_program` -- the exhaustive Definition-3 verdict, a search
+  over the program's distinct reachable configurations for two pending
+  operations that race when run back to back (see its docstring and
+  ``docs/formal-model.md`` for why that decides every execution);
 * :func:`check_program_sampled` -- a dynamic-detection fallback for programs
   too large to enumerate: monitors random SC executions.
 
@@ -216,102 +217,15 @@ def _record_op(op: Operation, clock: _VectorClock, hist: _LocationHistory) -> No
         hist.last_write_op[op.proc] = op
 
 
-class _PathRaceDetector:
-    """The vector-clock detector of :func:`races_in_execution_vc`,
-    maintained *incrementally* along a DFS path.
-
-    :meth:`push` applies one operation exactly the way the batch
-    detector's loop body does (same ``_check_op``/``_record_op`` helpers,
-    same acquire/release joins) after saving the touched state in an undo
-    frame; :meth:`pop` restores it.  At any point the detector state --
-    and in particular :attr:`races` -- is identical to running the batch
-    detector over the current path prefix, so the exhaustive checker
-    race-checks every interleaving in O(1) amortized per *transition*
-    instead of O(depth) per *execution* (shared prefixes are checked
-    once).
-    """
-
-    __slots__ = ("model", "width", "proc_clock", "loc_clock", "history",
-                 "races", "_frames")
-
-    def __init__(self, width: int, model: SynchronizationModel) -> None:
-        self.model = model
-        self.width = width
-        self.proc_clock = [_VectorClock(width) for _ in range(width)]
-        for proc, clock in enumerate(self.proc_clock):
-            clock.times[proc] = 1
-        self.loc_clock: Dict[str, _VectorClock] = {}
-        self.history: Dict[str, _LocationHistory] = {}
-        self.races: List[Race] = []
-        self._frames: List[tuple] = []
-
-    def push(self, op: Operation) -> None:
-        """Apply ``op``; push an undo frame."""
-        model = self.model
-        proc = op.proc
-        clock = self.proc_clock[proc]
-        old_times = clock.times[:]
-        loc = op.location
-        # op.is_sync is a Python-level property; the OpKind member carries
-        # the same flag as a plain attribute.
-        is_sync = op.kind.is_sync
-        loc_frame = None  # None = no sync clock touched
-        if is_sync:
-            lc = self.loc_clock.get(loc)
-            if lc is None:
-                lc = self.loc_clock[loc] = _VectorClock(self.width)
-                loc_frame = (loc, None)  # created now: delete on pop
-            else:
-                loc_frame = (loc, lc.times[:])
-            if model.is_acquire(op):
-                clock.join(lc)
-        hist = self.history.get(loc)
-        if hist is None:
-            hist = self.history[loc] = _LocationHistory(self.width)
-        hist_frame = (
-            hist.last_read_time[proc],
-            hist.last_read_op[proc],
-            hist.last_write_time[proc],
-            hist.last_write_op[proc],
-        )
-        races_len = len(self.races)
-        _check_op(op, clock, hist, model, self.races)
-        _record_op(op, clock, hist)
-        if is_sync and model.is_release(op):
-            self.loc_clock[loc].join(clock)
-        clock.times[proc] += 1
-        self._frames.append((op, old_times, loc_frame, hist_frame, races_len))
-
-    def pop(self) -> None:
-        """Undo the most recent :meth:`push` exactly."""
-        op, old_times, loc_frame, hist_frame, races_len = self._frames.pop()
-        proc = op.proc
-        self.proc_clock[proc].times = old_times
-        if loc_frame is not None:
-            loc, saved = loc_frame
-            if saved is None:
-                del self.loc_clock[loc]
-            else:
-                self.loc_clock[loc].times = saved
-        hist = self.history[op.location]
-        (
-            hist.last_read_time[proc],
-            hist.last_read_op[proc],
-            hist.last_write_time[proc],
-            hist.last_write_op[proc],
-        ) = hist_frame
-        del self.races[races_len:]
-
-
 class _LiteOp:
     """A value-free stand-in for :class:`Operation` in race detection.
 
-    Race relevance, acquire/release membership, and history recording
-    only read ``(proc, kind, location)`` and the kind flags -- never the
-    values -- so the exhaustive checker can drive the vector-clock
-    detector without materializing real operations (``record_trace=False``
-    engines return ``None`` from ``step``).  One instance per distinct
-    ``(proc, kind, location)`` triple serves a whole exploration.
+    Race relevance and acquire/release membership only read ``(proc,
+    kind, location)`` and the kind flags -- never the values -- so the
+    exhaustive checker can race-check pending operations without
+    materializing real ones (``record_trace=False`` engines return
+    ``None`` from ``step``).  One instance per distinct ``(proc, kind,
+    location)`` triple serves a whole exploration.
     """
 
     __slots__ = ("proc", "kind", "location", "is_sync", "has_read", "has_write")
@@ -341,8 +255,8 @@ def _replay_execution(program: Program, path) -> Execution:
 
     Operation uids are completion indices, so the replayed execution is
     bit-identical to what a trace-recording engine would have held at
-    that leaf -- this is how verdict-only explorations produce witnesses
-    on demand.
+    the end of that path -- this is how verdict-only explorations
+    produce witnesses on demand.
     """
     engine = make_engine(program)
     for proc in path:
@@ -357,7 +271,14 @@ def _replay_execution(program: Program, path) -> Execution:
 
 @dataclass
 class DRF0Report:
-    """Outcome of a Definition-3 program check."""
+    """Outcome of a Definition-3 program check.
+
+    ``executions_checked`` counts executions race-checked by the sampled
+    and DPOR checkers; for :func:`check_program` it counts the distinct
+    halted configurations the search reached.  ``complete`` is False when
+    a cap cut the search or the check samples: then a clean verdict is
+    only evidence, while a reported race is always real.
+    """
 
     program: Program
     model_name: str
@@ -372,111 +293,124 @@ class DRF0Report:
         return self.obeys
 
 
+def _adjacent_race(a, b, model: SynchronizationModel) -> bool:
+    """Whether ``b`` run right after ``a`` (another processor's) races.
+
+    No operation completes between two back-to-back operations, so
+    ``hb = (po ∪ so)+`` can only order them by a direct edge; po cannot
+    (different processors), which leaves a direct so edge.
+    """
+    if not model.race_relevant(a, b):
+        return False
+    return not (a.is_sync and b.is_sync and model.orders(a, b))
+
+
 def check_program(
     program: Program,
     model: SynchronizationModel = DRF0_MODEL,
     config: Optional[ExplorationConfig] = None,
 ) -> DRF0Report:
-    """Exhaustive Definition-3 verdict over all idealized interleavings.
+    """Exhaustive Definition-3 verdict by a reachable-configuration search.
 
-    Enumerates every interleaving (livelock cycles are explored once: a
-    branch that revisits a thread-states+memory configuration already on the
-    current path is pruned, since the first visit explores every scheduling
-    alternative from that configuration).  Executions are race-checked as
-    they are produced -- the exploration stops at the first race without
-    expanding the rest of the tree, and no execution list is materialized.
+    Some idealized execution has a race iff some reachable configuration
+    (thread states and memory) has two processors whose pending
+    operations race when run back to back in one of the two orders --
+    the adjacent-race form of Definition 3, proved both ways in
+    ``docs/formal-model.md``.  So a depth-first search visits each
+    distinct configuration once, rather than each interleaving, and
+    stops at the first such pair.  Executions that never halt are
+    covered too: every configuration they pass through is reachable.
+
+    The search runs on a trace-free engine; the racy witness is a replay
+    of the path to the configuration plus the racing pair, so it ends in
+    the reported race.  ``config.max_ops`` bounds the path length and
+    ``config.max_states`` the visited set; a cut branch raises
+    :class:`ExplorationCapError` unless ``allow_incomplete`` is set, in
+    which case the report carries ``complete=False``.
     """
     cfg = config or ExplorationConfig(max_ops=400)
-    if cfg.explore_jobs != 1:
-        from repro.core import parallel
-
-        jobs = parallel.resolve_jobs(cfg.explore_jobs)
-        if jobs > 1 and cfg.tracer is None and parallel.can_fork():
-            return parallel.parallel_check_program(program, model, cfg, jobs)
     stats = ExplorerStats()
-    # This is a verdict-only exploration: the trace is never read on the
-    # hot path.  The detector runs on cached value-free lite operations,
-    # and the racy witness (the cold path) is materialized by replaying
-    # the current proc-choice path on a recording engine -- operation
-    # uids are completion indices, so the replayed witness is
-    # bit-identical to the trace the engine would have recorded.
     engine = make_engine(program, record_trace=False)
     if cfg.tracer is not None and cfg.tracer.enabled:
         engine.tracer = cfg.tracer
-    detector = _PathRaceDetector(program.num_procs, model)
-    races = detector.races
     lite_cache: Dict[tuple, _LiteOp] = {}
-    path: List[int] = []
-    on_path: Set[object] = set()
-    track_cycles = not engine.straightline
 
-    # The race check rides the exploration itself: the vector-clock
-    # detector is pushed/popped in lockstep with the engine's step/undo,
-    # so at every leaf ``detector.races`` equals what the batch detector
-    # would report for that execution -- without re-scanning the shared
-    # prefix of sibling interleavings.  DFS order matches
-    # :func:`_all_interleavings` exactly, so verdicts, witnesses, and
-    # stats counts are unchanged.
-    def dfs() -> Optional[DRF0Report]:
-        runnable = engine.runnable()
-        if not runnable:
-            stats.executions += 1
-            if races:
-                witness = _replay_execution(program, path)
-                return DRF0Report(
-                    program=program,
-                    model_name=model.name,
-                    obeys=False,
-                    executions_checked=stats.executions,
-                    race=races_in_execution_vc(witness, model)[0],
-                    witness=witness,
-                    stats=stats,
-                )
-            return None
-        if engine.depth >= cfg.max_ops:
-            if cfg.allow_incomplete:
-                return None
-            raise ExplorationCapError(
-                f"interleaving exceeded {cfg.max_ops} operations",
-                states=stats.states,
-            )
-        key = None
-        if track_cycles:
-            key = engine.config_key()
-            if key in on_path:
-                return None  # livelock cycle: explored from its first visit
-        stats.states += 1
-        if track_cycles:
-            on_path.add(key)
-        try:
-            for proc in runnable:
-                op = _lite_op(engine, proc, lite_cache)
-                engine.step(proc)
-                detector.push(op)
-                path.append(proc)
-                try:
-                    report = dfs()
-                    if report is not None:
-                        return report
-                finally:
-                    path.pop()
-                    detector.pop()
-                    engine.undo()
-        finally:
-            if track_cycles:
-                on_path.remove(key)
+    def race_at(runnable: List[int]) -> Optional[Tuple[int, int]]:
+        """The first (proc, proc) pair racing from this configuration."""
+        ops = [_lite_op(engine, proc, lite_cache) for proc in runnable]
+        for i, a in enumerate(ops):
+            for b in ops[i + 1 :]:
+                if _adjacent_race(a, b, model):
+                    return a.proc, b.proc
+                if _adjacent_race(b, a, model):
+                    return b.proc, a.proc
         return None
 
+    def cut(reason: str) -> None:
+        if not cfg.allow_incomplete:
+            raise ExplorationCapError(reason, states=stats.states)
+
+    visited: Set[object] = set()
+    path: List[int] = []
+    # One frame per configuration on the path: its untried successors,
+    # last processor first so ``pop`` tries them in processor order.  A
+    # configuration that is not expanded gets an empty frame.
+    frames: List[List[int]] = []
+    complete = True
+    hit: Optional[Tuple[int, int]] = None
     try:
-        report = dfs()
+        while True:
+            key = engine.config_key()
+            children: List[int] = []
+            if key not in visited:
+                runnable = engine.runnable()
+                if runnable and engine.depth >= cfg.max_ops:
+                    complete = False
+                    cut(f"path exceeded {cfg.max_ops} operations")
+                elif len(visited) >= cfg.max_states:
+                    complete = False
+                    cut(f"visited more than {cfg.max_states} configurations")
+                    break
+                else:
+                    visited.add(key)
+                    stats.states += 1
+                    if not runnable:
+                        stats.executions += 1
+                    hit = race_at(runnable)
+                    if hit is not None:
+                        break
+                    children = runnable[::-1]
+            frames.append(children)
+            while frames and not frames[-1]:
+                frames.pop()
+                if path:
+                    path.pop()
+                    engine.undo()
+            if not frames:
+                break
+            proc = frames[-1].pop()
+            engine.step(proc)
+            path.append(proc)
     finally:
         stats.transitions = engine.transitions
         stats.max_depth = engine.max_depth
-    if report is not None:
-        return report
+        stats.peak_visited = len(visited)
+    if hit is None:
+        return DRF0Report(
+            program=program, model_name=model.name, obeys=True,
+            executions_checked=stats.executions, complete=complete,
+            stats=stats,
+        )
+    witness = _replay_execution(program, path + list(hit))
     return DRF0Report(
-        program=program, model_name=model.name, obeys=True,
-        executions_checked=stats.executions, stats=stats,
+        program=program,
+        model_name=model.name,
+        obeys=False,
+        executions_checked=stats.executions,
+        race=Race(witness.ops[-2], witness.ops[-1]),
+        witness=witness,
+        complete=complete,
+        stats=stats,
     )
 
 
@@ -526,7 +460,8 @@ def _all_interleavings(
     configuration already on the current DFS path, so programs with spin
     loops have a finite exploration.  Runs on the in-place do/undo engine;
     consumers that stop early abandon the generator and the rest of the
-    tree is never expanded.
+    tree is never expanded.  The tests race-check its executions as the
+    oracle for :func:`check_program` (it only sees halting executions).
     """
     engine = make_engine(program)
     if cfg.tracer is not None and cfg.tracer.enabled:

@@ -19,9 +19,8 @@ backtrack branch (see phase 3).
 program through ``fork`` (nothing is pickled on the way in), builds its
 own compiled engine, replays its prefix and explores the subtree below it
 with the same algorithm the serial path uses.  Prefix replay rebuilds the
-exact serial context at the subtree root: the livelock ``on_path`` keys,
-the vector-clock race detector state (drf0), or the full happens-before
-event history (DPOR).
+exact serial context at the subtree root: the livelock ``on_path`` keys
+or the full happens-before event history (DPOR).
 
 **Phase 3 — deterministic merge (coordinator).**  Result sets are
 order-independent and dedup-invariant -- the set of results reachable
@@ -29,7 +28,7 @@ from a configuration depends only on the configuration and the
 observations made so far -- so the union of the per-shard result sets is
 *bit-identical* to the serial result set, whatever the completion order
 (``benchmarks/bench_e15_parallel.py`` asserts this per row).  Boolean
-verdicts (drf0 race existence, SC membership) merge as "any shard hit".
+verdicts (DPOR race existence, SC membership) merge as "any shard hit".
 :class:`~repro.core.engine_state.ExplorerStats` merge by summation; state
 counts may differ from the serial run (shards cannot share a dedup set),
 which is why the determinism contract is stated over *results*, not
@@ -40,7 +39,7 @@ target node lies inside their prefix; the coordinator owns the backtrack
 sets of the top ``_DPOR_PREFIX_DEPTH`` levels and schedules each accepted
 point as a new shard (work-stealing over backtrack nodes, with seen-key
 dedup so no subtree is dispatched twice).  Existential queries
-(:func:`repro.core.contract.is_sc_result` membership, drf0 first-race)
+(:func:`repro.core.contract.is_sc_result` membership, DPOR first-race)
 get an early-exit broadcast: a :class:`multiprocessing.Event` created
 before the fork, set by the coordinator on the first hit and polled by
 every worker between nodes, cancels in-flight shards.
@@ -75,7 +74,6 @@ __all__ = [
     "can_fork",
     "resolve_jobs",
     "parallel_explore",
-    "parallel_check_program",
     "parallel_check_program_dpor",
     "parallel_sc_results_dpor",
     "parallel_is_sc_result",
@@ -297,8 +295,6 @@ def _run_shard(task: tuple) -> tuple:
             payload = _dpor_shard(ctx, prefix, seeds, stats)
         elif ctx.mode == "member":
             payload = _member_shard(ctx, prefix, stats)
-        elif ctx.mode == "drf0":
-            payload = _drf0_shard(ctx, prefix, stats)
         else:
             payload = _results_shard(ctx, prefix, stats)
     except _Cancelled:
@@ -391,91 +387,6 @@ def _results_shard(ctx: _ShardContext, prefix, stats) -> tuple:
     stats.max_depth = engine.max_depth
     stats.peak_visited = len(visited)
     return ("ok", frozenset(results), stats, complete[0], ())
-
-
-def _drf0_shard(ctx: _ShardContext, prefix, stats) -> tuple:
-    """Exhaustive race search below ``prefix`` (drf0 first-race mode).
-
-    The prefix replay pushes the incremental vector-clock detector so its
-    state at the subtree root is exactly what the serial checker would
-    hold there; a racy leaf returns the full proc path, from which the
-    coordinator replays a recording engine to materialize the witness.
-    """
-    from repro.core.drf0 import _PathRaceDetector, _lite_op
-    from repro.core.sc import ExplorationCapError
-
-    cfg = ctx.cfg
-    engine = make_engine(ctx.program, record_trace=False)
-    track_cycles = not engine.straightline
-    stop = ctx.stop
-    detector = _PathRaceDetector(ctx.program.num_procs, ctx.model)
-    races = detector.races
-    lite_cache: Dict[tuple, object] = {}
-    on_path: Set[object] = set()
-    path: List[int] = list(prefix)
-    for proc in prefix:
-        if track_cycles:
-            on_path.add(engine.config_key())
-        detector.push(_lite_op(engine, proc, lite_cache))
-        engine.step(proc)
-    if races:
-        # The race is entirely inside the prefix: the coordinator's
-        # replay will find it at whatever leaf this shard reaches first.
-        pass
-    complete = [True]
-    hit: List[Optional[Tuple[int, ...]]] = [None]
-
-    def dfs() -> bool:
-        """Returns True when a racy leaf was found (stop unwinding)."""
-        runnable = engine.runnable()
-        if not runnable:
-            stats.executions += 1
-            if races:
-                hit[0] = tuple(path)
-                return True
-            return False
-        if engine.depth >= cfg.max_ops:
-            complete[0] = False
-            if cfg.allow_incomplete:
-                return False
-            raise ExplorationCapError(
-                f"interleaving exceeded {cfg.max_ops} operations",
-                states=stats.states,
-            )
-        key = None
-        if track_cycles:
-            key = engine.config_key()
-            if key in on_path:
-                return False
-        stats.states += 1
-        if stats.states % _STOP_CHECK_NODES == 0 and stop.is_set():
-            raise _Cancelled
-        if track_cycles:
-            on_path.add(key)
-        try:
-            for proc in runnable:
-                op = _lite_op(engine, proc, lite_cache)
-                engine.step(proc)
-                detector.push(op)
-                path.append(proc)
-                try:
-                    if dfs():
-                        return True
-                finally:
-                    path.pop()
-                    detector.pop()
-                    engine.undo()
-        finally:
-            if track_cycles:
-                on_path.remove(key)
-        return False
-
-    found = dfs()
-    stats.transitions = engine.transitions
-    stats.max_depth = engine.max_depth
-    if found:
-        return ("hit", hit[0], stats, complete[0], ())
-    return ("ok", None, stats, complete[0], ())
 
 
 def _member_shard(ctx: _ShardContext, prefix, stats) -> tuple:
@@ -1291,63 +1202,6 @@ def parallel_explore(
         results=coord.results,
         complete=coord.complete,
         states_visited=stats.states,
-        stats=stats,
-    )
-
-
-def parallel_check_program(
-    program: Program,
-    model: SynchronizationModel,
-    cfg,
-    jobs: int,
-    failpoints: Sequence[object] = (),
-    shard_stats: Optional[ShardStats] = None,
-):
-    """Sharded counterpart of :func:`repro.core.drf0.check_program`.
-
-    The ``obeys`` verdict is bit-identical to serial.  A racy program's
-    witness is whichever shard hit first (re-validated here by replaying
-    the winning path on a recording engine); the serial checker's witness
-    is the DFS-first racy execution, so witness *identity* across the two
-    paths is not guaranteed -- witness *validity* is.
-    """
-    from repro.core.drf0 import (
-        DRF0Report,
-        _replay_execution,
-        races_in_execution_vc,
-    )
-    from repro.core.sc import ExplorationCapError
-
-    coord = _Coordinator(
-        program,
-        cfg,
-        jobs,
-        "drf0",
-        model=model,
-        failpoints=failpoints,
-        shard_stats=shard_stats,
-    )
-    coord.run()
-    coord.raise_if_capped(ExplorationCapError)
-    stats = coord.stats
-    if coord.hit:
-        witness = _replay_execution(program, coord.hit_path)
-        races = races_in_execution_vc(witness, model)
-        return DRF0Report(
-            program=program,
-            model_name=model.name,
-            obeys=False,
-            executions_checked=stats.executions,
-            race=races[0],
-            witness=witness,
-            stats=stats,
-        )
-    return DRF0Report(
-        program=program,
-        model_name=model.name,
-        obeys=True,
-        executions_checked=stats.executions,
-        complete=coord.complete,
         stats=stats,
     )
 

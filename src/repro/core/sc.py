@@ -136,7 +136,8 @@ class ExplorationConfig:
             (default) stays serial; ``0`` means one worker per core.
             Only result-set/verdict-only paths shard (execution lists
             are order-dependent); unshardable configurations fall back
-            to the serial path silently.
+            to the serial path silently.  The DRF0 configuration search
+            (:func:`repro.core.drf0.check_program`) ignores it.
     """
 
     max_executions: Optional[int] = None

@@ -22,6 +22,7 @@ from repro.litmus.catalog import (
     iriw,
     load_buffer,
     message_passing,
+    message_passing_sync,
     store_buffer,
     tas_mutex,
 )
@@ -165,6 +166,19 @@ class TestModels:
         assert allowed_results(racy.program, wo) == allowed_results(
             racy.program, CoherenceModel()
         )
+
+    def test_weak_ordering_drf_memo_is_per_program(self):
+        """One long-lived instance sees many short-lived programs; a
+        program built after another was collected may get its id, and
+        must still get its own verdict."""
+        wo = WeakOrderingDRF()
+        wrong = 0
+        for i in range(600):
+            racy = i % 2 == 0
+            test = store_buffer() if racy else message_passing_sync()
+            if wo.program_is_drf0(test.program) == racy:
+                wrong += 1
+        assert wrong == 0
 
     def test_rmw_atomicity_under_all_models(self):
         test = tas_mutex()

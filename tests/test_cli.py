@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_evidence_table, main
 
 
 class TestCatalogCommand:
@@ -36,6 +36,27 @@ class TestDrf0Command:
     def test_unknown_program_rejected(self):
         with pytest.raises(SystemExit):
             main(["drf0", "not-a-program"])
+
+
+class TestEvidenceTable:
+    def test_long_program_name_keeps_a_gap(self, capsys):
+        row = {
+            "program": "lock-ttas-p3x1",
+            "program_drf0": True,
+            "policy": "adve-hill",
+            "appears_sc": True,
+            "distinct_results": 1,
+            "condition_violations": [],
+            "mean_cycles": 10.0,
+        }
+        _print_evidence_table([row, dict(row, program="a-much-longer-name")])
+        header, first, second = capsys.readouterr().out.splitlines()
+        assert first.split() == [
+            "lock-ttas-p3x1", "yes", "adve-hill", "yes", "1", "0", "10.0",
+        ]
+        assert second.split()[:2] == ["a-much-longer-name", "yes"]
+        column = header.index("DRF0")
+        assert first.index("yes") == second.index("yes") == column
 
 
 class TestModelsCommand:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cli import WORKLOAD_FACTORIES
 from repro.core.drf0 import (
+    _all_interleavings,
     check_program,
     check_program_sampled,
     obeys_drf0,
@@ -10,9 +12,17 @@ from repro.core.drf0 import (
     races_in_execution_vc,
 )
 from repro.core.models import DRF0_MODEL, DRF1_MODEL
-from repro.core.sc import random_sc_execution
+from repro.core.sc import (
+    ExplorationCapError,
+    ExplorationConfig,
+    random_sc_execution,
+)
 from repro.core.types import Condition, OpKind
+from repro.litmus.catalog import all_tests
+from repro.litmus.figures import figure3_program
 from repro.machine.dsl import ThreadBuilder, build_program
+from repro.machine.generator import random_program
+from repro.workloads import barrier_workload, lock_workload
 
 from helpers import (
     execution_from_specs,
@@ -250,3 +260,106 @@ class TestSampledVerdicts:
         )
         assert report.obeys
         assert not report.complete  # sampling is never definitive
+
+
+def _spin_forever_program():
+    """P0 reads x forever; P1 stores x.  No execution halts."""
+    p0 = ThreadBuilder().label("spin").load("r0", "x").jump("spin")
+    p1 = ThreadBuilder().store("x", 1)
+    return build_program([p0, p1], name="spin-forever")
+
+
+def _interleaving_verdict(program, model) -> bool:
+    """The oracle: every interleaving, race-checked, first race wins."""
+    config = ExplorationConfig(max_ops=400)
+    for execution in _all_interleavings(program, config):
+        if races_in_execution_vc(execution, model):
+            return False
+    return True
+
+
+def _differential_corpus():
+    programs = [test.program for test in all_tests()]
+    programs += [
+        WORKLOAD_FACTORIES[name]()
+        for name in ("lock", "critical_section", "prodcons")
+    ]
+    programs += [
+        barrier_workload(2, 1),
+        lock_workload(2, 2),
+        figure3_program(),
+        figure3_program(num_extra_sharers=1),
+        figure3_program(release_work=2),
+    ]
+    programs += [random_program(seed) for seed in range(200)]
+    return programs
+
+
+BOTH_MODELS = pytest.mark.parametrize(
+    "model", [DRF0_MODEL, DRF1_MODEL], ids=["DRF0", "DRF1"]
+)
+
+
+class TestConfigurationSearch:
+    """The configuration search against the interleaving oracle."""
+
+    @BOTH_MODELS
+    def test_agrees_with_every_interleaving(self, model):
+        disagreements = [
+            program.name
+            for program in _differential_corpus()
+            if check_program(program, model).obeys
+            != _interleaving_verdict(program, model)
+        ]
+        assert disagreements == []
+
+    @BOTH_MODELS
+    def test_witness_ends_in_the_reported_race(self, model):
+        racy = 0
+        for program in _differential_corpus():
+            report = check_program(program, model)
+            if report.obeys:
+                continue
+            racy += 1
+            ops = report.witness.ops
+            race = report.race
+            assert (ops[-2], ops[-1]) == (race.first, race.second)
+            assert race in races_in_execution(report.witness, model)
+        assert racy > 0
+
+    @BOTH_MODELS
+    def test_race_in_a_never_halting_program(self, model):
+        report = check_program(_spin_forever_program(), model)
+        assert not report.obeys
+        assert report.executions_checked == 0
+        assert {report.race.first.proc, report.race.second.proc} == {0, 1}
+
+    @pytest.mark.parametrize("name", ["workqueue", "phases"])
+    def test_spin_heavy_workloads_finish(self, name):
+        report = check_program(WORKLOAD_FACTORIES[name]())
+        assert report.obeys and report.complete
+
+    def test_configurations_counted_once(self):
+        report = check_program(WORKLOAD_FACTORIES["barrier"]())
+        assert report.obeys
+        assert report.stats.states == report.stats.peak_visited == 331
+
+    def test_max_ops_cut_reports_incomplete(self):
+        program = WORKLOAD_FACTORIES["barrier"]()
+        report = check_program(
+            program, config=ExplorationConfig(max_ops=5, allow_incomplete=True)
+        )
+        assert report.obeys and not report.complete
+        with pytest.raises(ExplorationCapError):
+            check_program(program, config=ExplorationConfig(max_ops=5))
+
+    def test_max_states_cut_reports_incomplete(self):
+        program = WORKLOAD_FACTORIES["barrier"]()
+        report = check_program(
+            program,
+            config=ExplorationConfig(max_states=10, allow_incomplete=True),
+        )
+        assert report.obeys and not report.complete
+        assert report.stats.states == 10
+        with pytest.raises(ExplorationCapError):
+            check_program(program, config=ExplorationConfig(max_states=10))
