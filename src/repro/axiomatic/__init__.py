@@ -5,6 +5,7 @@ from repro.axiomatic.checker import (
     LEGACY_BACKEND_ENV,
     allowed_candidates,
     allowed_results,
+    allowed_results_by_model,
     default_backend,
     outcome_table,
     well_formed_candidates,
@@ -52,6 +53,7 @@ __all__ = [
     "WeakOrderingDRF",
     "allowed_candidates",
     "allowed_results",
+    "allowed_results_by_model",
     "default_backend",
     "enumerate_candidates",
     "extract_events",

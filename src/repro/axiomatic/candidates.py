@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.axiomatic.events import (
     Event,
@@ -120,10 +120,24 @@ class Candidate:
         return Result.build(reads, final)
 
 
-def enumerate_candidates(program: Program) -> Iterator[Candidate]:
-    """Yield every well-formed candidate execution of a litmus program."""
+#: ``enumerate_candidates`` calls its ``check_budget`` hook before the
+#: first combination and then every this many combinations.
+BUDGET_CHECK_INTERVAL = 256
+
+
+def enumerate_candidates(
+    program: Program, check_budget: Optional[Callable[[], None]] = None
+) -> Iterator[Candidate]:
+    """Yield every well-formed candidate execution of a litmus program.
+
+    ``check_budget``, when given, is called before the first (rf, co)
+    combination and then every :data:`BUDGET_CHECK_INTERVAL`
+    combinations, whether :func:`_resolve` keeps them or not, and may
+    raise to abandon the enumeration.
+    """
     layout = extract_layout(program)
     events = layout.events
+    by_uid = {e.uid: e for e in events}
     reads = [e for e in events if e.is_read]
     writes_by_loc: Dict[Location, List[Event]] = {}
     for e in events:
@@ -151,16 +165,23 @@ def enumerate_candidates(program: Program) -> Iterator[Candidate]:
         for loc in locations
     ]
 
+    combinations = 0
     for rf_pick in itertools.product(*rf_choices) if reads else [()]:
         rf: RfMap = {read.uid: src for read, src in zip(reads, rf_pick)}
         for co_pick in itertools.product(*co_choices) if locations else [()]:
+            if (
+                check_budget is not None
+                and combinations % BUDGET_CHECK_INTERVAL == 0
+            ):
+                check_budget()
+            combinations += 1
             co: CoMap = {
                 loc: perm for loc, (perm, _) in zip(locations, co_pick)
             }
             co_pos: CoPosMap = {
                 loc: pos for loc, (_, pos) in zip(locations, co_pick)
             }
-            candidate = _resolve(program, layout, rf, co, co_pos)
+            candidate = _resolve(program, layout, rf, co, co_pos, by_uid)
             if candidate is not None:
                 yield candidate
 
@@ -171,6 +192,7 @@ def _resolve(
     rf: RfMap,
     co: CoMap,
     co_pos: Optional[CoPosMap] = None,
+    by_uid: Optional[Dict[int, Event]] = None,
 ) -> Optional[Candidate]:
     """Propagate values; reject unstable or RMW-inconsistent candidates."""
     events = layout.events
@@ -179,7 +201,8 @@ def _resolve(
             location: {uid: i for i, uid in enumerate(order)}
             for location, order in co.items()
         }
-    by_uid = {e.uid: e for e in events}
+    if by_uid is None:
+        by_uid = {e.uid: e for e in events}
     # RMW atomicity at the candidate level: an RMW must read its immediate
     # co-predecessor (or the init write if it is co-first).
     for event in events:

@@ -18,16 +18,29 @@ Two interchangeable backends compute the set:
 Setting ``REPRO_AXIOMATIC_LEGACY=1`` in the environment flips the default
 back to the enumerator everywhere -- the escape hatch if the solver is
 ever suspected of disagreeing with the oracle in the wild.
+
+:func:`allowed_results_by_model` answers several models at once; on the
+enumerator it generates each program's candidates once for all of them,
+which is how ``repro diff`` and :func:`outcome_table` use the oracle.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+)
 
 from repro.axiomatic.candidates import Candidate, enumerate_candidates
-from repro.axiomatic.models import AxiomaticModel
+from repro.axiomatic.events import extract_layout
+from repro.axiomatic.models import AxiomaticModel, AxiomGraph, _graph_allows
 from repro.axiomatic.solver import (
     SearchBudgetExceeded,
     SolverConfig,
@@ -46,6 +59,31 @@ def default_backend() -> str:
     return "enumerator" if flag in ("1", "true", "yes", "on") else "solver"
 
 
+def _deadline_check(
+    program: Program, config: SolverConfig
+) -> Optional[Callable[[], None]]:
+    """The enumerator's ``check_budget`` hook for ``config``'s deadline."""
+    if config.max_seconds is None:
+        return None
+    deadline = time.monotonic() + config.max_seconds
+
+    def check() -> None:
+        if time.monotonic() > deadline:
+            raise SearchBudgetExceeded(
+                f"axiomatic search for {program.name!r} passed its deadline"
+            )
+
+    return check
+
+
+def _over_cap(program: Program, config: SolverConfig, admitted: int) -> None:
+    if config.max_candidates is not None and admitted > config.max_candidates:
+        raise SearchBudgetExceeded(
+            f"axiomatic search for {program.name!r} exceeded "
+            f"{config.max_candidates} admitted candidates"
+        )
+
+
 def _admitted_candidates(
     program: Program,
     model: Optional[AxiomaticModel],
@@ -56,7 +94,9 @@ def _admitted_candidates(
 
     Both backends honor the same :class:`SolverConfig` budget: the cap
     counts admitted candidates, the deadline is wall-clock, and crossing
-    either raises :class:`SearchBudgetExceeded`.
+    either raises :class:`SearchBudgetExceeded`.  The enumerator checks
+    its deadline inside the combination loop, so a run of rejected
+    combinations cannot outlast it.
     """
     backend = backend or default_backend()
     if backend == "solver":
@@ -65,28 +105,14 @@ def _admitted_candidates(
     if backend != "enumerator":
         raise ValueError(f"unknown axiomatic backend {backend!r}")
     config = config or SolverConfig()
-    deadline = (
-        time.monotonic() + config.max_seconds
-        if config.max_seconds is not None
-        else None
-    )
     admitted = 0
-    for candidate in enumerate_candidates(program):
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchBudgetExceeded(
-                f"axiomatic search for {program.name!r} passed its deadline"
-            )
+    for candidate in enumerate_candidates(
+        program, _deadline_check(program, config)
+    ):
         if model is not None and not model.allows(candidate):
             continue
         admitted += 1
-        if (
-            config.max_candidates is not None
-            and admitted > config.max_candidates
-        ):
-            raise SearchBudgetExceeded(
-                f"axiomatic search for {program.name!r} exceeded "
-                f"{config.max_candidates} admitted candidates"
-            )
+        _over_cap(program, config, admitted)
         yield candidate
 
 
@@ -122,30 +148,76 @@ def well_formed_candidates(
     return _admitted_candidates(program, None, backend, config)
 
 
+def allowed_results_by_model(
+    program: Program,
+    models: Iterable[AxiomaticModel],
+    backend: Optional[str] = None,
+    config: Optional[SolverConfig] = None,
+) -> Dict[str, FrozenSet[Result]]:
+    """Every model's admitted results on ``program``, keyed by model name.
+
+    Equal to ``{m.name: allowed_results(program, m, backend, config)}``.
+    The solver prunes per model, so its backend runs one search per
+    model.  The enumerator generates the well-formed candidates once and
+    checks every model against each: every model's axiom graphs are built
+    once per program, and a graph several models share (WO-DRF0's is
+    SC's or COHERENCE's; TSO's coherence axiom is COHERENCE's) is checked
+    once per candidate.  The budget is the per-model one: the cap counts
+    each model's admitted candidates, the deadline covers the pass.
+    """
+    models = list(models)
+    backend = backend or default_backend()
+    if backend == "solver":
+        return {
+            model.name: allowed_results(program, model, backend, config)
+            for model in models
+        }
+    if backend != "enumerator":
+        raise ValueError(f"unknown axiomatic backend {backend!r}")
+    config = config or SolverConfig()
+    layout = extract_layout(program)
+    graphs: Dict[AxiomGraph, int] = {}
+    model_graphs = [
+        [
+            graphs.setdefault(graph, len(graphs))
+            for graph in model.axiom_graphs(program, layout)
+        ]
+        for model in models
+    ]
+    admitted = [0] * len(models)
+    results: List[set] = [set() for _ in models]
+    for candidate in enumerate_candidates(
+        program, _deadline_check(program, config)
+    ):
+        holds = [_graph_allows(candidate, graph) for graph in graphs]
+        result = None
+        for k, indices in enumerate(model_graphs):
+            if all(holds[i] for i in indices):
+                admitted[k] += 1
+                _over_cap(program, config, admitted[k])
+                if result is None:
+                    result = candidate.result()
+                results[k].add(result)
+    return {
+        model.name: frozenset(found)
+        for model, found in zip(models, results)
+    }
+
+
 def outcome_table(
     programs: Iterable[Program], models: Iterable[AxiomaticModel]
 ) -> List[Dict[str, object]]:
-    """Rows of {program, model, num_results} for reporting.
-
-    Each program's candidate set is enumerated exactly once and every
-    model is checked per candidate (the earlier implementation re-ran the
-    full enumeration for each model).
-    """
+    """Rows of {program, model, num_results} for reporting."""
     rows: List[Dict[str, object]] = []
     models = list(models)
     for program in programs:
-        admitted: Dict[str, set] = {model.name: set() for model in models}
-        for candidate in well_formed_candidates(program):
-            result = candidate.result()
-            for model in models:
-                if model.allows(candidate):
-                    admitted[model.name].add(result)
+        sets = allowed_results_by_model(program, models)
         for model in models:
             rows.append(
                 {
                     "program": program.name,
                     "model": model.name,
-                    "num_results": len(admitted[model.name]),
+                    "num_results": len(sets[model.name]),
                 }
             )
     return rows

@@ -344,26 +344,25 @@ def _fuzz_task(seed: int, ctx: "_TaskContext"):
 def _diff_task(seed: int, ctx: "_TaskContext"):
     """One differential-campaign seed with a memoized DRF0 judge.
 
-    Returns ``(outcome, new_drf0_verdicts, (hits, misses))`` where each
-    new verdict is ``(fingerprint, verdict, program)``.  The memo is the
-    fork-warmed worker-local ``_WORKER_DRF0_MEMO``; fresh verdicts ride
-    back so the parent merges them into the shared cache and the
-    persistent store.
+    Returns ``(outcome, new_drf0_verdicts, judged)`` where each new
+    verdict is ``(fingerprint, verdict, program)`` and ``judged`` lists
+    the fingerprints of every program the judge was asked about.  The
+    memo is the fork-warmed worker-local ``_WORKER_DRF0_MEMO``; fresh
+    verdicts ride back so the parent merges them into the shared cache
+    and the persistent store, and the parent counts memo hits from
+    ``judged`` in seed order.
     """
     new_verdicts: List[Tuple[str, bool, Program]] = []
-    hits = misses = 0
+    judged: List[str] = []
 
     def drf0_judge(program: Program) -> bool:
-        nonlocal hits, misses
         fingerprint = program_fingerprint(program)
+        judged.append(fingerprint)
         verdict = _WORKER_DRF0_MEMO.get(fingerprint)
         if verdict is None:
-            misses += 1
             verdict = check_program(program).obeys
             _WORKER_DRF0_MEMO[fingerprint] = verdict
             new_verdicts.append((fingerprint, verdict, program))
-        else:
-            hits += 1
         return verdict
 
     outcome = diff_one_seed(
@@ -372,7 +371,7 @@ def _diff_task(seed: int, ctx: "_TaskContext"):
         ctx.diff_hardware_seeds,
         drf0_judge=drf0_judge,
     )
-    return outcome, new_verdicts, (hits, misses)
+    return outcome, new_verdicts, judged
 
 
 def _worker_init() -> None:
@@ -472,11 +471,11 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
         elif kind == "diff":
             _, seed = task
             value = _diff_task(seed, ctx)
-            diff_outcome, _new_drf0, (hits, misses) = value
+            diff_outcome, new_drf0, judged = value
             deltas = {
                 "diff_seeds": 1,
-                "drf0_hits": hits,
-                "drf0_misses": misses,
+                "drf0_hits": len(judged) - len(new_drf0),
+                "drf0_misses": len(new_drf0),
                 "runs": diff_outcome.hardware_runs,
             }
         else:
@@ -1766,6 +1765,8 @@ class VerificationEngine:
         worker-local memo is warmed from the engine's cache (and hence
         the persistent store) before the fork, new verdicts ride back
         with each outcome and are flushed to the store as they land.
+        Memo hits and misses are counted in the parent's seed-ordered
+        fold, so they are the serial run's at any ``jobs``.
         Disagreements are auto-minimized in the parent (serial,
         deterministic) after the fold.
         """
@@ -1781,10 +1782,10 @@ class VerificationEngine:
         for fingerprint, mode, verdict in self.drf0_cache.entries():
             if mode == "exhaustive":
                 _WORKER_DRF0_MEMO[fingerprint] = verdict
+        known = set(_WORKER_DRF0_MEMO)
 
         def on_result(index: int, task: tuple, value) -> None:
-            _outcome, new_verdicts, (hits, misses) = value
-            self.drf0_cache.stats.add(hits=hits, misses=misses)
+            _outcome, new_verdicts, _judged = value
             for fingerprint, verdict, program in new_verdicts:
                 _WORKER_DRF0_MEMO.setdefault(fingerprint, verdict)
                 self.drf0_cache.store_by_key(
@@ -1799,6 +1800,17 @@ class VerificationEngine:
             values = session.map(
                 [("diff", seed) for seed in seeds], on_result=on_result
             )
+        # A hit is a fingerprint that was warm or judged at an earlier
+        # seed: the serial count, whichever worker ran each seed.
+        hits = misses = 0
+        for _outcome, _new, judged in values:
+            for fingerprint in judged:
+                if fingerprint in known:
+                    hits += 1
+                else:
+                    misses += 1
+                    known.add(fingerprint)
+        self.drf0_cache.stats.add(hits=hits, misses=misses)
         outcomes: List[DiffSeedOutcome] = [value[0] for value in values]
         report = merge_diff_outcomes(outcomes)
         if minimize:

@@ -171,6 +171,19 @@ class TestParallelMatchesSerial:
         assert serial.hardware_runs == parallel.hardware_runs
         assert serial.failures == parallel.failures
 
+    def test_diff_memo_counts_independent_of_jobs(self):
+        """DRF0 memo hits are counted in seed order in the parent, not in
+        worker-local memos, so the split of seeds across workers cannot
+        change them.  Seeds 114/127/143/149 repeat earlier programs."""
+        seeds = [1, 2, 15, 114, 127, 143, 149]
+        counts = []
+        for jobs in (1, 2):
+            engine = VerificationEngine(jobs=jobs)
+            engine.diff_campaign(seeds, minimize=False)
+            stats = engine.drf0_cache.stats
+            counts.append((stats.hits, stats.misses))
+        assert counts == [(4, 3), (4, 3)]
+
     def test_jobs_zero_means_cpu_count(self):
         engine = VerificationEngine(jobs=0)
         assert engine.jobs >= 1

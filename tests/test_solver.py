@@ -11,6 +11,9 @@ built on top of it (shrinking, minimization, cross-checks).
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import pytest
 
 from repro.axiomatic import (
@@ -22,13 +25,17 @@ from repro.axiomatic import (
     TSOModel,
     UnsupportedProgram,
     WeakOrderingDRF,
+    allowed_candidates,
     allowed_results,
+    allowed_results_by_model,
     default_backend,
     enumerate_candidates,
+    extract_layout,
     result_allowed,
     solve_candidates,
     well_formed_candidates,
 )
+from repro.axiomatic.candidates import _resolve
 from repro.axiomatic.checker import outcome_table
 from repro.core.sc import sc_results
 from repro.litmus.catalog import all_tests, store_buffer, tas_mutex
@@ -106,6 +113,126 @@ class TestBackendBitIdentity:
             assert allowed_results(program, SCModel()) == sc_results(program)
 
 
+def _deep_program(writes):
+    """E18's deep shape: ``writes`` stores to one location over 3 threads,
+    plus 2 loads (a ``writes!`` coherence-permutation factor)."""
+    threads = [ThreadBuilder() for _ in range(3)]
+    for i in range(writes):
+        threads[i % 3].store("x", i + 1)
+    threads[0].load("r0", "x")
+    threads[2].load("r1", "x")
+    return build_program(threads, name=f"deep{writes}")
+
+
+def _tas_program(n):
+    """``n`` test-and-sets on one location over 3 threads: almost every
+    (rf, co) combination breaks RMW atomicity."""
+    threads = [ThreadBuilder() for _ in range(3)]
+    for i in range(n):
+        threads[i % 3].test_and_set(f"r{i}", "s", set_value=i + 1)
+    return build_program(threads, name=f"tas{n}")
+
+
+def _assert_one_pass_matches(program, backend):
+    models = _models()
+    expected = {
+        model.name: allowed_results(program, model, backend)
+        for model in models
+    }
+    assert allowed_results_by_model(program, models, backend) == expected, (
+        f"{program.name}: one pass disagrees with per-model {backend}"
+    )
+
+
+class TestOnePassOracle:
+    """``allowed_results_by_model`` == one ``allowed_results`` per model."""
+
+    @pytest.mark.parametrize("backend", ["solver", "enumerator"])
+    def test_catalog_deep_and_tas(self, backend):
+        programs = [test.program for test in all_tests()] + [
+            _deep_program(5),
+            _tas_program(4),
+        ]
+        checked = 0
+        for program in programs:
+            try:
+                _assert_one_pass_matches(program, backend)
+            except UnsupportedProgram:
+                continue
+            checked += 1
+        assert checked >= 18
+
+    @pytest.mark.parametrize("backend", ["solver", "enumerator"])
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_generated_corpus(self, backend, chunk):
+        for seed in range(chunk * 100, chunk * 100 + 100):
+            _assert_one_pass_matches(random_program(seed), backend)
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError):
+            allowed_results_by_model(store_buffer().program, _models(), "z3")
+
+
+def _reference_candidates(program):
+    """Brute force: :func:`_resolve` over the unfiltered rf x co product,
+    in the enumerator's rf-major order."""
+    layout = extract_layout(program)
+    reads = [e for e in layout.events if e.is_read]
+    writes_by_loc = {}
+    for e in layout.events:
+        if e.is_write:
+            writes_by_loc.setdefault(e.location, []).append(e.uid)
+    locations = sorted(writes_by_loc)
+    rf_choices = [
+        [None] + writes_by_loc.get(read.location, []) for read in reads
+    ]
+    co_choices = [
+        list(itertools.permutations(writes_by_loc[loc])) for loc in locations
+    ]
+    for rf_pick in itertools.product(*rf_choices):
+        rf = {read.uid: src for read, src in zip(reads, rf_pick)}
+        for co_pick in itertools.product(*co_choices):
+            candidate = _resolve(
+                program, layout, rf, dict(zip(locations, co_pick))
+            )
+            if candidate is not None:
+                yield candidate
+
+
+def _shape(candidate):
+    return (
+        candidate.rf,
+        candidate.co,
+        candidate.read_values,
+        candidate.write_values,
+    )
+
+
+class TestEnumeratorReference:
+    """The enumerator yields exactly what ``_resolve`` keeps of the
+    unfiltered rf x co product, in rf-major order."""
+
+    def _assert_same(self, program):
+        assert [_shape(c) for c in enumerate_candidates(program)] == [
+            _shape(c) for c in _reference_candidates(program)
+        ], f"{program.name}: enumerator differs from the brute force"
+
+    def test_catalog_and_tas(self):
+        checked = 0
+        for program in [t.program for t in all_tests()] + [_tas_program(4)]:
+            try:
+                self._assert_same(program)
+            except UnsupportedProgram:
+                continue
+            checked += 1
+        assert checked >= 17
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_generated_corpus(self, chunk):
+        for seed in range(chunk * 100, chunk * 100 + 100):
+            self._assert_same(random_program(seed))
+
+
 class TestWellFormedCandidates:
     def test_counts_match_enumerator(self):
         for seed in range(10):
@@ -144,6 +271,42 @@ class TestBudgets:
         assert allowed_results(
             program, SCModel(), backend, config
         ) == allowed_results(program, SCModel())
+
+
+    def test_one_pass_cap_is_per_model(self):
+        program = store_buffer().program
+        models = _models()
+        most = max(
+            len(allowed_candidates(program, model, "enumerator"))
+            for model in models
+        )
+        # The cap bounds each model's admitted candidates, not their sum.
+        assert allowed_results_by_model(
+            program, models, "enumerator", SolverConfig(max_candidates=most)
+        ) == allowed_results_by_model(program, models, "enumerator")
+        with pytest.raises(SearchBudgetExceeded):
+            allowed_results_by_model(
+                program,
+                models,
+                "enumerator",
+                SolverConfig(max_candidates=most - 1),
+            )
+
+    @pytest.mark.parametrize("one_pass", [False, True])
+    def test_enumerator_deadline_fires_among_rejections(self, one_pass):
+        """tas6 enumerates for minutes, almost all of it over combinations
+        that break RMW atomicity; the deadline must still fire on time."""
+        program = _tas_program(6)
+        config = SolverConfig(max_seconds=0.05)
+        start = time.monotonic()
+        with pytest.raises(SearchBudgetExceeded):
+            if one_pass:
+                allowed_results_by_model(
+                    program, _models(), "enumerator", config
+                )
+            else:
+                allowed_results(program, SCModel(), "enumerator", config)
+        assert time.monotonic() - start < 1.0
 
 
 class TestTargetMode:
