@@ -2,9 +2,9 @@
 
 E14 made the serial engine fast; E15 makes one *exploration* scale.
 :mod:`repro.core.parallel` shards a single query (result-set
-enumeration, DPOR, guided membership) across a fork pool of
-compiled engines: phase 1 enumerates a deterministic prefix frontier,
-phase 2 dispatches subtrees, phase 3 merges -- and source-DPOR workers
+enumeration, DPOR) across a fork pool of compiled engines: phase 1
+enumerates a deterministic prefix frontier, phase 2 dispatches
+subtrees, phase 3 merges -- and source-DPOR workers
 feed newly discovered backtrack points back to the coordinator as steal
 reports, with sleep-set seeds keeping stolen subtrees disjoint.
 
@@ -48,9 +48,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from conftest import RESULTS_DIR, emit_table
 
 from repro.core import parallel
-from repro.core.contract import is_sc_result
 from repro.core.dpor import sc_results_dpor
-from repro.core.execution import Result
 from repro.core.sc import ExplorationConfig, sc_results
 from repro.litmus.catalog import by_name
 from repro.machine.generator import GeneratorConfig, random_program
@@ -119,21 +117,6 @@ def _workloads(quick: bool) -> List[Tuple[str, str, Callable]]:
 
     rows.append(results_row("SB"))
     rows.append(results_row("MP+sync"))
-
-    # Guided membership over a spin-pumped hardware-shaped result.
-    mp = by_name("MP+sync").program
-    pumped = Result(
-        reads=((), (1, 1, 0, 1)), final_memory=(("flag", 0), ("x", 1))
-    )
-    rows.append(
-        (
-            "MP+sync/pumped",
-            "member",
-            lambda jobs=None: is_sc_result(
-                mp, pumped, **({} if jobs is None else {"explore_jobs": jobs})
-            ),
-        )
-    )
 
     gen33 = random_program(
         33, GeneratorConfig(max_threads=3, max_ops_per_thread=7)

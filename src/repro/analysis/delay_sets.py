@@ -16,15 +16,13 @@ too: the analysis sees static accesses only, so every same-location pair
 counts as a potential conflict.
 
 Implemented over the axiomatic event extraction (straight-line programs),
-with networkx's simple-cycle enumeration.
+with a bounded simple-cycle search (:func:`simple_cycles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.axiomatic.events import Event, extract_events
 from repro.machine.program import Program
@@ -68,13 +66,48 @@ def _conflicts(a: Event, b: Event) -> bool:
     )
 
 
-def analyze(program: Program, max_cycle_length: int = 8) -> DelayAnalysis:
-    """Run the delay-set analysis on a straight-line program."""
-    events = extract_events(program)
-    graph = nx.DiGraph()
-    for event in events:
-        graph.add_node(event.uid)
+def simple_cycles(
+    successors: Dict[int, Sequence[int]], max_length: int
+) -> Iterator[Tuple[int, ...]]:
+    """Every elementary cycle of at most ``max_length`` nodes, once each.
 
+    ``successors`` maps each node to its out-neighbours.  A cycle is
+    reported starting at its smallest node: the search from ``start``
+    walks only larger nodes, so no cycle is found twice.  The cost is the
+    number of simple paths within the bound, small for litmus-sized
+    graphs.
+    """
+    for start in sorted(successors):
+        path = [start]
+        on_path = {start}
+
+        def extend(node: int) -> Iterator[Tuple[int, ...]]:
+            for nxt in successors[node]:
+                if nxt == start:
+                    yield tuple(path)
+                elif (
+                    nxt > start
+                    and nxt not in on_path
+                    and len(path) < max_length
+                ):
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    yield from extend(nxt)
+                    path.pop()
+                    on_path.remove(nxt)
+
+        yield from extend(start)
+
+
+def delay_graph(
+    events: Sequence[Event],
+) -> Tuple[Dict[int, List[int]], Set[DelayPair]]:
+    """Shasha-Snir's graph: ``P`` edges along each thread's program order,
+    ``C`` edges both ways between conflicting accesses.
+
+    Returns sorted successor lists per event uid, and the ``P`` pairs.
+    """
+    graph: Dict[int, Set[int]] = {event.uid: set() for event in events}
     po_pairs: Set[DelayPair] = set()
     by_proc: dict = {}
     for event in events:
@@ -84,24 +117,29 @@ def analyze(program: Program, max_cycle_length: int = 8) -> DelayAnalysis:
         for i, a in enumerate(proc_events):
             for b in proc_events[i + 1 :]:
                 po_pairs.add((a.uid, b.uid))
-                graph.add_edge(a.uid, b.uid, kind="P")
+                graph[a.uid].add(b.uid)
 
     for i, a in enumerate(events):
         for b in events[i + 1 :]:
             if _conflicts(a, b):
-                graph.add_edge(a.uid, b.uid, kind="C")
-                graph.add_edge(b.uid, a.uid, kind="C")
+                graph[a.uid].add(b.uid)
+                graph[b.uid].add(a.uid)
+    return {node: sorted(nexts) for node, nexts in graph.items()}, po_pairs
 
+
+def analyze(program: Program, max_cycle_length: int = 8) -> DelayAnalysis:
+    """Run the delay-set analysis on a straight-line program."""
+    events = extract_events(program)
+    successors, po_pairs = delay_graph(events)
     critical: List[Tuple[int, ...]] = []
     delay_pairs: Set[DelayPair] = set()
-    for cycle in nx.simple_cycles(graph, length_bound=max_cycle_length):
+    for cycle in simple_cycles(successors, max_cycle_length):
         if len(cycle) < 2:
             continue
         if not _is_critical(cycle, events):
             continue
-        cycle_t = tuple(cycle)
-        critical.append(cycle_t)
-        for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
+        critical.append(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if (a, b) in po_pairs:
                 delay_pairs.add((a, b))
     return DelayAnalysis(
@@ -112,7 +150,7 @@ def analyze(program: Program, max_cycle_length: int = 8) -> DelayAnalysis:
     )
 
 
-def _is_critical(cycle: List[int], events: List[Event]) -> bool:
+def _is_critical(cycle: Sequence[int], events: List[Event]) -> bool:
     """Shasha-Snir minimality: <=2 accesses per thread (program-order
     adjacent in the cycle), <=3 accesses per location."""
     per_proc: dict = {}

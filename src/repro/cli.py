@@ -276,7 +276,7 @@ def _print_explorer_stats(stats, elapsed: Optional[float] = None) -> None:
 def cmd_drf0(args) -> int:
     import time
 
-    from repro.core.sc import ExplorationConfig
+    from repro.core.sc import ExplorationCapError, ExplorationConfig
 
     program = _resolve_program(args.name)
     tracer = _make_tracer(args)
@@ -315,6 +315,11 @@ def cmd_drf0(args) -> int:
                 program, config=ExplorationConfig(max_ops=400, tracer=tracer)
             )
             mode = f"exhaustive over {report.stats.states} configurations"
+    except ExplorationCapError as exc:
+        # A cap is no verdict: exit 1 would read as "violates DRF0".
+        if monitor is not None:
+            monitor.fail(f"{type(exc).__name__}: {exc}")
+        raise _usage_error(f"{args.name}: {exc}")
     except BaseException as exc:
         if monitor is not None:
             monitor.fail(f"{type(exc).__name__}: {exc}")
@@ -474,11 +479,6 @@ def cmd_sweep(args) -> int:
         raise _usage_error(
             f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
         )
-    if args.explore_jobs < 0:
-        raise _usage_error(
-            f"--explore-jobs must be >= 0 (got {args.explore_jobs}); "
-            "0 means one per CPU"
-        )
     if args.resume and not args.journal:
         raise _usage_error("--resume requires --journal FILE")
     names = args.names or DEFAULT_SWEEP_PROGRAMS
@@ -495,9 +495,9 @@ def cmd_sweep(args) -> int:
         registry = MetricsRegistry()
     monitor = _make_monitor(args, "sweep " + " ".join(names))
     engine = VerificationEngine(
-        jobs=args.jobs, explore_jobs=args.explore_jobs, tracer=tracer,
-        metrics=registry, task_timeout=args.task_timeout,
-        cache_dir=args.cache_dir, monitor=monitor,
+        jobs=args.jobs, tracer=tracer, metrics=registry,
+        task_timeout=args.task_timeout, cache_dir=args.cache_dir,
+        monitor=monitor,
     )
     try:
         evidence = engine.definition2_sweep(
@@ -749,11 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (0 = one per CPU); output is "
                         "identical to --jobs 1")
-    p.add_argument("--explore-jobs", type=int, default=1,
-                   help="intra-cell parallelism: shard expensive oracle "
-                        "explorations across N forked engine processes "
-                        "(0 = one per CPU); evidence is identical to "
-                        "--explore-jobs 1")
     p.add_argument("--stats", action="store_true",
                    help="print aggregate explorer counters for the oracle "
                         "work the sweep dispatched")

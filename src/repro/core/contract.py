@@ -19,27 +19,69 @@ deterministic function of the values its reads return, and the observed
 history bounds the number of reads, so each thread can execute only a fixed
 finite instruction sequence.  Configurations are deduplicated on
 (thread states, memory, read positions).
+
+Spin loops are folded: a read that leaves its location holding the value
+it returned (a plain read, or a ``TestAndSet`` that wrote back what it
+read) is seen by no other access, so a processor's following re-reads of
+that location and value are taken in the same transition
+(:func:`_fold_rereads`).  ``docs/formal-model.md`` proves the folded
+search accepts exactly the results the unfolded one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.core.compile import make_engine
 from repro.core.engine_state import ExplorerStats
 from repro.core.execution import Result
 from repro.core.sc import ExplorationCapError
+from repro.core.types import Location, Value
 from repro.machine.program import Program
 
 
 class ContractSearchLimit(ExplorationCapError):
-    """Raised when the guided membership search exceeds its state budget.
+    """Raised when the guided membership search exceeds its state budget."""
 
-    Subclasses :class:`~repro.core.sc.ExplorationCapError`, so it carries
-    the same states/frontier/shards snapshot when raised from a sharded
-    search.
+
+def _fold_rereads(
+    engine,
+    proc: int,
+    location: Location,
+    value: Value,
+    history: Sequence[Value],
+) -> int:
+    """Absorb ``proc``'s re-reads of ``location`` into the current step.
+
+    Call right after ``proc`` completed a read of ``location`` that
+    returned ``value``.  While memory still holds ``value`` there, the
+    processor's next operation reads ``location`` and its observed
+    ``history`` expects ``value`` next, step it too; a step that changes
+    memory (a winning ``TestAndSet``) is undone and ends the fold.
+    Returns the number of steps absorbed, each to be undone with the
+    transition.  Uses only ``pending``/``step``/``undo``/``read_value``
+    and the read histories, so it runs on either engine.
     """
+    folded = 0
+    pos = len(engine.reads[proc])
+    while engine.read_value(location) == value:
+        request = engine.pending(proc)
+        if (
+            request is None
+            or not request.kind.has_read
+            or request.location != location
+            or pos >= len(history)
+            or history[pos] != value
+        ):
+            return folded
+        engine.step(proc)
+        folded += 1
+        pos += 1
+    if folded:  # the last absorbed step changed memory: take it back
+        engine.undo()
+        folded -= 1
+    return folded
 
 
 def is_sc_result(
@@ -47,7 +89,6 @@ def is_sc_result(
     result: Result,
     max_states: int = 2_000_000,
     stats: Optional[ExplorerStats] = None,
-    explore_jobs: int = 1,
 ) -> bool:
     """True iff ``result`` is the result of some idealized execution.
 
@@ -55,13 +96,12 @@ def is_sc_result(
     an interleaving search guided by the observed per-processor read
     histories.  Read operations may only complete with the observed value;
     the search succeeds when all threads halt having consumed their entire
-    read history and the final memory matches.
+    read history and the final memory matches.  Repeated reads that leave
+    memory unchanged are folded into one transition (module docstring).
 
     The search runs on the in-place do/undo transition engine
     (:class:`~repro.core.engine_state.EngineState`); pass ``stats`` to
-    accumulate its exploration counters.  ``explore_jobs > 1`` (or ``0``
-    = all cores) shards the search across a fork pool with an early-exit
-    broadcast on the first hit (:mod:`repro.core.parallel`).
+    accumulate its exploration counters.
     """
     if len(result.reads) != program.num_procs:
         return False
@@ -69,23 +109,12 @@ def is_sc_result(
     if set(dict(result.final_memory)) != set(program.initial_memory):
         return False
     expected_memory = tuple(sorted(result.final_memory))
-
-    if explore_jobs != 1:
-        from repro.core import parallel
-
-        jobs = parallel.resolve_jobs(explore_jobs)
-        if jobs > 1 and parallel.can_fork():
-            return parallel.parallel_is_sc_result(
-                program,
-                expected_reads,
-                expected_memory,
-                max_states,
-                jobs,
-                stats=stats,
-            )
+    expected_counts = tuple(len(r) for r in expected_reads)
 
     # The guided search never reads the trace: skip recording it.
     engine = make_engine(program, record_trace=False)
+    # Without a backward branch no processor can spin: nothing to fold.
+    fold = not engine.straightline
     visited: Set[object] = set()
     states = 0
 
@@ -93,7 +122,7 @@ def is_sc_result(
         nonlocal states
         runnable = engine.runnable()
         if not runnable:
-            if engine.read_counts() != tuple(len(r) for r in expected_reads):
+            if engine.read_counts() != expected_counts:
                 return False
             return engine.final_memory() == expected_memory
         k = (engine.config_key(), engine.read_counts())
@@ -109,18 +138,30 @@ def is_sc_result(
         for proc in runnable:
             request = engine.pending(proc)
             assert request is not None
+            folded = 0
             if request.kind.has_read:
+                history = expected_reads[proc]
                 pos = len(engine.reads[proc])
-                if pos >= len(expected_reads[proc]):
+                if pos >= len(history):
                     continue  # observed history exhausted; branch impossible
-                if engine.read_value(request.location) != expected_reads[proc][pos]:
+                value = engine.read_value(request.location)
+                if value != history[pos]:
                     continue  # would read a value the hardware never returned
-            engine.step(proc)
+                engine.step(proc)
+                if fold:
+                    folded = _fold_rereads(
+                        engine, proc, request.location, value, history
+                    )
+            else:
+                engine.step(proc)
             try:
                 if dfs():
                     return True
             finally:
                 engine.undo()
+                while folded:
+                    engine.undo()
+                    folded -= 1
         return False
 
     found = dfs()

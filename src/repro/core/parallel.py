@@ -27,8 +27,8 @@ order-independent and dedup-invariant -- the set of results reachable
 from a configuration depends only on the configuration and the
 observations made so far -- so the union of the per-shard result sets is
 *bit-identical* to the serial result set, whatever the completion order
-(``benchmarks/bench_e15_parallel.py`` asserts this per row).  Boolean
-verdicts (DPOR race existence, SC membership) merge as "any shard hit".
+(``benchmarks/bench_e15_parallel.py`` asserts this per row).  The DPOR
+race verdict merges as "any shard hit".
 :class:`~repro.core.engine_state.ExplorerStats` merge by summation; state
 counts may differ from the serial run (shards cannot share a dedup set),
 which is why the determinism contract is stated over *results*, not
@@ -38,11 +38,11 @@ For source-DPOR, workers return newly discovered backtrack points whose
 target node lies inside their prefix; the coordinator owns the backtrack
 sets of the top ``_DPOR_PREFIX_DEPTH`` levels and schedules each accepted
 point as a new shard (work-stealing over backtrack nodes, with seen-key
-dedup so no subtree is dispatched twice).  Existential queries
-(:func:`repro.core.contract.is_sc_result` membership, DPOR first-race)
-get an early-exit broadcast: a :class:`multiprocessing.Event` created
-before the fork, set by the coordinator on the first hit and polled by
-every worker between nodes, cancels in-flight shards.
+dedup so no subtree is dispatched twice).  The existential DPOR
+first-race query gets an early-exit broadcast: a
+:class:`multiprocessing.Event` created before the fork, set by the
+coordinator on the first hit and polled by every worker between nodes,
+cancels in-flight shards.
 
 The parallel path is only taken for callers that discard executions
 (``collect_executions=False`` / verdict-only): execution *lists* are
@@ -76,7 +76,6 @@ __all__ = [
     "parallel_explore",
     "parallel_check_program_dpor",
     "parallel_sc_results_dpor",
-    "parallel_is_sc_result",
 ]
 
 #: Target shards per worker: enough slack that an unlucky split keeps
@@ -212,31 +211,16 @@ class _ShardContext:
         "cfg",
         "mode",
         "model",
-        "expected_reads",
-        "expected_memory",
         "max_states",
         "stop",
         "failpoints",
     )
 
-    def __init__(
-        self,
-        program,
-        cfg,
-        mode,
-        model,
-        expected_reads,
-        expected_memory,
-        max_states,
-        stop,
-        failpoints,
-    ):
+    def __init__(self, program, cfg, mode, model, max_states, stop, failpoints):
         self.program = program
         self.cfg = cfg
         self.mode = mode
         self.model = model
-        self.expected_reads = expected_reads
-        self.expected_memory = expected_memory
         self.max_states = max_states
         self.stop = stop
         self.failpoints = failpoints
@@ -293,8 +277,6 @@ def _run_shard(task: tuple) -> tuple:
     try:
         if ctx.mode in ("dpor-results", "dpor-race"):
             payload = _dpor_shard(ctx, prefix, seeds, stats)
-        elif ctx.mode == "member":
-            payload = _member_shard(ctx, prefix, stats)
         else:
             payload = _results_shard(ctx, prefix, stats)
     except _Cancelled:
@@ -387,62 +369,6 @@ def _results_shard(ctx: _ShardContext, prefix, stats) -> tuple:
     stats.max_depth = engine.max_depth
     stats.peak_visited = len(visited)
     return ("ok", frozenset(results), stats, complete[0], ())
-
-
-def _member_shard(ctx: _ShardContext, prefix, stats) -> tuple:
-    """Guided SC-membership search below ``prefix`` (contract mode)."""
-    from repro.core.contract import ContractSearchLimit
-
-    engine = make_engine(ctx.program, record_trace=False)
-    stop = ctx.stop
-    expected_reads = ctx.expected_reads
-    expected_memory = ctx.expected_memory
-    expected_counts = tuple(len(r) for r in expected_reads)
-    for proc in prefix:
-        engine.step(proc)
-    visited: Set[object] = set()
-
-    def dfs() -> bool:
-        runnable = engine.runnable()
-        if not runnable:
-            if engine.read_counts() != expected_counts:
-                return False
-            return engine.final_memory() == expected_memory
-        k = (engine.config_key(), engine.read_counts())
-        if k in visited:
-            return False
-        visited.add(k)
-        stats.states += 1
-        if stats.states % _STOP_CHECK_NODES == 0 and stop.is_set():
-            raise _Cancelled
-        if stats.states > ctx.max_states:
-            raise ContractSearchLimit(
-                f"guided SC search exceeded {ctx.max_states} configurations",
-                states=stats.states,
-            )
-        for proc in runnable:
-            request = engine.pending(proc)
-            if request.kind.has_read:
-                pos = len(engine.reads[proc])
-                if pos >= len(expected_reads[proc]):
-                    continue
-                if engine.read_value(request.location) != expected_reads[proc][pos]:
-                    continue
-            engine.step(proc)
-            try:
-                if dfs():
-                    return True
-            finally:
-                engine.undo()
-        return False
-
-    found = dfs()
-    stats.transitions = engine.transitions
-    stats.max_depth = engine.max_depth
-    stats.peak_visited = len(visited)
-    if found:
-        return ("hit", None, stats, True, ())
-    return ("ok", None, stats, True, ())
 
 
 def _dpor_shard(ctx: _ShardContext, prefix, seeds, stats) -> tuple:
@@ -712,9 +638,6 @@ class _Coordinator:
         jobs: int,
         mode: str,
         model: Optional[SynchronizationModel] = None,
-        expected_reads=None,
-        expected_memory=None,
-        max_states: Optional[int] = None,
         failpoints: Sequence[object] = (),
         shard_stats: Optional[ShardStats] = None,
     ) -> None:
@@ -723,11 +646,7 @@ class _Coordinator:
         self.jobs = max(1, jobs)
         self.mode = mode
         self.model = model
-        self.expected_reads = expected_reads
-        self.expected_memory = expected_memory
-        self.max_states = (
-            max_states if max_states is not None else cfg.max_states
-        )
+        self.max_states = cfg.max_states
         self.failpoints = tuple(failpoints or ())
         self.sstats = shard_stats if shard_stats is not None else ShardStats()
         self.stats = ExplorerStats()  # coordinator-side (phase-1) counters
@@ -762,24 +681,6 @@ class _Coordinator:
             eng.step(proc)
         return on_path
 
-    def _guided_children(self) -> List[int]:
-        """Runnable procs filtered by the observed read histories."""
-        eng = self.engine
-        out = []
-        for proc in eng.runnable():
-            request = eng.pending(proc)
-            if request.kind.has_read:
-                pos = len(eng.reads[proc])
-                if pos >= len(self.expected_reads[proc]):
-                    continue
-                if (
-                    eng.read_value(request.location)
-                    != self.expected_reads[proc][pos]
-                ):
-                    continue
-            out.append(proc)
-        return out
-
     def _phase1_naive(self) -> None:
         """BFS prefixes down to the work-budget frontier.
 
@@ -789,21 +690,9 @@ class _Coordinator:
         -- becomes one shard.
         """
         eng = self.engine
-        guided = self.mode == "member"
-        # The guided membership search has *no* livelock-cycle pruning:
-        # a spin iteration revisits its configuration while consuming
-        # observed reads, so an on-path cut would sever exactly the
-        # paths a pumped read history needs.  Termination comes from the
-        # read-position dedup key instead, as in the serial search.
-        track_cycles = not eng.straightline and not guided
-        dedup = guided or (self.mode == "results" and self.cfg.dedup)
+        track_cycles = not eng.straightline
+        dedup = self.cfg.dedup
         visited: Set[object] = set()
-
-        def node_key(cycle_key):
-            if guided:
-                return (cycle_key, eng.read_counts())
-            return (cycle_key, eng.reads_key())
-
         level: List[Tuple[int, ...]] = [()]
         depth = 0
         while level:
@@ -812,19 +701,15 @@ class _Coordinator:
                 or depth >= min(self.cfg.max_ops, _MAX_FRONTIER_DEPTH)
             ):
                 for path in level:
-                    self._queue_frontier(
-                        path, track_cycles, dedup, guided, visited, node_key
-                    )
+                    self._queue_frontier(path, track_cycles, dedup, visited)
                 return
             nxt: List[Tuple[int, ...]] = []
             for path in level:
                 on_path = self._replay(path, track_cycles)
-                children = (
-                    self._guided_children() if guided else eng.runnable()
-                )
+                children = eng.runnable()
                 if not children:
-                    # A leaf (or a guided dead end, which a worker
-                    # rediscovers for free): dispatch as a trivial shard.
+                    # A leaf: dispatch as a trivial shard, which a worker
+                    # folds into the result set.
                     self._queue_shard(path)
                     continue
                 cycle_key = None
@@ -833,7 +718,7 @@ class _Coordinator:
                 if track_cycles and cycle_key in on_path:
                     continue  # livelock cycle: pruned, exactly as serial
                 if dedup:
-                    key = node_key(cycle_key)
+                    key = (cycle_key, eng.reads_key())
                     if key in visited:
                         continue
                     visited.add(key)
@@ -842,9 +727,7 @@ class _Coordinator:
             level = nxt
             depth += 1
 
-    def _queue_frontier(
-        self, path, track_cycles, dedup, guided, visited, node_key
-    ) -> None:
+    def _queue_frontier(self, path, track_cycles, dedup, visited) -> None:
         """Cycle/dedup-check a frontier node, then dispatch it."""
         eng = self.engine
         on_path = self._replay(path, track_cycles)
@@ -853,7 +736,7 @@ class _Coordinator:
             if track_cycles and cycle_key in on_path:
                 return
             if dedup:
-                key = node_key(cycle_key)
+                key = (cycle_key, eng.reads_key())
                 if key in visited:
                     return  # an identical packed configuration is already a shard
                 visited.add(key)
@@ -1045,8 +928,6 @@ class _Coordinator:
             worker_cfg,
             self.mode,
             self.model,
-            self.expected_reads,
-            self.expected_memory,
             self.max_states,
             stop,
             self.failpoints,
@@ -1103,10 +984,8 @@ class _Coordinator:
     def _should_stop(self) -> bool:
         if self.hit or self.capped_msg is not None:
             return True
-        if self.mode in ("results", "member") and (
-            self.stats.states > self.max_states
-        ):
-            if not self.cfg_allows_incomplete():
+        if self.mode == "results" and self.stats.states > self.max_states:
+            if not self.cfg.allow_incomplete:
                 self.capped_msg = (
                     f"visited more than {self.max_states} configurations "
                     "across shards"
@@ -1114,11 +993,6 @@ class _Coordinator:
             self.complete = False
             return True
         return False
-
-    def cfg_allows_incomplete(self) -> bool:
-        if self.mode == "member":
-            return False  # the guided search has no allow_incomplete mode
-        return bool(self.cfg.allow_incomplete)
 
     def _check_workers(self, pool, inflight) -> None:
         """Detect worker deaths; resubmit in-flight shards (they are pure)."""
@@ -1144,7 +1018,7 @@ class _Coordinator:
     def raise_if_capped(self, error_cls) -> None:
         if self.capped_msg is None:
             return
-        if self.cfg_allows_incomplete():
+        if self.cfg.allow_incomplete:
             return
         raise error_cls(
             self.capped_msg,
@@ -1278,42 +1152,3 @@ def parallel_sc_results_dpor(
     coord.run()
     coord.raise_if_capped(ExplorationCapError)
     return frozenset(coord.results)
-
-
-def parallel_is_sc_result(
-    program: Program,
-    expected_reads,
-    expected_memory,
-    max_states: int,
-    jobs: int,
-    stats: Optional[ExplorerStats] = None,
-    failpoints: Sequence[object] = (),
-    shard_stats: Optional[ShardStats] = None,
-) -> bool:
-    """Sharded counterpart of the guided membership search in
-    :func:`repro.core.contract.is_sc_result` (pre-validated inputs)."""
-    from repro.core.contract import ContractSearchLimit
-    from repro.core.sc import ExplorationConfig
-
-    cfg = ExplorationConfig(max_states=max_states)
-    coord = _Coordinator(
-        program,
-        cfg,
-        jobs,
-        "member",
-        expected_reads=expected_reads,
-        expected_memory=expected_memory,
-        max_states=max_states,
-        failpoints=failpoints,
-        shard_stats=shard_stats,
-    )
-    coord.run()
-    coord.raise_if_capped(ContractSearchLimit)
-    if stats is not None:
-        stats.states += coord.stats.states
-        stats.transitions += coord.stats.transitions
-        stats.max_depth = max(stats.max_depth, coord.stats.max_depth)
-        stats.peak_visited = max(
-            stats.peak_visited, coord.stats.peak_visited
-        )
-    return coord.hit

@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     Timer,
     explorer_metrics,
     run_metrics,
-    shard_metrics,
     stream_metrics,
 )
 from repro.obs.stall import (
@@ -97,7 +96,6 @@ __all__ = [
     "render_stall_table",
     "render_status",
     "run_metrics",
-    "shard_metrics",
     "stall_breakdown",
     "stream_metrics",
     "validate_chrome_trace",

@@ -211,25 +211,6 @@ def explorer_metrics(
     return registry
 
 
-def shard_metrics(
-    stats,
-    registry: Optional[MetricsRegistry] = None,
-    prefix: str = "explore",
-) -> MetricsRegistry:
-    """Fold a :class:`~repro.core.parallel.ShardStats` into a registry.
-
-    Surfaces the intra-cell sharding counters: shard count and balance
-    (min/max/total states explored per shard), the prefix-frontier size,
-    DPOR steal traffic (backtrack points reported vs. actually
-    scheduled), early-exit cancellations with the broadcast-to-drain
-    latency, and crash resubmissions.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    for name, value in stats.as_dict().items():
-        registry.counter(f"{prefix}.{name}").inc(value)
-    return registry
-
-
 def store_metrics(
     stats,
     registry: Optional[MetricsRegistry] = None,

@@ -102,7 +102,6 @@ from typing import (
 from repro.core.contract import is_sc_result
 from repro.core.drf0 import check_program, check_program_sampled
 from repro.core.engine_state import ExplorerStats
-from repro.core.parallel import ShardStats
 from repro.core.execution import Result
 from repro.machine.generator import GeneratorConfig
 from repro.machine.program import Program
@@ -756,16 +755,6 @@ class VerificationEngine:
             ``0`` or ``None`` means one per CPU.  Parallel dispatch needs
             the ``fork`` start method (POSIX); elsewhere the engine runs
             in-process regardless of ``jobs``.
-        explore_jobs: Intra-cell parallelism for oracle explorations
-            (:mod:`repro.core.parallel`).  ``1`` (default) keeps every
-            guided SC-membership search serial; ``> 1`` (or ``0`` = one
-            per CPU) shards expensive searches across a fork pool of
-            compiled engines.  Sharded judgments always run in the
-            *parent* process (pool workers are daemonic and cannot
-            fork): with ``jobs == 1`` every judge task shards, with a
-            worker pool only cells whose stored cost exceeds twice the
-            grid median are pulled out of the pool and sharded
-            (cost-aware straggler splitting).
         seed_chunk: Seeds per hardware-run task.  Default: sized so each
             worker sees about four tasks per cell (amortizes task overhead
             while still load-balancing).
@@ -811,7 +800,6 @@ class VerificationEngine:
     def __init__(
         self,
         jobs: Optional[int] = 1,
-        explore_jobs: int = 1,
         seed_chunk: Optional[int] = None,
         sc_cache: Optional[SCVerdictCache] = None,
         drf0_cache: Optional[DRF0VerdictCache] = None,
@@ -829,11 +817,6 @@ class VerificationEngine:
         if not jobs:
             jobs = os.cpu_count() or 1
         self.jobs = max(1, int(jobs))
-        self.explore_jobs = explore_jobs
-        #: Aggregate sharding counters from every intra-cell parallel
-        #: exploration this engine ran (``engine.explore.*`` in
-        #: :meth:`metrics_snapshot`).
-        self.shard_stats = ShardStats()
         self.seed_chunk = seed_chunk
         self.task_timeout = task_timeout
         self.max_task_retries = max(0, int(max_task_retries))
@@ -1163,86 +1146,6 @@ class VerificationEngine:
             per_cell[cell_index].extend(summaries)
         return per_cell
 
-    def _shard_cell_indices(
-        self,
-        cells: Sequence[_SweepCell],
-        identities: Optional[List[Tuple[str, str]]],
-    ) -> frozenset:
-        """Which cells' judge tasks should run as sharded explorations.
-
-        Sharding happens in the parent process (pool workers are daemonic
-        and cannot fork grandchildren), so it competes with the run pool
-        for cores.  Without a pool (``jobs == 1``) every judge shards --
-        sharding is the only parallelism available.  With a pool, only
-        cells whose stored cost record exceeds twice the grid median are
-        pulled out: those are the stragglers whose single judge task
-        would dominate the tail, and splitting them beats queueing them.
-        """
-        if self.explore_jobs == 1:
-            return frozenset()
-        from repro.core import parallel
-
-        if (
-            parallel.resolve_jobs(self.explore_jobs) <= 1
-            or not parallel.can_fork()
-        ):
-            return frozenset()
-        if self.jobs == 1 or not self.can_fork:
-            return frozenset(range(len(cells)))
-        if self.store is None or identities is None:
-            return frozenset()
-        state = self.store.warm()
-        expected = []
-        for fingerprint, policy_name in identities:
-            cost = state.costs.get(cell_key(fingerprint, policy_name))
-            expected.append(cost.us_per_run if cost else 0.0)
-        known = sorted(us for us in expected if us > 0)
-        if not known:
-            return frozenset()
-        median_us = known[len(known) // 2]
-        return frozenset(
-            index
-            for index, us in enumerate(expected)
-            if us > 2 * median_us
-        )
-
-    def _judge_sharded(
-        self, program: Program, result: Result
-    ) -> Tuple[bool, ExplorerStats]:
-        """One parent-side sharded SC-membership judgment.
-
-        Mirrors the ``judge`` task body but fans the guided search out
-        across a fork pool of compiled engines with an early-exit
-        broadcast on the first hit.  The verdict is bit-identical to the
-        serial search's (membership is existence, and every shard hit is
-        re-validated by replay).
-        """
-        from repro.core import parallel
-
-        stats = ExplorerStats()
-        if len(result.reads) != program.num_procs or set(
-            dict(result.final_memory)
-        ) != set(program.initial_memory):
-            return is_sc_result(program, result, stats=stats), stats
-        expected_reads = [tuple(values) for values in result.reads]
-        expected_memory = tuple(sorted(result.final_memory))
-        shard_failpoints = tuple(
-            failpoint
-            for failpoint in self.failpoints
-            if failpoint.task_kind in ("shard", "coordinator", "*")
-        )
-        verdict = parallel.parallel_is_sc_result(
-            program,
-            expected_reads,
-            expected_memory,
-            2_000_000,
-            parallel.resolve_jobs(self.explore_jobs),
-            stats=stats,
-            failpoints=shard_failpoints,
-            shard_stats=self.shard_stats,
-        )
-        return verdict, stats
-
     def _judge_new_results(
         self,
         session: _Session,
@@ -1274,19 +1177,6 @@ class VerificationEngine:
                 ):
                     pending.append((cell_index, summary.result))
 
-        # Cost-aware routing: straggler cells are judged parent-side as
-        # sharded explorations, everything else goes through the pool.
-        # Pooled entries stay a *prefix* of ``pending`` so every index in
-        # the on_result callback and the zips below is unchanged.
-        shard_cells = self._shard_cell_indices(cells, identities)
-        sharded: List[Tuple[int, Result]] = []
-        if shard_cells:
-            pooled = [
-                entry for entry in pending if entry[0] not in shard_cells
-            ]
-            sharded = [entry for entry in pending if entry[0] in shard_cells]
-            pending = pooled + sharded
-
         on_result = None
         if self.store is not None:
             def on_result(index: int, task: tuple, value: object) -> None:
@@ -1304,27 +1194,10 @@ class VerificationEngine:
         if self._owns_plan and pending:
             self.monitor.add_extra("judge", len(pending))
 
-        pooled_count = len(pending) - len(sharded)
         values = session.map(
-            [
-                ("judge", cell_index, result)
-                for cell_index, result in pending[:pooled_count]
-            ],
+            [("judge", cell_index, result) for cell_index, result in pending],
             on_result=on_result,
         )
-        task_seconds = list(session.task_seconds)
-        for cell_index, result in sharded:
-            shard_start = time.perf_counter()
-            value = self._judge_sharded(cells[cell_index].program, result)
-            seconds = time.perf_counter() - shard_start
-            task_seconds.append(seconds)
-            values.append(value)
-            if on_result is not None:
-                on_result(
-                    len(values) - 1, ("judge", cell_index, result), value
-                )
-            # Sharded judges bypass the session, so tick progress here.
-            self._task_landed(("judge", cell_index, result), seconds)
         for (cell_index, result), (verdict, stats) in zip(pending, values):
             self.explorer_stats.merge(stats)
             program = cells[cell_index].program
@@ -1336,7 +1209,7 @@ class VerificationEngine:
         if self.store is not None and identities is not None and pending:
             acc: Dict[int, Tuple[int, int]] = {}
             for (cell_index, _result), seconds, (_verdict, stats) in zip(
-                pending, task_seconds, values
+                pending, session.task_seconds, values
             ):
                 wall_us, states = acc.get(cell_index, (0, 0))
                 acc[cell_index] = (
@@ -1831,14 +1704,11 @@ class VerificationEngine:
         a registry was attached at construction they are already there),
         verdict-cache hit/miss counters, the persistent store's
         load/flush/reuse counters (when a store is attached), the
-        aggregate explorer counters from oracle tasks, and the
-        intra-cell sharding counters (``engine.explore.*``: shard
-        balance, steal traffic, cancel latency).
+        and the aggregate explorer counters from oracle tasks.
         """
         from repro.obs.metrics import (
             MetricsRegistry,
             explorer_metrics,
-            shard_metrics,
             store_metrics,
             stream_metrics,
         )
@@ -1863,7 +1733,6 @@ class VerificationEngine:
         explorer_metrics(
             self.explorer_stats, registry, prefix="engine.explorer"
         )
-        shard_metrics(self.shard_stats, registry, prefix="engine.explore")
         if self.monitor is not None:
             stream_metrics(
                 self.monitor.fold,

@@ -1,11 +1,18 @@
 """Tests for delay-set analysis and the verification harnesses."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.analysis import analyze, delay_pairs_for
+from repro.analysis.delay_sets import delay_graph, simple_cycles
+from repro.axiomatic import UnsupportedProgram
+from repro.axiomatic.events import extract_events
 from repro.core.types import OpKind
 from repro.hw import AdveHillPolicy, Definition1Policy, RelaxedPolicy, SCPolicy
 from repro.litmus.catalog import (
+    all_tests,
     dekker_sync,
     independent_writes,
     message_passing,
@@ -57,6 +64,55 @@ class TestDelaySets:
     def test_critical_cycles_recorded(self):
         analysis = analyze(store_buffer().program)
         assert analysis.critical_cycles
+
+
+def _brute_force_cycles(successors, max_length):
+    """Every node sequence closing into a cycle, from its smallest node."""
+    cycles = set()
+    for start in successors:
+        larger = [node for node in successors if node > start]
+        for extra in range(max_length):
+            for rest in itertools.permutations(larger, extra):
+                path = (start,) + rest
+                if all(
+                    b in successors[a]
+                    for a, b in zip(path, path[1:] + path[:1])
+                ):
+                    cycles.add(path)
+    return cycles
+
+
+def _assert_cycles_match(successors, max_length):
+    found = list(simple_cycles(successors, max_length))
+    assert len(found) == len(set(found))  # each cycle once
+    assert set(found) == _brute_force_cycles(successors, max_length)
+
+
+class TestSimpleCycles:
+    def test_catalog_delay_graphs(self):
+        checked = 0
+        for test in all_tests():
+            try:
+                events = extract_events(test.program)
+            except UnsupportedProgram:
+                continue
+            successors, _po = delay_graph(events)
+            for max_length in (2, 3, 8):
+                _assert_cycles_match(successors, max_length)
+            checked += 1
+        assert checked >= 10
+
+    def test_random_digraphs(self):
+        # Up to 7 nodes, self-loops included, every bound from 1 up.
+        rng = random.Random(0)
+        for _ in range(200):
+            size = rng.randint(1, 7)
+            density = rng.choice((0.2, 0.4, 0.7))
+            successors = {
+                node: [n for n in range(size) if rng.random() < density]
+                for node in range(size)
+            }
+            _assert_cycles_match(successors, rng.randint(1, size))
 
 
 class TestConditionMonitor:

@@ -1,8 +1,41 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import _print_evidence_table, main
+
+
+def _run_cli(*code_or_args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's ``repro`` importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run(
+        [sys.executable, *code_or_args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestImports:
+    def test_cli_loads_only_stdlib_and_repro(self):
+        proc = _run_cli("-c", (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro.cli\n"
+            "allowed = set(sys.stdlib_module_names) | {'repro', '__mp_main__'}\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - allowed))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCatalogCommand:
@@ -36,6 +69,24 @@ class TestDrf0Command:
     def test_unknown_program_rejected(self):
         with pytest.raises(SystemExit):
             main(["drf0", "not-a-program"])
+
+    def test_dpor_cap_is_a_usage_error(self, tmp_path):
+        # --dpor is for bounded programs; MP+sync's spin loop hits the
+        # operation cap.  That is no verdict, so neither exit 1 (racy)
+        # nor a traceback; the status snapshot still records the failure.
+        status = tmp_path / "status.json"
+        proc = _run_cli(
+            "-m", "repro", "drf0", "MP+sync", "--dpor",
+            "--status-json", str(status),
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "spin loops" in proc.stderr
+        assert proc.stdout == ""
+        snapshot = json.loads(status.read_text())
+        assert snapshot["state"] == "failed"
+        assert "ExplorationCapError" in snapshot["error"]
 
 
 class TestEvidenceTable:

@@ -4,9 +4,10 @@ The sharded explorer makes one promise: for every result-set or
 verdict-only query, the merged output is bit-identical to the serial
 explorer's -- result sets are order-independent, so the union of
 per-shard result sets equals the serial set exactly.  These tests check
-that promise across every mode (naive, guided membership, DPOR), plus
-the resilience machinery (crashed shard workers, Ctrl-C hygiene) and the
-cap-error diagnostics.
+that promise across every mode (naive, DPOR), plus the resilience
+machinery (crashed shard workers, Ctrl-C hygiene) and the cap-error
+diagnostics.  The guided SC-membership search is serial; its
+spin-history cases stay here as regressions.
 """
 
 import multiprocessing
@@ -100,16 +101,14 @@ class TestEquivalence:
     def test_membership_spin_pumped_result(self):
         # Regression: hardware results of spin-loop programs carry
         # arbitrary spin counts.  The guided search has no livelock-cycle
-        # pruning (the read history bounds it), and neither may the
-        # phase-1 prefix enumeration -- an on-path cut would sever the
-        # exact paths a pumped history needs.
+        # pruning (the read history bounds it): an on-path cut would
+        # sever the exact paths a pumped history needs.
         program = by_name("MP+sync").program
         pumped = Result(
             reads=((), (1, 1, 0, 1)),
             final_memory=(("flag", 0), ("x", 1)),
         )
         assert is_sc_result(program, pumped)
-        assert is_sc_result(program, pumped, explore_jobs=2)
 
     @pytest.mark.parametrize("name", ("SB", "MP+sync"))
     def test_membership_negative(self, name):
@@ -121,14 +120,13 @@ class TestEquivalence:
             ),
         )
         assert not is_sc_result(program, impossible)
-        assert not is_sc_result(program, impossible, explore_jobs=2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_membership_generated(self, seed):
         program = _generated(seed)
         results = sorted(sc_results(program), key=repr)
         for result in results[:3]:
-            assert is_sc_result(program, result, explore_jobs=2)
+            assert is_sc_result(program, result)
 
 
 # ----------------------------------------------------------------------
@@ -193,23 +191,22 @@ class TestCapError:
         assert "frontier=" in str(excinfo.value)
 
     @pool_available
-    def test_sharded_member_cap_is_contract_limit(self):
-        # A non-SC read history (flag=0 implies x=1 under program order),
-        # so no shard can hit -- the tiny state budget must trip.  (When
-        # a hit and a cap race, the hit wins: membership is existence.)
-        program = by_name("MP+sync").program
-        impossible = Result(
-            reads=((), (1, 1, 0, 0)),
-            final_memory=(("flag", 0), ("x", 1)),
-        )
-        with pytest.raises(ContractSearchLimit) as excinfo:
-            parallel.parallel_is_sc_result(
-                program,
-                [tuple(v) for v in impossible.reads],
-                tuple(sorted(impossible.final_memory)),
-                1,  # max_states
-                2,  # jobs
+    def test_sharded_cap_summed_across_shards(self):
+        # Every IRIW shard stays within the budget, but their sum does
+        # not: the coordinator's own cap must trip, not a worker's.
+        program = by_name("IRIW").program
+        cfg = ExplorationConfig(collect_executions=False)
+        stats = parallel.ShardStats()
+        parallel.parallel_explore(program, cfg, 2, shard_stats=stats)
+        budget = stats.max_shard_states
+        assert stats.total_shard_states > budget
+        with pytest.raises(ExplorationCapError) as excinfo:
+            parallel.parallel_explore(
+                program, ExplorationConfig(
+                    collect_executions=False, max_states=budget
+                ), 2,
             )
+        assert "across shards" in str(excinfo.value)
         assert excinfo.value.shards is not None
 
 
@@ -221,25 +218,17 @@ class TestCapError:
 @pool_available
 class TestShardResilience:
     def test_shard_crash_resubmits_and_merges_identically(self, tmp_path):
-        program = by_name("SB").program
-        impossible = Result(
-            reads=((7,), (7,)),
-            final_memory=tuple(
-                (loc, 7) for loc in sorted(program.initial_memory)
-            ),
-        )
+        program = by_name("IRIW").program
         token = str(tmp_path / "crash-token")
         stats = parallel.ShardStats()
-        verdict = parallel.parallel_is_sc_result(
+        sharded = parallel.parallel_explore(
             program,
-            [tuple(v) for v in impossible.reads],
-            tuple(sorted(impossible.final_memory)),
-            2_000_000,
+            ExplorationConfig(collect_executions=False),
             2,
             failpoints=(Failpoint("shard", "crash", token),),
             shard_stats=stats,
         )
-        assert verdict is False  # bit-identical to serial
+        assert sharded.result_set == sc_results(program)  # as serial
         assert os.path.exists(token)  # the failpoint really fired
         assert stats.resubmitted >= 1
 
@@ -280,7 +269,7 @@ class TestShardResilience:
 
 
 # ----------------------------------------------------------------------
-# Engine integration: sharded judges and balanced chunks
+# Engine integration: balanced chunks
 # ----------------------------------------------------------------------
 
 
@@ -308,19 +297,3 @@ class TestEngineIntegration:
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
         assert [s for chunk in chunks for s in chunk] == list(range(251))
-
-    @pool_available
-    def test_contract_sweep_with_explore_jobs_identical(self):
-        from repro.hw import POLICY_FACTORIES
-
-        program = by_name("MP+sync").program
-        factory = POLICY_FACTORIES["adve-hill"]
-        serial = VerificationEngine(jobs=1).contract_sweep(
-            program, factory, seeds=range(6)
-        )
-        engine = VerificationEngine(jobs=1, explore_jobs=2)
-        sharded = engine.contract_sweep(program, factory, seeds=range(6))
-        assert serial == sharded
-        assert engine.shard_stats.explorations >= 1
-        snapshot = engine.metrics_snapshot().as_dict()
-        assert snapshot["counters"]["engine.explore.shards"] >= 1
