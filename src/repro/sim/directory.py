@@ -234,7 +234,9 @@ class Directory:
             return
         txn = self._busy[loc]
         txn.acks_expected = len(others)
-        for sharer in others:
+        # Sorted, not set order: each INVAL draws network jitter, so the
+        # send order must not depend on string hashing (PYTHONHASHSEED).
+        for sharer in sorted(others):
             self.invalidations_sent += 1
             self.network.send(
                 Message(

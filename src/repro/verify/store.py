@@ -74,7 +74,7 @@ from repro.verify.journal import decode_result, encode_result
 #: behavior: the guided SC-membership search, the DRF0 checkers, the
 #: hardware simulator, or the Result encoding.  A mismatch is a cold
 #: start -- stale segments are skipped, never reinterpreted.
-SEMANTICS_VERSION = "d2-oracle-2"
+SEMANTICS_VERSION = "d2-oracle-3"
 
 #: On-disk segment layout version (header schema + record schemas).
 STORE_FORMAT = 1

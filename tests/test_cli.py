@@ -11,10 +11,10 @@ import repro
 from repro.cli import _print_evidence_table, main
 
 
-def _run_cli(*code_or_args: str) -> subprocess.CompletedProcess:
+def _run_cli(*code_or_args: str, **env_vars: str) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's ``repro`` importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
@@ -145,6 +145,20 @@ class TestSimulateCommand:
     def test_capacity_option(self, capsys):
         assert main(["simulate", "lock", "--capacity", "2"]) == 0
         assert "appears SC: True" in capsys.readouterr().out
+
+    def test_output_independent_of_hash_seed(self):
+        # Barrier's INVAL fan-out once followed set order, so string
+        # hashing picked which sharer drew which network jitter.
+        outputs = set()
+        for hash_seed in ("0", "1", "2"):
+            proc = _run_cli(
+                "-m", "repro", "simulate", "barrier",
+                "--policy", "adve-hill-drf1", "--seeds", "10",
+                PYTHONHASHSEED=hash_seed,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
 
 class TestLitmusCommand:
