@@ -16,6 +16,8 @@ vocabulary used everywhere else:
 from __future__ import annotations
 
 import enum
+import operator
+from typing import Callable
 
 # A shared-memory location.  Locations are plain strings ("x", "y", "lock")
 # so programs and traces stay human-readable.
@@ -76,16 +78,22 @@ class Condition(enum.Enum):
     GT = ">"
     GE = ">="
 
+    # ``compare`` is a plain per-member attribute (assigned below): the
+    # interpreter applies it on every executed branch.
+    compare: Callable[[Value, Value], bool]
+
     def evaluate(self, lhs: Value, rhs: Value) -> bool:
         """Apply the comparison to two integer values."""
-        if self is Condition.EQ:
-            return lhs == rhs
-        if self is Condition.NE:
-            return lhs != rhs
-        if self is Condition.LT:
-            return lhs < rhs
-        if self is Condition.LE:
-            return lhs <= rhs
-        if self is Condition.GT:
-            return lhs > rhs
-        return lhs >= rhs
+        return self.compare(lhs, rhs)
+
+
+for _cond, _compare in (
+    (Condition.EQ, operator.eq),
+    (Condition.NE, operator.ne),
+    (Condition.LT, operator.lt),
+    (Condition.LE, operator.le),
+    (Condition.GT, operator.gt),
+    (Condition.GE, operator.ge),
+):
+    _cond.compare = _compare
+del _cond, _compare

@@ -58,8 +58,8 @@ class MemoryPolicy(abc.ABC):
         """Prerequisites before ``access`` may be generated.
 
         ``proc`` exposes the issuing processor's bookkeeping
-        (``not_globally_performed()``, ``uncommitted_syncs()``,
-        ``last_generated``).
+        (``not_globally_performed()``, ``pending_syncs(level)``,
+        ``last_generated``), all in program order.
         """
 
     def block_level(self, access: AccessRecord) -> BlockLevel:

@@ -15,6 +15,10 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
+# Bound once: Enum class attributes are slow to look up on CPython 3.11,
+# and this one is read for every access the processor issues.
+_NONE = BlockLevel.NONE
+
 
 class RelaxedPolicy(MemoryPolicy):
     """Maximum overlap, no ordering: the Figure-1 strawman."""
@@ -28,4 +32,4 @@ class RelaxedPolicy(MemoryPolicy):
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Never block beyond the implicit read-value wait."""
-        return BlockLevel.NONE
+        return _NONE

@@ -36,6 +36,12 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
+# Bound once: Enum class attributes are slow to look up on CPython 3.11,
+# and these are read for every access the processor issues.
+_NONE = BlockLevel.NONE
+_COMMIT = BlockLevel.COMMIT
+_GP = BlockLevel.GP
+
 
 class ReleaseConsistencyPolicy(MemoryPolicy):
     """RCsc: acquires gate later accesses, releases gate on earlier ones."""
@@ -48,26 +54,24 @@ class ReleaseConsistencyPolicy(MemoryPolicy):
             if access.has_write:
                 # Release: everything before it must be globally performed.
                 gates.extend(
-                    GateCondition(prev, BlockLevel.GP)
+                    GateCondition(prev, _GP)
                     for prev in proc.not_globally_performed()
                 )
             else:
                 # Acquire-only: sync-sync SC order, not data publication.
                 gates.extend(
-                    GateCondition(prev, BlockLevel.GP)
-                    for prev in proc.accesses
-                    if prev.is_sync and not prev.globally_performed
+                    GateCondition(prev, _GP) for prev in proc.pending_syncs(_GP)
                 )
         else:
             # Data access: earlier acquires must have completed (their read
             # guards this access); earlier releases impose nothing on it.
             gates.extend(
-                GateCondition(prev, BlockLevel.COMMIT)
-                for prev in proc.accesses
-                if prev.is_sync and prev.has_read and not prev.committed
+                GateCondition(prev, _COMMIT)
+                for prev in proc.pending_syncs(_COMMIT)
+                if prev.has_read
             )
         return gates
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Reads block implicitly; nothing else blocks the thread."""
-        return BlockLevel.NONE
+        return _NONE

@@ -16,6 +16,10 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
+# Bound once: Enum class attributes are slow to look up on CPython 3.11,
+# and this one is read for every access the processor issues.
+_GP = BlockLevel.GP
+
 
 class SCPolicy(MemoryPolicy):
     """Stall every access until the previous one is globally performed."""
@@ -30,9 +34,9 @@ class SCPolicy(MemoryPolicy):
         """
         previous = proc.last_generated
         if previous is not None and not previous.globally_performed:
-            return [GateCondition(previous, BlockLevel.GP)]
+            return [GateCondition(previous, _GP)]
         return []
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Block the thread itself too; keeps the pipeline strictly serial."""
-        return BlockLevel.GP
+        return _GP

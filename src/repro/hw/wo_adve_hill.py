@@ -34,6 +34,11 @@ from repro.core.types import OpKind
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
+# Bound once: Enum class attributes are slow to look up on CPython 3.11,
+# and these are read for every access the processor issues.
+_NONE = BlockLevel.NONE
+_COMMIT = BlockLevel.COMMIT
+
 
 class AdveHillPolicy(MemoryPolicy):
     """The new implementation: counters + reserve bits, commit-level gates."""
@@ -50,10 +55,9 @@ class AdveHillPolicy(MemoryPolicy):
     def generation_gate(self, proc, access: AccessRecord) -> List[GateCondition]:
         """Condition 4: previous sync operations must have committed."""
         return [
-            GateCondition(sync, BlockLevel.COMMIT)
-            for sync in proc.pending_syncs(BlockLevel.COMMIT)
+            GateCondition(sync, _COMMIT) for sync in proc.pending_syncs(_COMMIT)
         ]
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """No extra blocking; reads block implicitly, writes overlap."""
-        return BlockLevel.NONE
+        return _NONE

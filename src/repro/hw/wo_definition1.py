@@ -29,6 +29,11 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
+# Bound once: Enum class attributes are slow to look up on CPython 3.11,
+# and these are read for every access the processor issues.
+_NONE = BlockLevel.NONE
+_GP = BlockLevel.GP
+
 
 class Definition1Policy(MemoryPolicy):
     """The old definition: stall the issuing processor at sync operations."""
@@ -40,16 +45,12 @@ class Definition1Policy(MemoryPolicy):
             # Conditions 1 & 2: everything previous must be globally
             # performed before a synchronization access is issued.
             return [
-                GateCondition(prev, BlockLevel.GP)
-                for prev in proc.not_globally_performed()
+                GateCondition(prev, _GP) for prev in proc.not_globally_performed()
             ]
         # Condition 3: previous synchronization accesses must be globally
         # performed before a data access is issued.
-        return [
-            GateCondition(sync, BlockLevel.GP)
-            for sync in proc.pending_syncs(BlockLevel.GP)
-        ]
+        return [GateCondition(sync, _GP) for sync in proc.pending_syncs(_GP)]
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """No extra blocking: the gates carry all of Definition 1's order."""
-        return BlockLevel.NONE
+        return _NONE

@@ -13,8 +13,9 @@ simulator can charge cycles; the idealized architecture skips them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.core.types import OpKind, Value
 from repro.machine.isa import (
@@ -25,17 +26,13 @@ from repro.machine.isa import (
     Fence,
     Halt,
     Jump,
-    Load,
     MemoryInstruction,
     Mov,
     Mul,
     Operand,
     Store,
     Sub,
-    SyncLoad,
     SyncStore,
-    TestAndSet,
-    Unset,
     written_value,
 )
 from repro.machine.program import ThreadCode
@@ -103,9 +100,12 @@ class ThreadState:
         return self.pc >= len(code)
 
 
-@dataclass(frozen=True)
-class MemRequest:
+class MemRequest(NamedTuple):
     """A memory instruction the thread is blocked on.
+
+    A named tuple rather than a frozen dataclass: one is built for every
+    memory operation an executor runs, and tuple construction is the
+    cheapest immutable record Python offers.
 
     Attributes:
         instr: The static memory instruction.
@@ -151,27 +151,32 @@ def run_to_memory_op(
     With ``skip_delays`` set, ``Delay`` instructions are treated as local
     no-ops -- the idealized-architecture behaviour.
     """
+    instructions = code.instructions
+    end = len(instructions)
     steps = 0
     while True:
-        if state.pc >= len(code):
+        if state.pc >= end:
             return None, steps
-        instr = code.instructions[state.pc]
-        if isinstance(instr, MemoryInstruction):
-            return _make_request(instr, state), steps
-        if isinstance(instr, Delay):
-            if skip_delays:
-                state.pc += 1
-                continue
-            return DelayRequest(instr.cycles), steps
-        if isinstance(instr, Fence):
-            if skip_delays:  # idealized architecture: fences are no-ops
-                state.pc += 1
-                continue
-            return FenceRequest(), steps
-        if isinstance(instr, Halt):
-            state.pc = len(code)
-            return None, steps
-        _step_local(code, state, instr)
+        instr = instructions[state.pc]
+        step = _LOCAL_STEPS.get(type(instr))
+        if step is None:
+            if isinstance(instr, MemoryInstruction):
+                return _make_request(instr, state), steps
+            if isinstance(instr, Delay):
+                if skip_delays:
+                    state.pc += 1
+                    continue
+                return DelayRequest(instr.cycles), steps
+            if isinstance(instr, Fence):
+                if skip_delays:  # idealized architecture: fences are no-ops
+                    state.pc += 1
+                    continue
+                return FenceRequest(), steps
+            if isinstance(instr, Halt):
+                state.pc = end
+                return None, steps
+            raise InterpreterError(f"unknown instruction {instr!r}")
+        step(code, state, instr)
         steps += 1
         if steps > MAX_LOCAL_STEPS:
             raise InterpreterError(
@@ -182,39 +187,65 @@ def run_to_memory_op(
 
 def _make_request(instr: MemoryInstruction, state: ThreadState) -> MemRequest:
     """Build the :class:`MemRequest` for the memory instruction at the pc."""
-    write_value: Optional[Value] = None
-    if isinstance(instr, (Store, SyncStore)):
+    kind = instr.kind
+    if not kind.has_write:
+        write_value = None
+    elif isinstance(instr, (Store, SyncStore)):
         write_value = written_value(instr, state.operand(instr.src))
-    elif isinstance(instr, (Unset, TestAndSet)):
+    else:  # Unset, TestAndSet: the stored value is fixed
         write_value = written_value(instr, 0)
-    return MemRequest(instr, instr.kind, instr.location, write_value)
+    return MemRequest(instr, kind, instr.location, write_value)
 
 
-def _step_local(code: ThreadCode, state: ThreadState, instr) -> None:
-    """Execute one local instruction, updating pc and registers."""
-    if isinstance(instr, Mov):
-        state.regs[instr.dst] = state.operand(instr.src)
-    elif isinstance(instr, Add):
-        state.regs[instr.dst] = state.operand(instr.a) + state.operand(instr.b)
-    elif isinstance(instr, Sub):
-        state.regs[instr.dst] = state.operand(instr.a) - state.operand(instr.b)
-    elif isinstance(instr, Mul):
-        state.regs[instr.dst] = state.operand(instr.a) * state.operand(instr.b)
-    elif isinstance(instr, Div):
-        divisor = state.operand(instr.b)
-        state.regs[instr.dst] = (
-            state.operand(instr.a) // divisor if divisor else 0
+def _arithmetic(op: Callable[[Value, Value], Value]):
+    """Step function for ``dst = op(a, b)``."""
+
+    def step(_code: ThreadCode, state: ThreadState, instr) -> None:
+        a = instr.a
+        b = instr.b
+        regs = state.regs
+        regs[instr.dst] = op(
+            a if isinstance(a, int) else regs.get(a, 0),
+            b if isinstance(b, int) else regs.get(b, 0),
         )
-    elif isinstance(instr, Jump):
-        state.pc = code.target(instr.label)
-        return
-    elif isinstance(instr, BranchIf):
-        if instr.cond.evaluate(state.operand(instr.a), state.operand(instr.b)):
-            state.pc = code.target(instr.label)
-            return
-    else:  # pragma: no cover - ISA is closed
-        raise InterpreterError(f"unknown instruction {instr!r}")
+        state.pc += 1
+
+    return step
+
+
+def _mov(_code: ThreadCode, state: ThreadState, instr: Mov) -> None:
+    state.regs[instr.dst] = state.operand(instr.src)
     state.pc += 1
+
+
+def _jump(code: ThreadCode, state: ThreadState, instr: Jump) -> None:
+    state.pc = code.labels[instr.label]
+
+
+def _branch_if(code: ThreadCode, state: ThreadState, instr: BranchIf) -> None:
+    a = instr.a
+    b = instr.b
+    regs = state.regs
+    if instr.cond.compare(
+        a if isinstance(a, int) else regs.get(a, 0),
+        b if isinstance(b, int) else regs.get(b, 0),
+    ):
+        state.pc = code.labels[instr.label]
+    else:
+        state.pc += 1
+
+
+#: The step function of each local instruction class, looked up by exact
+#: type: one dict probe per instruction instead of an ``isinstance`` chain.
+_LOCAL_STEPS: Dict[type, Callable[[ThreadCode, ThreadState, object], None]] = {
+    Mov: _mov,
+    Add: _arithmetic(operator.add),
+    Sub: _arithmetic(operator.sub),
+    Mul: _arithmetic(operator.mul),
+    Div: _arithmetic(lambda a, b: a // b if b else 0),
+    Jump: _jump,
+    BranchIf: _branch_if,
+}
 
 
 def complete(

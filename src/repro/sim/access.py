@@ -37,7 +37,20 @@ class BlockLevel(enum.Enum):
 
 
 class AccessRecord:
-    """One dynamic memory access flowing through the simulated hardware."""
+    """One dynamic memory access flowing through the simulated hardware.
+
+    ``is_sync``, ``has_read`` and ``has_write`` are plain attributes copied
+    from ``kind`` (the simulator reads them on every step); assigning
+    ``kind`` re-derives them, so a copy whose kind is rewritten -- as the
+    condition monitor's DRF1 view does -- stays consistent.
+    """
+
+    __slots__ = (
+        "uid", "proc", "po_index", "_kind", "is_sync", "has_read",
+        "has_write", "location", "write_value", "value_read",
+        "generate_time", "commit_time", "gp_time", "missed", "nacks",
+        "buffered", "_commit_callbacks", "_gp_callbacks",
+    )
 
     def __init__(
         self,
@@ -51,7 +64,10 @@ class AccessRecord:
         self.uid = uid
         self.proc = proc
         self.po_index = po_index
-        self.kind = kind
+        self._kind = kind
+        self.is_sync = kind.is_sync
+        self.has_read = kind.has_read
+        self.has_write = kind.has_write
         self.location = location
         self.write_value = write_value
         self.value_read: Optional[Value] = None
@@ -69,25 +85,24 @@ class AccessRecord:
         self.nacks: int = 0
         self.buffered: bool = False
 
-        self._commit_callbacks: List[Callable[["AccessRecord"], None]] = []
-        self._gp_callbacks: List[Callable[["AccessRecord"], None]] = []
+        #: Subscribers, allocated on first subscription (most accesses
+        #: have at most one).
+        self._commit_callbacks: Optional[List[Callable[["AccessRecord"], None]]] = None
+        self._gp_callbacks: Optional[List[Callable[["AccessRecord"], None]]] = None
 
-    # -- classification shortcuts ------------------------------------------
-
-    @property
-    def is_sync(self) -> bool:
-        """True for synchronization operations."""
-        return self.kind.is_sync
+    # -- classification ------------------------------------------------------
 
     @property
-    def has_read(self) -> bool:
-        """True if the access has a read component."""
-        return self.kind.has_read
+    def kind(self) -> OpKind:
+        """The operation kind (data/sync, read/write/RMW)."""
+        return self._kind
 
-    @property
-    def has_write(self) -> bool:
-        """True if the access has a write component."""
-        return self.kind.has_write
+    @kind.setter
+    def kind(self, kind: OpKind) -> None:
+        self._kind = kind
+        self.is_sync = kind.is_sync
+        self.has_read = kind.has_read
+        self.has_write = kind.has_write
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -108,37 +123,43 @@ class AccessRecord:
 
     def mark_generated(self, time: int) -> None:
         """Record the generation time (first hand-off to the memory system)."""
-        if self.generated:
+        if self.generate_time is not None:
             raise AccessError(f"access {self.uid} generated twice")
         self.generate_time = time
 
     def mark_committed(self, time: int, value_read: Optional[Value] = None) -> None:
         """Commit the access, delivering the read component's value."""
-        if self.committed:
+        if self.commit_time is not None:
             raise AccessError(f"access {self.uid} committed twice")
-        if self.has_read and value_read is None:
+        if value_read is None and self.has_read:
             raise AccessError(f"read access {self.uid} committed without a value")
         self.commit_time = time
         self.value_read = value_read
-        callbacks, self._commit_callbacks = self._commit_callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._commit_callbacks
+        if callbacks is not None:
+            self._commit_callbacks = None
+            for callback in callbacks:
+                callback(self)
 
     def mark_globally_performed(self, time: int) -> None:
         """Mark the access globally performed, firing subscribers."""
-        if self.globally_performed:
+        if self.gp_time is not None:
             raise AccessError(f"access {self.uid} globally performed twice")
         self.gp_time = time
-        callbacks, self._gp_callbacks = self._gp_callbacks, []
-        for callback in callbacks:
-            callback(self)
+        callbacks = self._gp_callbacks
+        if callbacks is not None:
+            self._gp_callbacks = None
+            for callback in callbacks:
+                callback(self)
 
     # -- subscriptions ------------------------------------------------------
 
     def on_commit(self, callback: Callable[["AccessRecord"], None]) -> None:
         """Invoke ``callback`` at commit (immediately if already committed)."""
-        if self.committed:
+        if self.commit_time is not None:
             callback(self)
+        elif self._commit_callbacks is None:
+            self._commit_callbacks = [callback]
         else:
             self._commit_callbacks.append(callback)
 
@@ -146,8 +167,10 @@ class AccessRecord:
         self, callback: Callable[["AccessRecord"], None]
     ) -> None:
         """Invoke ``callback`` at global perform (immediately if already done)."""
-        if self.globally_performed:
+        if self.gp_time is not None:
             callback(self)
+        elif self._gp_callbacks is None:
+            self._gp_callbacks = [callback]
         else:
             self._gp_callbacks.append(callback)
 

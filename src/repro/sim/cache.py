@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from repro.core.types import Location, OpKind, Value
+from repro.core.types import Location, Value
 from repro.sim.access import AccessRecord
 from repro.sim.events import SimulationError, Simulator
 from repro.sim.faults import NULL_INJECTOR
@@ -55,6 +56,13 @@ class LineState(enum.Enum):
     INVALID = "I"
     SHARED = "S"
     MODIFIED = "M"
+
+
+# Bound once for the per-access paths: on CPython 3.11 an attribute
+# lookup on an Enum class costs about as much as a function call.
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
+_MODIFIED = LineState.MODIFIED
 
 
 @dataclass
@@ -147,20 +155,14 @@ class CacheController:
 
     def line(self, location: Location) -> CacheLine:
         """The (possibly invalid) line for ``location``."""
-        return self.lines.setdefault(location, CacheLine())
+        line = self.lines.get(location)
+        if line is None:
+            line = self.lines[location] = CacheLine()
+        return line
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-
-    def _treated_as_read(self, access: AccessRecord) -> bool:
-        """Reads take the GETS path; sync ops take the write path unless the
-        DRF1 optimization routes read-only sync through the read path."""
-        if access.kind is OpKind.DATA_READ:
-            return True
-        if access.kind is OpKind.SYNC_READ and self.drf1_optimized:
-            return True
-        return False
 
     def _dispatch(self, access: AccessRecord) -> None:
         loc = access.location
@@ -170,18 +172,29 @@ class CacheController:
             self._queued_accesses.setdefault(loc, deque()).append(access)
             return
         line = self.line(loc)
-        self._touch(loc)
-        if self._treated_as_read(access):
-            if line.state in (LineState.SHARED, LineState.MODIFIED):
+        if self.capacity is not None:
+            self._touch(loc)  # LRU order matters only to victim choice
+        # Reads take the GETS path; sync ops take the write path unless the
+        # DRF1 optimization routes read-only sync through the read path.
+        if (
+            access.has_read
+            and not access.has_write
+            and (self.drf1_optimized or not access.is_sync)
+        ):
+            if line.state is not _INVALID:
                 self.hits += 1
-                self.sim.after(self.hit_latency, lambda: self._commit_read_hit(access))
+                self.sim.after(
+                    self.hit_latency, partial(self._commit_read_hit, access)
+                )
                 return
             self._start_miss(access, wants_exclusive=False)
             return
         # Write path (data writes and all synchronization operations).
-        if line.state is LineState.MODIFIED:
+        if line.state is _MODIFIED:
             self.hits += 1
-            self.sim.after(self.hit_latency, lambda: self._commit_write_hit(access))
+            self.sim.after(
+                self.hit_latency, partial(self._commit_write_hit, access)
+            )
             return
         self._start_miss(access, wants_exclusive=True)
 
@@ -348,8 +361,8 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def _commit_read_hit(self, access: AccessRecord) -> None:
-        line = self.line(access.location)
-        if line.state is LineState.INVALID:
+        line = self.lines[access.location]
+        if line.state is _INVALID:
             # The line was invalidated (or transferred away) during the hit
             # latency; the hit has become a miss -- re-issue it.
             self.submit(access)
@@ -359,8 +372,8 @@ class CacheController:
 
     def _commit_write_hit(self, access: AccessRecord) -> None:
         """Apply a write/sync on a line held MODIFIED: commit == perform."""
-        line = self.line(access.location)
-        if line.state is not LineState.MODIFIED or access.location in self._evicting:
+        line = self.lines[access.location]
+        if line.state is not _MODIFIED or access.location in self._evicting:
             # Ownership was forwarded away (or downgraded by a read forward,
             # or the line went into eviction) during the hit latency; retry
             # through the miss path.
@@ -377,8 +390,8 @@ class CacheController:
         synchronization operation and the counter is positive, the line's
         reserve bit is set (Section 5.3).
         """
-        line = self.line(access.location)
-        if line.state is not LineState.MODIFIED:
+        line = self.lines[access.location]
+        if line.state is not _MODIFIED:
             raise SimulationError(
                 f"{self.node_id}: write applied to non-exclusive line "
                 f"{access.location} ({line.state})"
@@ -405,23 +418,12 @@ class CacheController:
     # ------------------------------------------------------------------
 
     def _on_message(self, message: Message) -> None:
-        kind = message.kind
-        if kind is MsgKind.DATA:
-            self._on_data_shared(message)
-        elif kind is MsgKind.DATA_EX:
-            self._on_data_exclusive(message)
-        elif kind is MsgKind.WRITE_ACK:
-            self._on_write_ack(message)
-        elif kind is MsgKind.INVAL:
-            self._on_inval(message)
-        elif kind in (MsgKind.GETS_FWD, MsgKind.GETX_FWD):
-            self._on_forward(message)
-        elif kind is MsgKind.NACK:
-            self._on_nack(message)
-        elif kind is MsgKind.WB_OK:
-            self._on_wb_ok(message)
-        else:  # pragma: no cover - protocol is closed
-            raise SimulationError(f"{self.node_id} got unexpected {kind}")
+        handler = _MESSAGE_HANDLERS.get(message.kind)
+        if handler is None:  # pragma: no cover - protocol is closed
+            raise SimulationError(
+                f"{self.node_id} got unexpected {message.kind}"
+            )
+        handler(self, message)
         if self.injector.enabled and self.injector.should_force_evict():
             self._force_evict_one()
 
@@ -444,7 +446,7 @@ class CacheController:
                 "cache", "nack", self.node_id, self.sim.now,
                 args={"loc": loc, "retries": access.nacks},
             )
-        self.sim.after(self.nack_retry_delay, lambda: self._retry(access))
+        self.sim.after(self.nack_retry_delay, partial(self._retry, access))
 
     def _retry(self, access: AccessRecord) -> None:
         if access.location in self._transactions:
@@ -465,7 +467,7 @@ class CacheController:
         access = txn.access
         if not txn.invalidated_before_data:
             line = self.line(loc)
-            line.state = LineState.SHARED
+            line.state = _SHARED
             line.value = message.value
         # The counter decrements on receipt of a line for a read request
         # (before the commit events fire: a commit callback may generate the
@@ -482,7 +484,7 @@ class CacheController:
             raise SimulationError(f"{self.node_id}: stray DATA_EX for {loc}")
         txn.data_arrived = True
         line = self.line(loc)
-        line.state = LineState.MODIFIED
+        line.state = _MODIFIED
         line.value = message.value
         if message.acks_pending == 0:
             # Line was uncached or came from the exclusive owner: the write
@@ -530,9 +532,9 @@ class CacheController:
         """
         loc = message.location
         line = self.line(loc)
-        if line.state is LineState.MODIFIED:
+        if line.state is _MODIFIED:
             raise SimulationError(f"{self.node_id}: INVAL for MODIFIED line {loc}")
-        line.state = LineState.INVALID
+        line.state = _INVALID
         txn = self._transactions.get(loc)
         if txn is not None and not txn.data_arrived:
             # The INVAL overtook the DATA for our outstanding read.
@@ -552,7 +554,7 @@ class CacheController:
         """A remote request routed to us as owner of the line."""
         loc = message.location
         line = self.line(loc)
-        if line.state is not LineState.MODIFIED:
+        if line.state is not _MODIFIED:
             txn = self._transactions.get(loc)
             if txn is not None and not txn.data_arrived:
                 # Forward overtook our own DATA_EX; wait for the line.
@@ -668,7 +670,8 @@ class CacheController:
             raise SimulationError(f"{self.node_id}: counter went negative")
         if self.counter == 0:
             self._maybe_clear_reserve_bits()
-        self._release_deferred_misses()
+        if self._deferred_misses:
+            self._release_deferred_misses()
 
     def _maybe_clear_reserve_bits(self) -> None:
         if self.injector.enabled:
@@ -691,9 +694,10 @@ class CacheController:
 
     def _clear_reserve_bits(self) -> None:
         """All reserve bits are reset when the counter reads zero (paper)."""
-        for loc in self.reserved_lines:
-            self.lines[loc].reserved = False
-        self.reserved_lines.clear()
+        if self.reserved_lines:
+            for loc in self.reserved_lines:
+                self.lines[loc].reserved = False
+            self.reserved_lines.clear()
         self._misses_while_reserved = 0
         if self._stalled_forwards:
             stalled, self._stalled_forwards = self._stalled_forwards, []
@@ -720,8 +724,10 @@ class CacheController:
 
     def _close_transaction(self, loc: Location) -> None:
         self._transactions.pop(loc, None)
-        self._service_pending_forwards(loc)
-        self._drain_queue(loc)
+        if self._pending_forwards:
+            self._service_pending_forwards(loc)
+        if self._queued_accesses:
+            self._drain_queue(loc)
         self._retry_capacity_stalled()  # the closed line is now evictable
 
     def _drain_queue(self, loc: Location) -> None:
@@ -749,3 +755,16 @@ class CacheController:
             return
         for message in pending:
             self._on_forward(message)
+
+
+#: Handler per message kind a cache can receive.
+_MESSAGE_HANDLERS: Dict[MsgKind, Callable[[CacheController, Message], None]] = {
+    MsgKind.DATA: CacheController._on_data_shared,
+    MsgKind.DATA_EX: CacheController._on_data_exclusive,
+    MsgKind.WRITE_ACK: CacheController._on_write_ack,
+    MsgKind.INVAL: CacheController._on_inval,
+    MsgKind.GETS_FWD: CacheController._on_forward,
+    MsgKind.GETX_FWD: CacheController._on_forward,
+    MsgKind.NACK: CacheController._on_nack,
+    MsgKind.WB_OK: CacheController._on_wb_ok,
+}

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from functools import partial
+from typing import Callable, Deque, Dict, Optional, Set
 
 from repro.core.types import Location, Value
 from repro.sim.events import SimulationError, Simulator
@@ -48,6 +49,12 @@ class _DirTransaction:
     request: Message
     acks_expected: int = 0
     waiting_owner: bool = False
+
+
+# Bound once for the per-request paths: on CPython 3.11 an attribute
+# lookup on an Enum class costs about as much as a function call.
+_GETS = MsgKind.GETS
+_GETX = MsgKind.GETX
 
 
 class Directory:
@@ -78,24 +85,18 @@ class Directory:
 
     def entry(self, location: Location) -> DirectoryEntry:
         """The directory entry for ``location``."""
-        return self.entries.setdefault(location, DirectoryEntry())
+        entry = self.entries.get(location)
+        if entry is None:
+            entry = self.entries[location] = DirectoryEntry()
+        return entry
 
     # ------------------------------------------------------------------
 
     def _on_message(self, message: Message) -> None:
-        kind = message.kind
-        if kind in (MsgKind.GETS, MsgKind.GETX, MsgKind.WB_EVICT):
-            self._accept_request(message)
-        elif kind is MsgKind.INVAL_ACK:
-            self._on_inval_ack(message)
-        elif kind is MsgKind.WB_DATA:
-            self._on_wb_data(message)
-        elif kind is MsgKind.TRANSFER:
-            self._on_transfer(message)
-        elif kind is MsgKind.NACK_DONE:
-            self._on_nack_done(message)
-        else:  # pragma: no cover - protocol is closed
-            raise SimulationError(f"directory got unexpected {kind}")
+        handler = _MESSAGE_HANDLERS.get(message.kind)
+        if handler is None:  # pragma: no cover - protocol is closed
+            raise SimulationError(f"directory got unexpected {message.kind}")
+        handler(self, message)
 
     def _on_nack_done(self, message: Message) -> None:
         """Owner refused a forward (reserved line): close without changes."""
@@ -113,7 +114,7 @@ class Directory:
             self._waiting.setdefault(loc, deque()).append(message)
             return
         self._busy[loc] = _DirTransaction(message)
-        self.sim.after(self._service_latency(), lambda: self._process(message))
+        self.sim.after(self._service_latency(), partial(self._process, message))
 
     def _service_latency(self) -> int:
         """Service latency, plus any fault-injected jitter."""
@@ -128,12 +129,13 @@ class Directory:
                 "dir", message.kind.value, "dir", self.sim.now,
                 args={"src": message.src, "loc": message.location},
             )
-        if message.kind is MsgKind.GETS:
+        kind = message.kind
+        if kind is _GETS:
             self._process_gets(message)
-        elif message.kind is MsgKind.WB_EVICT:
-            self._process_wb_evict(message)
-        else:
+        elif kind is _GETX:
             self._process_getx(message)
+        else:
+            self._process_wb_evict(message)
 
     def _process_wb_evict(self, message: Message) -> None:
         """A cache evicts a dirty line (synchronous write-back).
@@ -301,7 +303,7 @@ class Directory:
             if not waiting:
                 del self._waiting[loc]
             self._busy[loc] = _DirTransaction(message)
-            self.sim.after(self._service_latency(), lambda: self._process(message))
+            self.sim.after(self._service_latency(), partial(self._process, message))
 
     # ------------------------------------------------------------------
 
@@ -313,3 +315,15 @@ class Directory:
                 if cache.node_id == entry.owner:
                     return cache.line(location).value
         return self.memory[location]
+
+
+#: Handler per message kind the directory can receive.
+_MESSAGE_HANDLERS: Dict[MsgKind, Callable[[Directory, Message], None]] = {
+    MsgKind.GETS: Directory._accept_request,
+    MsgKind.GETX: Directory._accept_request,
+    MsgKind.WB_EVICT: Directory._accept_request,
+    MsgKind.INVAL_ACK: Directory._on_inval_ack,
+    MsgKind.WB_DATA: Directory._on_wb_data,
+    MsgKind.TRANSFER: Directory._on_transfer,
+    MsgKind.NACK_DONE: Directory._on_nack_done,
+}

@@ -9,7 +9,8 @@ deterministic), so a run is reproducible from its configuration and seed.
 
 from __future__ import annotations
 
-import heapq
+import itertools
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -29,16 +30,13 @@ class Simulator:
     """
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self._now = 0
-        self._seq = 0
+        #: Current simulated time in cycles.  A plain attribute, since every
+        #: component reads it on every event; only :meth:`run` writes it.
+        self.now = 0
+        self._seq = itertools.count()
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._events_executed = 0
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in cycles."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -47,16 +45,16 @@ class Simulator:
 
     def at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule in the past ({time} < {self._now})")
-        heapq.heappush(self._queue, (time, self._seq, callback))
-        self._seq += 1
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
+        heappush(self._queue, (time, next(self._seq), callback))
 
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay`` cycles from now."""
+        # Pushes directly rather than through at(): one call per event.
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.at(self._now + delay, callback)
+        heappush(self._queue, (self.now + delay, next(self._seq), callback))
 
     def pending(self) -> int:
         """Number of queued events."""
@@ -74,14 +72,13 @@ class Simulator:
         ``stop_when`` predicate holds between events, or ``max_events``
         fire (raising, to catch runaway simulations).
         """
-        while self._queue:
+        queue = self._queue
+        while queue:
             if stop_when is not None and stop_when():
                 return
-            time, _, callback = self._queue[0]
-            if until is not None and time > until:
+            if until is not None and queue[0][0] > until:
                 return
-            heapq.heappop(self._queue)
-            self._now = time
+            self.now, _, callback = heappop(queue)
             callback()
             self._events_executed += 1
             if self._events_executed > max_events:

@@ -71,7 +71,7 @@ class MsgKind(enum.Enum):
     WB_OK = "wb_ok"          # directory -> cache: eviction acknowledged
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One interconnect message.
 
@@ -100,7 +100,7 @@ class Message:
     acks_pending: int = 0
     is_sync: bool = False
     access_uid: Optional[int] = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         extra = f" val={self.value}" if self.value is not None else ""

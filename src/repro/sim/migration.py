@@ -107,9 +107,7 @@ class _ResumedProcessor(Processor):
     def adopt(self, donor: Processor) -> None:
         """Take over the donor's architectural and bookkeeping state."""
         self.state = donor.state
-        self.accesses = donor.accesses
-        self.last_generated = donor.last_generated
-        self._po_index = donor._po_index
+        self._take_over_accesses(donor)
         self.stats.gate_stall_cycles = donor.stats.gate_stall_cycles
         self.stats.block_stall_cycles = donor.stats.block_stall_cycles
         self.stats.local_instructions = donor.stats.local_instructions

@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core.types import ProcId, Value
 from repro.machine.interpreter import (
     DelayRequest,
-    FenceRequest,
     MemRequest,
     ThreadState,
     complete,
@@ -53,11 +52,17 @@ from repro.sim.access import AccessRecord, BlockLevel, GateCondition
 from repro.sim.events import Simulator
 from repro.sim.faults import NULL_INJECTOR
 
+# Enum members bound once: on CPython 3.11 an attribute lookup on an Enum
+# class costs about as much as a function call, and these are read on
+# every access.
+_BLOCK_NONE = BlockLevel.NONE
+_BLOCK_COMMIT = BlockLevel.COMMIT
+
 
 def _gate_cause(gates: List["GateCondition"]) -> str:
     """Classify a generation-gate stall from the unsatisfied conditions."""
     if all(g.access.is_sync for g in gates):
-        if all(g.level is BlockLevel.COMMIT for g in gates):
+        if all(g.level is _BLOCK_COMMIT for g in gates):
             return GATE_SYNC_COMMIT
         return GATE_SYNC_GP
     return GATE_GP
@@ -139,10 +144,19 @@ class Processor:
         self.state = ThreadState()
         self.halted = False
         self.accesses: List[AccessRecord] = []
+        # Indexes behind the policy-facing queries below, so a gate check
+        # costs the accesses still in flight rather than every access of
+        # the run: each holds, in program order, a superset of the
+        # accesses its query returns and is pruned when queried.
+        self._not_gp: List[AccessRecord] = []
+        self._syncs_not_committed: List[AccessRecord] = []
+        self._syncs_not_gp: List[AccessRecord] = []
         self.stats = ProcessorStats()
         self.last_generated: Optional[AccessRecord] = None
         self._current_request: Optional[MemRequest] = None
         self._po_index = 0
+        #: Cycle at which the thread blocked on its current access.
+        self._block_start = 0
         #: What this processor is waiting on right now, for the liveness
         #: watchdog's diagnosis: None, ("gate", cause, access-or-None), or
         #: ("block", access).
@@ -154,17 +168,32 @@ class Processor:
 
     def not_globally_performed(self) -> List[AccessRecord]:
         """Generated accesses not yet globally performed, program order."""
-        return [
-            a for a in self.accesses if a.generated and not a.globally_performed
-        ]
+        pending = [a for a in self._not_gp if a.gp_time is None]
+        self._not_gp = pending
+        return pending[:]
 
     def pending_syncs(self, level: BlockLevel) -> List[AccessRecord]:
         """Sync accesses that have not reached ``level`` yet."""
-        if level is BlockLevel.COMMIT:
-            return [a for a in self.accesses if a.is_sync and not a.committed]
-        return [
-            a for a in self.accesses if a.is_sync and not a.globally_performed
-        ]
+        if level is _BLOCK_COMMIT:
+            pending = self._syncs_not_committed
+            if pending:
+                pending = [a for a in pending if a.commit_time is None]
+                self._syncs_not_committed = pending
+        else:
+            pending = self._syncs_not_gp
+            if pending:
+                pending = [a for a in pending if a.gp_time is None]
+                self._syncs_not_gp = pending
+        return pending[:]
+
+    def _take_over_accesses(self, donor: "Processor") -> None:
+        """Continue ``donor``'s access stream (process migration)."""
+        self.accesses = donor.accesses
+        self._not_gp = donor._not_gp
+        self._syncs_not_committed = donor._syncs_not_committed
+        self._syncs_not_gp = donor._syncs_not_gp
+        self.last_generated = donor.last_generated
+        self._po_index = donor._po_index
 
     # ------------------------------------------------------------------
     # Execution
@@ -178,14 +207,20 @@ class Processor:
         pending, steps = run_to_memory_op(self.code, self.state)
         self.stats.local_instructions += steps
         delay = steps * self.local_cycle
-        if pending is None:
+        if type(pending) is MemRequest:
+            self._current_request = pending
+            self.sim.after(
+                delay,
+                self._at_memory_request
+                if self.injector.enabled
+                else self._issue_request,
+            )
+        elif pending is None:
             self.sim.after(delay, self._halt)
         elif isinstance(pending, DelayRequest):
             self.sim.after(delay + pending.cycles, self._finish_delay)
-        elif isinstance(pending, FenceRequest):
-            self.sim.after(delay, self._at_fence)
         else:
-            self.sim.after(delay, lambda: self._at_memory_request(pending))
+            self.sim.after(delay, self._at_fence)
 
     def _finish_delay(self) -> None:
         consume_delay(self.state)
@@ -230,34 +265,37 @@ class Processor:
             self.tracer.instant("proc", "halt", self._track, self.sim.now)
         self._on_halt(self)
 
-    def _at_memory_request(self, request: MemRequest) -> None:
-        if self.injector.enabled:
-            extra = self.injector.issue_delay()
-            if extra:
-                self.sim.after(extra, lambda: self._issue_request(request))
-                return
-        self._issue_request(request)
+    def _at_memory_request(self) -> None:
+        """Issue the current request after any fault-injected delay."""
+        extra = self.injector.issue_delay()
+        if extra:
+            self.sim.after(extra, self._issue_request)
+        else:
+            self._issue_request()
 
-    def _issue_request(self, request: MemRequest) -> None:
+    def _issue_request(self) -> None:
+        """Build the access for the current request and pass its gate."""
+        request = self._current_request
         access = AccessRecord(
-            uid=self._uid_allocator(),
-            proc=self.proc_id,
-            po_index=self._po_index,
-            kind=request.kind,
-            location=request.location,
-            write_value=request.write_value,
+            self._uid_allocator(),
+            self.proc_id,
+            self._po_index,
+            request.kind,
+            request.location,
+            request.write_value,
         )
         self._po_index += 1
-        self._current_request = request
-        self._wait_for_gate(access)
+        gates = self.policy.generation_gate(self, access)
+        if gates:
+            gates = [g for g in gates if not g.satisfied]
+            if gates:
+                self._wait_for_gate(access, gates)
+                return
+        self._generate(access)
 
-    def _wait_for_gate(self, access: AccessRecord) -> None:
-        gates = [
-            g for g in self.policy.generation_gate(self, access) if not g.satisfied
-        ]
-        if not gates:
-            self._generate(access)
-            return
+    def _wait_for_gate(
+        self, access: AccessRecord, gates: List[GateCondition]
+    ) -> None:
         gate_start = self.sim.now
         cause = _gate_cause(gates)
         remaining = {"count": len(gates)}
@@ -284,77 +322,83 @@ class Processor:
             gate.subscribe(one_done)
 
     def _generate(self, access: AccessRecord) -> None:
-        access.mark_generated(self.sim.now)
+        """Hand ``access`` to the port, then block the thread or go on."""
+        now = self.sim.now
+        access.generate_time = now  # the access is fresh: never generated
         self.accesses.append(access)
+        self._not_gp.append(access)
+        if access.is_sync:
+            self._syncs_not_committed.append(access)
+            self._syncs_not_gp.append(access)
         self.stats.accesses_generated += 1
         self.last_generated = access
         self.port.submit(access)
 
         level = self.policy.block_level(access)
-        if access.has_read and level is BlockLevel.NONE:
-            level = BlockLevel.COMMIT
-        if level is BlockLevel.NONE:
-            self._finish_instruction(access)
-            return
-        block_start = self.sim.now
+        if level is _BLOCK_NONE:
+            if not access.has_read:
+                self._finish_instruction(access)
+                return
+            level = _BLOCK_COMMIT
+        self._block_start = now
         self.wait_state = ("block", access)
-
-        def unblock(_a: AccessRecord) -> None:
-            self.wait_state = None
-            end = self.sim.now
-            self.stats.block_stall_cycles += end - block_start
-            self._attribute_block(access, block_start, end)
-            self._finish_instruction(access)
-
-        if level is BlockLevel.COMMIT:
-            access.on_commit(unblock)
+        if level is _BLOCK_COMMIT:
+            access.on_commit(self._unblock)
         else:
-            access.on_globally_performed(unblock)
+            access.on_globally_performed(self._unblock)
 
-    def _attribute_block(
-        self, access: AccessRecord, block_start: int, end: int
-    ) -> None:
-        """Split a block stall at the access's commit point and attribute.
+    def _unblock(self, access: AccessRecord) -> None:
+        """The access the thread blocked on reached its level: attribute
+        the stall, then finish the instruction.
 
-        The service interval (up to commit) is attributed to how the
-        memory system handled the access -- a reserve-bit NACK beats a
-        plain miss beats the hit latency; the completion interval (commit
-        to globally-performed, only present when the policy blocks to GP)
-        is the write-buffer drain or the invalidation-ack counter wait.
+        The stall splits at the access's commit point.  The service
+        interval (up to commit) is attributed to how the memory system
+        handled the access -- a reserve-bit NACK beats a plain miss beats
+        the hit latency; the completion interval (commit to globally
+        performed, only present when the policy blocks to GP) is the
+        write-buffer drain or the invalidation-ack counter wait.
         """
-        if end <= block_start:
-            return
-        commit = access.commit_time
-        split = end if commit is None else min(max(commit, block_start), end)
-        pre = split - block_start
-        if pre:
-            if access.nacks:
-                cause = BLOCK_RESERVE_NACK
-            elif access.missed:
-                cause = BLOCK_COHERENCE_MISS
-            else:
-                cause = BLOCK_HIT
-            self.stats.add_stall(cause, pre)
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "stall", cause, self._track, block_start, split,
-                    args={"kind": access.kind.value, "loc": access.location},
-                )
-        post = end - split
-        if post:
-            cause = BLOCK_BUFFER_DRAIN if access.buffered else BLOCK_COUNTER_WAIT
-            self.stats.add_stall(cause, post)
-            if self.tracer.enabled:
-                self.tracer.span(
-                    "stall", cause, self._track, split, end,
-                    args={"kind": access.kind.value, "loc": access.location},
-                )
+        self.wait_state = None
+        block_start = self._block_start
+        end = self.sim.now
+        if end > block_start:
+            stats = self.stats
+            stats.block_stall_cycles += end - block_start
+            stall = stats.stall_by_cause
+            commit = access.commit_time
+            split = end if commit is None else min(max(commit, block_start), end)
+            pre = split - block_start
+            if pre:
+                if access.nacks:
+                    cause = BLOCK_RESERVE_NACK
+                elif access.missed:
+                    cause = BLOCK_COHERENCE_MISS
+                else:
+                    cause = BLOCK_HIT
+                stall[cause] = stall.get(cause, 0) + pre
+                if self.tracer.enabled:
+                    self.tracer.span(
+                        "stall", cause, self._track, block_start, split,
+                        args={"kind": access.kind.value, "loc": access.location},
+                    )
+            post = end - split
+            if post:
+                cause = BLOCK_BUFFER_DRAIN if access.buffered else BLOCK_COUNTER_WAIT
+                stall[cause] = stall.get(cause, 0) + post
+                if self.tracer.enabled:
+                    self.tracer.span(
+                        "stall", cause, self._track, split, end,
+                        args={"kind": access.kind.value, "loc": access.location},
+                    )
+        self._finish_instruction(access)
 
     def _finish_instruction(self, access: AccessRecord) -> None:
         request = self._current_request
         self._current_request = None
-        value: Optional[Value] = access.value_read if access.has_read else None
-        complete(self.code, self.state, request, value)
+        complete(
+            self.code, self.state, request,
+            access.value_read if access.has_read else None,
+        )
         self._resume()
 
     # ------------------------------------------------------------------
@@ -399,4 +443,8 @@ class Processor:
 
     def read_values_in_program_order(self) -> List[Value]:
         """Values returned by this processor's read components, po order."""
-        return [a.value_read for a in self.accesses if a.has_read and a.committed]
+        return [
+            a.value_read
+            for a in self.accesses
+            if a.has_read and a.commit_time is not None
+        ]

@@ -145,7 +145,10 @@ class SnoopyCache:
     # -- port interface -------------------------------------------------------
 
     def line(self, location: Location) -> CacheLine:
-        return self.lines.setdefault(location, CacheLine())
+        line = self.lines.get(location)
+        if line is None:
+            line = self.lines[location] = CacheLine()
+        return line
 
     def submit(self, access: AccessRecord) -> None:
         loc = access.location

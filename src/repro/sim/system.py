@@ -9,12 +9,13 @@ the hardware execution trace (accesses in commit order) for verification.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
-from repro.core.execution import Execution, Result, final_memory_from_dict
+from repro.core.execution import Execution, Result
 from repro.core.ops import Operation
 from repro.core.types import Location, Value
 from repro.machine.program import Program
@@ -155,7 +156,6 @@ class MachineRun:
     policy_name: str
     config: SystemConfig
     result: Result
-    execution: Execution
     cycles: int
     proc_stats: List[ProcessorStats]
     messages_sent: int
@@ -175,6 +175,37 @@ class MachineRun:
     def total_stall_cycles(self) -> int:
         """Sum of all processors' stall cycles."""
         return sum(s.total_stall_cycles for s in self.proc_stats)
+
+    @property
+    def execution(self) -> Execution:
+        """The hardware execution trace: committed accesses in commit order
+        (ties by uid), renumbered from 0 in that order.
+
+        Built on demand from :attr:`raw_accesses`: no part of a campaign
+        reads it, so runs do not pay for the sort.
+        """
+        committed = sorted(
+            (
+                a
+                for accesses in self.raw_accesses
+                for a in accesses
+                if a.commit_time is not None
+            ),
+            key=lambda a: (a.commit_time, a.uid),
+        )
+        ops = tuple(
+            Operation(
+                uid=index,
+                proc=access.proc,
+                po_index=access.po_index,
+                kind=access.kind,
+                location=access.location,
+                value_read=access.value_read,
+                value_written=access.write_value if access.has_write else None,
+            )
+            for index, access in enumerate(committed)
+        )
+        return Execution(self.program, ops, self.result.final_memory)
 
 
 def build_interconnect(sim: Simulator, config: SystemConfig) -> Interconnect:
@@ -330,13 +361,7 @@ def _run_processors(
     injector=NULL_INJECTOR,
 ) -> MachineRun:
     """Start one processor per thread, run to quiescence, package the run."""
-    uid_counter = {"next": 0}
-
-    def allocate_uid() -> int:
-        uid = uid_counter["next"]
-        uid_counter["next"] += 1
-        return uid
-
+    allocate_uid = itertools.count().__next__
     halted = {"count": 0}
 
     def on_halt(_proc: Processor) -> None:
@@ -466,24 +491,6 @@ def _package_run(
     reads = [p.read_values_in_program_order() for p in processors]
     result = Result.build(reads, final_memory)
 
-    committed = sorted(
-        (a for p in processors for a in p.accesses if a.committed),
-        key=lambda a: (a.commit_time, a.uid),
-    )
-    ops = tuple(
-        Operation(
-            uid=index,
-            proc=access.proc,
-            po_index=access.po_index,
-            kind=access.kind,
-            location=access.location,
-            value_read=access.value_read,
-            value_written=access.write_value if access.has_write else None,
-        )
-        for index, access in enumerate(committed)
-    )
-    execution = Execution(program, ops, final_memory_from_dict(final_memory))
-
     if sim.tracer.enabled:
         for processor in processors:
             track = f"P{processor.proc_id}"
@@ -514,7 +521,6 @@ def _package_run(
         policy_name=policy.name,
         config=config,
         result=result,
-        execution=execution,
         cycles=sim.now,
         proc_stats=[p.stats for p in processors],
         messages_sent=network.messages_sent,

@@ -217,6 +217,13 @@ class TestAccessRecord:
         a.on_commit(lambda acc: calls.append(1))
         assert calls == [1]
 
+    def test_rewriting_kind_rederives_classification(self):
+        a = AccessRecord(0, 0, 0, OpKind.SYNC_READ, "s", None)
+        assert a.is_sync and a.has_read and not a.has_write
+        a.kind = OpKind.DATA_WRITE
+        assert a.kind is OpKind.DATA_WRITE
+        assert not a.is_sync and not a.has_read and a.has_write
+
     def test_to_operation_roundtrip(self):
         a = AccessRecord(4, 2, 1, OpKind.SYNC_RMW, "s", 1)
         a.mark_committed(10, 0)
