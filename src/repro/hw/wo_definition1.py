@@ -29,8 +29,7 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: Enum class attributes are slow to look up on CPython 3.11,
-# and these are read for every access the processor issues.
+# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
 _NONE = BlockLevel.NONE
 _GP = BlockLevel.GP
 

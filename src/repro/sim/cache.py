@@ -58,8 +58,7 @@ class LineState(enum.Enum):
     MODIFIED = "M"
 
 
-# Bound once for the per-access paths: on CPython 3.11 an attribute
-# lookup on an Enum class costs about as much as a function call.
+# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
 _INVALID = LineState.INVALID
 _SHARED = LineState.SHARED
 _MODIFIED = LineState.MODIFIED

@@ -51,8 +51,7 @@ class _DirTransaction:
     waiting_owner: bool = False
 
 
-# Bound once for the per-request paths: on CPython 3.11 an attribute
-# lookup on an Enum class costs about as much as a function call.
+# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
 _GETS = MsgKind.GETS
 _GETX = MsgKind.GETX
 

@@ -52,9 +52,7 @@ from repro.sim.access import AccessRecord, BlockLevel, GateCondition
 from repro.sim.events import Simulator
 from repro.sim.faults import NULL_INJECTOR
 
-# Enum members bound once: on CPython 3.11 an attribute lookup on an Enum
-# class costs about as much as a function call, and these are read on
-# every access.
+# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
 _BLOCK_NONE = BlockLevel.NONE
 _BLOCK_COMMIT = BlockLevel.COMMIT
 
