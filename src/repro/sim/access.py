@@ -36,6 +36,10 @@ class BlockLevel(enum.Enum):
     GP = 2        # wait until globally performed
 
 
+#: A subscriber to an access's commit or globally-performed event.
+_Callback = Callable[["AccessRecord"], None]
+
+
 class AccessRecord:
     """One dynamic memory access flowing through the simulated hardware.
 
@@ -87,8 +91,8 @@ class AccessRecord:
 
         #: Subscribers, allocated on first subscription (most accesses
         #: have at most one).
-        self._commit_callbacks: Optional[List[Callable[["AccessRecord"], None]]] = None
-        self._gp_callbacks: Optional[List[Callable[["AccessRecord"], None]]] = None
+        self._commit_callbacks: Optional[List[_Callback]] = None
+        self._gp_callbacks: Optional[List[_Callback]] = None
 
     # -- classification ------------------------------------------------------
 
