@@ -15,9 +15,6 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
-_NONE = BlockLevel.NONE
-
 
 class RelaxedPolicy(MemoryPolicy):
     """Maximum overlap, no ordering: the Figure-1 strawman."""
@@ -31,4 +28,4 @@ class RelaxedPolicy(MemoryPolicy):
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Never block beyond the implicit read-value wait."""
-        return _NONE
+        return BlockLevel.NONE

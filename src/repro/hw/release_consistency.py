@@ -36,11 +36,6 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
-_NONE = BlockLevel.NONE
-_COMMIT = BlockLevel.COMMIT
-_GP = BlockLevel.GP
-
 
 class ReleaseConsistencyPolicy(MemoryPolicy):
     """RCsc: acquires gate later accesses, releases gate on earlier ones."""
@@ -53,24 +48,25 @@ class ReleaseConsistencyPolicy(MemoryPolicy):
             if access.has_write:
                 # Release: everything before it must be globally performed.
                 gates.extend(
-                    GateCondition(prev, _GP)
+                    GateCondition(prev, BlockLevel.GP)
                     for prev in proc.not_globally_performed()
                 )
             else:
                 # Acquire-only: sync-sync SC order, not data publication.
                 gates.extend(
-                    GateCondition(prev, _GP) for prev in proc.pending_syncs(_GP)
+                    GateCondition(prev, BlockLevel.GP)
+                    for prev in proc.pending_syncs(BlockLevel.GP)
                 )
         else:
             # Data access: earlier acquires must have completed (their read
             # guards this access); earlier releases impose nothing on it.
             gates.extend(
-                GateCondition(prev, _COMMIT)
-                for prev in proc.pending_syncs(_COMMIT)
+                GateCondition(prev, BlockLevel.COMMIT)
+                for prev in proc.pending_syncs(BlockLevel.COMMIT)
                 if prev.has_read
             )
         return gates
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Reads block implicitly; nothing else blocks the thread."""
-        return _NONE
+        return BlockLevel.NONE

@@ -16,9 +16,6 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
-_GP = BlockLevel.GP
-
 
 class SCPolicy(MemoryPolicy):
     """Stall every access until the previous one is globally performed."""
@@ -33,9 +30,9 @@ class SCPolicy(MemoryPolicy):
         """
         previous = proc.last_generated
         if previous is not None and not previous.globally_performed:
-            return [GateCondition(previous, _GP)]
+            return [GateCondition(previous, BlockLevel.GP)]
         return []
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """Block the thread itself too; keeps the pipeline strictly serial."""
-        return _GP
+        return BlockLevel.GP

@@ -34,10 +34,6 @@ from repro.core.types import OpKind
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
-_NONE = BlockLevel.NONE
-_COMMIT = BlockLevel.COMMIT
-
 
 class AdveHillPolicy(MemoryPolicy):
     """The new implementation: counters + reserve bits, commit-level gates."""
@@ -54,9 +50,10 @@ class AdveHillPolicy(MemoryPolicy):
     def generation_gate(self, proc, access: AccessRecord) -> List[GateCondition]:
         """Condition 4: previous sync operations must have committed."""
         return [
-            GateCondition(sync, _COMMIT) for sync in proc.pending_syncs(_COMMIT)
+            GateCondition(sync, BlockLevel.COMMIT)
+            for sync in proc.pending_syncs(BlockLevel.COMMIT)
         ]
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """No extra blocking; reads block implicitly, writes overlap."""
-        return _NONE
+        return BlockLevel.NONE

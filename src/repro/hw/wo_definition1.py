@@ -29,10 +29,6 @@ from typing import List
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 
-# Bound once: looking up an Enum member on its class is slow on CPython 3.11.
-_NONE = BlockLevel.NONE
-_GP = BlockLevel.GP
-
 
 class Definition1Policy(MemoryPolicy):
     """The old definition: stall the issuing processor at sync operations."""
@@ -44,12 +40,16 @@ class Definition1Policy(MemoryPolicy):
             # Conditions 1 & 2: everything previous must be globally
             # performed before a synchronization access is issued.
             return [
-                GateCondition(prev, _GP) for prev in proc.not_globally_performed()
+                GateCondition(prev, BlockLevel.GP)
+                for prev in proc.not_globally_performed()
             ]
         # Condition 3: previous synchronization accesses must be globally
         # performed before a data access is issued.
-        return [GateCondition(sync, _GP) for sync in proc.pending_syncs(_GP)]
+        return [
+            GateCondition(sync, BlockLevel.GP)
+            for sync in proc.pending_syncs(BlockLevel.GP)
+        ]
 
     def block_level(self, access: AccessRecord) -> BlockLevel:
         """No extra blocking: the gates carry all of Definition 1's order."""
-        return _NONE
+        return BlockLevel.NONE
