@@ -367,28 +367,42 @@ def test_chaos_worker_kills_and_daemon_sigkill_bit_identical(tmp_path):
 def test_daemon_sigkill_mid_campaign_resumes_byte_identical(tmp_path):
     """Kill-and-resume without worker chaos: SIGKILL the daemon while a
     campaign is mid-flight, restart on the same directories, and the
-    finished evidence (and its JSON bytes) must match a serial sweep."""
+    finished evidence (and its JSON bytes) must match a serial sweep.
+
+    A one-shot hang failpoint wedges the first run task, so the campaign
+    cannot finish before the kill: once its token exists the daemon is
+    mid-flight for the whole 60 s task timeout.  The token survives the
+    restart, so the resumed campaign runs clean."""
     state = tmp_path / "svc"
+    token = tmp_path / "wedge-token"
     spec = {
         "programs": ["SB", "MP+sync"],
         "policies": ["sc", "adve-hill"],
         "seeds": 3,
         "drf0_seeds": 2,
+        "failpoints": [
+            {"task_kind": "run", "mode": "hang", "token": str(token)}
+        ],
     }
     proc = _daemon_proc(state, workers=2, task_timeout=60.0)
     client = _wait_endpoint(state, proc)
-    accepted = client.submit(spec)
-    cid = accepted["id"]
-    # Wait until the campaign is demonstrably mid-flight (journal file
-    # exists => the engine is dispatching), then murder the daemon.
-    journal = state / "campaigns" / f"{cid}.journal"
+    worker_pids = set(client.health()["worker_pids"])
+    cid = client.submit(spec)["id"]
     deadline = time.monotonic() + 60.0
-    while not journal.exists():
+    while not token.exists():
         assert time.monotonic() < deadline, "campaign never started"
         assert proc.is_alive()
         time.sleep(0.02)
+    worker_pids.update(client.health()["worker_pids"])
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=10.0)
+    # The idle workers exit on EOF from the dead daemon; the wedged one
+    # sleeps in its task and never reads it.
+    for pid in worker_pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
     proc = _daemon_proc(state, workers=2, task_timeout=60.0)
     try:
