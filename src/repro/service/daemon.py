@@ -111,7 +111,6 @@ class CampaignDaemon:
         keep_journals: int = 3,
         hb_interval: float = 0.05,
         breaker_threshold: int = 3,
-        seed_chunk: Optional[int] = None,
     ) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.campaigns_dir = os.path.join(self.state_dir, "campaigns")
@@ -122,7 +121,6 @@ class CampaignDaemon:
         self.queue_limit = max(1, int(queue_limit))
         self.keep_journals = max(0, int(keep_journals))
         self.hb_interval = hb_interval
-        self.seed_chunk = seed_chunk
         #: One flat dict every supervision layer bumps into -- surfaced
         #: as ``engine.service.*`` metrics and ``health.service``.
         self.counters: Dict[str, int] = {}
@@ -261,7 +259,6 @@ class CampaignDaemon:
                 self._bump("campaigns_resumed")
             engine = VerificationEngine(
                 jobs=self.workers,
-                seed_chunk=self.seed_chunk,
                 store=self.store,
                 monitor=monitor,
                 dispatcher=self.dispatcher,

@@ -8,7 +8,11 @@ does two things:
 
 * **fan-out** -- hardware runs, DRF0 program verdicts, SC-membership
   judgments, and whole fuzz seeds are dispatched to a ``multiprocessing``
-  pool as chunked tasks;
+  pool as chunked tasks.  Run and judgment chunks are sized against the
+  whole plan, about four tasks per worker: each cell with pending work
+  is split into at most ``ceil(jobs * 4 / cells with pending work)``
+  balanced chunks, so a one-cell sweep still gets ``jobs * 4`` tasks
+  and a 40-cell sweep one task per cell;
 * **memoization** -- oracle verdicts land in content-keyed caches
   (:mod:`repro.verify.cache`), so a result observed under five policies and
   forty seeds is judged once, and a program swept twice is DRF0-checked
@@ -386,10 +390,8 @@ def _worker_init() -> None:
 def _task_label(task: tuple) -> str:
     """Short human-readable task id for heartbeat records."""
     kind = task[0]
-    if kind == "run":
-        return f"run:cell{task[1]}x{len(task[2])}"
-    if kind == "judge":
-        return f"judge:cell{task[1]}"
+    if kind in ("run", "judge"):
+        return f"{kind}:cell{task[1]}x{len(task[2])}"
     if kind == "drf0":
         return f"drf0:prog{task[1]}"
     if kind == "fuzz":
@@ -426,25 +428,29 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
         if kind == "run":
             _, cell_index, seeds = task
             cell = ctx.cells[cell_index]
-            value: object
-            if writer is None:
-                value = [_run_one(cell, seed) for seed in seeds]
-            else:
-                summaries = []
-                for seed in seeds:
-                    summaries.append(_run_one(cell, seed))
+            value = []
+            for seed in seeds:
+                value.append(_run_one(cell, seed))
+                if writer is not None:
                     writer.add(runs=1)
                     writer.beat(task=label, gen=gen)
-                value = summaries
             deltas = {"runs": len(seeds)}
         elif kind == "judge":
-            _, cell_index, result = task
-            stats = ExplorerStats()
-            verdict = is_sc_result(
-                ctx.cells[cell_index].program, result, stats=stats
-            )
-            value = (verdict, stats)
-            deltas = {"judges": 1, "states": stats.states}
+            # One (verdict, stats) per result, in the task's order.
+            _, cell_index, results = task
+            program = ctx.cells[cell_index].program
+            value = []
+            for result in results:
+                stats = ExplorerStats()
+                value.append(
+                    (is_sc_result(program, result, stats=stats), stats)
+                )
+                if writer is not None:
+                    writer.beat(task=label, gen=gen)
+            deltas = {
+                "judges": len(results),
+                "states": sum(stats.states for _, stats in value),
+            }
         elif kind == "drf0":
             _, program_index = task
             program = ctx.programs[program_index]
@@ -535,12 +541,20 @@ def _balanced_chunks(items: Sequence, size: int) -> List[tuple]:
 
 
 class _Session:
-    """One engine call's dispatch surface: a pool, or the calling process."""
+    """One engine call's dispatch surface: a pool, or the calling process.
 
-    def __init__(self, pool, engine: Optional["VerificationEngine"] = None) -> None:
-        self._pool = pool
+    With ``workers > 1`` a ``fork`` pool of that size is started by the
+    first non-empty :meth:`map`, so a call that dispatches nothing (a
+    warm sweep) never pays for the fork and the join.
+    """
+
+    def __init__(
+        self, engine: Optional["VerificationEngine"] = None, workers: int = 1
+    ) -> None:
+        self._pool = None
+        self._workers = workers
         self._engine = engine
-        self._worker_pids: Set[int] = self._pool_pids()
+        self._worker_pids: Set[int] = set()
         #: Async handles abandoned without a result (crashed or timed-out
         #: workers).  Each leaves a permanent entry in the pool's result
         #: cache, and ``Pool.close``+``join`` waits for that cache to
@@ -557,6 +571,24 @@ class _Session:
         workers = getattr(self._pool, "_pool", None) or ()
         return {worker.pid for worker in workers}
 
+    def close(self, failed: bool = False) -> bool:
+        """Stop the pool, if one was forked; returns whether one was.
+
+        After a failure queued work is not drained.  Abandoned handles
+        never resolve, so close+join would wait forever on the pool's
+        result cache; every task value is already in hand, so the
+        workers are hard-stopped then too.
+        """
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return False
+        if failed or self.abandoned_handles:
+            pool.terminate()
+        else:
+            pool.close()
+        pool.join()
+        return True
+
     def map(
         self,
         tasks: Sequence[tuple],
@@ -570,6 +602,11 @@ class _Session:
         """
         if not tasks:
             return []
+        if self._workers > 1 and self._pool is None:
+            self._pool = multiprocessing.get_context("fork").Pool(
+                self._workers, initializer=_worker_init
+            )
+            self._worker_pids = self._pool_pids()
         engine = self._engine
         observed = engine is not None and (
             engine.tracer.enabled or engine.metrics is not None
@@ -750,14 +787,18 @@ class _Session:
 class VerificationEngine:
     """Chunked, memoized, deterministic parallel sweep runner.
 
+    Hardware runs and SC judgments are chunked against the whole plan:
+    about four tasks per worker, so each cell with pending work is split
+    into at most ``ceil(jobs * 4 / cells with pending work)`` balanced
+    chunks (amortizes task overhead while still load-balancing).  The
+    pool is forked by the first task dispatched, never for a call that
+    dispatches nothing.
+
     Args:
         jobs: Worker processes.  ``1`` (the default) runs in-process;
             ``0`` or ``None`` means one per CPU.  Parallel dispatch needs
             the ``fork`` start method (POSIX); elsewhere the engine runs
             in-process regardless of ``jobs``.
-        seed_chunk: Seeds per hardware-run task.  Default: sized so each
-            worker sees about four tasks per cell (amortizes task overhead
-            while still load-balancing).
         sc_cache / drf0_cache: Verdict caches; pass shared instances to
             memoize across engine calls (both benchmarks do).
         tracer: Optional :class:`~repro.obs.tracer.Tracer` receiving
@@ -800,7 +841,6 @@ class VerificationEngine:
     def __init__(
         self,
         jobs: Optional[int] = 1,
-        seed_chunk: Optional[int] = None,
         sc_cache: Optional[SCVerdictCache] = None,
         drf0_cache: Optional[DRF0VerdictCache] = None,
         tracer=None,
@@ -817,7 +857,6 @@ class VerificationEngine:
         if not jobs:
             jobs = os.cpu_count() or 1
         self.jobs = max(1, int(jobs))
-        self.seed_chunk = seed_chunk
         self.task_timeout = task_timeout
         self.max_task_retries = max(0, int(max_task_retries))
         self.retry_backoff = retry_backoff
@@ -907,10 +946,8 @@ class VerificationEngine:
             elif kind == "drf0":
                 monitor.extra_done("drf0")
             elif kind == "judge":
-                monitor.extra_done("judge")
-            elif kind == "fuzz":
-                monitor.unit_done(0, 1)
-            elif kind == "diff":
+                monitor.extra_done("judge", len(task[2]))
+            elif kind in ("fuzz", "diff"):
                 monitor.unit_done(0, 1)
         monitor.poll()
 
@@ -933,33 +970,16 @@ class VerificationEngine:
                 if close is not None:
                     close()
             return
-        pool = None
         session_start = _now_us() if self.tracer.enabled else 0
-        session = None
+        session = _Session(self, self.jobs if self.can_fork else 1)
+        failed = False
         try:
-            if self.jobs > 1 and self.can_fork:
-                pool = multiprocessing.get_context("fork").Pool(
-                    self.jobs, initializer=_worker_init
-                )
-            session = _Session(pool, self)
             yield session
         except BaseException:
-            if pool is not None:
-                pool.terminate()  # don't drain queued work after a failure
-                pool.join()
-                pool = None
+            failed = True
             raise
         finally:
-            pooled = pool is not None
-            if pool is not None:
-                if session is not None and session.abandoned_handles:
-                    # Abandoned handles never resolve, so close+join would
-                    # wait forever on the pool's result cache; every task
-                    # value is already in hand, so hard-stop the workers.
-                    pool.terminate()
-                else:
-                    pool.close()
-                pool.join()
+            pooled = session.close(failed)
             _TASK_CONTEXT = previous
             if self.tracer.enabled:
                 self.tracer.span(
@@ -967,23 +987,25 @@ class VerificationEngine:
                     args={"jobs": self.jobs, "pool": pooled},
                 )
 
-    def _seed_chunks(self, seeds: Sequence[int]) -> List[Tuple[int, ...]]:
-        if not seeds:
-            return []
-        size = self.seed_chunk or max(1, -(-len(seeds) // (self.jobs * 4)))
-        return _balanced_chunks(seeds, size)
-
-    def _position_chunks(
-        self, positions: Sequence[int]
-    ) -> List[Tuple[int, ...]]:
-        """Chunk arbitrary seed *positions* (the resume path runs only the
-        positions a journal is missing, which need not be contiguous)."""
-        if not positions:
-            return []
-        size = self.seed_chunk or max(
-            1, -(-len(positions) // (self.jobs * 4))
-        )
-        return _balanced_chunks(positions, size)
+    def _plan_chunks(
+        self, pending: Sequence[Sequence], cost_us: Sequence[float] = ()
+    ) -> List[List[tuple]]:
+        """Each cell's pending work (runs or judgments) in balanced chunks
+        sized against the whole plan: about four tasks per worker, so a
+        cell gets at most ``ceil(jobs * 4 / cells with pending work)``
+        chunks.  Cells whose ``cost_us`` per unit is more than twice the
+        median known cost get half-size chunks."""
+        known = sorted(us for us in cost_us if us > 0)
+        median_us = known[len(known) // 2] if known else 0.0
+        busy = sum(1 for items in pending if items)
+        per_cell = -(-self.jobs * 4 // max(1, busy))
+        plan: List[List[tuple]] = []
+        for cell_index, items in enumerate(pending):
+            size = max(1, -(-len(items) // per_cell))
+            if median_us and cost_us[cell_index] > 2 * median_us:
+                size = max(1, size // 2)
+            plan.append(_balanced_chunks(items, size) if items else [])
+        return plan
 
     # ------------------------------------------------------------------
     # Persistent-store plumbing (all no-ops without a store)
@@ -1004,6 +1026,20 @@ class VerificationEngine:
             )
             for cell in cells
         ]
+
+    def _expected_us(
+        self, identities: Optional[List[Tuple[str, str]]], n_cells: int
+    ) -> List[float]:
+        """Stored per-run cost of each cell in microseconds (0.0 when
+        unknown or without a store)."""
+        expected = [0.0] * n_cells
+        if identities is not None:
+            costs = self.store.warm().costs
+            for index, (fingerprint, policy_name) in enumerate(identities):
+                cost = costs.get(cell_key(fingerprint, policy_name))
+                if cost:
+                    expected[index] = cost.us_per_run
+        return expected
 
     def _fill_from_store(
         self,
@@ -1053,41 +1089,27 @@ class VerificationEngine:
     ) -> Tuple[List[tuple], List[Tuple[int, Tuple[int, ...]]]]:
         """Chunked run tasks for every unfilled sweep position.
 
-        Without a store this reproduces the original deterministic plan
-        (cell order, uniform chunks).  With one, cells are dispatched
-        longest-expected-first using stored cost observations, and cells
-        costing more than twice the median per seed get half-size chunks
-        -- stragglers start early and load-balance finely, cutting tail
-        latency on skewed grids.  Only *issue order* changes; the fold
-        order (and so every output) is identical either way.
+        Without a store this is the deterministic plan (cell order,
+        balanced chunks, see :meth:`_plan_chunks`).  With one, cells are
+        dispatched longest-expected-first using stored cost observations,
+        and cells costing more than twice the median per seed get
+        half-size chunks -- stragglers start early and load-balance
+        finely, cutting tail latency on skewed grids.  Only *issue order*
+        changes; the fold order (and so every output) is identical either
+        way.
         """
-        expected_us: List[float] = []
-        median_us = 0.0
-        if identities is not None:
-            state = self.store.warm()
-            for fingerprint, policy_name in identities:
-                cost = state.costs.get(cell_key(fingerprint, policy_name))
-                expected_us.append(cost.us_per_run if cost else 0.0)
-            known = sorted(us for us in expected_us if us > 0)
-            if known:
-                median_us = known[len(known) // 2]
-        entries: List[Tuple[float, int, Tuple[int, ...]]] = []
-        for cell_index in range(len(cells)):
-            missing = [
-                pos
-                for pos in range(len(seeds))
-                if per_cell[cell_index][pos] is None
-            ]
-            if not missing:
-                continue
-            size = self.seed_chunk or max(
-                1, -(-len(missing) // (self.jobs * 4))
+        expected_us = self._expected_us(identities, len(cells))
+        missing = [
+            [pos for pos, summary in enumerate(summaries) if summary is None]
+            for summaries in per_cell
+        ]
+        entries: List[Tuple[float, int, Tuple[int, ...]]] = [
+            (expected_us[cell_index] * len(chunk), cell_index, chunk)
+            for cell_index, chunks in enumerate(
+                self._plan_chunks(missing, expected_us)
             )
-            cell_us = expected_us[cell_index] if identities else 0.0
-            if median_us and cell_us > 2 * median_us:
-                size = max(1, size // 2)
-            for chunk in _balanced_chunks(missing, size):
-                entries.append((cell_us * len(chunk), cell_index, chunk))
+            for chunk in chunks
+        ]
         if identities is not None:
             entries.sort(key=lambda e: (-e[0], e[1], e[2][0]))
         tasks: List[tuple] = []
@@ -1127,25 +1149,6 @@ class VerificationEngine:
                 cell_key(fingerprint, policy_name), runs, wall_us
             )
 
-    def _run_cells(
-        self,
-        session: _Session,
-        cells: Sequence[_SweepCell],
-        seeds: Sequence[int],
-    ) -> List[List[RunSummary]]:
-        """All hardware runs for ``cells`` x ``seeds``, seed-ordered per cell."""
-        chunks = self._seed_chunks(seeds)
-        tasks = [
-            ("run", cell_index, chunk)
-            for cell_index in range(len(cells))
-            for chunk in chunks
-        ]
-        values = session.map(tasks)
-        per_cell: List[List[RunSummary]] = [[] for _ in cells]
-        for (_, cell_index, _chunk), summaries in zip(tasks, values):
-            per_cell[cell_index].extend(summaries)
-        return per_cell
-
     def _judge_new_results(
         self,
         session: _Session,
@@ -1162,7 +1165,7 @@ class VerificationEngine:
         judgment computed is a judgment persisted), and the judging cost
         is attributed to the observing cell's cost record.
         """
-        pending: List[Tuple[int, Result]] = []
+        pending: List[List[Result]] = [[] for _ in per_cell]
         claimed: Set[Tuple[str, Result]] = set()
         for cell_index, summaries in enumerate(per_cell):
             program = cells[cell_index].program
@@ -1175,48 +1178,48 @@ class VerificationEngine:
                     self.sc_cache.lookup_or_quarantine(program, summary.result)
                     is None
                 ):
-                    pending.append((cell_index, summary.result))
+                    pending[cell_index].append(summary.result)
+        tasks = [
+            ("judge", cell_index, chunk)
+            for cell_index, chunks in enumerate(self._plan_chunks(pending))
+            for chunk in chunks
+        ]
 
         on_result = None
         if self.store is not None:
             def on_result(index: int, task: tuple, value: object) -> None:
-                cell_index, result = pending[index]
-                verdict, _stats = value
+                _, cell_index, results = task
                 program = cells[cell_index].program
                 fingerprint = program_fingerprint(program)
-                self.sc_cache.store_by_fingerprint(
-                    fingerprint, result, verdict, program=program
-                )
-                self.store.record_sc(
-                    fingerprint, result, verdict, program=program
-                )
+                for result, (verdict, _stats) in zip(results, value):
+                    self.sc_cache.store_by_fingerprint(
+                        fingerprint, result, verdict, program=program
+                    )
+                    self.store.record_sc(
+                        fingerprint, result, verdict, program=program
+                    )
 
-        if self._owns_plan and pending:
-            self.monitor.add_extra("judge", len(pending))
+        if self._owns_plan and tasks:
+            self.monitor.add_extra("judge", sum(map(len, pending)))
 
-        values = session.map(
-            [("judge", cell_index, result) for cell_index, result in pending],
-            on_result=on_result,
-        )
-        for (cell_index, result), (verdict, stats) in zip(pending, values):
-            self.explorer_stats.merge(stats)
+        values = session.map(tasks, on_result=on_result)
+        costs: Dict[int, Tuple[int, int]] = {}
+        for (_, cell_index, results), judged, seconds in zip(
+            tasks, values, session.task_seconds
+        ):
             program = cells[cell_index].program
-            self.sc_cache.store(program, result, verdict)
-            if journal is not None:
-                journal.record_judgment(
-                    program_fingerprint(program), result, verdict
-                )
-        if self.store is not None and identities is not None and pending:
-            acc: Dict[int, Tuple[int, int]] = {}
-            for (cell_index, _result), seconds, (_verdict, stats) in zip(
-                pending, session.task_seconds, values
-            ):
-                wall_us, states = acc.get(cell_index, (0, 0))
-                acc[cell_index] = (
-                    wall_us + int(seconds * 1_000_000),
-                    states + (stats.states if stats is not None else 0),
-                )
-            for cell_index, (wall_us, states) in sorted(acc.items()):
+            wall_us, states = costs.get(cell_index, (0, 0))
+            for result, (verdict, stats) in zip(results, judged):
+                self.explorer_stats.merge(stats)
+                self.sc_cache.store(program, result, verdict)
+                states += stats.states
+                if journal is not None:
+                    journal.record_judgment(
+                        program_fingerprint(program), result, verdict
+                    )
+            costs[cell_index] = (wall_us + int(seconds * 1_000_000), states)
+        if self.store is not None and identities is not None:
+            for cell_index, (wall_us, states) in sorted(costs.items()):
                 fingerprint, policy_name = identities[cell_index]
                 self.store.record_cost(
                     cell_key(fingerprint, policy_name),
@@ -1280,8 +1283,15 @@ class VerificationEngine:
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
             self.monitor.plan([(program.name, len(seeds), 0.0)])
+        summaries: List[Optional[RunSummary]] = [None] * len(seeds)
+        tasks, positions = self._plan_run_tasks(
+            [cell], seeds, [summaries], None
+        )
         with self._session(_TaskContext(cells=(cell,))) as session:
-            return self._run_cells(session, [cell], seeds)[0]
+            for (_, chunk), values in zip(positions, session.map(tasks)):
+                for pos, summary in zip(chunk, values):
+                    summaries[pos] = summary
+        return summaries
 
     def contract_sweep(
         self,
@@ -1422,17 +1432,7 @@ class VerificationEngine:
             policy_names = [
                 name for _ in programs for name in policy_factories
             ]
-            expected = [0.0] * len(cells)
-            if identities is not None:
-                state = self.store.warm()
-                for index, (fingerprint, policy_name) in enumerate(
-                    identities
-                ):
-                    cost = state.costs.get(
-                        cell_key(fingerprint, policy_name)
-                    )
-                    if cost:
-                        expected[index] = cost.us_per_run
+            expected = self._expected_us(identities, len(cells))
             self.monitor.plan(
                 [
                     (

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Terminal dispositions of a :meth:`TaskBoard.fail` call.
 RETRY = "retry"
@@ -233,10 +233,3 @@ class TaskBoard:
             self.bump("crashes_attributed_to_timeouts", consumed)
         return deaths - consumed
 
-
-def chunk_indices(items: Sequence, size: int) -> List[tuple]:
-    """Balanced chunking (re-exported for the daemon; the engine keeps
-    its own ``_balanced_chunks`` as the canonical copy)."""
-    from repro.verify.engine import _balanced_chunks
-
-    return _balanced_chunks(items, size)

@@ -10,9 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw import AdveHillPolicy, Definition1Policy, RelaxedPolicy, SCPolicy
+from repro.hw import (
+    POLICY_FACTORIES,
+    AdveHillPolicy,
+    Definition1Policy,
+    RelaxedPolicy,
+    SCPolicy,
+)
 from repro.litmus.catalog import by_name, message_passing_sync
 from repro.litmus.harness import run_litmus_on_hardware
+from repro.obs import MetricsRegistry, RecordingTracer
+from repro.service.campaigns import resolve_program
 from repro.sim.system import SystemConfig
 from repro.verify import (
     CacheIntegrityError,
@@ -187,6 +195,83 @@ class TestParallelMatchesSerial:
     def test_jobs_zero_means_cpu_count(self):
         engine = VerificationEngine(jobs=0)
         assert engine.jobs >= 1
+
+
+def _task_counts(engine):
+    return {
+        kind: engine.metrics.counter(f"engine.tasks.{kind}").value
+        for kind in ("run", "drf0", "judge")
+    }
+
+
+class TestPlanShape:
+    """Run and judge chunks are sized against the whole plan (about four
+    tasks per worker), not per cell."""
+
+    CAMPAIGN = (
+        "MP+sync", "SB+sync", "TAS", "lock", "SB", "ttas", "barrier",
+        "critical_section",
+    )
+
+    def test_many_cell_sweep_gets_one_task_per_cell(self):
+        programs = [resolve_program(name) for name in self.CAMPAIGN]
+        factories = {
+            name: POLICY_FACTORIES[name]
+            for name in sorted(POLICY_FACTORIES)
+            if name != "relaxed"
+        }
+        engine = VerificationEngine(jobs=2, metrics=MetricsRegistry())
+        engine.definition2_sweep(
+            programs, factories, seeds=range(10), exhaustive_drf0=True
+        )
+        # Cells whose runs show a result no earlier cell of the same
+        # program showed: each has SC judgments to dispatch.
+        serial = VerificationEngine(jobs=1)
+        seen = set()
+        cells_with_new = 0
+        for program in programs:
+            for factory in factories.values():
+                fresh = {
+                    (program_fingerprint(program), summary.result)
+                    for summary in serial.hardware_summaries(
+                        program, factory, seeds=range(10)
+                    )
+                } - seen
+                cells_with_new += bool(fresh)
+                seen |= fresh
+        assert cells_with_new >= 2 * 4  # more cells than jobs * 4 tasks
+        assert _task_counts(engine) == {
+            "run": 40, "drf0": 8, "judge": cells_with_new,
+        }
+
+    def test_one_cell_sweep_still_spreads_over_the_pool(self):
+        engine = VerificationEngine(jobs=2, metrics=MetricsRegistry())
+        report = engine.contract_sweep(
+            store_buffer_program(), RelaxedPolicy, seeds=range(16)
+        )
+        assert report.distinct_results >= 2
+        counts = _task_counts(engine)
+        assert counts["run"] == 2 * 4
+        assert 1 < counts["judge"] <= 2 * 4
+
+    def test_warm_sweep_forks_no_pool(self, tmp_path):
+        def sweep():
+            tracer = RecordingTracer()
+            engine = VerificationEngine(
+                jobs=2, tracer=tracer, cache_dir=str(tmp_path)
+            )
+            rows = engine.definition2_sweep(
+                PROGRAMS(), FACTORIES, seeds=range(8)
+            ).rows
+            engine.store.close()
+            sessions = [e.args for e in tracer.events if e.name == "session"]
+            return rows, sessions, engine.can_fork
+
+        cold, cold_sessions, can_fork = sweep()
+        assert cold_sessions == [{"jobs": 2, "pool": can_fork}]
+        warm, warm_sessions, _ = sweep()
+        assert warm == cold
+        assert warm_sessions == [{"jobs": 2, "pool": False}]
 
 
 #: Shared across property examples so later examples exercise the

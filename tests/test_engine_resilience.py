@@ -6,6 +6,7 @@ entry corrupted, the whole process killed between sweeps -- the sweep's
 output is bit-for-bit what the undisturbed serial engine produces.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -198,13 +199,20 @@ class TestCacheQuarantine:
 
 
 class TestInterruptSafety:
+    @pool_available
     def test_session_teardown_on_error(self):
         # An exception escaping mid-session must terminate the pool and
-        # re-raise; a subsequent engine call must work normally.
+        # re-raise; a subsequent engine call must work normally.  The
+        # pool is forked by the first map, so one task runs first.
         engine = VerificationEngine(jobs=2)
         with pytest.raises(RuntimeError, match="boom"):
-            with engine._session(_context()) as _session:
+            with engine._session(_context()) as session:
+                assert len(session.map([("run", 0, (0,))])[0]) == 1
+                workers = session._pool_pids()
+                assert len(workers) == 2
                 raise RuntimeError("boom")
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not workers & alive
         assert _rows(_sweep(engine)) == _rows(_sweep(VerificationEngine()))
 
 
@@ -215,6 +223,7 @@ def _registry():
 
 
 def _context():
-    from repro.verify.engine import _TaskContext
+    from repro.verify.engine import _SweepCell, _TaskContext
 
-    return _TaskContext()
+    cell = _SweepCell(_programs()[0], POLICY_FACTORIES["sc"], SystemConfig())
+    return _TaskContext(cells=(cell,))

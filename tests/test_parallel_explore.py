@@ -293,7 +293,7 @@ class TestEngineIntegration:
 
     def test_seed_chunks_balanced(self):
         engine = VerificationEngine(jobs=8)
-        chunks = engine._seed_chunks(list(range(251)))
+        [chunks] = engine._plan_chunks([list(range(251))])
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
         assert [s for chunk in chunks for s in chunk] == list(range(251))

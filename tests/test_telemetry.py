@@ -22,6 +22,7 @@ from repro.litmus.catalog import by_name
 from repro.obs import (
     CampaignMonitor,
     HeartbeatWriter,
+    MetricsRegistry,
     ProgressEngine,
     SpoolReader,
     StreamFold,
@@ -474,6 +475,18 @@ class TestMonitoredSweep:
         assert "worker" in roles
         assert final["stream"]["records"] > 0
         assert final["stream"]["dropped_lines"] == 0
+
+    @pool_available
+    def test_judge_pool_ticks_every_judgment(self, tmp_path):
+        # A judge task carries several results; progress counts results.
+        registry = MetricsRegistry()
+        _evidence, _snapshots, final = _monitored_sweep(
+            tmp_path, jobs=2, metrics=registry
+        )
+        judge = final["progress"]["extras"]["judge"]
+        assert judge["done"] == judge["units"]
+        tasks = registry.counter("engine.tasks.judge").value
+        assert 0 < tasks < judge["units"]
 
     @pool_available
     def test_chaos_sweep_keeps_totals_truthful(self, tmp_path):
