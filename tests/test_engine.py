@@ -239,7 +239,7 @@ class TestPlanShape:
                 } - seen
                 cells_with_new += bool(fresh)
                 seen |= fresh
-        assert cells_with_new >= 2 * 4  # more cells than jobs * 4 tasks
+        assert cells_with_new >= 2 * 4  # jobs * 4 or more: one task each
         assert _task_counts(engine) == {
             "run": 40, "drf0": 8, "judge": cells_with_new,
         }
