@@ -10,9 +10,10 @@ does two things:
   judgments, and whole fuzz seeds are dispatched to a ``multiprocessing``
   pool as chunked tasks.  Run and judgment chunks are sized against the
   whole plan, about four tasks per worker: each cell with pending work
-  is split into at most ``ceil(jobs * 4 / cells with pending work)``
-  balanced chunks, so a one-cell sweep still gets ``jobs * 4`` tasks
-  and a 40-cell sweep one task per cell;
+  is split into about ``ceil(jobs * 4 / cells with pending work)``
+  balanced chunks (up to twice as many for a cell whose stored cost is
+  more than twice the median), so a one-cell sweep still gets
+  ``jobs * 4`` tasks and a 40-cell sweep about one task per cell;
 * **memoization** -- oracle verdicts land in content-keyed caches
   (:mod:`repro.verify.cache`), so a result observed under five policies and
   forty seeds is judged once, and a program swept twice is DRF0-checked
@@ -789,8 +790,9 @@ class VerificationEngine:
 
     Hardware runs and SC judgments are chunked against the whole plan:
     about four tasks per worker, so each cell with pending work is split
-    into at most ``ceil(jobs * 4 / cells with pending work)`` balanced
-    chunks (amortizes task overhead while still load-balancing).  The
+    into about ``ceil(jobs * 4 / cells with pending work)`` balanced
+    chunks (amortizes task overhead; cells costing more than twice the
+    median get up to twice as many, see :meth:`_plan_chunks`).  The
     pool is forked by the first task dispatched, never for a call that
     dispatches nothing.
 
@@ -947,7 +949,9 @@ class VerificationEngine:
                 monitor.extra_done("drf0")
             elif kind == "judge":
                 monitor.extra_done("judge", len(task[2]))
-            elif kind in ("fuzz", "diff"):
+            elif kind == "fuzz":
+                monitor.unit_done(0, 1)
+            elif kind == "diff":
                 monitor.unit_done(0, 1)
         monitor.poll()
 
@@ -992,9 +996,9 @@ class VerificationEngine:
     ) -> List[List[tuple]]:
         """Each cell's pending work (runs or judgments) in balanced chunks
         sized against the whole plan: about four tasks per worker, so a
-        cell gets at most ``ceil(jobs * 4 / cells with pending work)``
+        cell gets about ``ceil(jobs * 4 / cells with pending work)``
         chunks.  Cells whose ``cost_us`` per unit is more than twice the
-        median known cost get half-size chunks."""
+        median known cost get half-size chunks, so up to twice as many."""
         known = sorted(us for us in cost_us if us > 0)
         median_us = known[len(known) // 2] if known else 0.0
         busy = sum(1 for items in pending if items)

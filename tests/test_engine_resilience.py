@@ -199,7 +199,6 @@ class TestCacheQuarantine:
 
 
 class TestInterruptSafety:
-    @pool_available
     def test_session_teardown_on_error(self):
         # An exception escaping mid-session must terminate the pool and
         # re-raise; a subsequent engine call must work normally.  The
@@ -209,10 +208,12 @@ class TestInterruptSafety:
             with engine._session(_context()) as session:
                 assert len(session.map([("run", 0, (0,))])[0]) == 1
                 workers = session._pool_pids()
-                assert len(workers) == 2
+                if engine.can_fork:
+                    assert len(workers) == 2
                 raise RuntimeError("boom")
-        alive = {child.pid for child in multiprocessing.active_children()}
-        assert not workers & alive
+        if engine.can_fork:
+            alive = {child.pid for child in multiprocessing.active_children()}
+            assert not workers & alive
         assert _rows(_sweep(engine)) == _rows(_sweep(VerificationEngine()))
 
 
