@@ -14,17 +14,31 @@ the ``repro diff`` campaign check, measured here at benchmark scale.
 WO-DRF0's operational DRF0 verdict is primed outside the timed region so
 both backends are charged only for the axiomatic work.
 
-Hard gates (the point of the E18 change):
+Timing: each row runs the two backends in interleaved pairs (the order
+alternating from pair to pair), so host drift lands on both sides alike.
+A first pair, not recorded, sizes the row: in every later pair the
+faster backend runs as a batch of calls about as long as one call of the
+slower one, so both samples of a pair span the same stretch of host
+speed (a deep row's solver call is ~1/50 of its enumerator call), and a
+sample is seconds per call.  A row gets as many pairs as fit in about
+:data:`ROW_BUDGET_S`, at least :data:`MIN_PAIRS` and at most
+:data:`MAX_PAIRS`.  Each side's time is the median of its samples, and
+the row's speedup is the ratio of the two medians; the quartiles are
+recorded next to them.
 
-* **No row slower.**  The solver must win or tie on *every* workload --
-  litmus-sized rows included, where the enumerator's cross product is
-  tiny and the solver's machinery could plausibly lose.
+Hard gates (the point of the E18 change), all on those medians:
+
+* **No row slower.**  The solver's median must not exceed the
+  enumerator's on *any* workload -- litmus-sized rows included, where
+  the enumerator's cross product is tiny and the solver's machinery
+  could plausibly lose.  No tolerance margin.
 * **Deep rows >= 10x.**  Rows marked deep (>= 6 writes to one location,
   where the co permutation count explodes) must show >= 10x.
-* **Baseline regression.**  The aggregate speedup is compared against the
-  checked-in ``BENCH_e18_baseline.json`` and the run fails when it
-  regresses by more than 25% (speedup ratios are self-normalizing across
-  machines: both sides run in-process).
+* **Baseline regression.**  The aggregate speedup (sum of the rows'
+  enumerator medians over the sum of their solver medians) is compared
+  against the checked-in ``BENCH_e18_baseline.json`` and the run fails
+  when it regresses by more than 25% (speedup ratios are
+  self-normalizing across machines: both sides run in-process).
 
 The full suite then runs a differential campaign
 (:func:`repro.verify.diff.diff_campaign`) over 200 generated programs --
@@ -45,9 +59,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -71,6 +86,11 @@ BASELINE_PATH = RESULTS_DIR / "BENCH_e18_baseline.json"
 REGRESSION_TOLERANCE = 0.25
 #: Rows flagged deep (co-permutation blowup) must show at least this.
 DEEP_ROW_SPEEDUP = 10.0
+#: Interleaved (solver, enumerator) pairs per row: as many as fit in
+#: about ``ROW_BUDGET_S`` seconds, clamped to [MIN_PAIRS, MAX_PAIRS].
+ROW_BUDGET_S = 0.4
+MIN_PAIRS = 3
+MAX_PAIRS = 400
 
 
 def _quick() -> bool:
@@ -104,27 +124,52 @@ def _workloads(quick: bool) -> List[Tuple[str, Program, bool]]:
     return rows
 
 
-def _time(fn: Callable[[], object]) -> Tuple[float, object]:
-    """Best-of-N wall clock, N adapted to the row's size.
-
-    Micro rows get a deep best-of so the no-row-slower gate cannot trip
-    on timer noise; multi-second rows (the deep enumerator side) run
-    once -- their relative noise is already small.
-    """
+def _timed(fn: Callable[[], object]) -> Tuple[float, object]:
     start = time.perf_counter()
     value = fn()
-    best = time.perf_counter() - start
-    if best > 2.0:
-        return best, value
-    if best < 0.001:
-        repeats = min(500, int(0.1 / max(best, 1e-6)) + 1)
-    else:
-        repeats = 4 if best < 0.05 else 2
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, value
+    return time.perf_counter() - start, value
+
+
+def _per_call(fn: Callable[[], object], calls: int) -> float:
+    """Seconds per call over ``calls`` back-to-back calls of ``fn``."""
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls
+
+
+def _spread(samples: Sequence[float]) -> Dict[str, float]:
+    """Median and quartiles of one side's samples."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _interleaved(
+    solver: Callable[[], object], enum: Callable[[], object]
+) -> Tuple[List[float], List[float], object, object]:
+    """Time both backends in alternating pairs.
+
+    Returns each side's samples (seconds per call) and the values of its
+    first call.  The first pair only sizes the row: each side's batch
+    (the faster side's calls add up to about one call of the slower
+    side) and the number of pairs.
+    """
+    solver_s, solver_value = _timed(solver)
+    enum_s, enum_value = _timed(enum)
+    solver_calls = max(1, round(enum_s / solver_s))
+    enum_calls = max(1, round(solver_s / enum_s))
+    pair_s = solver_calls * solver_s + enum_calls * enum_s
+    pairs = max(MIN_PAIRS, min(MAX_PAIRS, int(ROW_BUDGET_S / pair_s)))
+    solver_samples: List[float] = []
+    enum_samples: List[float] = []
+    for pair in range(pairs):
+        if pair % 2:
+            enum_samples.append(_per_call(enum, enum_calls))
+            solver_samples.append(_per_call(solver, solver_calls))
+        else:
+            solver_samples.append(_per_call(solver, solver_calls))
+            enum_samples.append(_per_call(enum, enum_calls))
+    return solver_samples, enum_samples, solver_value, enum_value
 
 
 def _bench_row(name: str, program: Program, deep: bool) -> Dict[str, object]:
@@ -139,21 +184,30 @@ def _bench_row(name: str, program: Program, deep: bool) -> Dict[str, object]:
             for model in models
         }
 
-    solver_s, solver_sets = _time(lambda: run("solver"))
-    enum_s, enum_sets = _time(lambda: run("enumerator"))
+    solver_samples, enum_samples, solver_sets, enum_sets = _interleaved(
+        lambda: run("solver"), lambda: run("enumerator")
+    )
     for model in models:
         assert solver_sets[model.name] == enum_sets[model.name], (
             f"{name} under {model.name}: backends disagree "
             f"({len(solver_sets[model.name])} vs "
             f"{len(enum_sets[model.name])} results)"
         )
+    enum, solver = _spread(enum_samples), _spread(solver_samples)
     return {
         "workload": name,
         "deep": deep,
         "drf0": drf0,
-        "enum_s": enum_s,
-        "solver_s": solver_s,
-        "speedup": enum_s / solver_s if solver_s else float("inf"),
+        "pairs": len(solver_samples),
+        "enum_s": enum["median"],
+        "solver_s": solver["median"],
+        "enum_q": [enum["q1"], enum["q3"]],
+        "solver_q": [solver["q1"], solver["q3"]],
+        "speedup": (
+            enum["median"] / solver["median"]
+            if solver["median"]
+            else float("inf")
+        ),
         "results": {m.name: len(solver_sets[m.name]) for m in models},
     }
 
@@ -174,6 +228,9 @@ def run_benchmark(quick: Optional[bool] = None) -> Dict[str, object]:
         "speedup": enum_total / solver_total if solver_total else float("inf"),
     }
 
+    def fmt_iqr(q):
+        return f"[{q[0]:.4f}, {q[1]:.4f}]"
+
     def fmt_results(r):
         return "/".join(
             str(r["results"][m])
@@ -185,16 +242,19 @@ def run_benchmark(quick: Optional[bool] = None) -> Dict[str, object]:
         "incremental axiomatic solver vs legacy enumerator"
         + (" (quick)" if quick else ""),
         [
-            "workload", "deep", "drf0", "enum (s)", "solver (s)",
-            "speedup", "results SC/COH/TSO/WO",
+            "workload", "deep", "drf0", "pairs", "enum (s)", "enum IQR",
+            "solver (s)", "solver IQR", "speedup", "results SC/COH/TSO/WO",
         ],
         [
             [
                 r["workload"],
                 "yes" if r["deep"] else "-",
                 "yes" if r["drf0"] else "racy",
+                r["pairs"],
                 f"{r['enum_s']:.4f}",
+                fmt_iqr(r["enum_q"]),
                 f"{r['solver_s']:.4f}",
+                fmt_iqr(r["solver_q"]),
                 f"{r['speedup']:.2f}x",
                 fmt_results(r),
             ]
@@ -202,21 +262,24 @@ def run_benchmark(quick: Optional[bool] = None) -> Dict[str, object]:
         ]
         + [
             [
-                "TOTAL", "-", "-",
-                f"{aggregate['enum_s']:.4f}",
-                f"{aggregate['solver_s']:.4f}",
+                "TOTAL", "-", "-", "-",
+                f"{aggregate['enum_s']:.4f}", "-",
+                f"{aggregate['solver_s']:.4f}", "-",
                 f"{aggregate['speedup']:.2f}x",
                 "-",
             ]
         ],
         notes=(
-            "Each row times all four models through both backends and "
-            "asserts bit-identical result sets per model.  Gates: solver "
-            f"slower on no row; deep rows >= {DEEP_ROW_SPEEDUP:.0f}x."
+            "Each row times all four models through both backends in "
+            "interleaved pairs and asserts bit-identical result sets per "
+            "model; times are medians over the pairs, IQR the quartiles, "
+            "speedup the ratio of the medians.  Gates: the solver's "
+            f"median loses on no row; deep rows >= {DEEP_ROW_SPEEDUP:.0f}x."
         ),
     )
 
-    # Gate 1: the solver must win or tie everywhere, micro rows included.
+    # Gate 1: the solver's median must win or tie everywhere, micro rows
+    # included.
     losers = [r for r in rows if r["speedup"] < 1.0]
     assert not losers, "solver slower than enumerator on: " + ", ".join(
         f"{r['workload']} ({r['speedup']:.2f}x)" for r in losers
