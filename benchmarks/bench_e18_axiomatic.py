@@ -1,8 +1,8 @@
 """E18 -- the incremental axiomatic solver vs the legacy enumerator.
 
-The legacy backend (:mod:`repro.axiomatic.candidates`) materializes every
-(rf, co) combination -- factorial in the writes per location -- and only
-then filters by value resolution, atomicity, and the model axioms.  The
+The legacy backend (:mod:`repro.axiomatic.candidates`) walks every
+RMW-atomic (rf, co) combination -- factorial in the writes per location
+-- and only then filters by value resolution and the model axioms.  The
 solver (:mod:`repro.axiomatic.solver`) extends partial assignments one
 decision at a time under incremental cycle detection and propagation, so
 inconsistent subtrees die at their first bad edge.

@@ -11,12 +11,17 @@ do not read their immediate ``co`` predecessor are discarded.
 The memory models in :mod:`repro.axiomatic.models` filter these candidates
 by acyclicity axioms over ``po ∪ rf ∪ co ∪ fr`` fragments.
 
-This module is the *generate-then-filter* enumerator: it materializes the
-full cross product of rf choices × per-location co permutations and
-resolves each combination.  :mod:`repro.axiomatic.solver` replaces it as
-the production backend with an incremental backtracking search; the
-enumerator is kept as the differential oracle the solver is checked
-against (the ``core/_legacy.py`` idiom).
+This module is the *generate-then-filter* enumerator: it walks the cross
+product of rf choices × per-location co permutations and resolves each
+combination.  One filter applies before resolution: an RMW at co index i
+must read co[i-1] (or the initializing write when i = 0), so each
+location's permutations are grouped by the rf sources their RMWs
+require, and an rf pick meets only the co picks it is atomic with, in
+the product's order.  The model axioms are never consulted.
+:mod:`repro.axiomatic.solver` replaces the enumerator as the production
+backend with an incremental backtracking search; the enumerator is kept
+as the differential oracle the solver is checked against (the
+``core/_legacy.py`` idiom), and shares no code with it.
 """
 
 from __future__ import annotations
@@ -121,8 +126,13 @@ class Candidate:
 
 
 #: ``enumerate_candidates`` calls its ``check_budget`` hook before the
-#: first combination and then every this many combinations.
+#: first step and then every this many steps.
 BUDGET_CHECK_INTERVAL = 256
+
+#: A location's RMW key: for each RMW on the location, the rf source its
+#: atomicity requires (the RMW's immediate co predecessor, or None for the
+#: initializing write).
+RmwKey = Tuple[Optional[int], ...]
 
 
 def enumerate_candidates(
@@ -130,10 +140,13 @@ def enumerate_candidates(
 ) -> Iterator[Candidate]:
     """Yield every well-formed candidate execution of a litmus program.
 
-    ``check_budget``, when given, is called before the first (rf, co)
-    combination and then every :data:`BUDGET_CHECK_INTERVAL`
-    combinations, whether :func:`_resolve` keeps them or not, and may
-    raise to abandon the enumeration.
+    Candidates come out in rf-major order: the rf picks in product order,
+    and for each the co picks it is RMW-atomic with, in product order.
+
+    ``check_budget``, when given, is called before the first step and
+    then every :data:`BUDGET_CHECK_INTERVAL` steps, and may raise to
+    abandon the enumeration.  A step is one (rf, co) combination handed
+    to :func:`_resolve`, or one rf pick that no co pick is atomic with.
     """
     layout = extract_layout(program)
     events = layout.events
@@ -153,28 +166,55 @@ def enumerate_candidates(
         rf_choices.append(sources)
 
     locations = sorted(writes_by_loc)
-    # Each permutation carries its position map, computed once here rather
-    # than rediscovered with order.index() for every (rf, co) combination.
-    co_choices: List[List[Tuple[Tuple[int, ...], Dict[int, int]]]] = [
+    # RMW atomicity ties a location's co pick to the rf sources of the
+    # location's RMWs, and to nothing else.  So each location's
+    # permutations are grouped by the RmwKey they require: an rf pick
+    # then meets, per location, only the group its RMW reads name.
+    # Filtering each factor of the co product keeps the product's order.
+    # Each permutation carries its position map, computed once here.
+    rmw_slots: List[List[int]] = [
         [
-            (perm, {uid: i for i, uid in enumerate(perm)})
-            for perm in itertools.permutations(
-                [w.uid for w in writes_by_loc[loc]]
-            )
+            j
+            for j, read in enumerate(reads)
+            if read.is_write and read.location == loc
         ]
         for loc in locations
     ]
+    co_groups: List[
+        Dict[RmwKey, List[Tuple[Tuple[int, ...], Dict[int, int]]]]
+    ] = []
+    for loc, slots in zip(locations, rmw_slots):
+        groups: Dict[RmwKey, list] = {}
+        for perm in itertools.permutations(
+            [w.uid for w in writes_by_loc[loc]]
+        ):
+            pos = {uid: i for i, uid in enumerate(perm)}
+            key = tuple(
+                perm[pos[reads[j].uid] - 1] if pos[reads[j].uid] else None
+                for j in slots
+            )
+            groups.setdefault(key, []).append((perm, pos))
+        co_groups.append(groups)
 
-    combinations = 0
-    for rf_pick in itertools.product(*rf_choices) if reads else [()]:
+    steps = 0
+
+    def step() -> None:
+        nonlocal steps
+        if check_budget is not None and steps % BUDGET_CHECK_INTERVAL == 0:
+            check_budget()
+        steps += 1
+
+    for rf_pick in itertools.product(*rf_choices):
+        co_choices = [
+            groups.get(tuple([rf_pick[j] for j in slots]), ())
+            for slots, groups in zip(rmw_slots, co_groups)
+        ]
+        if not all(co_choices):
+            step()
+            continue
         rf: RfMap = {read.uid: src for read, src in zip(reads, rf_pick)}
-        for co_pick in itertools.product(*co_choices) if locations else [()]:
-            if (
-                check_budget is not None
-                and combinations % BUDGET_CHECK_INTERVAL == 0
-            ):
-                check_budget()
-            combinations += 1
+        for co_pick in itertools.product(*co_choices):
+            step()
             co: CoMap = {
                 loc: perm for loc, (perm, _) in zip(locations, co_pick)
             }
@@ -194,7 +234,13 @@ def _resolve(
     co_pos: Optional[CoPosMap] = None,
     by_uid: Optional[Dict[int, Event]] = None,
 ) -> Optional[Candidate]:
-    """Propagate values; reject unstable or RMW-inconsistent candidates."""
+    """Propagate values; reject unstable or RMW-inconsistent candidates.
+
+    The atomicity check stays here although :func:`enumerate_candidates`
+    never hands over a pick that breaks it: this function is the
+    definition of a well-formed candidate that the enumerator is tested
+    against.
+    """
     events = layout.events
     if co_pos is None:
         co_pos = {

@@ -40,7 +40,11 @@ from typing import (
 
 from repro.axiomatic.candidates import Candidate, enumerate_candidates
 from repro.axiomatic.events import extract_layout
-from repro.axiomatic.models import AxiomaticModel, AxiomGraph, _graph_allows
+from repro.axiomatic.models import (
+    AcyclicityCheck,
+    AxiomaticModel,
+    AxiomGraph,
+)
 from repro.axiomatic.solver import (
     SearchBudgetExceeded,
     SolverConfig,
@@ -95,8 +99,8 @@ def _admitted_candidates(
     Both backends honor the same :class:`SolverConfig` budget: the cap
     counts admitted candidates, the deadline is wall-clock, and crossing
     either raises :class:`SearchBudgetExceeded`.  The enumerator checks
-    its deadline inside the combination loop, so a run of rejected
-    combinations cannot outlast it.
+    its deadline inside its loop over rf picks and combinations, so a run
+    of rf picks that meet no RMW-atomic co pick cannot outlast it.
     """
     backend = backend or default_backend()
     if backend == "solver":
@@ -162,8 +166,10 @@ def allowed_results_by_model(
     checks every model against each: every model's axiom graphs are built
     once per program, and a graph several models share (WO-DRF0's is
     SC's or COHERENCE's; TSO's coherence axiom is COHERENCE's) is checked
-    once per candidate.  The budget is the per-model one: the cap counts
-    each model's admitted candidates, the deadline covers the pass.
+    once per candidate, in one :class:`AcyclicityCheck` pass that builds
+    the candidate's rf, co and fr edges once for all of them.  The budget
+    is the per-model one: the cap counts each model's admitted
+    candidates, the deadline covers the pass.
     """
     models = list(models)
     backend = backend or default_backend()
@@ -184,12 +190,13 @@ def allowed_results_by_model(
         ]
         for model in models
     ]
+    check = AcyclicityCheck(layout, list(graphs))
     admitted = [0] * len(models)
     results: List[set] = [set() for _ in models]
     for candidate in enumerate_candidates(
         program, _deadline_check(program, config)
     ):
-        holds = [_graph_allows(candidate, graph) for graph in graphs]
+        holds = check.holds(candidate)
         result = None
         for k, indices in enumerate(model_graphs):
             if all(holds[i] for i in indices):

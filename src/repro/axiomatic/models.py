@@ -41,7 +41,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 from repro.axiomatic.candidates import Candidate
 from repro.axiomatic.events import Event, EventLayout, FenceMarker
-from repro.core.relations import Relation
 from repro.machine.program import Program
 
 
@@ -128,41 +127,86 @@ def _candidate_layout(candidate: Candidate) -> EventLayout:
     return layout
 
 
-def _rf_edges(candidate: Candidate) -> List[Tuple[int, int]]:
-    return [
-        (src, read_uid)
-        for read_uid, src in candidate.rf.items()
-        if src is not None and src != read_uid
-    ]
+def _kahn(
+    po_succ: Sequence[Sequence[int]],
+    po_indeg: Sequence[int],
+    edges: Iterable[Tuple[int, int]],
+) -> bool:
+    """True when a static adjacency plus ``edges`` is acyclic.
+
+    Kahn's in-degree count over nodes ``0..n-1``: the union is acyclic
+    exactly when every node can be peeled off once its in-degree is 0.
+    ``po_succ`` and ``po_indeg`` are left untouched.
+    """
+    succ = [list(targets) for targets in po_succ]
+    indeg = list(po_indeg)
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    ready = [node for node, degree in enumerate(indeg) if not degree]
+    for node in ready:  # grows while it is walked
+        for target in succ[node]:
+            indeg[target] -= 1
+            if not indeg[target]:
+                ready.append(target)
+    return len(ready) == len(indeg)
 
 
-def _co_edges(candidate: Candidate) -> List[Tuple[int, int]]:
-    edges = []
-    for order in candidate.co.values():
-        for a, b in zip(order, order[1:]):
-            edges.append((a, b))
-    return edges
+class AcyclicityCheck:
+    """Which of a program's axiom graphs a candidate keeps acyclic.
 
+    Built once per program: each graph's po edges become an adjacency
+    list over the layout's event uids, which must be dense (``0..n-1``,
+    as :func:`~repro.axiomatic.events.extract_layout` numbers them).
+    :meth:`holds` then builds a candidate's rf, co and fr edges once --
+    and TSO's external-rf subset once, if a graph asks for it -- and runs
+    :func:`_kahn` once per graph over its po edges plus those.
+    """
 
-def _acyclic(edge_groups: Iterable[Iterable[Tuple[int, int]]]) -> bool:
-    relation = Relation()
-    for edges in edge_groups:
-        for a, b in edges:
-            relation.add(a, b)
-    return relation.is_acyclic()
+    def __init__(
+        self, layout: EventLayout, graphs: Sequence[AxiomGraph]
+    ) -> None:
+        n = len(layout.events)
+        if sorted(e.uid for e in layout.events) != list(range(n)):
+            raise ValueError("axiom graphs need dense event uids 0..n-1")
+        self._proc = [0] * n
+        for event in layout.events:
+            self._proc[event.uid] = event.proc
+        self._external = any(graph.external_rf_only for graph in graphs)
+        self._po: List[Tuple[List[List[int]], List[int], bool]] = []
+        for graph in graphs:
+            succ: List[List[int]] = [[] for _ in range(n)]
+            indeg = [0] * n
+            for a, b in graph.po_pairs:
+                succ[a].append(b)
+                indeg[b] += 1
+            self._po.append((succ, indeg, graph.external_rf_only))
+
+    def holds(self, candidate: Candidate) -> List[bool]:
+        """One verdict per graph, in order: True when acyclic."""
+        co_fr: List[Tuple[int, int]] = []
+        for order in candidate.co.values():
+            co_fr.extend(zip(order, order[1:]))
+        co_fr.extend(candidate.fr_edges())
+        rf = [
+            (src, read)
+            for read, src in candidate.rf.items()
+            if src is not None and src != read
+        ]
+        dynamic = co_fr + rf
+        if self._external:
+            proc = self._proc
+            external = co_fr + [(a, b) for a, b in rf if proc[a] != proc[b]]
+        return [
+            _kahn(succ, indeg, external if external_rf_only else dynamic)
+            for succ, indeg, external_rf_only in self._po
+        ]
 
 
 def _graph_allows(candidate: Candidate, graph: AxiomGraph) -> bool:
-    rf = _rf_edges(candidate)
-    if graph.external_rf_only:
-        rf = [
-            (src, read_uid)
-            for (src, read_uid) in rf
-            if candidate.event(src).proc != candidate.event(read_uid).proc
-        ]
-    return _acyclic(
-        [graph.po_pairs, rf, _co_edges(candidate), candidate.fr_edges()]
-    )
+    """One graph on one candidate: :class:`AcyclicityCheck`'s simplest case."""
+    check = AcyclicityCheck(_candidate_layout(candidate), [graph])
+    return check.holds(candidate)[0]
 
 
 class AxiomaticModel:

@@ -11,6 +11,7 @@ built on top of it (shrinking, minimization, cross-checks).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 
@@ -35,8 +36,12 @@ from repro.axiomatic import (
     solve_candidates,
     well_formed_candidates,
 )
-from repro.axiomatic.candidates import _resolve
+from repro.axiomatic import candidates as candidates_module
+from repro.axiomatic.candidates import BUDGET_CHECK_INTERVAL, _resolve
 from repro.axiomatic.checker import outcome_table
+from repro.axiomatic.events import EventLayout
+from repro.axiomatic.models import AcyclicityCheck, _graph_allows
+from repro.core.relations import Relation
 from repro.core.sc import sc_results
 from repro.litmus.catalog import all_tests, store_buffer, tas_mutex
 from repro.machine.dsl import ThreadBuilder, build_program
@@ -133,6 +138,27 @@ def _tas_program(n):
     return build_program(threads, name=f"tas{n}")
 
 
+def _rmw_dependent_program():
+    """RMWs beside stores whose values depend on earlier reads, one of
+    them the value an RMW read, plus a load-buffering value cycle that
+    value resolution must reject (out-of-thin-air candidates)."""
+    t0 = (
+        ThreadBuilder()
+        .test_and_set("r0", "s", set_value=1)
+        .store("x", "r0")
+        .load("r1", "y")
+        .store("z", "r1")
+    )
+    t1 = (
+        ThreadBuilder()
+        .load("r2", "z")
+        .store("y", "r2")
+        .test_and_set("r3", "s", set_value=2)
+    )
+    t2 = ThreadBuilder().store("s", 3).load("r4", "x").store("y", 1)
+    return build_program([t0, t1, t2], name="rmw-dep")
+
+
 def _assert_one_pass_matches(program, backend):
     models = _models()
     expected = {
@@ -227,10 +253,131 @@ class TestEnumeratorReference:
             checked += 1
         assert checked >= 17
 
+    def test_rmw_programs(self):
+        """tas5 (120 candidates among 933,120 combinations), and RMWs
+        mixed with read-dependent stores and a value cycle."""
+        self._assert_same(_tas_program(5))
+        program = _rmw_dependent_program()
+        self._assert_same(program)
+        assert sum(1 for _ in enumerate_candidates(program)) > 0
+
     @pytest.mark.parametrize("chunk", range(2))
     def test_generated_corpus(self, chunk):
         for seed in range(chunk * 100, chunk * 100 + 100):
             self._assert_same(random_program(seed))
+
+
+class TestRmwFilter:
+    """The enumerator hands :func:`_resolve` only RMW-atomic (rf, co)
+    pairs, and its budget hook still counts the rf picks it skips."""
+
+    @pytest.mark.parametrize(
+        "name, expected", [("tas5", 120), ("fuzz-34", 1152)]
+    )
+    def test_resolve_runs_once_per_candidate(self, monkeypatch, name, expected):
+        program = _tas_program(5) if name == "tas5" else random_program(34)
+        assert program.name == name
+        calls = []
+
+        def counting(*args, **kwargs):
+            candidate = _resolve(*args, **kwargs)
+            calls.append(candidate is not None)
+            return candidate
+
+        monkeypatch.setattr(candidates_module, "_resolve", counting)
+        assert sum(1 for _ in enumerate_candidates(program)) == expected
+        # The unfiltered product calls it 933,120 and 73,728 times.
+        assert calls == [True] * expected
+
+    def test_budget_hook_counts_skipped_rf_picks(self):
+        """tas5 has 6**5 = 7,776 rf picks; 120 meet one co pick each and
+        the other 7,656 meet none.  Every pick is one step, so the hook
+        fires at steps 0, 256, ..., 7,680."""
+        calls = []
+        count = sum(
+            1
+            for _ in enumerate_candidates(
+                _tas_program(5), lambda: calls.append(1)
+            )
+        )
+        assert count == 120
+        assert len(calls) == -(-6**5 // BUDGET_CHECK_INTERVAL) == 31
+
+
+def _distinct_graphs(program, layout):
+    graphs = {}
+    for model in _models():
+        for graph in model.axiom_graphs(program, layout):
+            graphs.setdefault(graph, None)
+    return list(graphs)
+
+
+def _relation_acyclic(candidate, graph):
+    """Reference: one :class:`Relation` over the graph's po pairs and the
+    candidate's rf (cross-processor only for TSO's graph), co and fr."""
+    relation = Relation()
+    for a, b in graph.po_pairs:
+        relation.add(a, b)
+    for read, src in candidate.rf.items():
+        if src is None or src == read:
+            continue
+        if graph.external_rf_only and (
+            candidate.event(src).proc == candidate.event(read).proc
+        ):
+            continue
+        relation.add(src, read)
+    for order in candidate.co.values():
+        for a, b in zip(order, order[1:]):
+            relation.add(a, b)
+    for a, b in candidate.fr_edges():
+        relation.add(a, b)
+    return relation.is_acyclic()
+
+
+class TestAcyclicityCheck:
+    """Kahn's count over shared edges == ``Relation.is_acyclic`` on every
+    pair of candidate and distinct axiom graph."""
+
+    def _verdicts(self, programs):
+        seen = set()
+        for program in programs:
+            try:
+                layout = extract_layout(program)
+            except UnsupportedProgram:
+                continue
+            graphs = _distinct_graphs(program, layout)
+            check = AcyclicityCheck(layout, graphs)
+            for candidate in enumerate_candidates(program):
+                expected = [_relation_acyclic(candidate, g) for g in graphs]
+                assert check.holds(candidate) == expected, program.name
+                assert [
+                    _graph_allows(candidate, g) for g in graphs
+                ] == expected, program.name
+                seen.update(expected)
+        return seen
+
+    def test_catalog_and_tas(self):
+        programs = [t.program for t in all_tests()] + [_tas_program(4)]
+        assert self._verdicts(programs) == {True, False}
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_generated_corpus(self, chunk):
+        seeds = range(chunk * 100, chunk * 100 + 100)
+        programs = [random_program(seed) for seed in seeds]
+        assert self._verdicts(programs) == {True, False}
+
+    def test_sparse_uids_rejected(self):
+        layout = extract_layout(store_buffer().program)
+        shifted = EventLayout(
+            tuple(
+                dataclasses.replace(e, uid=e.uid + 1) for e in layout.events
+            )
+        )
+        with pytest.raises(ValueError):
+            AcyclicityCheck(
+                shifted,
+                SCModel().axiom_graphs(store_buffer().program, layout),
+            )
 
 
 class TestWellFormedCandidates:
@@ -294,19 +441,21 @@ class TestBudgets:
 
     @pytest.mark.parametrize("one_pass", [False, True])
     def test_enumerator_deadline_fires_among_rejections(self, one_pass):
-        """tas6 enumerates for minutes, almost all of it over combinations
-        that break RMW atomicity; the deadline must still fire on time."""
-        program = _tas_program(6)
-        config = SolverConfig(max_seconds=0.05)
-        start = time.monotonic()
-        with pytest.raises(SearchBudgetExceeded):
-            if one_pass:
-                allowed_results_by_model(
-                    program, _models(), "enumerator", config
-                )
-            else:
-                allowed_results(program, SCModel(), "enumerator", config)
-        assert time.monotonic() - start < 1.0
+        """Almost every rf pick of tas6 (720 candidates among 7**6 picks)
+        and tas7 (5,040 among 8**7, seconds to exhaust) meets no co pick
+        it is atomic with; the deadline must still fire on time."""
+        for n in (6, 7):
+            program = _tas_program(n)
+            config = SolverConfig(max_seconds=0.05)
+            start = time.monotonic()
+            with pytest.raises(SearchBudgetExceeded):
+                if one_pass:
+                    allowed_results_by_model(
+                        program, _models(), "enumerator", config
+                    )
+                else:
+                    allowed_results(program, SCModel(), "enumerator", config)
+            assert time.monotonic() - start < 1.0, program.name
 
 
 class TestTargetMode:
