@@ -180,9 +180,7 @@ def enumerate_candidates(
         ]
         for loc in locations
     ]
-    co_groups: List[
-        Dict[RmwKey, List[Tuple[Tuple[int, ...], Dict[int, int]]]]
-    ] = []
+    co_groups: List[Dict[RmwKey, list]] = []
     for loc, slots in zip(locations, rmw_slots):
         groups: Dict[RmwKey, list] = {}
         for perm in itertools.permutations(
