@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import time
 
 import pytest
@@ -274,7 +275,9 @@ class TestRmwFilter:
     @pytest.mark.parametrize(
         "name, expected", [("tas5", 120), ("fuzz-34", 1152)]
     )
-    def test_resolve_runs_once_per_candidate(self, monkeypatch, name, expected):
+    def test_resolve_runs_once_per_candidate(
+        self, monkeypatch, name, expected
+    ):
         program = _tas_program(5) if name == "tas5" else random_program(34)
         assert program.name == name
         calls = []
@@ -301,7 +304,7 @@ class TestRmwFilter:
             )
         )
         assert count == 120
-        assert len(calls) == -(-6**5 // BUDGET_CHECK_INTERVAL) == 31
+        assert len(calls) == math.ceil(6**5 / BUDGET_CHECK_INTERVAL) == 31
 
 
 def _distinct_graphs(program, layout):
