@@ -21,6 +21,13 @@ import time
 from typing import Any, Dict, List, Optional
 
 
+#: Longest the daemon holds one ``GET /campaigns/<id>?wait=S`` before it
+#: answers.  It stays below the socket timeout of every client in this
+#: repository (perfbench builds its client with 5 s), so a held request
+#: never reads as an unreachable daemon.
+MAX_WAIT_S = 3.0
+
+
 class ServiceError(RuntimeError):
     """An HTTP-level failure talking to the daemon."""
 
@@ -173,15 +180,27 @@ class ServiceClient:
         timeout: float = 300.0,
         poll: float = 0.2,
     ) -> dict:
-        """Poll until the campaign reaches a terminal state."""
+        """Wait until the campaign reaches a terminal state.
+
+        Each request asks the daemon to hold its answer until the
+        campaign ends, for at most :data:`MAX_WAIT_S`.  A non-terminal
+        answer that comes back sooner (a draining daemon answers at
+        once) is asked again no sooner than ``poll`` seconds after the
+        previous request went out.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            info = self.campaign(campaign_id)
+            asked = time.monotonic()
+            hold = min(max(deadline - asked, 0.0), MAX_WAIT_S)
+            info = self._request(
+                "GET", f"/campaigns/{campaign_id}?wait={hold:.3f}"
+            )
             if info.get("state") in ("done", "failed"):
                 return info
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now > deadline:
                 raise ServiceError(
                     f"campaign {campaign_id} still {info.get('state')!r} "
                     f"after {timeout:.0f}s"
                 )
-            time.sleep(poll)
+            time.sleep(max(0.0, asked + poll - now))

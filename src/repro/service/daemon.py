@@ -56,6 +56,7 @@ from repro.obs.stream import prune_spool_dir
 from repro.obs.tracer import now_us
 from repro.service import protocol
 from repro.service.campaigns import CampaignError, CampaignSpec
+from repro.service.client import MAX_WAIT_S
 from repro.service.fleet import Fleet
 from repro.service.protocol import Request, Response, json_response
 from repro.service.supervisor import (
@@ -150,6 +151,8 @@ class CampaignDaemon:
         self._draining = False
         self._wake: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
+        #: campaign id -> event that answers its held status requests.
+        self._settled: Dict[str, asyncio.Event] = {}
         self.bound_port: Optional[int] = None
 
     def _bump(self, key: str, n: int = 1) -> None:
@@ -359,7 +362,7 @@ class CampaignDaemon:
 
     # -- HTTP surface ----------------------------------------------------
 
-    def _handle(self, request: Request) -> Response:
+    async def _handle(self, request: Request) -> Response:
         path = request.path.rstrip("/") or "/"
         if path == "/healthz" and request.method == "GET":
             return self._get_health()
@@ -382,7 +385,7 @@ class CampaignDaemon:
             if request.method != "GET":
                 return json_response(405, {"error": "GET only"})
             if not leaf:
-                return self._get_campaign(cid)
+                return await self._get_campaign(cid, request.query.get("wait"))
             if leaf == "result":
                 return self._get_result(cid)
             if leaf == "events":
@@ -480,7 +483,31 @@ class CampaignDaemon:
             {"campaigns": [self._campaign_info(cid) for cid in self.order]},
         )
 
-    def _get_campaign(self, cid: str) -> Response:
+    async def _get_campaign(self, cid: str, wait: Optional[str]) -> Response:
+        """One campaign's info; with ``wait=S``, answered once the campaign
+        is terminal, after ``min(S, MAX_WAIT_S)`` seconds, or at a drain,
+        whichever comes first."""
+        if wait is not None:
+            try:
+                seconds = float(wait)
+            except ValueError:
+                seconds = -1.0
+            if not seconds >= 0:  # NaN fails this too
+                return json_response(
+                    400, {"error": f"wait must be seconds >= 0, not {wait!r}"}
+                )
+            if (
+                seconds
+                and not self._draining
+                and self.records[cid].state not in (DONE, FAILED)
+            ):
+                settled = self._settled.setdefault(cid, asyncio.Event())
+                try:
+                    await asyncio.wait_for(
+                        settled.wait(), min(seconds, MAX_WAIT_S)
+                    )
+                except asyncio.TimeoutError:
+                    pass
         return json_response(200, self._campaign_info(cid))
 
     def _get_result(self, cid: str) -> Response:
@@ -511,6 +538,13 @@ class CampaignDaemon:
 
     # -- lifecycle -------------------------------------------------------
 
+    def _settle(self, cids: List[str]) -> None:
+        """Answer the status requests held on ``cids`` (loop thread)."""
+        for cid in cids:
+            event = self._settled.pop(cid, None)
+            if event is not None:
+                event.set()
+
     def _begin_drain(self) -> None:
         if self._draining:
             return
@@ -518,6 +552,8 @@ class CampaignDaemon:
         self.stop_event.set()
         if self._wake is not None:
             self._wake.set()
+        # The server's close waits for open connections on Python 3.12.
+        self._settle(list(self._settled))
 
     async def _runner(self) -> None:
         """Sequential campaign consumer (runs campaigns off-loop)."""
@@ -537,6 +573,7 @@ class CampaignDaemon:
                 continue
             self.records[next_id].state = RUNNING
             await loop.run_in_executor(None, self._run_campaign, next_id)
+            self._settle([next_id])
         self._drained.set()
 
     async def _main(self) -> None:

@@ -89,6 +89,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import queue
 import signal
 import time
 from contextlib import contextmanager
@@ -514,6 +515,10 @@ def _now_us() -> int:
 #: Sentinel marking a task slot whose value has not been produced yet.
 _UNSET = object()
 
+#: Longest the pooled loop sleeps with no completion: the cadence of its
+#: task-timeout and worker-death checks.
+_WAKE_S = 0.02
+
 #: Process-wide telemetry batch counter: every :meth:`_Session.map` call
 #: gets a fresh batch id so ``batch:index`` task keys are unique across
 #: all engines sharing one campaign monitor (chaos runs several).
@@ -563,9 +568,8 @@ class _Session:
         #: with ``terminate`` instead.
         self.abandoned_handles = 0
         #: Wall seconds per task of the last :meth:`map` call, task-order
-        #: aligned (pooled tasks: submit-to-ready of the final attempt,
-        #: so includes ~20ms polling slack -- a scheduling signal, not a
-        #: benchmark).  Feeds the store's cost records.
+        #: aligned (pooled tasks: submit to fold of the final attempt, the
+        #: IPC round trip included).  Feeds the store's cost records.
         self.task_seconds: List[float] = []
 
     def _pool_pids(self) -> Set[int]:
@@ -652,18 +656,26 @@ class _Session:
         """Pooled evaluation that survives slow, crashed, and lying workers.
 
         At most ``jobs`` tasks are in flight at a time (so a per-task
-        timeout measures actual execution, not queueing).  Lease
-        bookkeeping -- generations, retry budgets, exponential backoff,
-        and the exactly-once failure dedupe -- lives in
-        :class:`~repro.verify.leases.TaskBoard`; this loop only moves
-        handles.  A task is resubmitted when it times out, when its
+        timeout measures actual execution, not queueing).  Each
+        submission carries pool callbacks that put ``(index, gen, ok,
+        value)`` on one queue; the loop blocks on that queue and folds
+        every completion as it arrives, whichever worker sent it.  The
+        value travels in the callback because the pool runs a callback
+        before it marks the handle ready.  The wait is bounded at
+        ``_WAKE_S``, so timeouts and worker deaths are checked at least
+        that often.  Lease bookkeeping -- generations, retry budgets,
+        exponential backoff, and the exactly-once failure dedupe --
+        lives in :class:`~repro.verify.leases.TaskBoard`; this loop only
+        moves leases.  A task is resubmitted when it times out, when its
         worker raises, or when a pool worker dies *unattributed* while
         it is in flight (the board's crash credits attribute a worker
         death to an already-handled timeout, so one wedged worker no
         longer charges a task twice -- once at timeout, once when the
-        corpse is noticed).  A task that exhausts ``max_task_retries``
-        resubmissions is executed in the parent: the sweep always
-        terminates with the exact serial output.
+        corpse is noticed).  A completion whose ``(index, gen)`` is no
+        longer in flight belongs to an abandoned lease and is dropped.
+        A task that exhausts ``max_task_retries`` resubmissions is
+        executed in the parent: the sweep always terminates with the
+        exact serial output.
         """
         engine = self._engine
         timeout = engine.task_timeout if engine is not None else None
@@ -679,9 +691,16 @@ class _Session:
             counters=counters,
         )
         results: List[object] = [_UNSET] * len(tasks)
-        #: index -> (async handle, submit monotonic, lease generation)
-        inflight: Dict[int, Tuple[object, float, int]] = {}
+        #: index -> (submit monotonic, lease generation)
+        inflight: Dict[int, Tuple[float, int]] = {}
+        #: (index, gen, ok, value) from the pool's result-handler thread.
+        completions = queue.SimpleQueue()
         batch = next(_TELEMETRY_BATCH)
+
+        def reply_to(
+            index: int, gen: int, ok: bool
+        ) -> Callable[[object], None]:
+            return lambda value: completions.put((index, gen, ok, value))
 
         def finish(
             index: int, value: object, seconds: float = 0.0
@@ -703,6 +722,16 @@ class _Session:
             if board.fail(index, gen, kind, time.monotonic()) == DEGRADE:
                 run_serial(index, board.attempts.get(index, 0))
 
+        def fold(index: int, gen: int, ok: bool, value: object) -> None:
+            lease = inflight.get(index)
+            if lease is None or lease[1] != gen:
+                return  # late reply for an abandoned lease
+            del inflight[index]
+            if not ok:
+                dispose(index, gen, "task_errors")
+            elif board.complete(index, gen):
+                finish(index, value, time.monotonic() - lease[0])
+
         while not board.finished:
             now = time.monotonic()
             while len(inflight) < jobs:
@@ -711,17 +740,20 @@ class _Session:
                     break
                 # tag attempt numbering matches the serial path: first
                 # attempt is 0, so the lease generation shifts by one.
-                tag = (batch, lease.task, lease.gen - 1)
+                index, gen = lease.task, lease.gen
                 try:
-                    handle = self._pool.apply_async(
-                        _execute_task, (tasks[lease.task], tag)
+                    self._pool.apply_async(
+                        _execute_task,
+                        (tasks[index], (batch, index, gen - 1)),
+                        callback=reply_to(index, gen, True),
+                        error_callback=reply_to(index, gen, False),
                     )
                 except Exception:
                     # The pool itself is unusable; finish in-process.
                     board.bump("degraded_to_serial")
-                    run_serial(lease.task, lease.gen - 1)
+                    run_serial(index, gen - 1)
                     continue
-                inflight[lease.task] = (handle, now, lease.gen)
+                inflight[index] = (now, gen)
             if not inflight:
                 if board.finished:
                     break
@@ -740,8 +772,15 @@ class _Session:
                 time.sleep(min(max(not_before - time.monotonic(), 0), 0.05))
                 continue
 
-            # Wait briefly on one handle, then scan them all.
-            next(iter(inflight.values()))[0].wait(0.02)
+            # Sleep until any task lands (or _WAKE_S passes), then fold
+            # every completion already queued.
+            try:
+                reply = completions.get(timeout=_WAKE_S)
+                while True:
+                    fold(*reply)
+                    reply = completions.get_nowait()
+            except queue.Empty:
+                pass
             obs_stream.parent_poll()
 
             pids = self._pool_pids()
@@ -749,27 +788,16 @@ class _Session:
             if pids:
                 self._worker_pids = pids
 
-            for index in list(inflight):
-                handle, submitted, gen = inflight[index]
-                if handle.ready():
-                    del inflight[index]
-                    try:
-                        value = handle.get()
-                    except Exception:
-                        dispose(index, gen, "task_errors")
-                    else:
-                        if board.complete(index, gen):
-                            finish(index, value, time.monotonic() - submitted)
-                elif (
-                    timeout is not None
-                    and time.monotonic() - submitted > timeout
-                ):
-                    del inflight[index]
-                    self.abandoned_handles += 1
-                    # The worker holding this lease is presumed wedged:
-                    # its eventual death is this same incident.
-                    board.bank_crash_credit()
-                    dispose(index, gen, "task_timeouts")
+            if timeout is not None:
+                expired = time.monotonic() - timeout
+                for index, (submitted, gen) in list(inflight.items()):
+                    if submitted < expired:
+                        del inflight[index]
+                        self.abandoned_handles += 1
+                        # The worker holding this lease is presumed
+                        # wedged: its eventual death is this same incident.
+                        board.bank_crash_credit()
+                        dispose(index, gen, "task_timeouts")
 
             if deaths:
                 board.bump("worker_crashes", deaths)
@@ -779,7 +807,7 @@ class _Session:
                     # lease (purity makes duplicates safe, the board's
                     # (task, gen) dedupe makes the charges exactly-once).
                     for index in list(inflight):
-                        _handle, _submitted, gen = inflight.pop(index)
+                        _submitted, gen = inflight.pop(index)
                         self.abandoned_handles += 1
                         dispose(index, gen, "")
         return results

@@ -8,6 +8,7 @@ output is bit-for-bit what the undisturbed serial engine produces.
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.verify import (
     VerificationEngine,
     sweep_signature,
 )
+from repro.verify import engine as engine_module
+from repro.verify.engine import _TaskContext
 
 PROGRAM_NAMES = ("MP+sync", "SB")
 POLICY_NAMES = ("sc", "adve-hill")
@@ -100,6 +103,86 @@ class TestFailpointRecovery:
         # Token path unopenable -> failpoint never fires; run is clean but
         # the retry budget of zero must not break the normal path.
         assert _rows(_sweep(engine)) == reference_rows
+
+
+def _in_worker() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+def _held_oldest_task(task, tag=None):
+    """Stand-in for ``_execute_task`` on ``("held", index, token)``: in a
+    pool worker, task 0 blocks until ``token`` exists (at most 10 s)."""
+    _kind, index, token = task
+    if index == 0 and _in_worker():
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(token) and time.monotonic() < deadline:
+            time.sleep(0.001)
+    return index * 3
+
+
+def _late_first_attempt_task(task, tag=None):
+    """Stand-in for ``_execute_task`` on ``("late", index, pause)``: in a
+    pool worker, task 0's first attempt sleeps 1.5 s and then returns;
+    every other attempt sleeps ``pause``."""
+    _kind, index, pause = task
+    if _in_worker():
+        time.sleep(1.5 if index == 0 and tag[2] == 0 else pause)
+    return index * 3
+
+
+@pool_available
+class TestCompletionWake:
+    def test_younger_completions_fold_while_oldest_blocks(
+        self, monkeypatch, tmp_path
+    ):
+        # Task 0 holds one worker until its 50 younger tasks have folded.
+        # A loop that sleeps out its wake interval on the oldest handle
+        # before each of those folds takes at least 50 x 20 ms.
+        token = str(tmp_path / "release")
+        tasks = [("held", index, token) for index in range(51)]
+        landed = []
+
+        def on_result(index, task, value):
+            landed.append(index)
+            if len(landed) == 50:
+                open(token, "w").close()
+
+        monkeypatch.setattr(engine_module, "_execute_task", _held_oldest_task)
+        engine = VerificationEngine(jobs=2)
+        with engine._session(_TaskContext()) as session:
+            start = time.monotonic()
+            values = session.map(tasks, on_result)
+            elapsed = time.monotonic() - start
+        assert values == [index * 3 for index in range(51)]
+        assert sorted(landed) == list(range(51))
+        assert landed[-1] == 0
+        assert elapsed < 0.5, f"map took {elapsed:.3f}s"
+
+    def test_late_reply_of_abandoned_lease_is_dropped(self, monkeypatch):
+        # Task 0's first attempt outlives task_timeout and is resubmitted;
+        # its reply still arrives 1.5 s in, while 40 x 50 ms of younger
+        # work keeps the map running, and must not fold a second time.
+        tasks = [("late", index, 0.05) for index in range(41)]
+        monkeypatch.setattr(
+            engine_module, "_execute_task", _late_first_attempt_task
+        )
+        with VerificationEngine(jobs=1)._session(_TaskContext()) as serial:
+            expected = serial.map(tasks)
+        engine = VerificationEngine(jobs=2, task_timeout=0.5)
+        landed = []
+        with engine._session(_TaskContext()) as session:
+            start = time.monotonic()
+            values = session.map(
+                tasks, lambda index, task, value: landed.append(index)
+            )
+            elapsed = time.monotonic() - start
+            abandoned = session.abandoned_handles
+        assert values == expected
+        assert sorted(landed) == list(range(41))
+        assert elapsed > 1.5  # the late reply landed inside the map
+        assert engine.resilience["task_timeouts"] >= 1
+        assert engine.resilience.get("duplicate_completions", 0) == 0
+        assert abandoned > 0  # so the session terminated the pool
 
 
 class TestJournalResume:

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -337,6 +338,86 @@ def test_daemon_reclaims_wedged_worker_lease(tmp_path):
         assert counters["engine.service.tasks_retried"] >= 1
         assert counters["engine.service.workers_killed"] >= 1
         assert counters["engine.service.workers_replaced"] >= 1
+    finally:
+        _stop_daemon(proc, state)
+
+
+class _CountingClient(ServiceClient):
+    """A client that records the path of every request it sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.paths = []
+
+    def _request(self, method, path, payload=None):
+        self.paths.append(path)
+        return super()._request(method, path, payload)
+
+
+def _wedged_spec(token):
+    return dict(
+        SMALL_SPEC,
+        failpoints=[{"task_kind": "run", "mode": "hang", "token": str(token)}],
+    )
+
+
+def test_wait_is_answered_when_the_campaign_ends(tmp_path):
+    """``wait`` holds its status request on the daemon until the campaign
+    is terminal.  A wedged run task keeps this campaign going until its
+    1 s lease timeout; polling every 200 ms would take one request per
+    200 ms, a held request sees it done in at most two."""
+    state = tmp_path / "svc"
+    proc = _daemon_proc(state, workers=2, task_timeout=1.0)
+    try:
+        endpoint = _wait_endpoint(state, proc)
+        client = _CountingClient(endpoint.host, endpoint.port)
+        cid = client.submit(_wedged_spec(tmp_path / "wedge-token"))["id"]
+        start = time.monotonic()
+        info = client.wait(cid, timeout=180.0)
+        elapsed = time.monotonic() - start
+        assert info["state"] == "done"
+        assert elapsed > 0.5
+        polls = [
+            path for path in client.paths
+            if path.partition("?")[0] == f"/campaigns/{cid}"
+        ]
+        assert 1 <= len(polls) <= 2, polls
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/campaigns/{cid}?wait=soon")
+        assert excinfo.value.status == 400
+    finally:
+        _stop_daemon(proc, state)
+
+
+def test_drain_answers_held_status_requests(tmp_path):
+    """A drain answers every held ``?wait=`` request at once (with the
+    campaign's non-terminal state), so the server can close."""
+    state = tmp_path / "svc"
+    token = tmp_path / "wedge-token"
+    proc = _daemon_proc(state, workers=2, task_timeout=60.0)
+    try:
+        client = _wait_endpoint(state, proc)
+        cid = client.submit(_wedged_spec(token))["id"]
+        deadline = time.monotonic() + 60.0
+        while not token.exists():
+            assert time.monotonic() < deadline, "campaign never started"
+            time.sleep(0.02)
+        answers = []
+        holder = threading.Thread(
+            target=lambda: answers.append(
+                client._request("GET", f"/campaigns/{cid}?wait=3")
+            )
+        )
+        holder.start()
+        time.sleep(0.3)  # the request reaches the daemon and is held
+        start = time.monotonic()
+        client.shutdown()
+        holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert time.monotonic() - start < 2.0
+        assert [answer["state"] for answer in answers] == ["running"]
+        proc.join(timeout=30.0)
+        assert proc.exitcode == 0
     finally:
         _stop_daemon(proc, state)
 
