@@ -89,7 +89,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue
 import signal
 import time
 from contextlib import contextmanager
@@ -656,14 +655,12 @@ class _Session:
         """Pooled evaluation that survives slow, crashed, and lying workers.
 
         At most ``jobs`` tasks are in flight at a time (so a per-task
-        timeout measures actual execution, not queueing).  Each
-        submission carries pool callbacks that put ``(index, gen, ok,
-        value)`` on one queue; the loop blocks on that queue and folds
-        every completion as it arrives, whichever worker sent it.  The
-        value travels in the callback because the pool runs a callback
-        before it marks the handle ready.  The wait is bounded at
-        ``_WAKE_S``, so timeouts and worker deaths are checked at least
-        that often.  Lease bookkeeping -- generations, retry budgets,
+        timeout measures actual execution, not queueing).  Each task's
+        pool callbacks put ``(index, gen, ok, value)`` on one queue --
+        the value itself, since the pool runs a callback before it marks
+        the handle ready -- and the loop folds every completion as it
+        arrives, waking at least every ``_WAKE_S`` to check timeouts and
+        worker deaths.  Lease bookkeeping -- generations, retry budgets,
         exponential backoff, and the exactly-once failure dedupe --
         lives in :class:`~repro.verify.leases.TaskBoard`; this loop only
         moves leases.  A task is resubmitted when it times out, when its
@@ -671,12 +668,15 @@ class _Session:
         it is in flight (the board's crash credits attribute a worker
         death to an already-handled timeout, so one wedged worker no
         longer charges a task twice -- once at timeout, once when the
-        corpse is noticed).  A completion whose ``(index, gen)`` is no
-        longer in flight belongs to an abandoned lease and is dropped.
-        A task that exhausts ``max_task_retries`` resubmissions is
-        executed in the parent: the sweep always terminates with the
-        exact serial output.
+        corpse is noticed); a late reply of such an abandoned lease is
+        dropped.  A task that exhausts ``max_task_retries``
+        resubmissions is executed in the parent: the sweep always
+        terminates with the exact serial output.
         """
+        # The pool has imported ``queue`` already; a module-level import
+        # would add it to the start-up of every run that forks no pool.
+        import queue
+
         engine = self._engine
         timeout = engine.task_timeout if engine is not None else None
         max_retries = engine.max_task_retries if engine is not None else 2

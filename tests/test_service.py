@@ -389,6 +389,25 @@ def test_wait_is_answered_when_the_campaign_ends(tmp_path):
         _stop_daemon(proc, state)
 
 
+def test_wait_paces_early_non_terminal_answers():
+    """A daemon that answers at once (a draining one) gets at most one
+    status request per ``poll`` from ``wait``, not a busy loop."""
+
+    class _AnswersAtOnce(ServiceClient):
+        def __init__(self):
+            super().__init__()
+            self.paths = []
+
+        def _request(self, method, path, payload=None):
+            self.paths.append(path)
+            return {"state": "running"}
+
+    client = _AnswersAtOnce()
+    with pytest.raises(ServiceError, match="still 'running'"):
+        client.wait("c1", timeout=0.5, poll=0.1)
+    assert 2 <= len(client.paths) <= 7, client.paths
+
+
 def test_drain_answers_held_status_requests(tmp_path):
     """A drain answers every held ``?wait=`` request at once (with the
     campaign's non-terminal state), so the server can close."""
