@@ -369,8 +369,8 @@ def test_wait_is_answered_when_the_campaign_ends(tmp_path):
     state = tmp_path / "svc"
     proc = _daemon_proc(state, workers=2, task_timeout=1.0)
     try:
-        endpoint = _wait_endpoint(state, proc)
-        client = _CountingClient(endpoint.host, endpoint.port)
+        bound = _wait_endpoint(state, proc)
+        client = _CountingClient(bound.host, bound.port)
         cid = client.submit(_wedged_spec(tmp_path / "wedge-token"))["id"]
         start = time.monotonic()
         info = client.wait(cid, timeout=180.0)
