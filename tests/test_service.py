@@ -409,14 +409,17 @@ def test_wait_paces_early_non_terminal_answers():
 
 
 def test_drain_answers_held_status_requests(tmp_path):
-    """A drain answers every held ``?wait=`` request at once (with the
-    campaign's non-terminal state), so the server can close."""
+    """A drain answers every held ``?wait=`` request at once, so the
+    server can close.  The request here is held on a campaign queued
+    behind a wedged one; nothing but the drain would answer it before
+    its 3 s hold runs out."""
     state = tmp_path / "svc"
     token = tmp_path / "wedge-token"
     proc = _daemon_proc(state, workers=2, task_timeout=60.0)
     try:
         client = _wait_endpoint(state, proc)
-        cid = client.submit(_wedged_spec(token))["id"]
+        client.submit(_wedged_spec(token))
+        queued = client.submit(SMALL_SPEC)["id"]
         deadline = time.monotonic() + 60.0
         while not token.exists():
             assert time.monotonic() < deadline, "campaign never started"
@@ -424,7 +427,7 @@ def test_drain_answers_held_status_requests(tmp_path):
         answers = []
         holder = threading.Thread(
             target=lambda: answers.append(
-                client._request("GET", f"/campaigns/{cid}?wait=3")
+                client._request("GET", f"/campaigns/{queued}?wait=3")
             )
         )
         holder.start()
@@ -433,8 +436,8 @@ def test_drain_answers_held_status_requests(tmp_path):
         client.shutdown()
         holder.join(timeout=10.0)
         assert not holder.is_alive()
+        assert [answer["state"] for answer in answers] == ["queued"]
         assert time.monotonic() - start < 2.0
-        assert [answer["state"] for answer in answers] == ["running"]
         proc.join(timeout=30.0)
         assert proc.exitcode == 0
     finally:
