@@ -4,7 +4,7 @@ PR 9 added the telemetry plane: worker heartbeat spools, the campaign
 progress/ETA engine, and the atomically-replaced ``--status-json``
 snapshot.  Its promise is that watching a campaign is (nearly) free and
 *never* changes the answers.  This benchmark prices both halves on
-E15-quick-sized verification workloads:
+small verification workloads:
 
 * **disabled** -- no monitor anywhere: every instrumented hot path pays
   exactly one ``is None`` check.  Gated against the recorded baseline
@@ -90,8 +90,8 @@ def _rows_key(evidence) -> str:
 
 
 def _workloads(quick: bool) -> List[Tuple[str, Callable]]:
-    """(name, run(monitor)) rows, E15-quick sized: small enough for CI,
-    large enough that a 1% gate clears the timer noise floor."""
+    """(name, run(monitor)) rows: small enough for CI, large enough
+    that a 1% gate clears the timer noise floor."""
     seeds = range(8 if quick else 60)
     drf0_seeds = range(4 if quick else 30)
     names = ("MP+sync", "SB") if quick else ("MP+sync", "SB+sync", "SB")

@@ -281,10 +281,7 @@ def cmd_drf0(args) -> int:
     program = _resolve_program(args.name)
     tracer = _make_tracer(args)
     # The drf0 command drives the explorer directly (no engine), so the
-    # monitor plans its single cell here; shard workers spawned by
-    # --dpor --explore-jobs heartbeat into the same spool and the
-    # exploration coordinator polls them into the snapshot as the run
-    # progresses.
+    # monitor plans its single cell here.
     monitor = _make_monitor(args, f"drf0 {args.name}")
     if monitor is not None:
         monitor.claim_plan()
@@ -301,7 +298,6 @@ def cmd_drf0(args) -> int:
             cfg = ExplorationConfig(
                 sleep_sets=not args.no_sleep_sets,
                 tracer=tracer,
-                explore_jobs=args.explore_jobs,
             )
             report = check_program_dpor(program, config=cfg)
             mode = (
@@ -698,10 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-sleep-sets", action="store_true",
                    help="with --dpor: disable the sleep-set pruning layer")
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--explore-jobs", type=int, default=1,
-                   help="with --dpor: shard the exploration across N "
-                        "forked engine processes (0 = one per CPU); the "
-                        "verdict is identical to --explore-jobs 1")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="print explorer counters (states/sec, undo depth, "

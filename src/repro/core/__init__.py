@@ -34,7 +34,6 @@ from repro.core.drf0 import (
 from repro.core.execution import Execution, Result
 from repro.core.models import DRF0_MODEL, DRF1_MODEL, DRF0, DRF1, SynchronizationModel
 from repro.core.ops import Operation, conflicts
-from repro.core.parallel import ShardStats, can_fork, resolve_jobs
 from repro.core.relations import (
     Relation,
     happens_before,
@@ -69,9 +68,6 @@ __all__ = [
     "ExplorationConfig",
     "ExplorationIncomplete",
     "ExplorerStats",
-    "ShardStats",
-    "can_fork",
-    "resolve_jobs",
     "compiled_enabled",
     "compiled_program",
     "interpreted_engine",

@@ -375,14 +375,6 @@ def check_program_dpor(
     first racy representative.
     """
     config = config or ExplorationConfig()
-    if config.explore_jobs != 1:
-        from repro.core import parallel
-
-        jobs = parallel.resolve_jobs(config.explore_jobs)
-        if jobs > 1 and config.tracer is None and parallel.can_fork():
-            return parallel.parallel_check_program_dpor(
-                program, model, config, jobs
-            )
     stats = ExplorerStats()
     checked = 0
     for execution in iter_dpor_executions(program, config, stats):
@@ -414,13 +406,6 @@ def sc_results_dpor(
     commuting independent operations cannot change.  Results are folded
     from the execution stream; no execution list is materialized.
     """
-    config = config or ExplorationConfig()
-    if config.explore_jobs != 1:
-        from repro.core import parallel
-
-        jobs = parallel.resolve_jobs(config.explore_jobs)
-        if jobs > 1 and config.tracer is None and parallel.can_fork():
-            return parallel.parallel_sc_results_dpor(program, config, jobs)
     return frozenset(
         e.result() for e in iter_dpor_executions(program, config)
     )

@@ -76,31 +76,14 @@ __all__ = [
 class ExplorationCapError(RuntimeError):
     """Raised when an exploration cap is hit without ``allow_incomplete``.
 
-    Carries a snapshot of the exploration counters at the moment the cap
-    fired -- states visited, and for sharded runs the frontier and shard
-    counts -- so a capped run is diagnosable from the message alone.
+    Carries the number of states visited when the cap fired, so a
+    capped run is diagnosable from the message alone.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        states: Optional[int] = None,
-        frontier: Optional[int] = None,
-        shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, message: str, *, states: Optional[int] = None) -> None:
         self.states = states
-        self.frontier = frontier
-        self.shards = shards
-        parts = []
         if states is not None:
-            parts.append(f"states={states}")
-        if frontier is not None:
-            parts.append(f"frontier={frontier}")
-        if shards is not None:
-            parts.append(f"shards={shards}")
-        if parts:
-            message = f"{message} [{', '.join(parts)}]"
+            message = f"{message} [states={states}]"
         super().__init__(message)
 
 
@@ -131,13 +114,6 @@ class ExplorationConfig:
             engine step/undo and explorer events (timestamps are the
             engine's transition count).  ``None`` keeps the hot loop
             untouched.
-        explore_jobs: Shard this single exploration across a fork pool
-            of compiled engines (:mod:`repro.core.parallel`).  ``1``
-            (default) stays serial; ``0`` means one worker per core.
-            Only result-set/verdict-only paths shard (execution lists
-            are order-dependent); unshardable configurations fall back
-            to the serial path silently.  The DRF0 configuration search
-            (:func:`repro.core.drf0.check_program`) ignores it.
     """
 
     max_executions: Optional[int] = None
@@ -148,7 +124,6 @@ class ExplorationConfig:
     collect_executions: bool = True
     sleep_sets: bool = True
     tracer: Optional[object] = None
-    explore_jobs: int = 1
 
 
 @dataclass
@@ -173,18 +148,6 @@ def explore(
 ) -> Exploration:
     """Enumerate executions of ``program`` on the idealized architecture."""
     cfg = config or ExplorationConfig()
-    if cfg.explore_jobs != 1:
-        from repro.core import parallel
-
-        jobs = parallel.resolve_jobs(cfg.explore_jobs)
-        if (
-            jobs > 1
-            and not cfg.collect_executions
-            and cfg.max_executions is None
-            and cfg.tracer is None
-            and parallel.can_fork()
-        ):
-            return parallel.parallel_explore(program, cfg, jobs)
     # The trace is only read when executions are collected; skipping it
     # removes the Operation construction from the hot loop.
     engine = make_engine(program, record_trace=cfg.collect_executions)

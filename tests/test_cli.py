@@ -37,6 +37,21 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("module", ("repro", "repro.cli"))
+    def test_import_loads_no_fork_pool(self, module):
+        # Only the verification engine, the chaos suite and the daemon
+        # fleet use multiprocessing; the commands that run them import
+        # them on demand.
+        proc = _run_cli("-c", (
+            "import sys\n"
+            f"import {module}\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'multiprocessing'\n"
+            "             or name == 'repro.core.parallel'))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCatalogCommand:
     def test_catalog_lists_tests_and_workloads(self, capsys):

@@ -20,7 +20,7 @@ from repro.hw import POLICY_FACTORIES
 from repro.litmus.catalog import all_tests, by_name
 from repro.litmus.figures import figure3_program
 from repro.machine.dsl import ThreadBuilder, build_program
-from repro.machine.generator import random_program
+from repro.machine.generator import GeneratorConfig, random_program
 from repro.sim.system import SystemConfig, run_on_hardware
 from repro.workloads import barrier_workload, lock_workload
 
@@ -61,6 +61,38 @@ class TestMembership:
         program = store_buffer_program()
         bad = Result.build([[1], [1]], {"x": 1, "y": 1, "z": 0})
         assert not is_sc_result(program, bad)
+
+    def test_membership_spin_pumped_result(self):
+        # Regression: hardware results of spin-loop programs carry
+        # arbitrary spin counts.  The guided search has no livelock-cycle
+        # pruning (the read history bounds it): an on-path cut would
+        # sever the exact paths a pumped history needs.
+        program = by_name("MP+sync").program
+        pumped = Result(
+            reads=((), (1, 1, 0, 1)),
+            final_memory=(("flag", 0), ("x", 1)),
+        )
+        assert is_sc_result(program, pumped)
+
+    @pytest.mark.parametrize("name", ("SB", "MP+sync"))
+    def test_membership_negative(self, name):
+        program = by_name(name).program
+        impossible = Result(
+            reads=tuple(() for _ in range(program.num_procs)),
+            final_memory=tuple(
+                (loc, 77) for loc in sorted(program.initial_memory)
+            ),
+        )
+        assert not is_sc_result(program, impossible)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_membership_generated(self, seed):
+        program = random_program(
+            seed, GeneratorConfig(max_threads=3, max_ops_per_thread=4)
+        )
+        results = sorted(sc_results(program), key=repr)
+        for result in results[:3]:
+            assert is_sc_result(program, result)
 
 
 class TestSpinPrograms:

@@ -18,7 +18,7 @@ from repro.core.sc import (
     random_sc_execution,
 )
 from repro.core.types import Condition, OpKind
-from repro.litmus.catalog import all_tests
+from repro.litmus.catalog import all_tests, by_name
 from repro.litmus.figures import figure3_program
 from repro.machine.dsl import ThreadBuilder, build_program
 from repro.machine.generator import random_program
@@ -246,6 +246,19 @@ class TestProgramVerdicts:
     def test_report_bool_protocol(self):
         assert check_program(message_passing_program(sync=True))
         assert not check_program(racy_program())
+
+    def test_drf0_witness_has_full_trace(self):
+        # The verdict-only path explores on trace-free engines; the racy
+        # witness must still materialize (replayed on a recording
+        # engine) with a bit-identical operation trace.
+        program = by_name("SB").program
+        report = check_program(program)
+        assert not report.obeys
+        assert report.witness is not None and report.witness.ops
+        assert report.race is not None
+        assert report.race in races_in_execution_vc(
+            report.witness, DRF0_MODEL
+        )
 
 
 class TestSampledVerdicts:

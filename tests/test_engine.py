@@ -31,6 +31,7 @@ from repro.verify import (
     fuzz,
     program_fingerprint,
 )
+from repro.verify.engine import _balanced_chunks
 
 from helpers import message_passing_program, store_buffer_program
 
@@ -272,6 +273,30 @@ class TestPlanShape:
         warm, warm_sessions, _ = sweep()
         assert warm == cold
         assert warm_sessions == [{"jobs": 2, "pool": False}]
+
+    def test_balanced_chunks_no_straggler(self):
+        # 251 seeds at 32 chunks used to leave a 3-seed tail; balanced
+        # splitting keeps every chunk within one seed of its siblings
+        # and preserves concatenation order (the fold contract).
+        seeds = list(range(251))
+        chunks = _balanced_chunks(seeds, 8)
+        sizes = [len(chunk) for chunk in chunks]
+        assert len(chunks) == 32
+        assert max(sizes) - min(sizes) <= 1
+        assert [seed for chunk in chunks for seed in chunk] == seeds
+
+    def test_balanced_chunks_edge_cases(self):
+        assert _balanced_chunks([1], 8) == [(1,)]
+        assert _balanced_chunks(list(range(8)), 8) == [tuple(range(8))]
+        chunks = _balanced_chunks(list(range(9)), 8)
+        assert [len(c) for c in chunks] == [5, 4]
+
+    def test_seed_chunks_balanced(self):
+        engine = VerificationEngine(jobs=8)
+        [chunks] = engine._plan_chunks([list(range(251))])
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert [s for chunk in chunks for s in chunk] == list(range(251))
 
 
 #: Shared across property examples so later examples exercise the

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.contract import ContractSearchLimit
 from repro.core.execution import Result
 from repro.core.sc import (
+    ExplorationCapError,
     ExplorationConfig,
     ExplorationIncomplete,
     explore,
@@ -13,6 +15,7 @@ from repro.core.sc import (
 )
 from repro.core.types import Condition, OpKind
 from repro.machine.dsl import ThreadBuilder, build_program
+from repro.machine.generator import GeneratorConfig, random_program
 
 from helpers import (
     lock_increment_program,
@@ -166,6 +169,22 @@ class TestCapsAndConfig:
             program, ExplorationConfig(max_ops=10, allow_incomplete=True)
         )
         assert not exploration.complete
+
+
+class TestCapError:
+    def test_alias_and_subclass(self):
+        assert ExplorationIncomplete is ExplorationCapError
+        assert issubclass(ContractSearchLimit, ExplorationCapError)
+
+    def test_serial_cap_carries_states(self):
+        program = random_program(
+            0, GeneratorConfig(max_threads=3, max_ops_per_thread=4)
+        )
+        with pytest.raises(ExplorationCapError) as excinfo:
+            sc_results(program, ExplorationConfig(max_states=3))
+        assert excinfo.value.states is not None
+        assert excinfo.value.states > 3
+        assert "states=" in str(excinfo.value)
 
 
 class TestRandomExecution:
