@@ -553,32 +553,6 @@ class CompiledEngine:
                 args={"depth": self._depth},
             )
 
-    def reset(self) -> None:
-        """Return to the initial configuration, dropping caches and counters.
-
-        Equivalent to constructing a fresh engine: the flat state, the
-        pending requests, the trace, the read histories, the undo log,
-        and both memo dicts (``_interned``/``_op_cache``) are all
-        restored/cleared, so a long-lived engine reused across
-        explorations cannot retain unbounded state.
-        """
-        cp = self.cp
-        S = self.S
-        S[:] = cp.initial
-        self._pending = [
-            cp.advance[proc](S) for proc in range(cp.num_procs)
-        ]
-        self.po_counts = [0] * cp.num_procs
-        self.trace.clear()
-        self.reads = [() for _ in range(cp.num_procs)]
-        self.transitions = 0
-        self.max_depth = 0
-        self._depth = 0
-        self._log.clear()
-        self._interned.clear()
-        self._op_cache.clear()
-        self._key = None
-
     # ------------------------------------------------------------------
     # Leaves
     # ------------------------------------------------------------------

@@ -456,34 +456,6 @@ class EngineState:
                 args={"depth": len(self.trace)},
             )
 
-    def reset(self) -> None:
-        """Return to the initial configuration, dropping caches and counters.
-
-        Equivalent to constructing a fresh engine: the thread states, the
-        memory, the trace, the read histories, the undo log, and both memo
-        dicts (``_interned``/``_op_cache``) are all restored/cleared, so a
-        long-lived engine reused across explorations cannot retain
-        unbounded state.
-        """
-        program = self.program
-        self.threads = _initial_threads(program)
-        self.po_counts = [0] * program.num_procs
-        self.trace.clear()
-        self.reads = [() for _ in self.threads]
-        self.transitions = 0
-        self.max_depth = 0
-        self._mem_values = [
-            program.initial_memory[loc] for loc in self._locs
-        ]
-        self._log.clear()
-        self._interned.clear()
-        self._op_cache.clear()
-        self._mem_key = self._intern(tuple(self._mem_values))
-        self._thread_keys = [
-            self._intern(self._thread_key(proc))
-            for proc in range(program.num_procs)
-        ]
-
     # ------------------------------------------------------------------
     # Leaves
     # ------------------------------------------------------------------

@@ -16,10 +16,10 @@ This module is the streaming channel that opens it up:
 The spool uses the same lock-free per-writer-file idiom as the verdict
 store's segments: every writer opens ``hb-<pid>-<n>.jsonl`` with
 ``O_CREAT | O_EXCL`` so no two processes ever share a file, every line
-carries a truncated-SHA-256 checksum of its payload, and the reader
-tolerates a torn tail (a record cut mid-write by a crash or a racing
-read simply stays unread until its newline lands; a checksum-failing
-complete line is dropped and counted).  All timestamps are
+carries a truncated-SHA-256 checksum of its payload (the line codec of
+:mod:`repro.obs.lines`), and the reader tolerates a torn tail (a record
+cut mid-write by a crash or a racing read simply stays unread until its
+newline lands; a checksum-failing complete line is dropped and counted).  All timestamps are
 :func:`repro.obs.tracer.now_us` -- see :data:`~repro.obs.tracer.OBS_CLOCK`.
 
 Activation is campaign-scoped and fork-friendly: the parent publishes
@@ -46,11 +46,10 @@ Record kinds (one JSON object per line, ``"c"`` = checksum field):
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Dict, List, Optional
 
+from repro.obs.lines import encode_line, parse_line
 from repro.obs.tracer import OBS_CLOCK, now_us
 
 #: Spool format version, stamped into every spool's meta header.
@@ -58,10 +57,6 @@ STREAM_FORMAT = 1
 
 #: Default seconds between heartbeat records per worker.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
-
-
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def rss_kb() -> int:
@@ -150,9 +145,7 @@ class HeartbeatWriter:
     def _emit(self, record: dict) -> None:
         if self._fh is None:
             self._open()
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(encode_line(record) + "\n")
         self._fh.flush()
         self.records_written += 1
 
@@ -365,15 +358,10 @@ def parent_poll() -> None:
 def _parse_line(line: bytes) -> Optional[dict]:
     """Decode + checksum-verify one complete spool line (None = invalid)."""
     try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+        record = parse_line(line.decode("utf-8"))
+    except UnicodeDecodeError:
         return None
-    if not isinstance(record, dict):
-        return None
-    checksum = record.pop("c", None)
-    if checksum != _line_checksum(json.dumps(record, sort_keys=True)):
-        return None
-    if "kind" not in record:
+    if record is None or "kind" not in record:
         return None
     return record
 

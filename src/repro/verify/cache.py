@@ -13,14 +13,19 @@ verdicts), and :class:`~repro.core.execution.Result` is already canonical
 (per-processor read tuples plus sorted final memory).  Content keys are
 what make verdicts portable across worker processes.
 
-Every stored entry carries a checksum over (key, verdict), so an entry
-that is corrupted in place -- a worker writing through shared memory it
-should not own, a bad merge, a bit flip in a persisted cache -- is caught
-at lookup time (:class:`CacheIntegrityError`) rather than silently turning
-a non-SC result into "appears SC".  :meth:`SCVerdictCache.audit` goes
-further and re-derives every cached verdict from the oracle, catching
-entries that were poisoned *consistently* (checksum rewritten to match a
-wrong verdict).
+Every stored entry carries a checksum: the interpreter's hash of the
+tuple (key, verdict).  For a fixed key, flipping the verdict always
+changes that hash, so an entry whose verdict is corrupted in place -- a
+worker writing through memory it should not own, a bad merge -- is
+caught at lookup time (:class:`CacheIntegrityError`) rather than
+silently turning a non-SC result into "appears SC".  The hash is salted
+per interpreter, so the checksum never leaves the process:
+:meth:`SCVerdictCache.entries` exports (key, verdict) pairs without it,
+forked workers inherit the parent's salt, and the persistent store
+checks its own lines (:mod:`repro.verify.store`).
+:meth:`SCVerdictCache.audit` goes further and re-derives every cached
+verdict from the oracle, catching entries that were poisoned
+*consistently* (checksum rewritten to match a wrong verdict).
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def program_fingerprint(program: Program) -> str:
     return fingerprint
 
 
-def _checksum(key: object, verdict: bool) -> str:
-    return hashlib.sha256(repr((key, verdict)).encode()).hexdigest()
+def _checksum(key: object, verdict: bool) -> int:
+    return hash((key, verdict))
 
 
 @dataclass
@@ -99,7 +104,7 @@ class SCVerdictCache:
     """Memo of guided SC-membership verdicts, keyed by (program, result)."""
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, Result], Tuple[bool, str]] = {}
+        self._entries: Dict[Tuple[str, Result], Tuple[bool, int]] = {}
         self._programs: Dict[str, Program] = {}
         self.stats = CacheStats()
 
@@ -230,7 +235,7 @@ class DRF0VerdictCache:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, object], Tuple[bool, str]] = {}
+        self._entries: Dict[Tuple[str, object], Tuple[bool, int]] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:

@@ -1090,13 +1090,21 @@ class VerificationEngine:
         if identities is None:
             return keys
         state = self.store.warm()
+        # Cells of one sweep usually share a config: repr each seeded
+        # config once, not once per cell.
+        seeded_reprs: Dict[SystemConfig, List[str]] = {}
         for cell_index, cell in enumerate(cells):
             fingerprint, policy_name = identities[cell_index]
-            for pos, seed in enumerate(seeds):
+            config_reprs = seeded_reprs.get(cell.config)
+            if config_reprs is None:
+                config_reprs = seeded_reprs[cell.config] = [
+                    repr(cell.config.with_seed(seed)) for seed in seeds
+                ]
+            for pos, config_repr in enumerate(config_reprs):
                 key = run_key(
                     fingerprint,
                     policy_name,
-                    repr(cell.config.with_seed(seed)),
+                    config_repr,
                     cell.check_51_conditions,
                 )
                 keys[(cell_index, pos)] = key

@@ -15,13 +15,14 @@ is an append-only JSONL file:
   values cannot collide), a DRF0 program verdict, or an SC-membership
   judgment -- and is flushed as soon as the unit completes.
 
-Every line carries a truncated SHA-256 checksum of its own payload.  A
-process killed mid-write leaves a partial last line; loading is
-**tolerant**: unparsable or checksum-failing lines are dropped (counted),
-never fatal, so a resumed sweep recomputes exactly the units that did not
-make it to disk.  A journal whose signature does not match the requested
-sweep is refused -- resuming someone else's checkpoint would splice wrong
-results into the output.
+Every line carries a truncated SHA-256 checksum of its own payload, in
+the line codec the verdict store and the heartbeat spool share
+(:mod:`repro.obs.lines`).  A process killed mid-write leaves a partial
+last line; loading is **tolerant**: unparsable or checksum-failing lines
+are dropped (counted), never fatal, so a resumed sweep recomputes
+exactly the units that did not make it to disk.  A journal whose
+signature does not match the requested sweep is refused -- resuming
+someone else's checkpoint would splice wrong results into the output.
 
 Continuation segments: a resuming writer never appends to the base file.
 A SIGKILLed predecessor usually leaves a torn final line, and ``open(...,
@@ -39,12 +40,12 @@ for a pure sweep both carry identical values anyway.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 from repro.core.execution import Result
+from repro.obs.lines import encode_line, parse_line
 from repro.obs.tracer import OBS_CLOCK, now_us
 
 
@@ -76,10 +77,6 @@ def journal_files(path: str) -> List[str]:
     files = [path] if os.path.exists(path) else []
     files.extend(segment_paths(path))
     return files
-
-
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def encode_result(result: Result) -> dict:
@@ -163,7 +160,8 @@ class CheckpointJournal:
         for part in [path] + segment_paths(path):
             if not os.path.exists(part):
                 continue
-            with open(part, "r", encoding="utf-8") as fh:
+            # Non-UTF-8 bytes fail their line's checksum, not the load.
+            with open(part, "r", encoding="utf-8", errors="replace") as fh:
                 CheckpointJournal._absorb(state, fh)
         return state
 
@@ -174,10 +172,8 @@ class CheckpointJournal:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                checksum = record.pop("c")
-                payload = json.dumps(record, sort_keys=True)
-                if checksum != _line_checksum(payload):
+                record = parse_line(line)
+                if record is None:
                     raise ValueError("checksum mismatch")
                 kind = record["kind"]
                 if kind == "meta":
@@ -245,9 +241,7 @@ class CheckpointJournal:
 
     def _write(self, record: dict) -> None:
         assert self._fh is not None, "journal not open"
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(encode_line(record) + "\n")
         self._fh.flush()
         self.records_written += 1
 

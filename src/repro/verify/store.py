@@ -22,8 +22,13 @@ under a different semantics version is *stale* and silently skipped, so a
 semantics change means a cold start, never a wrong warm verdict.  Every
 subsequent line is one record -- an SC verdict, a DRF0 verdict, a run
 summary, a cost observation, or a serialized program (kept so ``repro
-cache audit`` can re-judge stored verdicts offline) -- carrying the same
-truncated-SHA-256 line checksum the checkpoint journal uses.
+cache audit`` can re-judge stored verdicts offline).  Every line carries
+a truncated-SHA-256 checksum over its own bytes after the ``c`` field,
+in the line codec the checkpoint journal and the heartbeat spool share
+(:mod:`repro.obs.lines`).  Loading checks those bytes as written and
+decodes each line once; a line that is not byte for byte what the
+writer wrote -- torn, damaged, or re-serialized in another JSON form --
+fails the check.
 
 Integrity discipline (matching ``verify/cache.py`` / ``verify/journal.py``):
 
@@ -57,7 +62,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -67,7 +71,9 @@ from repro.core.execution import Result
 from repro.core.types import Condition
 from repro.machine import isa
 from repro.machine.program import Program, ThreadCode
-from repro.verify.cache import program_fingerprint
+from repro.obs.lines import encode_line, parse_line
+# Kept importable here: tests re-checksum records they poison.
+from repro.obs.lines import line_checksum as _line_checksum  # noqa: F401
 from repro.verify.journal import decode_result, encode_result
 
 #: Bump when any oracle the stored verdicts depend on changes observable
@@ -85,10 +91,6 @@ _QUARANTINE_DIR = "quarantine"
 
 class StoreError(RuntimeError):
     """The store directory cannot be used (not a directory, unwritable)."""
-
-
-def _line_checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +129,7 @@ def decode_instruction(data: list) -> isa.Instruction:
 
 def encode_program(program: Program) -> dict:
     """Content-complete JSON form of a program (display name excluded,
-    exactly like :func:`program_fingerprint`)."""
+    exactly like :func:`repro.verify.cache.program_fingerprint`)."""
     return {
         "threads": [
             {
@@ -317,19 +319,6 @@ class VerdictStore:
             pass
         self.stats.quarantined_segments += 1
 
-    @staticmethod
-    def _parse_line(line: str) -> Optional[dict]:
-        """One checksummed JSONL record, or None when it fails integrity."""
-        try:
-            record = json.loads(line)
-            checksum = record.pop("c")
-            payload = json.dumps(record, sort_keys=True)
-            if checksum != _line_checksum(payload):
-                return None
-            return record
-        except (ValueError, KeyError, TypeError, AttributeError):
-            return None
-
     def _absorb(self, record: dict, state: StoreState) -> None:
         """Fold one body record into ``state`` (raises on schema drift --
         the caller treats that as a corrupt line)."""
@@ -373,14 +362,16 @@ class VerdictStore:
         state = StoreState()
         for path in self._segment_paths():
             try:
-                with open(path, "r", encoding="utf-8") as fh:
+                # A byte that is not UTF-8 becomes U+FFFD, so its line
+                # fails the checksum instead of failing the whole load.
+                with open(path, "r", encoding="utf-8", errors="replace") as fh:
                     lines = [ln for ln in fh.read().splitlines() if ln.strip()]
             except OSError:
                 self._quarantine(path)
                 continue
             if not lines:
                 continue  # freshly created by a concurrent writer
-            header = self._parse_line(lines[0])
+            header = parse_line(lines[0])
             if (
                 header is None
                 or header.get("kind") != "meta"
@@ -396,7 +387,7 @@ class VerdictStore:
                 continue
             damaged = False
             for index, line in enumerate(lines[1:], start=1):
-                record = self._parse_line(line)
+                record = parse_line(line)
                 if record is not None:
                     try:
                         self._absorb(record, state)
@@ -447,9 +438,7 @@ class VerdictStore:
         return self._fh
 
     def _write(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True)
-        record["c"] = _line_checksum(payload)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.write(encode_line(record) + "\n")
         self._fh.flush()
 
     def _append(self, record: dict) -> None:
@@ -727,9 +716,3 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.disagreements
-
-
-def store_program_fingerprint(program: Program) -> str:
-    """Re-export of :func:`repro.verify.cache.program_fingerprint` (the
-    store and the caches must always key by the same hash)."""
-    return program_fingerprint(program)

@@ -147,52 +147,6 @@ def test_distinct_configurations_get_distinct_keys():
 
 
 # ---------------------------------------------------------------------------
-# reset()
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("interpreted", [False, True], ids=["compiled", "interpreted"])
-def test_reset_equivalent_to_fresh_engine(interpreted):
-    """After reset, the engine behaves exactly like a new one and has
-    dropped its memo dicts (the unbounded-retention satellite)."""
-    program = by_name("WRC").program
-    if interpreted:
-        with interpreted_engine():
-            engine = make_engine(program)
-        assert isinstance(engine, EngineState)
-    else:
-        engine = make_engine(program)
-        assert isinstance(engine, CompiledEngine)
-    fresh = _walk_results(engine, seed=3)
-    assert len(engine._op_cache) > 0
-    engine.reset()
-    assert len(engine._op_cache) == 0
-    assert engine.transitions == 0
-    assert engine.depth == 0
-    assert engine.trace == []
-    again = _walk_results(engine, seed=3)
-    assert fresh == again
-
-
-def _walk_results(engine, seed):
-    _random_walk(engine, seed)
-    out = (engine.result(), tuple(engine.trace))
-    while engine.depth:
-        engine.undo()
-    return out
-
-
-def test_reset_clears_interned_keys():
-    program = by_name("SB").program
-    engine = make_engine(program)
-    _random_walk(engine, 1, steps=3)
-    engine.config_key()
-    assert len(engine._interned) > 0
-    engine.reset()
-    assert len(engine._interned) <= 1  # at most the freshly cached initial key
-
-
-# ---------------------------------------------------------------------------
 # record_trace=False
 # ---------------------------------------------------------------------------
 

@@ -16,10 +16,12 @@ from repro.hw import POLICY_FACTORIES
 from repro.litmus.catalog import by_name
 from repro.sim.system import SystemConfig
 from repro.verify import (
+    CacheIntegrityError,
     CheckpointJournal,
     Failpoint,
     JournalError,
     VerificationEngine,
+    program_fingerprint,
     sweep_signature,
 )
 from repro.verify import engine as engine_module
@@ -215,6 +217,15 @@ class TestJournalResume:
         assert _rows(evidence) == reference_rows
         assert engine.resilience["journal_units_reused"] > 0
 
+    def test_non_utf8_line_dropped_not_fatal(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        _sweep(VerificationEngine(jobs=1), journal_path=path)
+        with open(path, "ab") as fh:
+            fh.write(b'{"c": "\xff\xfe"}\n')
+        state = CheckpointJournal.load(path)
+        assert state.dropped_lines == 1
+        assert state.signature is not None
+
     def test_resume_skips_journaled_work(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         _sweep(VerificationEngine(jobs=1), journal_path=path)
@@ -273,6 +284,22 @@ class TestCacheQuarantine:
         second = _sweep(engine)
         assert _rows(second) == reference_rows
         assert engine.sc_cache.stats.quarantined > 0
+
+    def test_poisoned_drf0_entry_raises_then_recomputed(self, reference_rows):
+        engine = VerificationEngine(jobs=1)
+        _sweep(engine)
+        # Flip every cached DRF0 verdict in place, keeping its checksum.
+        entries = engine.drf0_cache._entries
+        for key, (verdict, checksum) in list(entries.items()):
+            entries[key] = (not verdict, checksum)
+        programs = {program_fingerprint(p): p for p in _programs()}
+        assert {fingerprint for fingerprint, _ in entries} == set(programs)
+        for fingerprint, (_tag, seeds) in list(entries):
+            with pytest.raises(CacheIntegrityError):
+                engine.drf0_cache.lookup(programs[fingerprint], False, seeds)
+        # The sweep quarantines each entry and recomputes its verdict.
+        assert _rows(_sweep(engine)) == reference_rows
+        assert engine.drf0_cache.stats.quarantined == len(programs)
 
     def test_quarantine_counter_in_metrics(self):
         engine = VerificationEngine(jobs=1)

@@ -9,6 +9,7 @@ any number of processes may flush into one directory concurrently.
 import json
 import multiprocessing
 import os
+import shutil
 
 import pytest
 
@@ -17,17 +18,25 @@ from repro.hw import AdveHillPolicy, Definition1Policy
 from repro.sim.system import SystemConfig
 from repro.verify import SEMANTICS_VERSION, VerdictStore, VerificationEngine
 from repro.verify.cache import program_fingerprint
+from repro.verify.engine import _SweepCell
 from repro.verify.store import (
     STORE_FORMAT,
     _line_checksum,
     cell_key,
     decode_program,
     encode_program,
+    run_key,
 )
 
 from helpers import message_passing_program, store_buffer_program
 
 FACTORIES = {"adve-hill": AdveHillPolicy, "definition1": Definition1Policy}
+
+#: A segment written by an earlier release of the store: a header and one
+#: prog, sc, drf0, run and cost record, in the order ``compact`` writes.
+GOLDEN_SEGMENT = os.path.join(
+    os.path.dirname(__file__), "store_golden_segment.jsonl"
+)
 
 
 def programs():
@@ -133,6 +142,18 @@ class TestIntegrity:
         assert store.stats.dropped_lines == 1
         assert store.stats.quarantined_segments == 0
 
+    def test_non_utf8_tail_dropped_not_fatal(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        sweep(cache)
+        path = segment_paths(cache)[0]
+        with open(path, "ab") as fh:
+            fh.write(b'{"c": "\xff\xfe')  # damaged bytes in a torn tail
+        store = VerdictStore(cache)
+        state = store.load()
+        assert store.stats.dropped_lines == 1
+        assert store.stats.quarantined_segments == 0
+        assert state.sc
+
     def test_midfile_corruption_quarantines_segment(self, tmp_path):
         cache = str(tmp_path / "cache")
         _, cold = sweep(cache)
@@ -216,6 +237,84 @@ class TestIntegrity:
         store.load()
         assert store.stats.stale_segments == 1
         assert store.stats.quarantined_segments == 0
+
+
+class TestLineFormat:
+    """Lines are checked over their bytes as written, so the format is
+    pinned: stores written earlier stay warm, other JSON forms do not."""
+
+    def test_earlier_segment_loads_and_rewrites_byte_for_byte(self, tmp_path):
+        with open(GOLDEN_SEGMENT, "r", encoding="utf-8") as fh:
+            golden = fh.read()
+        semantics = json.loads(golden.splitlines()[0])["semantics"]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        shutil.copy(GOLDEN_SEGMENT, cache / "seg-1-0.jsonl")
+        store = VerdictStore(str(cache), semantics=semantics)
+        state = store.load()
+        assert store.stats.dropped_lines == 0
+        assert store.stats.quarantined_segments == 0
+        assert store.stats.stale_segments == 0
+        assert [
+            len(state.programs), len(state.sc), len(state.drf0),
+            len(state.runs), len(state.costs),
+        ] == [1, 1, 1, 1, 1]
+        # compact() rewrites every record through the store's writer
+        assert store.compact() == (1, 5)
+        [path] = segment_paths(str(cache))
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == golden
+
+    @pytest.mark.parametrize("where", ["tail", "mid-file"])
+    def test_reserialized_line_is_rejected(self, tmp_path, where):
+        cache = str(tmp_path / "cache")
+        sweep(cache)
+        path = segment_paths(cache)[0]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        index = len(lines) - 1 if where == "tail" else len(lines) // 2
+        record = json.loads(lines[index])
+        compact = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        # the same JSON, and its checksum still matches the re-encoded record
+        checksum = record.pop("c")
+        assert checksum == _line_checksum(json.dumps(record, sort_keys=True))
+        lines[index] = compact
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        store = VerdictStore(cache)
+        store.load()
+        assert store.stats.dropped_lines == 1
+        assert store.stats.quarantined_segments == (where == "mid-file")
+
+
+class TestRunKeys:
+    def test_fill_from_store_keys_match_run_key(self, tmp_path):
+        engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path / "cache"))
+        program = store_buffer_program()
+        first, second = SystemConfig(), SystemConfig(net_jitter=2)
+        cells = [
+            _SweepCell(program, AdveHillPolicy, first),
+            _SweepCell(program, AdveHillPolicy, second),
+            _SweepCell(program, AdveHillPolicy, first, check_51_conditions=True),
+        ]
+        seeds = [0, 3, 7]
+        identities = engine._cell_identities(cells)
+        per_cell = [[None] * len(seeds) for _ in cells]
+        keys = engine._fill_from_store(cells, seeds, per_cell, identities)
+        assert keys == {
+            (index, pos): run_key(
+                fingerprint,
+                policy_name,
+                repr(cell.config.with_seed(seed)),
+                cell.check_51_conditions,
+            )
+            for index, (cell, (fingerprint, policy_name)) in enumerate(
+                zip(cells, identities)
+            )
+            for pos, seed in enumerate(seeds)
+        }
+        assert len(set(keys.values())) == len(cells) * len(seeds)
+        engine.store.close()
 
 
 def _flush_one(args):
