@@ -15,6 +15,8 @@ Plus the live-campaign plane (PR 8):
 * :mod:`repro.obs.stream`   -- per-worker checksummed heartbeat spools
   (lock-free multi-process streaming) with an incremental reader and an
   exactly-once fold;
+* :mod:`repro.obs.lines`    -- the checksummed JSONL line codec the
+  spools share with the verdict store and the checkpoint journal;
 * :mod:`repro.obs.progress` -- completion/ETA/straggler arithmetic and
   the :class:`CampaignMonitor` that writes the atomically-replaced
   ``--status-json`` snapshot the ``status``/``top`` CLI renders.

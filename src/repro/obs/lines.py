@@ -28,8 +28,10 @@ from typing import Optional
 
 _HEAD = '{"c": "'
 _DIGITS = 16
-#: Offset of the payload's first key: ``{"c": "`` + digits + ``", ``.
-_BODY = len(_HEAD) + _DIGITS + 3
+_SEP = '", '
+#: Where the checksum ends and where the payload's first key starts.
+_SUM_END = len(_HEAD) + _DIGITS
+_BODY = _SUM_END + len(_SEP)
 
 
 def line_checksum(payload: str) -> str:
@@ -43,16 +45,16 @@ def encode_line(record: dict) -> str:
     ``record`` holds at least one key and no ``c``; it is not modified.
     """
     payload = json.dumps(record, sort_keys=True)
-    return f'{_HEAD}{line_checksum(payload)}", {payload[1:]}'
+    return _HEAD + line_checksum(payload) + _SEP + payload[1:]
 
 
 def parse_line(line: str) -> Optional[dict]:
     """The record of one line (without ``c``), or None when the line's
     bytes are not the ones its checksum was computed over."""
-    if not line.startswith(_HEAD) or line[_BODY - 3:_BODY] != '", ':
+    if not line.startswith(_HEAD) or line[_SUM_END:_BODY] != _SEP:
         return None
     payload = "{" + line[_BODY:]
-    if line[len(_HEAD):_BODY - 3] != line_checksum(payload):
+    if line[len(_HEAD):_SUM_END] != line_checksum(payload):
         return None
     try:
         return json.loads(payload)
