@@ -182,7 +182,7 @@ def _write_obs_outputs(args, tracer=None, registry=None) -> None:
 def _make_monitor(args, command: str):
     """A :class:`~repro.obs.CampaignMonitor` when ``--status-json`` asks.
 
-    Must be constructed *before* the engine (and before any worker pool
+    Must be constructed *before* the engine (and before any worker fleet
     forks) so the spool directory is published into the pre-fork module
     state every worker inherits.
     """
@@ -1425,8 +1425,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # The engine's session teardown has already terminated any worker
-        # pool by the time the interrupt propagates here.
+        # The engine's session teardown has already killed any worker
+        # fleet by the time the interrupt propagates here.
         print("interrupted", file=sys.stderr)
         return 130
 

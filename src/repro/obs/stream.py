@@ -5,7 +5,7 @@ now the parent learned nothing about a worker between task dispatch and
 task completion -- a ten-minute ``sweep --jobs 8`` was a black box.
 This module is the streaming channel that opens it up:
 
-* each worker (verification-engine pool worker, daemon fleet worker,
+* each worker (a batch engine call's fleet worker, daemon fleet worker,
   or the parent itself on the serial path) appends
   periodic **heartbeat records** -- monotonic timestamp, current task,
   cumulative work counters, RSS -- to its *own* spool file;

@@ -7,19 +7,19 @@ a thin HTTP/JSON protocol, shards their cells across a supervised
 worker fleet, and keeps producing bit-identical evidence while workers
 crash, stall, and lie.
 
+The fleet and its lease loop are the engine's own: the daemon keeps one
+:class:`~repro.verify.fleet.Fleet` for its whole life (workers resolve
+each campaign's spec into a task context and stream heartbeats into the
+daemon's spool) and passes a
+:class:`~repro.verify.supervisor.FleetDispatcher` with heartbeat-expiry
+reclamation and a drain switch to the engine -- the same supervised
+dispatch, circuit breaker included, that a batch ``--jobs N`` runs.
+
 Layers (each its own module):
 
 * :mod:`repro.service.campaigns`  -- the campaign spec: a JSON document
   naming a program corpus, a policy grid, a config, and seed ranges;
   content-signed so journals and results are bound to their inputs;
-* :mod:`repro.service.fleet`      -- persistent worker processes that
-  execute engine task tuples against a name-resolved task context and
-  stream heartbeats into the daemon's spool;
-* :mod:`repro.service.supervisor` -- the robustness core: lease-based
-  dispatch over :class:`~repro.verify.leases.TaskBoard`, heartbeat-
-  expiry reclamation, kill-and-replace, and the per-cell circuit
-  breaker (healthy -> suspect -> quarantined -> recovered) that
-  degrades a misbehaving cell to in-daemon serial execution;
 * :mod:`repro.service.protocol`   -- a minimal asyncio HTTP/1.1 server
   (no dependencies, no frameworks);
 * :mod:`repro.service.daemon`     -- the daemon: campaign queue with
@@ -40,16 +40,11 @@ engine's own -- a campaign's evidence table is bit-identical to
 from repro.service.campaigns import CampaignError, CampaignSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import CampaignDaemon
-from repro.service.fleet import Fleet
-from repro.service.supervisor import CircuitBreaker, FleetDispatcher
 
 __all__ = [
     "CampaignDaemon",
     "CampaignError",
     "CampaignSpec",
-    "CircuitBreaker",
-    "Fleet",
-    "FleetDispatcher",
     "ServiceClient",
     "ServiceError",
 ]

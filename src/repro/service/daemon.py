@@ -11,7 +11,7 @@ engine call:
   (the daemon never buffers unboundedly);
 * **graceful drain** -- SIGTERM/SIGINT (or ``POST /shutdown``) stops
   intake, interrupts the running campaign between leases
-  (:class:`~repro.service.supervisor.DrainRequested`), and exits; every
+  (:class:`~repro.verify.supervisor.DrainRequested`), and exits; every
   completed unit is already in the campaign's checkpoint journal;
 * **restart resume** -- on startup, campaign specs without a terminal
   result are re-enqueued and their journals resumed (the engine's
@@ -55,18 +55,22 @@ from repro.obs.progress import CampaignMonitor
 from repro.obs.stream import prune_spool_dir
 from repro.obs.tracer import now_us
 from repro.service import protocol
-from repro.service.campaigns import CampaignError, CampaignSpec
+from repro.service.campaigns import (
+    CampaignError,
+    CampaignSpec,
+    build_task_context,
+)
 from repro.service.client import MAX_WAIT_S
-from repro.service.fleet import Fleet
 from repro.service.protocol import Request, Response, json_response
-from repro.service.supervisor import (
+from repro.verify.engine import VerificationEngine
+from repro.verify.fleet import Fleet
+from repro.verify.journal import journal_files
+from repro.verify.store import VerdictStore
+from repro.verify.supervisor import (
     CircuitBreaker,
     DrainRequested,
     FleetDispatcher,
 )
-from repro.verify.engine import VerificationEngine
-from repro.verify.journal import journal_files
-from repro.verify.store import VerdictStore
 
 #: Campaign record states (a superset of the snapshot's enum: ``queued``
 #: exists only daemon-side, before a monitor is born).
@@ -131,6 +135,7 @@ class CampaignDaemon:
             spool_dir=self.fleet_spool,
             hb_interval=hb_interval,
             counters=self.counters,
+            resolve_context=build_task_context,
         )
         self.dispatcher = FleetDispatcher(
             self.fleet,

@@ -213,7 +213,11 @@ class SCVerdictCache:
         Returns the keys whose stored verdict disagrees with a fresh
         oracle run (or whose checksum is broken).  Empty list == cache
         sound.  This catches poisonings the lookup-time checksum cannot:
-        an entry rewritten wholesale with a consistent checksum.
+        an entry rewritten wholesale with a consistent checksum.  An
+        entry filed without its program (a stored verdict whose program
+        record is missing) cannot be re-derived and is skipped, as
+        :meth:`VerdictStore.audit <repro.verify.store.VerdictStore.audit>`
+        counts it unauditable.
         """
         bad: List[Tuple[str, Result]] = []
         for (fingerprint, result), (verdict, checksum) in self._entries.items():
@@ -221,7 +225,8 @@ class SCVerdictCache:
             if checksum != _checksum(key, verdict):
                 bad.append(key)
                 continue
-            if oracle(self._programs[fingerprint], result) != verdict:
+            program = self._programs.get(fingerprint)
+            if program is not None and oracle(program, result) != verdict:
                 bad.append(key)
         return bad
 

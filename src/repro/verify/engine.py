@@ -7,8 +7,8 @@ embarrassingly parallel and highly redundant, so :class:`VerificationEngine`
 does two things:
 
 * **fan-out** -- hardware runs, DRF0 program verdicts, SC-membership
-  judgments, and whole fuzz seeds are dispatched to a ``multiprocessing``
-  pool as chunked tasks.  Run and judgment chunks are sized against the
+  judgments, and whole fuzz seeds are dispatched to a supervised worker
+  fleet as chunked tasks.  Run and judgment chunks are sized against the
   whole plan, about four tasks per worker: each cell with pending work
   is split into about ``ceil(jobs * 4 / cells with pending work)``
   balanced chunks (up to twice as many for a cell whose stored cost is
@@ -27,36 +27,41 @@ task -> value) and doing every fold in the parent, in the serial code's
 iteration order; floating-point accumulations (``mean_cycles``) therefore
 sum in the identical order too.
 
-Worker plumbing: tasks are dispatched to a ``fork``-context pool, and the
-per-call task context (programs, policy factories, configs) is published in
-a module global *before* the fork so children inherit it by address-space
-copy.  Only small index tuples cross the task queue and only plain result
-records come back -- policy factories (often lambdas) are never pickled.
-On platforms without ``fork`` the engine transparently degrades to the
-in-process path (still memoized, still identical output).
+Worker plumbing: with ``jobs > 1`` each engine call forks a
+:class:`~repro.verify.fleet.Fleet` of ``jobs`` workers at its first
+non-empty map, and the per-call task context (programs, policy
+factories, configs) is published in a module global *before* that fork
+so workers inherit it by address-space copy.  Only small index tuples
+cross the workers' pipes and only plain result records come back --
+policy factories (often lambdas) are never pickled.  On platforms
+without ``fork`` the engine transparently degrades to the in-process
+path (still memoized, still identical output).  The campaign daemon
+passes its persistent fleet as ``dispatcher=`` instead; both run the
+one lease loop, :class:`~repro.verify.supervisor.FleetSession`.
 
-Resilience (this layer's hardening, all preserving the bit-for-bit
+Resilience (the lease loop's hardening, all preserving the bit-for-bit
 contract because tasks are pure -- re-executing one yields the identical
 value):
 
-* **per-task timeouts** -- a task that exceeds ``task_timeout`` seconds is
-  abandoned and resubmitted (the straggler's late result, if any, is
-  discarded);
-* **worker-crash detection** -- the pool's worker PID set is polled; when
-  a worker dies (segfault, OOM kill), every in-flight task is resubmitted
-  (duplicates are harmless, first completion wins);
+* **per-task timeouts** -- the worker holding a task past
+  ``task_timeout`` seconds is killed and replaced, and the task is
+  resubmitted;
+* **worker-crash detection** -- the loop waits on every busy worker's
+  process sentinel, so a death (segfault, OOM kill) wakes it at once and
+  is charged to the one lease that worker held;
 * **bounded retry with backoff** -- each task is retried at most
   ``max_task_retries`` times with exponential backoff and deterministic
   jitter; failure charges are deduplicated by (task, lease generation)
-  through :class:`~repro.verify.leases.TaskBoard`, so one incident seen
-  twice (a timeout *and* the wedged worker's later death) burns one unit
-  of retry budget, not two;
+  through :class:`~repro.verify.leases.TaskBoard`;
+* **circuit breaking** -- a cell whose tasks keep failing is
+  quarantined and its tasks run in the parent, with periodic probes of
+  the fleet (:class:`~repro.verify.supervisor.CircuitBreaker`);
 * **graceful serial degradation** -- a task that exhausts its retries is
   executed in the parent process, which always terminates the sweep with
   the correct output (just without parallelism for that task);
 * **clean interrupt** -- workers ignore SIGINT (the parent owns the
-  Ctrl-C); on any exception the pool is terminated and joined before the
-  exception propagates, so no forked children are orphaned;
+  Ctrl-C); on any exception the call's fleet is killed and joined before
+  the exception propagates, so no forked children are orphaned;
 * **checkpoint journal** -- ``definition2_sweep`` can log every completed
   work unit to a :class:`~repro.verify.journal.CheckpointJournal` and
   resume after a kill, recomputing only unjournaled units;
@@ -89,10 +94,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -134,7 +138,6 @@ from repro.verify.journal import (
     encode_result,
     sweep_signature,
 )
-from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
 from repro.verify.store import VerdictStore, cell_key, run_key
 from repro.verify.sweeps import (
     Definition2Evidence,
@@ -253,7 +256,7 @@ class _TaskContext:
     failpoints: Tuple[Failpoint, ...] = ()
 
 
-#: Published by the parent immediately before forking the pool; workers
+#: Published by the parent before its session forks a fleet; workers
 #: read it, the parent restores the previous value afterwards.
 _TASK_CONTEXT: Optional[_TaskContext] = None
 
@@ -376,16 +379,6 @@ def _diff_task(seed: int, ctx: "_TaskContext"):
         drf0_judge=drf0_judge,
     )
     return outcome, new_verdicts, judged
-
-
-def _worker_init() -> None:
-    """Pool-worker initializer: the parent owns Ctrl-C.
-
-    Without this, a terminal SIGINT reaches every pool worker too; they
-    die mid-task and the parent's cleanup races their corpses.  Workers
-    ignore SIGINT and rely on the parent's terminate/join.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _task_label(task: tuple) -> str:
@@ -511,13 +504,6 @@ def _now_us() -> int:
     return _obs_now_us()
 
 
-#: Sentinel marking a task slot whose value has not been produced yet.
-_UNSET = object()
-
-#: Longest the pooled loop sleeps with no completion: the cadence of its
-#: task-timeout and worker-death checks.
-_WAKE_S = 0.02
-
 #: Process-wide telemetry batch counter: every :meth:`_Session.map` call
 #: gets a fresh batch id so ``batch:index`` task keys are unique across
 #: all engines sharing one campaign monitor (chaos runs several).
@@ -546,52 +532,77 @@ def _balanced_chunks(items: Sequence, size: int) -> List[tuple]:
 
 
 class _Session:
-    """One engine call's dispatch surface: a pool, or the calling process.
+    """One engine call's dispatch surface: the calling process, or a
+    supervised worker fleet.
 
-    With ``workers > 1`` a ``fork`` pool of that size is started by the
-    first non-empty :meth:`map`, so a call that dispatches nothing (a
-    warm sweep) never pays for the fork and the join.
+    With ``workers > 1`` a :class:`~repro.verify.fleet.Fleet` of that
+    size is forked by the first non-empty :meth:`map`, so a call that
+    dispatches nothing (a warm sweep) never pays for the fork and the
+    join, and :meth:`close` stops it.  An engine built with
+    ``dispatcher=`` (the daemon) runs its maps on that dispatcher's
+    persistent fleet instead.  Pooled maps go through the one lease
+    loop, :meth:`repro.verify.supervisor.FleetSession.map`; the fleet
+    modules are imported there, so in-process calls never load them.
     """
 
     def __init__(
-        self, engine: Optional["VerificationEngine"] = None, workers: int = 1
+        self, engine: "VerificationEngine", workers: int = 1
     ) -> None:
-        self._pool = None
-        self._workers = workers
         self._engine = engine
-        self._worker_pids: Set[int] = set()
-        #: Async handles abandoned without a result (crashed or timed-out
-        #: workers).  Each leaves a permanent entry in the pool's result
-        #: cache, and ``Pool.close``+``join`` waits for that cache to
-        #: drain -- so a session with abandoned handles must be torn down
-        #: with ``terminate`` instead.
-        self.abandoned_handles = 0
+        self._workers = workers
+        #: The lease loop of this call's pooled maps (None until the
+        #: first one, and for in-process calls).
+        self._pooled = None
+        #: The fleet this session forked, stopped by :meth:`close`.
+        self._own_fleet = None
         #: Wall seconds per task of the last :meth:`map` call, task-order
-        #: aligned (pooled tasks: submit to fold of the final attempt, the
-        #: IPC round trip included).  Feeds the store's cost records.
+        #: aligned (pooled tasks: dispatch to fold of the final attempt,
+        #: the IPC round trip included).  Feeds the store's cost records.
         self.task_seconds: List[float] = []
 
-    def _pool_pids(self) -> Set[int]:
-        workers = getattr(self._pool, "_pool", None) or ()
-        return {worker.pid for worker in workers}
+    @property
+    def fleet(self):
+        """The fleet this call's pooled maps ran on, if any."""
+        return self._pooled.dispatcher.fleet if self._pooled else None
+
+    def _open_pooled(self):
+        """The lease loop for this call, forking its fleet if it owns one
+        (None: run in-process)."""
+        engine = self._engine
+        dispatcher = engine.dispatcher
+        if dispatcher is None and self._workers <= 1:
+            return None
+        from repro.verify.supervisor import FleetDispatcher, FleetSession
+
+        if dispatcher is None:
+            from repro.verify.fleet import Fleet
+
+            self._own_fleet = Fleet(self._workers)
+            self._own_fleet.start()
+            dispatcher = FleetDispatcher(
+                self._own_fleet,
+                counters=engine.resilience,
+                task_timeout=engine.task_timeout,
+                max_retries=engine.max_task_retries,
+                backoff=engine.retry_backoff,
+            )
+        self._pooled = FleetSession(dispatcher, engine)
+        return self._pooled
 
     def close(self, failed: bool = False) -> bool:
-        """Stop the pool, if one was forked; returns whether one was.
+        """End the call; returns whether any map ran on a fleet.
 
-        After a failure queued work is not drained.  Abandoned handles
-        never resolve, so close+join would wait forever on the pool's
-        result cache; every task value is already in hand, so the
-        workers are hard-stopped then too.
+        A fleet this session forked is stopped; after a failure its
+        workers are killed, not asked, since one may be mid-task.  A
+        borrowed fleet is handed back with no stale assignment.
         """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return False
-        if failed or self.abandoned_handles:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
-        return True
+        pooled, self._pooled = self._pooled, None
+        fleet, self._own_fleet = self._own_fleet, None
+        if fleet is not None:
+            fleet.stop(kill=failed)
+        elif pooled is not None:
+            pooled.close()
+        return pooled is not None
 
     def map(
         self,
@@ -602,22 +613,19 @@ class _Session:
 
         ``on_result(index, task, value)`` fires once per task as its value
         lands (checkpoint journaling hook); completion order is arbitrary
-        under a pool, but the returned list is always in task order.
+        on a fleet, but the returned list is always in task order.
         """
         if not tasks:
             return []
-        if self._workers > 1 and self._pool is None:
-            self._pool = multiprocessing.get_context("fork").Pool(
-                self._workers, initializer=_worker_init
-            )
-            self._worker_pids = self._pool_pids()
+        pooled = self._pooled or self._open_pooled()
         engine = self._engine
-        observed = engine is not None and (
-            engine.tracer.enabled or engine.metrics is not None
-        )
+        observed = engine.tracer.enabled or engine.metrics is not None
         start = _now_us() if observed else 0
-        self.task_seconds = [0.0] * len(tasks)
-        if self._pool is None:
+        if pooled is not None:
+            values = pooled.map(tasks, on_result)
+            self.task_seconds = pooled.task_seconds
+        else:
+            self.task_seconds = [0.0] * len(tasks)
             batch = next(_TELEMETRY_BATCH)
             values = []
             for index, task in enumerate(tasks):
@@ -627,12 +635,9 @@ class _Session:
                 self.task_seconds[index] = seconds
                 if on_result is not None:
                     on_result(index, task, value)
-                if engine is not None:
-                    engine._task_landed(task, seconds)
+                engine._task_landed(task, seconds)
                 obs_stream.parent_poll()
                 values.append(value)
-        else:
-            values = self._map_resilient(tasks, on_result)
         if observed:
             counts: Dict[str, int] = {}
             for task in tasks:
@@ -647,171 +652,6 @@ class _Session:
                 )
         return values
 
-    def _map_resilient(
-        self,
-        tasks: Sequence[tuple],
-        on_result: Optional[Callable[[int, tuple, object], None]],
-    ) -> list:
-        """Pooled evaluation that survives slow, crashed, and lying workers.
-
-        At most ``jobs`` tasks are in flight at a time (so a per-task
-        timeout measures actual execution, not queueing).  Each task's
-        pool callbacks put ``(index, gen, ok, value)`` on one queue --
-        the value itself, since the pool runs a callback before it marks
-        the handle ready -- and the loop folds every completion as it
-        arrives, waking at least every ``_WAKE_S`` to check timeouts and
-        worker deaths.  Lease bookkeeping -- generations, retry budgets,
-        exponential backoff, and the exactly-once failure dedupe --
-        lives in :class:`~repro.verify.leases.TaskBoard`; this loop only
-        moves leases.  A task is resubmitted when it times out, when its
-        worker raises, or when a pool worker dies *unattributed* while
-        it is in flight (the board's crash credits attribute a worker
-        death to an already-handled timeout, so one wedged worker no
-        longer charges a task twice -- once at timeout, once when the
-        corpse is noticed); a late reply of such an abandoned lease is
-        dropped.  A task that exhausts ``max_task_retries``
-        resubmissions is executed in the parent: the sweep always
-        terminates with the exact serial output.
-        """
-        # The pool has imported ``queue`` already; a module-level import
-        # would add it to the start-up of every run that forks no pool.
-        import queue
-
-        engine = self._engine
-        timeout = engine.task_timeout if engine is not None else None
-        max_retries = engine.max_task_retries if engine is not None else 2
-        backoff = engine.retry_backoff if engine is not None else 0.05
-        jobs = engine.jobs if engine is not None else (os.cpu_count() or 1)
-        counters = engine.resilience if engine is not None else {}
-
-        board = TaskBoard(
-            len(tasks),
-            max_retries=max_retries,
-            backoff=BackoffPolicy(base=backoff),
-            counters=counters,
-        )
-        results: List[object] = [_UNSET] * len(tasks)
-        #: index -> (submit monotonic, lease generation)
-        inflight: Dict[int, Tuple[float, int]] = {}
-        #: (index, gen, ok, value) from the pool's result-handler thread.
-        completions = queue.SimpleQueue()
-        batch = next(_TELEMETRY_BATCH)
-
-        def reply_to(
-            index: int, gen: int, ok: bool
-        ) -> Callable[[object], None]:
-            return lambda value: completions.put((index, gen, ok, value))
-
-        def finish(
-            index: int, value: object, seconds: float = 0.0
-        ) -> None:
-            results[index] = value
-            self.task_seconds[index] = seconds
-            if on_result is not None:
-                on_result(index, tasks[index], value)
-            if engine is not None:
-                engine._task_landed(tasks[index], seconds)
-
-        def run_serial(index: int, attempt: int) -> None:
-            serial_start = time.perf_counter()
-            value = _execute_task(tasks[index], (batch, index, attempt))
-            board.complete(index, attempt)
-            finish(index, value, time.perf_counter() - serial_start)
-
-        def dispose(index: int, gen: int, kind: str) -> None:
-            if board.fail(index, gen, kind, time.monotonic()) == DEGRADE:
-                run_serial(index, board.attempts.get(index, 0))
-
-        def fold(index: int, gen: int, ok: bool, value: object) -> None:
-            lease = inflight.get(index)
-            if lease is None or lease[1] != gen:
-                return  # late reply for an abandoned lease
-            del inflight[index]
-            if not ok:
-                dispose(index, gen, "task_errors")
-            elif board.complete(index, gen):
-                finish(index, value, time.monotonic() - lease[0])
-
-        while not board.finished:
-            now = time.monotonic()
-            while len(inflight) < jobs:
-                lease = board.grant(now)
-                if lease is None:
-                    break
-                # tag attempt numbering matches the serial path: first
-                # attempt is 0, so the lease generation shifts by one.
-                index, gen = lease.task, lease.gen
-                try:
-                    self._pool.apply_async(
-                        _execute_task,
-                        (tasks[index], (batch, index, gen - 1)),
-                        callback=reply_to(index, gen, True),
-                        error_callback=reply_to(index, gen, False),
-                    )
-                except Exception:
-                    # The pool itself is unusable; finish in-process.
-                    board.bump("degraded_to_serial")
-                    run_serial(index, gen - 1)
-                    continue
-                inflight[index] = (now, gen)
-            if not inflight:
-                if board.finished:
-                    break
-                not_before = board.next_not_before()
-                if not_before is None:
-                    # Defensive: nothing queued, nothing in flight, yet
-                    # unfinished tasks remain.  Finish them in-process
-                    # rather than spinning.
-                    for index in range(len(tasks)):
-                        if not board.is_done(index):
-                            board.bump("degraded_to_serial")
-                            run_serial(index, board.attempts.get(index, 0))
-                    continue
-                # Every queued task is still backing off; sleep toward
-                # the earliest deadline (bounded, so Ctrl-C stays snappy).
-                time.sleep(min(max(not_before - time.monotonic(), 0), 0.05))
-                continue
-
-            # Sleep until any task lands (or _WAKE_S passes), then fold
-            # every completion already queued.
-            try:
-                reply = completions.get(timeout=_WAKE_S)
-                while True:
-                    fold(*reply)
-                    reply = completions.get_nowait()
-            except queue.Empty:
-                pass
-            obs_stream.parent_poll()
-
-            pids = self._pool_pids()
-            deaths = len(self._worker_pids - pids) if pids else 0
-            if pids:
-                self._worker_pids = pids
-
-            if timeout is not None:
-                expired = time.monotonic() - timeout
-                for index, (submitted, gen) in list(inflight.items()):
-                    if submitted < expired:
-                        del inflight[index]
-                        self.abandoned_handles += 1
-                        # The worker holding this lease is presumed
-                        # wedged: its eventual death is this same incident.
-                        board.bank_crash_credit()
-                        dispose(index, gen, "task_timeouts")
-
-            if deaths:
-                board.bump("worker_crashes", deaths)
-                if board.consume_crash_credits(deaths) > 0:
-                    # Unattributed deaths: some worker died holding an
-                    # unknown, un-timed-out task; resubmit every in-flight
-                    # lease (purity makes duplicates safe, the board's
-                    # (task, gen) dedupe makes the charges exactly-once).
-                    for index in list(inflight):
-                        _submitted, gen = inflight.pop(index)
-                        self.abandoned_handles += 1
-                        dispose(index, gen, "")
-        return results
-
 
 class VerificationEngine:
     """Chunked, memoized, deterministic parallel sweep runner.
@@ -821,8 +661,8 @@ class VerificationEngine:
     into about ``ceil(jobs * 4 / cells with pending work)`` balanced
     chunks (amortizes task overhead; cells costing more than twice the
     median get up to twice as many, see :meth:`_plan_chunks`).  The
-    pool is forked by the first task dispatched, never for a call that
-    dispatches nothing.
+    worker fleet is forked by the first task dispatched, never for a
+    call that dispatches nothing.
 
     Args:
         jobs: Worker processes.  ``1`` (the default) runs in-process;
@@ -838,9 +678,9 @@ class VerificationEngine:
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
             accumulating task counts; :meth:`metrics_snapshot` adds cache
             and explorer counters on demand.
-        task_timeout: Seconds before an in-flight pooled task is abandoned
-            and resubmitted (None = wait forever, the pre-hardening
-            behavior).
+        task_timeout: Seconds before an in-flight pooled task's worker is
+            killed and replaced and the task resubmitted (None = wait
+            forever).
         max_task_retries: Resubmissions per task (timeout, crash, or
             error) before the task is executed in the parent process.
         retry_backoff: Base seconds of exponential backoff between
@@ -863,9 +703,10 @@ class VerificationEngine:
             and exposes its live resilience counters; workers stream
             heartbeats through the monitor's published spool.  Telemetry
             never touches results -- outputs stay bit-identical.
-        dispatcher: Optional external dispatch backend (the campaign
-            daemon's worker fleet); see the attribute docstring.  When
-            set, ``jobs`` only sizes chunking -- no pool is forked.
+        dispatcher: The campaign daemon's
+            :class:`~repro.verify.supervisor.FleetDispatcher`, whose
+            persistent fleet then runs every pooled map.  When set,
+            ``jobs`` only sizes chunking -- no fleet is forked.
     """
 
     def __init__(
@@ -891,8 +732,9 @@ class VerificationEngine:
         self.max_task_retries = max(0, int(max_task_retries))
         self.retry_backoff = retry_backoff
         self.failpoints = tuple(failpoints)
-        #: Resilience counters: tasks_retried, task_timeouts, task_errors,
-        #: worker_crashes, degraded_to_serial (absent until first event).
+        #: Resilience counters of batch fleets: tasks_retried,
+        #: task_timeouts, task_errors, worker_crashes, degraded_to_serial
+        #: and the lease loop's other events (absent until first event).
         self.resilience: Dict[str, int] = {}
         self.sc_cache = sc_cache if sc_cache is not None else SCVerdictCache()
         self.drf0_cache = (
@@ -905,13 +747,9 @@ class VerificationEngine:
         self.tracer = tracer
         self.metrics = metrics
         self.monitor = monitor
-        #: Optional external dispatch backend (the campaign daemon's
-        #: supervised worker fleet).  An object with
-        #: ``session(context, engine)`` returning a `_Session`-shaped
-        #: object (``map``, ``task_seconds``, ``abandoned_handles``,
-        #: optional ``close()``).  When set, the engine never creates a
-        #: pool of its own: the same fold/journal/store path runs over
-        #: the external executor, preserving bit-identity for free.
+        #: The daemon's fleet dispatcher, or None (a batch engine forks a
+        #: fleet per call).  Either way the same fold/journal/store path
+        #: runs above the same lease loop.
         self.dispatcher = dispatcher
         #: Whether *this* engine owns the monitor's campaign plan (the
         #: first engine to claim it does; chaos' helper engines share a
@@ -954,7 +792,7 @@ class VerificationEngine:
 
     @property
     def can_fork(self) -> bool:
-        """Whether a worker pool is actually available on this platform."""
+        """Whether a worker fleet is actually available on this platform."""
         return "fork" in multiprocessing.get_all_start_methods()
 
     def _task_landed(self, task: tuple, seconds: float = 0.0) -> None:
@@ -989,19 +827,10 @@ class VerificationEngine:
         previous = _TASK_CONTEXT
         if self.failpoints and not context.failpoints:
             context.failpoints = self.failpoints
-        # Published even on the dispatcher path: serial degradation runs
-        # tasks in *this* process through the same `_execute_task`.
+        # Published before any fork, so a batch fleet inherits it, and
+        # on the daemon's path too: serial degradation runs tasks in
+        # *this* process through the same `_execute_task`.
         _TASK_CONTEXT = context
-        if self.dispatcher is not None:
-            session = self.dispatcher.session(context, self)
-            try:
-                yield session
-            finally:
-                _TASK_CONTEXT = previous
-                close = getattr(session, "close", None)
-                if close is not None:
-                    close()
-            return
         session_start = _now_us() if self.tracer.enabled else 0
         session = _Session(self, self.jobs if self.can_fork else 1)
         failed = False
@@ -1780,10 +1609,10 @@ class VerificationEngine:
                 registry=registry,
                 prefix="engine.stream",
             )
-        # A service dispatcher (the daemon's supervised fleet) exposes a
-        # flat counters dict: lease reclamations, retry/backoff charges,
-        # breaker transitions, worker crash/replace events.
-        counters = getattr(self.dispatcher, "counters", None)
+        # The daemon's dispatcher keeps a flat counters dict: lease
+        # reclamations, retry/backoff charges, breaker transitions,
+        # worker crash/replace events.
+        counters = self.dispatcher.counters if self.dispatcher else None
         if counters:
             for name, count in sorted(counters.items()):
                 registry.counter(f"engine.service.{name}").value = count

@@ -1,25 +1,31 @@
-"""The daemon's persistent worker fleet.
+"""The supervised worker fleet: the engine's only way to run tasks in
+other processes.
 
-The batch engine forks a fresh pool per call and lets workers inherit
-the (unpicklable) task context by address-space copy.  A daemon cannot:
-its workers outlive any single campaign, so everything they need must
-cross a pipe.  The bridge is the name-based campaign spec
-(:mod:`repro.service.campaigns`): workers receive the spec dict, resolve
-it locally into the engine's ``_TaskContext``, and then execute the
-engine's **own** ``_execute_task`` on the engine's own task tuples --
-the values that come back are byte-for-byte the values a pool worker
-would have produced, which is what keeps daemon campaigns bit-identical
-to ``repro sweep``.
+A fleet is a set of forked worker processes, each joined to the parent
+by one duplex :func:`multiprocessing.Pipe`, request/response framed as
+small tuples (see :func:`_worker_main`).  Workers execute the engine's
+**own** ``_execute_task`` on the engine's own task tuples, so the
+values that come back are byte-for-byte the values an in-process run
+produces.  Two owners use it:
 
-Transport is one duplex :func:`multiprocessing.Pipe` per worker,
-request/response framed as small tuples (see :func:`_worker_main`).
+* a batch engine session with ``jobs > 1`` forks a fleet at its first
+  non-empty map, *after* publishing its task context, so workers
+  inherit the (unpicklable) context by address-space copy; the session
+  stops the fleet when it ends;
+* the campaign daemon keeps one fleet for its whole life.  Its workers
+  outlive any single campaign, so their context must cross the pipe:
+  the daemon ships a name-based campaign spec with
+  :meth:`Fleet.set_context`, and each worker resolves it locally with
+  the ``resolve_context`` callable the daemon gave the fleet.
+
 Death is observable without polling: every worker's
-``Process.sentinel`` joins the ``connection.wait`` the supervisor
-blocks on, so a SIGKILLed worker wakes the dispatch loop immediately.
+``Process.sentinel`` joins the ``connection.wait`` the dispatch loop
+(:class:`repro.verify.supervisor.FleetSession`) blocks on, so a
+SIGKILLed worker wakes it immediately.
 
 Workers fire engine :class:`~repro.verify.engine.Failpoint` tokens
-(they are children of the daemon, so ``multiprocessing.parent_process``
-is set), which is how the chaos tests kill daemon workers mid-campaign
+(they are forked children, so ``multiprocessing.parent_process`` is
+set), which is how the chaos tests kill workers mid-campaign
 deterministically.
 """
 
@@ -29,16 +35,14 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.obs import stream as obs_stream
 
-#: Heartbeat role for fleet workers (``fleet-<pid>`` worker ids in the
-#: status snapshot's worker table).
+#: Heartbeat role for the daemon's fleet workers (``fleet-<pid>`` worker
+#: ids in the status snapshot's worker table).  A batch session's
+#: workers keep the engine's default role, ``worker``.
 FLEET_ROLE = "fleet"
-
-#: Exit code a worker returns on a clean ``exit`` request.
-_CLEAN_EXIT = 0
 
 
 def _worker_main(
@@ -46,12 +50,14 @@ def _worker_main(
     inherited_fds: List[int],
     spool_dir: Optional[str],
     hb_interval: float,
+    resolve_context: Optional[Callable[[dict], object]],
 ) -> None:
     """Fleet worker loop: resolve campaign contexts, execute engine tasks.
 
     Protocol (one reply per request, in order):
 
     * ``("ctx", spec_dict)``    -> ``("ctx-ok",)`` | ``("ctx-err", msg)``
+      (the daemon's fleet only; ``resolve_context`` builds the context)
     * ``("task", tid, task, tag)`` -> ``("ok", tid, value)`` |
       ``("err", tid, msg)``
     * ``("rotate",)``           -> ``("rotate-ok",)``  (new spool slot)
@@ -61,10 +67,10 @@ def _worker_main(
     A ``crash``-mode failpoint never replies (``os._exit`` inside the
     task); the parent sees the sentinel fire and the pipe go dead.
 
-    ``inherited_fds`` are the daemon-side pipe ends this fork inherited
+    ``inherited_fds`` are the parent-side pipe ends this fork inherited
     (every sibling's, plus its own).  They must be closed here: a worker
-    holding a copy of a sibling's daemon-side end keeps that sibling's
-    ``recv`` from ever seeing EOF, so a SIGKILLed daemon would leave the
+    holding a copy of a sibling's parent-side end keeps that sibling's
+    ``recv`` from ever seeing EOF, so a SIGKILLed parent would leave the
     whole fleet orphaned forever instead of self-terminating.
     """
     for fd in inherited_fds:
@@ -72,21 +78,21 @@ def _worker_main(
             os.close(fd)
         except OSError:
             pass
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the daemon owns Ctrl-C
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     if spool_dir is not None:
-        # Workers are spawned before any campaign monitor exists, so they
-        # publish the stream themselves; the per-campaign monitors tail
-        # this same long-lived directory.
+        # Daemon workers are spawned before any campaign monitor exists,
+        # so they publish the stream themselves; the per-campaign
+        # monitors tail this same long-lived directory.  Batch workers
+        # inherit the stream their session's monitor published.
         obs_stream.publish(spool_dir, hb_interval)
         writer = obs_stream.worker_writer(role=FLEET_ROLE)
         if writer is not None:
             writer.beat(task=None, force=True)
 
-    from repro.service.campaigns import build_task_context
     from repro.verify import engine as engine_mod
 
     def reply(message) -> bool:
-        """Send a reply; False means the daemon is gone (orphan exit)."""
+        """Send a reply; False means the parent is gone (orphan exit)."""
         try:
             conn.send(message)
             return True
@@ -113,7 +119,7 @@ def _worker_main(
             sent = reply(("rotate-ok",))
         elif kind == "ctx":
             try:
-                engine_mod._TASK_CONTEXT = build_task_context(message[1])
+                engine_mod._TASK_CONTEXT = resolve_context(message[1])
             except Exception as exc:
                 sent = reply(("ctx-err", f"{type(exc).__name__}: {exc}"))
             else:
@@ -162,11 +168,13 @@ class Fleet:
     """Spawns, contextualizes, replaces, and retires fleet workers.
 
     The fleet is process supervision only -- lease bookkeeping and
-    retry policy live in :class:`repro.service.supervisor.FleetSession`.
+    retry policy live in :class:`repro.verify.supervisor.FleetSession`.
     ``counters`` receives supervision events (``workers_spawned``,
-    ``workers_replaced``, ``workers_killed``) so they surface in the
-    ``engine.service.*`` metrics and the status snapshot's
-    ``health.service`` block.
+    ``workers_replaced``, ``workers_killed``); the daemon passes the
+    dict it surfaces as ``engine.service.*`` metrics and the status
+    snapshot's ``health.service`` block.  ``spool_dir`` and
+    ``resolve_context`` are the daemon's: its long-lived workers publish
+    their own heartbeat stream and resolve shipped campaign specs.
     """
 
     def __init__(
@@ -175,10 +183,12 @@ class Fleet:
         spool_dir: Optional[str] = None,
         hb_interval: float = 0.05,
         counters: Optional[Dict[str, int]] = None,
+        resolve_context: Optional[Callable[[dict], object]] = None,
     ) -> None:
         self.size = max(1, int(size))
         self.spool_dir = spool_dir
         self.hb_interval = hb_interval
+        self.resolve_context = resolve_context
         self.counters: Dict[str, int] = (
             counters if counters is not None else {}
         )
@@ -205,9 +215,9 @@ class Fleet:
         if self._ctx is None:
             return None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # The fork inherits every daemon-side pipe end currently open --
+        # The fork inherits every parent-side pipe end currently open --
         # the siblings' and its own; the child closes them first thing,
-        # so a dead daemon EOFs the whole fleet (see _worker_main).
+        # so a dead parent EOFs the whole fleet (see _worker_main).
         inherited = [parent_conn.fileno()]
         for sibling in self.handles:
             try:
@@ -216,7 +226,10 @@ class Fleet:
                 pass
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, inherited, self.spool_dir, self.hb_interval),
+            args=(
+                child_conn, inherited, self.spool_dir, self.hb_interval,
+                self.resolve_context,
+            ),
             daemon=True,
         )
         process.start()
@@ -279,18 +292,22 @@ class Fleet:
             handle.process.terminate()
         handle.process.join(timeout=5.0)
 
-    def kill(self, pid: int, sig: int = signal.SIGKILL) -> bool:
-        """Kill one worker by pid (wedged-lease reclamation and chaos).
+    def kill(self, pid: int) -> bool:
+        """SIGKILL one worker by pid and wait for it to die (wedged-lease
+        reclamation).
 
         The handle stays registered until the supervisor reaps the death
-        -- killing must not silently drop an in-flight assignment.
+        -- killing must not silently drop an in-flight assignment.  The
+        wait keeps a dying worker out of :meth:`idle_handles`, where it
+        could be handed a lease it would never answer.
         """
         for handle in self.handles:
             if handle.pid == pid:
                 try:
-                    os.kill(pid, sig)
+                    os.kill(pid, signal.SIGKILL)
                 except OSError:
                     return False
+                handle.process.join(timeout=5.0)
                 self._bump("workers_killed")
                 return True
         return False
@@ -331,9 +348,16 @@ class Fleet:
             if handle.assignment is None and handle.alive()
         ]
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Retire the whole fleet: polite ``exit``, then terminate."""
+    def stop(self, timeout: float = 10.0, kill: bool = False) -> None:
+        """Retire the whole fleet: polite ``exit``, then terminate.
+
+        ``kill`` SIGKILLs every worker at once instead: after a failure a
+        worker may be mid-task and would never read the request.
+        """
         for handle in self.handles:
+            if kill:
+                handle.process.kill()
+                continue
             try:
                 handle.conn.send(("exit",))
             except (OSError, ValueError):

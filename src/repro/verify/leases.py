@@ -1,11 +1,10 @@
-"""Lease-based task bookkeeping: the retry core the engine and daemon share.
+"""Lease-based task bookkeeping: the retry core of the engine's lease loop.
 
-The verification engine's resilient pool dispatch and the campaign
-daemon's supervised worker fleet solve the same problem: hand pure tasks
-to unreliable executors, notice when an executor times out, crashes, or
-lies, and retry with a bounded budget before degrading to in-process
-serial execution.  This module is that state machine, extracted from
-``verify/engine.py``'s pool loop so both layers drive one implementation:
+The engine hands pure tasks to unreliable executors -- the workers of
+a supervised fleet -- notices when one times out, crashes, or lies, and
+retries with a bounded budget before degrading to in-process serial
+execution.  This module is that state machine; the loop that moves the
+leases is :class:`repro.verify.supervisor.FleetSession`:
 
 * :class:`BackoffPolicy` -- exponential backoff with deterministic
   jitter (hashed from ``(task, attempt)``, so two daemons replaying the
@@ -13,21 +12,7 @@ serial execution.  This module is that state machine, extracted from
 * :class:`TaskBoard` -- per-task lease generations, idempotent failure
   handling (a ``(task, generation)`` pair is charged **at most once**,
   the same exactly-once discipline ``StreamFold`` applies to telemetry
-  task records), retry budgets, and the crash-credit rule below.
-
-Crash credits (the timeout/crash interplay fix): a pooled task that
-times out is abandoned and resubmitted, but the worker that held it is
-usually still wedged on it -- and when that worker finally dies, the
-naive rule "some worker died, resubmit everything in flight" charges the
-*resubmitted* attempt a second failure for the same incident, burning
-two units of retry budget (and one healthy in-flight dispatch) per
-fault.  The board therefore banks one **crash credit** per timeout; a
-subsequently observed worker death first consumes a credit (it is
-attributed to the already-handled timeout) and only *unattributed*
-deaths fail the in-flight leases.  A mis-attributed credit can only
-delay recovery until the task's own timeout fires, never lose work --
-and with no timeout configured no credits exist, so every death is
-handled immediately.
+  task records), and retry budgets.
 
 Nothing here touches task *values*: completion is first-wins per task
 (late duplicates are discarded), which preserves the engine's
@@ -39,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 #: Terminal dispositions of a :meth:`TaskBoard.fail` call.
@@ -80,8 +65,6 @@ class Lease:
 
     task: int
     gen: int
-    granted_at: float = 0.0
-    worker: Optional[str] = None
 
 
 class TaskBoard:
@@ -91,8 +74,7 @@ class TaskBoard:
     it grants, report completions/failures, and read ``counters`` for
     the ``engine.service.*`` / ``engine.resilience.*`` metric surfaces.
     All methods are O(log n) or better; the board is single-threaded by
-    design (both the engine session loop and the daemon supervisor own
-    their board exclusively).
+    design (each lease loop owns its board exclusively).
     """
 
     def __init__(
@@ -120,8 +102,6 @@ class TaskBoard:
         #: (task, gen) pairs already failed -- the exactly-once dedupe.
         self._failed: Set[Tuple[int, int]] = set()
         self._done: Set[int] = set()
-        #: Unconsumed timeout incidents (see module docstring).
-        self.crash_credits = 0
 
     # -- introspection -------------------------------------------------
 
@@ -139,12 +119,6 @@ class TaskBoard:
     def is_done(self, task: int) -> bool:
         return task in self._done
 
-    def pending_ready(self, now: float) -> bool:
-        """Any retriable task whose backoff has elapsed?"""
-        while self._ready and self._ready[0][1] in self._done:
-            heapq.heappop(self._ready)
-        return bool(self._ready) and self._ready[0][0] <= now
-
     def next_not_before(self) -> Optional[float]:
         """Earliest backoff deadline among queued tasks (None = empty)."""
         while self._ready and self._ready[0][1] in self._done:
@@ -153,7 +127,7 @@ class TaskBoard:
 
     # -- lease lifecycle -----------------------------------------------
 
-    def grant(self, now: float, worker: Optional[str] = None) -> Optional[Lease]:
+    def grant(self, now: float) -> Optional[Lease]:
         """Lease the next ready task, or ``None`` if nothing is due."""
         while self._ready:
             not_before, task = self._ready[0]
@@ -165,7 +139,7 @@ class TaskBoard:
             heapq.heappop(self._ready)
             gen = self._gens.get(task, 0) + 1
             self._gens[task] = gen
-            return Lease(task=task, gen=gen, granted_at=now, worker=worker)
+            return Lease(task=task, gen=gen)
         return None
 
     def complete(self, task: int, gen: int) -> bool:
@@ -180,10 +154,9 @@ class TaskBoard:
         """Disposition one failed lease: RETRY, DEGRADE, or STALE.
 
         ``kind`` feeds the counters (``task_timeouts``, ``task_errors``,
-        ``worker_crashes`` ...).  A ``(task, gen)`` pair is charged at
-        most once -- a second failure report for the same lease (e.g. a
-        timeout already handled, then the wedged worker's death blamed
-        on the same task) is STALE: no budget burned, no resubmission.
+        ``heartbeat_expiries`` ...).  A ``(task, gen)`` pair is charged at
+        most once -- a second failure report for the same lease is
+        STALE: no budget burned, no resubmission.
         """
         if task in self._done:
             return STALE
@@ -209,27 +182,10 @@ class TaskBoard:
         return RETRY
 
     def requeue(self, task: int, now: float) -> None:
-        """Put a task back without charging budget (e.g. a lease the
-        caller could not dispatch at all)."""
+        """Void a lease the caller could not dispatch at all (no idle
+        worker, a dead pipe): the task goes back without charging
+        budget, and the next grant reuses its generation, so a lease's
+        generation stays the task's attempt number."""
         if task not in self._done:
+            self._gens[task] -= 1
             heapq.heappush(self._ready, (now, task))
-
-    # -- crash attribution ---------------------------------------------
-
-    def bank_crash_credit(self) -> None:
-        """A timeout just fired: the worker holding it is presumed
-        wedged, and its eventual death is already accounted for."""
-        self.crash_credits += 1
-
-    def consume_crash_credits(self, deaths: int) -> int:
-        """Attribute ``deaths`` observed worker deaths to banked
-        timeouts; returns how many deaths remain *unattributed* (only
-        those should fail in-flight leases)."""
-        if deaths <= 0:
-            return 0
-        consumed = min(deaths, self.crash_credits)
-        self.crash_credits -= consumed
-        if consumed:
-            self.bump("crashes_attributed_to_timeouts", consumed)
-        return deaths - consumed
-

@@ -1,29 +1,35 @@
-"""Fleet supervision: leases, reclamation, backoff, circuit breaking.
+"""Fleet supervision: the engine's one lease loop over worker processes.
 
-This is the robustness core of the campaign daemon.  The engine hands
-its task list to :class:`FleetSession` (through the ``dispatcher`` seam
-on :class:`~repro.verify.engine.VerificationEngine`), and the session
-drives the shared :class:`~repro.verify.leases.TaskBoard` state machine
-over the persistent worker fleet instead of a throwaway pool:
+Every task the engine runs outside its own process goes through
+:class:`FleetSession`, over a :class:`~repro.verify.fleet.Fleet`: the
+fleet a batch session forks for ``--jobs N``, or the campaign daemon's
+persistent one (passed as ``VerificationEngine(dispatcher=)``).  The
+session drives the :class:`~repro.verify.leases.TaskBoard` state
+machine:
 
-* every dispatch is a **lease** (task, generation); completions are
-  first-wins and failure charges are deduplicated per lease, exactly as
-  in the engine's own pool loop;
-* a lease is **reclaimed** when its task times out *or* when the
-  worker's heartbeat stream goes silent past ``heartbeat_timeout`` --
-  the beat records workers already emit are the liveness evidence, so a
-  wedged worker is caught by the telemetry plane before the (longer)
-  task timeout would fire; the wedged worker is killed and replaced;
+* every dispatch is a **lease** (task, generation) on one known
+  worker; completions are first-wins and failure charges are
+  deduplicated per lease;
+* the loop sleeps in ``connection.wait`` on every busy worker's pipe
+  and process sentinel, so any reply or any worker death wakes it at
+  once, and each death is charged to the lease its worker held;
+* a lease is **reclaimed** when its task times out *or* (daemon) when
+  the worker's heartbeat stream goes silent past ``heartbeat_timeout``
+  -- the beat records workers already emit are the liveness evidence,
+  so a wedged worker is caught by the telemetry plane before the
+  (longer) task timeout would fire; the wedged worker is killed and
+  replaced;
 * failures feed a per-cell :class:`CircuitBreaker`
   (healthy -> suspect -> quarantined -> recovered): a quarantined
-  cell's tasks run serially in the daemon process, with every K-th task
+  cell's tasks run serially in the parent process, with every K-th task
   probing the fleet so a recovered cell is promoted back;
-* a task that exhausts its retry budget degrades to in-daemon serial
-  execution -- the campaign always terminates with the exact serial
-  output, because serial execution in the daemon runs the engine's own
-  ``_execute_task`` against the context the engine published.
+* a task that exhausts its retry budget degrades to serial execution
+  in the parent -- the call always terminates with the exact serial
+  output, because the parent runs the engine's own ``_execute_task``
+  against the context the engine published.
 
-All supervision events land in one counters dict, surfaced as
+All supervision events land in one counters dict: the engine's
+``resilience`` dict in batch, or the daemon's, surfaced as
 ``engine.service.*`` metrics and the status snapshot's
 ``health.service`` block.
 """
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import time
 from multiprocessing import connection as mp_connection
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.obs import stream as obs_stream
 from repro.obs.tracer import now_us
@@ -40,7 +46,7 @@ from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
 
 
 class DrainRequested(RuntimeError):
-    """Raised out of a dispatch loop when the daemon is draining; every
+    """Raised out of the dispatch loop when the daemon is draining; every
     completed unit is already journaled, so the campaign resumes on
     restart from exactly where the drain cut it."""
 
@@ -58,9 +64,10 @@ class CircuitBreaker:
     Keys are cells (``cell:<i>``) or auxiliary task families
     (``drf0:<i>``).  The first failure makes a key *suspect* (visible in
     metrics, no behavior change); ``threshold`` deduplicated failures
-    quarantine it, after which its tasks run serially in the daemon --
-    except every ``probe_interval``-th task, which is sent to the fleet
-    as a probe.  A probe success closes the circuit (*recovered*).
+    quarantine it, after which its tasks run serially in the parent
+    process -- except every ``probe_interval``-th task, which is sent to
+    the fleet as a probe.  A probe success closes the circuit
+    (*recovered*).
     """
 
     def __init__(
@@ -129,16 +136,17 @@ def _breaker_key(task: tuple) -> str:
     return kind
 
 
-# -- the dispatcher seam ------------------------------------------------
+# -- the dispatcher ------------------------------------------------------
 
 
 class FleetDispatcher:
-    """The object a daemon passes as ``VerificationEngine(dispatcher=)``.
+    """A fleet plus its dispatch policy: timeouts, retries, breaker.
 
-    Campaign-scoped state (the spec shipped to workers) is set with
-    :meth:`prepare` before the engine call; the engine then opens
-    sessions through :meth:`session` exactly where it would have forked
-    a pool.
+    The daemon passes one as ``VerificationEngine(dispatcher=)`` and
+    sets campaign-scoped state (the spec shipped to workers) with
+    :meth:`prepare` before each engine call; a batch engine builds one
+    around the fleet it forks.  The engine opens a :class:`FleetSession`
+    on it at a call's first pooled map.
     """
 
     def __init__(
@@ -172,23 +180,19 @@ class FleetDispatcher:
         self.fleet.ensure()
         return self.fleet.set_context(ctx_data)
 
-    def session(self, context, engine) -> "FleetSession":
-        return FleetSession(self, engine)
-
 
 class FleetSession:
-    """One engine call's dispatch surface over the worker fleet.
+    """One engine call's lease loop over the worker fleet.
 
-    Mirrors the engine's ``_Session`` contract (``map``,
-    ``task_seconds``, ``abandoned_handles``, ``close``); the engine's
-    fold/journal/store path is unchanged above it.
+    The engine's ``_Session`` delegates every pooled :meth:`map` here,
+    so the fold/journal/store path above it is the one the in-process
+    path runs.
     """
 
     def __init__(self, dispatcher: FleetDispatcher, engine) -> None:
         self.dispatcher = dispatcher
         self.engine = engine
         self.task_seconds: List[float] = []
-        self.abandoned_handles = 0
         #: Pids this session killed on purpose (reclaimed leases, chaos
         #: cleanup): their deaths are already charged and must not count
         #: as fresh ``worker_crashes``.
@@ -236,13 +240,9 @@ class FleetSession:
             backoff=BackoffPolicy(base=dispatcher.backoff),
             counters=dispatcher.counters,
         )
-        results: List[object] = [engine_mod._UNSET] * len(tasks)
+        results: List[object] = [None] * len(tasks)
         self.task_seconds = [0.0] * len(tasks)
         batch = next(engine_mod._TELEMETRY_BATCH)
-
-        if engine is not None and engine.metrics is not None:
-            for task in tasks:
-                engine.metrics.counter(f"engine.tasks.{task[0]}").inc()
 
         def finish(index: int, value: object, seconds: float = 0.0) -> None:
             results[index] = value
@@ -285,7 +285,6 @@ class FleetSession:
                     index, gen, _submitted = handle.assignment
                     handle.assignment = None
                     if not expected:
-                        self.abandoned_handles += 1
                         dispose(index, gen, "")
             if dead:
                 fleet.ensure()
@@ -323,7 +322,7 @@ class FleetSession:
                     break
                 if not fleet.handles:
                     # The fleet is gone and cannot be rebuilt: finish
-                    # everything in-daemon (graceful degradation floor).
+                    # everything in-process (graceful degradation floor).
                     for index in range(len(tasks)):
                         if not board.is_done(index):
                             self._bump("degraded_to_serial")
@@ -379,7 +378,6 @@ class FleetSession:
                 if not (timed_out or hb_dead):
                     continue
                 handle.assignment = None
-                self.abandoned_handles += 1
                 self._bump("leases_reclaimed")
                 self._expected_deaths.add(handle.pid)
                 fleet.kill(handle.pid)

@@ -9,7 +9,7 @@ hardware side is sampled -- :class:`SweepReport.seeds_run` records the
 evidence size.
 
 These are the serial reference implementations.  The parallel engine
-(:mod:`repro.verify.engine`) fans the same sweeps across a worker pool and
+(:mod:`repro.verify.engine`) fans the same sweeps across a worker fleet and
 memoizes oracle verdicts; its output is bit-for-bit identical to the
 functions here, which the test suite asserts.
 """

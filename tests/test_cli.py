@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -51,6 +52,34 @@ class TestImports:
         ))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_batch_sweep_loads_no_daemon(self, jobs):
+        # A pooled sweep runs on the fleet modules under repro.verify,
+        # never the daemon's package (asyncio, http.client); an
+        # in-process sweep loads not even the fleet.
+        proc = _run_cli("-c", (
+            "import sys\n"
+            "from repro.hw import POLICY_FACTORIES\n"
+            "from repro.litmus.catalog import by_name\n"
+            "from repro.verify.engine import VerificationEngine\n"
+            "programs = [by_name(n).program for n in ('MP+sync', 'SB')]\n"
+            f"VerificationEngine(jobs={jobs}).definition2_sweep(\n"
+            "    programs, {'sc': POLICY_FACTORIES['sc']}, seeds=range(4))\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name == 'asyncio'\n"
+            "             or name.startswith(('repro.service',\n"
+            "                                 'repro.verify.fleet',\n"
+            "                                 'repro.verify.supervisor'))))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.strip()
+        if jobs == 1:
+            assert loaded == "[]"
+        else:
+            assert "asyncio" not in loaded and "repro.service" not in loaded
+            can_fork = "fork" in multiprocessing.get_all_start_methods()
+            assert ("repro.verify.fleet" in loaded) == can_fork
 
 
 class TestCatalogCommand:

@@ -160,10 +160,11 @@ class TestCompletionWake:
         assert landed[-1] == 0
         assert elapsed < 0.5, f"map took {elapsed:.3f}s"
 
-    def test_late_reply_of_abandoned_lease_is_dropped(self, monkeypatch):
-        # Task 0's first attempt outlives task_timeout and is resubmitted;
-        # its reply still arrives 1.5 s in, while 40 x 50 ms of younger
-        # work keeps the map running, and must not fold a second time.
+    def test_timed_out_worker_is_killed_and_replaced(self, monkeypatch):
+        # Task 0's first attempt outlives task_timeout: its worker is
+        # killed at the timeout, so the late reply never arrives, and a
+        # fresh worker takes its place while 40 x 50 ms of younger work
+        # keeps the map running.  The resubmitted task folds once.
         tasks = [("late", index, 0.05) for index in range(41)]
         monkeypatch.setattr(
             engine_module, "_execute_task", _late_first_attempt_task
@@ -173,18 +174,38 @@ class TestCompletionWake:
         engine = VerificationEngine(jobs=2, task_timeout=0.5)
         landed = []
         with engine._session(_TaskContext()) as session:
-            start = time.monotonic()
             values = session.map(
                 tasks, lambda index, task, value: landed.append(index)
             )
-            elapsed = time.monotonic() - start
-            abandoned = session.abandoned_handles
+            fleet = session.fleet
+            live = fleet.live_pids()
         assert values == expected
         assert sorted(landed) == list(range(41))
-        assert elapsed > 1.5  # the late reply landed inside the map
         assert engine.resilience["task_timeouts"] >= 1
         assert engine.resilience.get("duplicate_completions", 0) == 0
-        assert abandoned > 0  # so the session terminated the pool
+        assert fleet.counters["workers_killed"] >= 1
+        assert fleet.counters["workers_replaced"] >= 1
+        assert len(live) == fleet.size == 2  # back at full strength
+
+
+def _attempt_of_task(task, tag=None):
+    """Stand-in for ``_execute_task``: returns the dispatch's attempt
+    number, the third element of its telemetry tag."""
+    time.sleep(0.002)
+    return tag[2]
+
+
+@pool_available
+class TestLeaseGenerations:
+    def test_clean_pooled_map_dispatches_first_attempts(self, monkeypatch):
+        # With every worker busy, the loop finds no one to lease the next
+        # task to; that void lease must not count as an attempt, or
+        # heartbeat and task records would report retries that never ran.
+        monkeypatch.setattr(engine_module, "_execute_task", _attempt_of_task)
+        engine = VerificationEngine(jobs=2)
+        with engine._session(_TaskContext()) as session:
+            assert session.map([("x", index) for index in range(20)]) == [0] * 20
+        assert engine.resilience == {}
 
 
 class TestJournalResume:
@@ -310,14 +331,14 @@ class TestCacheQuarantine:
 
 class TestInterruptSafety:
     def test_session_teardown_on_error(self):
-        # An exception escaping mid-session must terminate the pool and
+        # An exception escaping mid-session must kill the fleet and
         # re-raise; a subsequent engine call must work normally.  The
-        # pool is forked by the first map, so one task runs first.
+        # fleet is forked by the first map, so one task runs first.
         engine = VerificationEngine(jobs=2)
         with pytest.raises(RuntimeError, match="boom"):
             with engine._session(_context()) as session:
                 assert len(session.map([("run", 0, (0,))])[0]) == 1
-                workers = session._pool_pids()
+                workers = session.fleet.live_pids() if session.fleet else set()
                 if engine.can_fork:
                     assert len(workers) == 2
                 raise RuntimeError("boom")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.service.campaigns import CampaignError, CampaignSpec
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.supervisor import (
+from repro.verify.supervisor import (
     HEALTHY,
     QUARANTINED,
     SUSPECT,

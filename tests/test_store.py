@@ -427,6 +427,21 @@ class TestMaintenance:
         assert report.checked > 0
         assert report.unauditable == 0
 
+    def test_cache_audit_skips_verdict_filed_without_its_program(self):
+        # A warm start files a stored SC verdict whose program record is
+        # missing without the program.  The cache's audit cannot
+        # re-derive it and skips it, as the store's audit counts it
+        # unauditable, instead of failing on the program lookup.
+        from repro.verify import SCVerdictCache
+
+        cache = SCVerdictCache()
+        VerificationEngine(jobs=1, sc_cache=cache).contract_sweep(
+            message_passing_program(sync=True), AdveHillPolicy, seeds=range(2)
+        )
+        (_, result), (verdict, _) = next(iter(cache._entries.items()))
+        cache.store_by_fingerprint("0" * 64, result, verdict, program=None)
+        assert cache.audit() == []
+
     def test_audit_sample_is_deterministic(self, tmp_path):
         cache = str(tmp_path / "cache")
         sweep(cache)
