@@ -29,57 +29,91 @@ Quickstart::
     program = build_program([p0, p1], initial_memory={"flag": 1})
     print(obeys_drf0(program))
     print(sc_results(program))
+
+Every package re-exports its public names lazily (PEP 562): importing a
+package loads none of its submodules, and the first access to a name
+imports the one submodule that defines it.  Each package lists its names
+once, in its ``_EXPORTS`` table, so a command pays at start-up only for
+the modules it uses.
 """
 
-from repro.core import (
-    DRF0_MODEL,
-    DRF1_MODEL,
-    Condition,
-    ContractReport,
-    Execution,
-    ExplorationConfig,
-    OpKind,
-    Operation,
-    Race,
-    Result,
-    appears_sc,
-    check_program,
-    check_weak_ordering,
-    conflicts,
-    explore,
-    happens_before,
-    is_sc_result,
-    obeys_drf0,
-    races_in_execution,
-    sc_results,
-)
-from repro.machine import Program, ThreadBuilder, build_program
+from __future__ import annotations
+
+import importlib
+import sys
+import types
+from typing import Dict, List, Sequence
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Condition",
-    "ContractReport",
-    "DRF0_MODEL",
-    "DRF1_MODEL",
-    "Execution",
-    "ExplorationConfig",
-    "OpKind",
-    "Operation",
-    "Program",
-    "Race",
-    "Result",
-    "ThreadBuilder",
-    "appears_sc",
-    "build_program",
-    "check_program",
-    "check_weak_ordering",
-    "conflicts",
-    "explore",
-    "happens_before",
-    "is_sc_result",
-    "obeys_drf0",
-    "races_in_execution",
-    "sc_results",
-    "__version__",
-]
+
+class _LazyPackage(types.ModuleType):
+    """A package whose re-exported names win over same-named submodules.
+
+    The import system binds each submodule it imports on the parent
+    package.  Where the package re-exports a same-named object
+    (``repro.verify.fuzz`` is the fuzz function), that binding is
+    dropped, so the name resolves to the export whichever of the two is
+    imported first -- as it did when the package imported eagerly.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if (
+            isinstance(value, types.ModuleType)
+            and value.__name__ == f"{self.__name__}.{name}"
+            and name in self.__dict__.get("__all__", ())
+        ):
+            return
+        super().__setattr__(name, value)
+
+
+def _lazy_exports(package: str, table: Dict[str, Sequence[str]]) -> List[str]:
+    """Re-export ``table``'s names from ``package`` on first access.
+
+    ``table`` maps each defining submodule, relative to ``package``, to
+    the public names it provides.  Installs the package's module
+    ``__getattr__`` and ``__dir__`` and returns its ``__all__``.
+    """
+    module = sys.modules[package]
+    namespace = vars(module)
+    origin = {
+        name: f"{package}.{submodule}"
+        for submodule, names in table.items()
+        for name in names
+    }
+
+    def __getattr__(name: str):
+        try:
+            source = origin[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(source), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(origin))
+
+    namespace["__getattr__"] = __getattr__
+    namespace["__dir__"] = __dir__
+    module.__class__ = _LazyPackage
+    return list(origin)
+
+
+_EXPORTS = {
+    "core.contract": (
+        "ContractReport", "appears_sc", "check_weak_ordering", "is_sc_result",
+    ),
+    "core.drf0": ("Race", "check_program", "obeys_drf0", "races_in_execution"),
+    "core.execution": ("Execution", "Result"),
+    "core.models": ("DRF0_MODEL", "DRF1_MODEL"),
+    "core.ops": ("Operation", "conflicts"),
+    "core.relations": ("happens_before",),
+    "core.sc": ("ExplorationConfig", "explore", "sc_results"),
+    "core.types": ("Condition", "OpKind"),
+    "machine.dsl": ("ThreadBuilder", "build_program"),
+    "machine.program": ("Program",),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS) + ["__version__"]

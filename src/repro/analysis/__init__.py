@@ -1,27 +1,12 @@
 """Race-freedom analyses: Shasha-Snir delay sets and Eraser-style locksets."""
 
-from repro.analysis.delay_sets import (
-    DelayAnalysis,
-    DelayPair,
-    analyze,
-    delay_pairs_for,
-)
-from repro.analysis.lockset import (
-    LocationState,
-    LocksetReport,
-    LocksetWarning,
-    analyze_execution,
-    analyze_program,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "DelayAnalysis",
-    "DelayPair",
-    "LocationState",
-    "LocksetReport",
-    "LocksetWarning",
-    "analyze",
-    "analyze_execution",
-    "analyze_program",
-    "delay_pairs_for",
-]
+_EXPORTS = {
+    "delay_sets": ("DelayAnalysis", "DelayPair", "analyze", "delay_pairs_for"),
+    "lockset": (
+        "LocationState", "LocksetReport", "LocksetWarning",
+        "analyze_execution", "analyze_program",
+    ),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -63,45 +63,57 @@ in Perfetto) and ``--metrics-json FILE``; ``simulate`` and ``drf0`` accept
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.analysis import analyze
-from repro.axiomatic import (
-    CoherenceModel,
-    SCModel,
-    TSOModel,
-    UnsupportedProgram,
-    WeakOrderingDRF,
-    allowed_results,
-)
-from repro.core.contract import appears_sc
-from repro.core.drf0 import check_program, check_program_sampled
 from repro.hw import POLICY_FACTORIES
-from repro.litmus import all_tests, by_name
-from repro.litmus.figures import figure3_program
-from repro.machine.program import Program
-from repro.sim.system import SystemConfig, run_on_hardware
-from repro.workloads import (
-    barrier_workload,
-    lock_workload,
-    phase_parallel_workload,
-    producer_consumer_workload,
-    work_queue_workload,
-)
+
+if TYPE_CHECKING:
+    from repro.machine.program import Program
+    from repro.sim.system import SystemConfig
+
+# Module level holds only what build_parser needs; every handler imports
+# what it runs, so each command loads only its own modules at start-up.
+
+
+def _deferred(module: str, factory: str, *args, **kwargs) -> Callable:
+    """``factory(*args, **kwargs)`` from ``module``, imported when called."""
+
+    def build():
+        return getattr(importlib.import_module(module), factory)(
+            *args, **kwargs
+        )
+
+    return build
+
 
 WORKLOAD_FACTORIES = {
-    "lock": lambda: lock_workload(3, 1),
-    "ttas": lambda: lock_workload(3, 1, ttas=True),
-    "prodcons": lambda: producer_consumer_workload(batch_size=6),
-    "barrier": lambda: barrier_workload(num_procs=3, phases=1),
-    "phases": lambda: phase_parallel_workload(num_procs=3, chunk=2, phases=1),
-    "workqueue": lambda: work_queue_workload(num_consumers=2, num_items=4),
+    "lock": _deferred("repro.workloads.locks", "lock_workload", 3, 1),
+    "ttas": _deferred(
+        "repro.workloads.locks", "lock_workload", 3, 1, ttas=True
+    ),
+    "prodcons": _deferred(
+        "repro.workloads.producer_consumer", "producer_consumer_workload",
+        batch_size=6,
+    ),
+    "barrier": _deferred(
+        "repro.workloads.barrier", "barrier_workload", num_procs=3, phases=1
+    ),
+    "phases": _deferred(
+        "repro.workloads.barrier", "phase_parallel_workload",
+        num_procs=3, chunk=2, phases=1,
+    ),
+    "workqueue": _deferred(
+        "repro.workloads.work_queue", "work_queue_workload",
+        num_consumers=2, num_items=4,
+    ),
     # Figure 3's release/acquire handoff with cold invalidations and
     # post-release work -- the stall-attribution showcase.
-    "critical_section": lambda: figure3_program(
-        num_extra_sharers=2, post_release_work=80
+    "critical_section": _deferred(
+        "repro.litmus.figures", "figure3_program",
+        num_extra_sharers=2, post_release_work=80,
     ),
 }
 
@@ -112,6 +124,8 @@ def _canon_policy(name: str) -> str:
 
 
 def _resolve_program(name: str) -> Program:
+    from repro.litmus import by_name
+
     if name in WORKLOAD_FACTORIES:
         return WORKLOAD_FACTORIES[name]()
     try:
@@ -129,6 +143,8 @@ def _usage_error(message: str) -> "SystemExit":
 
 
 def _config_from_args(args) -> SystemConfig:
+    from repro.sim.system import SystemConfig
+
     fault_plan = None
     plan_name = getattr(args, "faults", None)
     if plan_name is not None:
@@ -201,6 +217,8 @@ def _load_snapshot(path: str) -> dict:
 
 
 def cmd_catalog(args) -> int:
+    from repro.litmus import all_tests
+
     print("litmus tests:")
     for test in all_tests():
         flags = "DRF0" if test.drf0 else "racy"
@@ -210,6 +228,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_litmus(args) -> int:
+    from repro.core.contract import appears_sc
+    from repro.litmus import all_tests, by_name
+    from repro.sim.system import run_on_hardware
+
     tests = [by_name(n) for n in args.names] if args.names else all_tests()
     factory = POLICY_FACTORIES[args.policy]
     config = _config_from_args(args)
@@ -276,6 +298,7 @@ def _print_explorer_stats(stats, elapsed: Optional[float] = None) -> None:
 def cmd_drf0(args) -> int:
     import time
 
+    from repro.core.drf0 import check_program, check_program_sampled
     from repro.core.sc import ExplorationCapError, ExplorationConfig
 
     program = _resolve_program(args.name)
@@ -367,6 +390,16 @@ def cmd_drf0(args) -> int:
 
 
 def cmd_models(args) -> int:
+    from repro.axiomatic import (
+        CoherenceModel,
+        SCModel,
+        TSOModel,
+        UnsupportedProgram,
+        WeakOrderingDRF,
+        allowed_results,
+    )
+    from repro.litmus import all_tests, by_name
+
     tests = [by_name(n) for n in args.names] if args.names else all_tests()
     models = [
         ("SC", SCModel()),
@@ -388,7 +421,8 @@ def cmd_models(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.sim.system import LivenessError
+    from repro.core.contract import appears_sc
+    from repro.sim.system import LivenessError, run_on_hardware
 
     program = _resolve_program(args.name)
     factory = POLICY_FACTORIES[args.policy]
@@ -574,6 +608,7 @@ def cmd_profile(args) -> int:
         render_stall_comparison,
         run_metrics,
     )
+    from repro.sim.system import run_on_hardware
 
     program = _resolve_program(args.workload)
     config = _config_from_args(args)
@@ -610,6 +645,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_delays(args) -> int:
+    from repro.analysis import analyze
+    from repro.axiomatic import UnsupportedProgram
+
     program = _resolve_program(args.name)
     try:
         analysis = analyze(program)

@@ -1,27 +1,13 @@
 """Litmus tests: the paper's figures and the classic suite."""
 
-from repro.litmus.catalog import LitmusTest, all_tests, by_name
-from repro.litmus.figures import (
-    figure2a_execution,
-    figure2b_execution,
-    figure3_program,
-)
-from repro.litmus.harness import (
-    LitmusHardwareReport,
-    hardware_outcome_table,
-    run_litmus_on_hardware,
-    verify_catalog_expectations,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LitmusHardwareReport",
-    "LitmusTest",
-    "all_tests",
-    "by_name",
-    "figure2a_execution",
-    "figure2b_execution",
-    "figure3_program",
-    "hardware_outcome_table",
-    "run_litmus_on_hardware",
-    "verify_catalog_expectations",
-]
+_EXPORTS = {
+    "catalog": ("LitmusTest", "all_tests", "by_name"),
+    "figures": ("figure2a_execution", "figure2b_execution", "figure3_program"),
+    "harness": (
+        "LitmusHardwareReport", "hardware_outcome_table",
+        "run_litmus_on_hardware", "verify_catalog_expectations",
+    ),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

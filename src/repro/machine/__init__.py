@@ -1,68 +1,18 @@
 """Register-machine frontend: ISA, programs, DSL, interpreter."""
 
-from repro.machine.dsl import ThreadBuilder, build_program
-from repro.machine.isa import (
-    Add,
-    BranchIf,
-    Delay,
-    Div,
-    Fence,
-    Halt,
-    Instruction,
-    Jump,
-    Load,
-    MemoryInstruction,
-    Mov,
-    Mul,
-    Store,
-    Sub,
-    SyncLoad,
-    SyncStore,
-    TestAndSet,
-    Unset,
-)
-from repro.machine.interpreter import (
-    DelayRequest,
-    FenceRequest,
-    InterpreterError,
-    MemRequest,
-    ThreadState,
-    complete,
-    consume_delay,
-    run_to_memory_op,
-)
-from repro.machine.program import Program, ProgramError, ThreadCode
+from repro import _lazy_exports
 
-__all__ = [
-    "Add",
-    "BranchIf",
-    "Delay",
-    "DelayRequest",
-    "Div",
-    "Fence",
-    "FenceRequest",
-    "Halt",
-    "Instruction",
-    "InterpreterError",
-    "Jump",
-    "Load",
-    "MemRequest",
-    "MemoryInstruction",
-    "Mov",
-    "Mul",
-    "Program",
-    "ProgramError",
-    "Store",
-    "Sub",
-    "SyncLoad",
-    "SyncStore",
-    "TestAndSet",
-    "ThreadBuilder",
-    "ThreadCode",
-    "ThreadState",
-    "Unset",
-    "build_program",
-    "complete",
-    "consume_delay",
-    "run_to_memory_op",
-]
+_EXPORTS = {
+    "dsl": ("ThreadBuilder", "build_program"),
+    "interpreter": (
+        "DelayRequest", "FenceRequest", "InterpreterError", "MemRequest",
+        "ThreadState", "complete", "consume_delay", "run_to_memory_op",
+    ),
+    "isa": (
+        "Add", "BranchIf", "Delay", "Div", "Fence", "Halt", "Instruction",
+        "Jump", "Load", "MemoryInstruction", "Mov", "Mul", "Store", "Sub",
+        "SyncLoad", "SyncStore", "TestAndSet", "Unset",
+    ),
+    "program": ("Program", "ProgramError", "ThreadCode"),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

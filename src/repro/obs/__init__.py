@@ -22,88 +22,31 @@ Plus the live-campaign plane (PR 8):
   ``--status-json`` snapshot the ``status``/``top`` CLI renders.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    validate_chrome_trace,
-    validate_chrome_trace_file,
-    validate_status,
-    validate_status_file,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    explorer_metrics,
-    run_metrics,
-    stream_metrics,
-)
-from repro.obs.stall import (
-    CAUSE_ORDER,
-    render_event_stream,
-    render_stall_comparison,
-    render_stall_table,
-    stall_breakdown,
-)
-from repro.obs.progress import (
-    STATUS_SCHEMA,
-    CampaignMonitor,
-    ProgressEngine,
-    render_status,
-)
-from repro.obs.stream import (
-    HeartbeatWriter,
-    SpoolReader,
-    StreamFold,
-    prune_spool_dir,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    OBS_CLOCK,
-    OBS_CLOCK_EPOCH,
-    RecordingTracer,
-    TraceEvent,
-    Tracer,
-    now_us,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CAUSE_ORDER",
-    "CampaignMonitor",
-    "Counter",
-    "HeartbeatWriter",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "OBS_CLOCK",
-    "OBS_CLOCK_EPOCH",
-    "ProgressEngine",
-    "RecordingTracer",
-    "STATUS_SCHEMA",
-    "SpoolReader",
-    "StreamFold",
-    "Timer",
-    "TraceEvent",
-    "Tracer",
-    "chrome_trace",
-    "explorer_metrics",
-    "now_us",
-    "prune_spool_dir",
-    "render_event_stream",
-    "render_stall_comparison",
-    "render_stall_table",
-    "render_status",
-    "run_metrics",
-    "stall_breakdown",
-    "stream_metrics",
-    "validate_chrome_trace",
-    "validate_chrome_trace_file",
-    "validate_status",
-    "validate_status_file",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "export": (
+        "chrome_trace", "validate_chrome_trace", "validate_chrome_trace_file",
+        "validate_status", "validate_status_file", "write_chrome_trace",
+        "write_jsonl",
+    ),
+    "metrics": (
+        "Counter", "Histogram", "MetricsRegistry", "Timer", "explorer_metrics",
+        "run_metrics", "stream_metrics",
+    ),
+    "progress": (
+        "CampaignMonitor", "ProgressEngine", "STATUS_SCHEMA", "render_status",
+    ),
+    "stall": (
+        "CAUSE_ORDER", "render_event_stream", "render_stall_comparison",
+        "render_stall_table", "stall_breakdown",
+    ),
+    "stream": (
+        "HeartbeatWriter", "SpoolReader", "StreamFold", "prune_spool_dir",
+    ),
+    "tracer": (
+        "NULL_TRACER", "NullTracer", "OBS_CLOCK", "OBS_CLOCK_EPOCH",
+        "RecordingTracer", "TraceEvent", "Tracer", "now_us",
+    ),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -30,6 +30,10 @@ Layers (each its own module):
 * :mod:`repro.service.client`     -- the stdlib client the ``submit`` /
   ``campaigns`` CLI subcommands and the tests drive.
 
+Importing the package loads none of these layers: its names re-export
+lazily, so ``repro submit``, which needs only the client, loads neither
+the daemon nor ``asyncio``, the engine or ``multiprocessing``.
+
 The determinism story: the daemon never re-implements the sweep.  The
 engine runs in the daemon process with ``dispatcher=`` pointing at the
 fleet, so folds, journaling, store flushes, and monitor ticks are the
@@ -37,14 +41,11 @@ engine's own -- a campaign's evidence table is bit-identical to
 ``repro sweep``'s no matter how many workers were killed on the way.
 """
 
-from repro.service.campaigns import CampaignError, CampaignSpec
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import CampaignDaemon
+from repro import _lazy_exports
 
-__all__ = [
-    "CampaignDaemon",
-    "CampaignError",
-    "CampaignSpec",
-    "ServiceClient",
-    "ServiceError",
-]
+_EXPORTS = {
+    "campaigns": ("CampaignError", "CampaignSpec"),
+    "client": ("ServiceClient", "ServiceError"),
+    "daemon": ("CampaignDaemon",),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -103,6 +103,20 @@ def resolve_program(name: str) -> Program:
         raise CampaignError(f"unknown program {name!r}")
 
 
+def load_program_registries() -> None:
+    """Import every module a program name can resolve through.
+
+    Fleet workers resolve each campaign's names after the fork; the
+    daemon calls this before it forks them, so they inherit the litmus
+    catalog and the workload modules instead of each importing them.
+    """
+    from repro.cli import WORKLOAD_FACTORIES
+    from repro.litmus import catalog  # noqa: F401 -- loaded for the fork
+
+    for build in WORKLOAD_FACTORIES.values():
+        build()
+
+
 def resolve_policies(names: List[str]) -> Dict[str, Callable[[], object]]:
     from repro.hw import POLICY_FACTORIES
 

@@ -59,6 +59,7 @@ from repro.service.campaigns import (
     CampaignError,
     CampaignSpec,
     build_task_context,
+    load_program_registries,
 )
 from repro.service.client import MAX_WAIT_S
 from repro.service.protocol import Request, Response, json_response
@@ -615,7 +616,9 @@ class CampaignDaemon:
         os.makedirs(self.campaigns_dir, exist_ok=True)
         os.makedirs(self.fleet_spool, exist_ok=True)
         self._scan_state_dir()
-        # Fork the fleet before the event loop spins up any threads.
+        # Fork the fleet before the event loop spins up any threads, and
+        # after loading the modules its workers resolve campaigns with.
+        load_program_registries()
         self.fleet.start()
         try:
             asyncio.run(self._main())

@@ -1,71 +1,25 @@
 """Discrete-event hardware simulator: the contract's hardware side."""
 
-from repro.sim.access import AccessRecord
-from repro.sim.cache import CacheController, CacheLine, LineState
-from repro.sim.directory import Directory, DirectoryEntry
-from repro.sim.events import SimulationError, Simulator
-from repro.sim.faults import (
-    DELIVERY_PRESERVING_PLANS,
-    DELIVERY_VIOLATING_PLANS,
-    FAULT_PLANS,
-    FaultConfigError,
-    FaultInjector,
-    FaultPlan,
-    NULL_INJECTOR,
-    NullInjector,
-    build_injector,
-)
-from repro.sim.memory import CachelessPort, MemoryModule
-from repro.sim.messages import Message, MsgKind
-from repro.sim.migration import MigrationPlan, run_with_migration
-from repro.sim.network import Bus, GeneralNetwork, Interconnect
-from repro.sim.processor import Processor, ProcessorStats
-from repro.sim.system import (
-    FIGURE1_CONFIGS,
-    LivenessError,
-    MachineRun,
-    SimulationDeadlock,
-    SystemConfig,
-    WatchdogTimeout,
-    run_on_hardware,
-    run_seed_sweep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AccessRecord",
-    "Bus",
-    "CacheController",
-    "CacheLine",
-    "CachelessPort",
-    "DELIVERY_PRESERVING_PLANS",
-    "DELIVERY_VIOLATING_PLANS",
-    "Directory",
-    "DirectoryEntry",
-    "FAULT_PLANS",
-    "FIGURE1_CONFIGS",
-    "FaultConfigError",
-    "FaultInjector",
-    "FaultPlan",
-    "GeneralNetwork",
-    "Interconnect",
-    "LineState",
-    "LivenessError",
-    "MachineRun",
-    "MemoryModule",
-    "Message",
-    "MigrationPlan",
-    "MsgKind",
-    "NULL_INJECTOR",
-    "NullInjector",
-    "run_with_migration",
-    "Processor",
-    "ProcessorStats",
-    "SimulationDeadlock",
-    "SimulationError",
-    "Simulator",
-    "SystemConfig",
-    "WatchdogTimeout",
-    "build_injector",
-    "run_on_hardware",
-    "run_seed_sweep",
-]
+_EXPORTS = {
+    "access": ("AccessRecord",),
+    "cache": ("CacheController", "CacheLine", "LineState"),
+    "directory": ("Directory", "DirectoryEntry"),
+    "events": ("SimulationError", "Simulator"),
+    "faults": (
+        "DELIVERY_PRESERVING_PLANS", "DELIVERY_VIOLATING_PLANS", "FAULT_PLANS",
+        "FaultConfigError", "FaultInjector", "FaultPlan", "NULL_INJECTOR",
+        "NullInjector", "build_injector",
+    ),
+    "memory": ("CachelessPort", "MemoryModule"),
+    "messages": ("Message", "MsgKind"),
+    "migration": ("MigrationPlan", "run_with_migration"),
+    "network": ("Bus", "GeneralNetwork", "Interconnect"),
+    "processor": ("Processor", "ProcessorStats"),
+    "system": (
+        "FIGURE1_CONFIGS", "LivenessError", "MachineRun", "SimulationDeadlock",
+        "SystemConfig", "WatchdogTimeout", "run_on_hardware", "run_seed_sweep",
+    ),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -1,68 +1,28 @@
 """Verification harnesses: contract sweeps, the Section-5.1 monitor, the
 parallel verification engine, and the chaos/resilience suite."""
 
-from repro.verify.cache import (
-    CacheIntegrityError,
-    DRF0VerdictCache,
-    SCVerdictCache,
-    program_fingerprint,
-)
-from repro.verify.chaos import ChaosReport, PlanOutcome, chaos_sweep
-from repro.verify.conditions import ConditionReport, check_conditions
-from repro.verify.engine import (
-    Failpoint,
-    InjectedTaskError,
-    RunSummary,
-    VerificationEngine,
-)
-from repro.verify.fuzz import FuzzReport, SeedOutcome, fuzz, fuzz_one_seed
-from repro.verify.journal import (
-    CheckpointJournal,
-    JournalError,
-    JournalState,
-    sweep_signature,
-)
-from repro.verify.store import (
-    SEMANTICS_VERSION,
-    AuditReport,
-    StoreStats,
-    VerdictStore,
-)
-from repro.verify.sweeps import (
-    Definition2Evidence,
-    SweepReport,
-    contract_sweep,
-    definition2_sweep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "CacheIntegrityError",
-    "ChaosReport",
-    "CheckpointJournal",
-    "ConditionReport",
-    "DRF0VerdictCache",
-    "Definition2Evidence",
-    "Failpoint",
-    "FuzzReport",
-    "InjectedTaskError",
-    "JournalError",
-    "JournalState",
-    "PlanOutcome",
-    "RunSummary",
-    "SCVerdictCache",
-    "SEMANTICS_VERSION",
-    "SeedOutcome",
-    "StoreStats",
-    "SweepReport",
-    "VerdictStore",
-    "VerificationEngine",
-    "chaos_sweep",
-    "check_conditions",
-    "contract_sweep",
-    "definition2_sweep",
-    "fuzz",
-    "fuzz_one_seed",
-    "program_fingerprint",
-    "sweep_signature",
-]
+_EXPORTS = {
+    "cache": (
+        "CacheIntegrityError", "DRF0VerdictCache", "SCVerdictCache",
+        "program_fingerprint",
+    ),
+    "chaos": ("ChaosReport", "PlanOutcome", "chaos_sweep"),
+    "conditions": ("ConditionReport", "check_conditions"),
+    "engine": (
+        "Failpoint", "InjectedTaskError", "RunSummary", "VerificationEngine",
+    ),
+    "fuzz": ("FuzzReport", "SeedOutcome", "fuzz", "fuzz_one_seed"),
+    "journal": (
+        "CheckpointJournal", "JournalError", "JournalState", "sweep_signature",
+    ),
+    "store": (
+        "AuditReport", "SEMANTICS_VERSION", "StoreStats", "VerdictStore",
+    ),
+    "sweeps": (
+        "Definition2Evidence", "SweepReport", "contract_sweep",
+        "definition2_sweep",
+    ),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -33,9 +33,15 @@ non-empty map, and the per-call task context (programs, policy
 factories, configs) is published in a module global *before* that fork
 so workers inherit it by address-space copy.  Only small index tuples
 cross the workers' pipes and only plain result records come back --
-policy factories (often lambdas) are never pickled.  On platforms
-without ``fork`` the engine transparently degrades to the in-process
-path (still memoized, still identical output).  The campaign daemon
+policy factories (often lambdas) are never pickled.  The fork check
+runs there too, at the first pooled map, so a call that dispatches
+nothing (a warm sweep) imports neither the fleet nor
+``multiprocessing``; on platforms without ``fork`` the engine
+transparently degrades to the in-process path (still memoized, still
+identical output).  The diff and fuzz modules are imported by
+:meth:`VerificationEngine.diff_campaign` and
+:meth:`VerificationEngine.fuzz` before their session forks, so workers
+inherit them and never import after the fork.  The campaign daemon
 passes its persistent fleet as ``dispatcher=`` instead; both run the
 one lease loop, :class:`~repro.verify.supervisor.FleetSession`.
 
@@ -92,7 +98,6 @@ across processes and across runs, three ways:
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
@@ -104,6 +109,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    TYPE_CHECKING,
     Set,
     Tuple,
 )
@@ -112,7 +118,6 @@ from repro.core.contract import is_sc_result
 from repro.core.drf0 import check_program, check_program_sampled
 from repro.core.engine_state import ExplorerStats
 from repro.core.execution import Result
-from repro.machine.generator import GeneratorConfig
 from repro.machine.program import Program
 from repro.obs import stream as obs_stream
 from repro.obs.tracer import now_us as _obs_now_us
@@ -123,14 +128,6 @@ from repro.verify.cache import (
     program_fingerprint,
 )
 from repro.verify.conditions import check_conditions
-from repro.verify.diff import (
-    DiffReport,
-    DiffSeedOutcome,
-    diff_one_seed,
-    merge_diff_outcomes,
-    minimize_disagreement,
-)
-from repro.verify.fuzz import FuzzReport, SeedOutcome, fuzz_one_seed, merge_outcomes
 from repro.verify.journal import (
     CheckpointJournal,
     JournalError,
@@ -144,6 +141,11 @@ from repro.verify.sweeps import (
     SweepReport,
     evidence_row,
 )
+
+if TYPE_CHECKING:
+    from repro.machine.generator import GeneratorConfig
+    from repro.verify.diff import DiffReport, DiffSeedOutcome
+    from repro.verify.fuzz import FuzzReport, SeedOutcome
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,8 @@ class InjectedTaskError(RuntimeError):
 
 
 def _maybe_fire_failpoint(failpoint: Failpoint) -> None:
+    import multiprocessing
+
     if multiprocessing.parent_process() is None:
         return  # only forked workers fire; the parent must survive
     try:
@@ -319,6 +323,8 @@ def _fuzz_task(seed: int, ctx: "_TaskContext"):
     worker's own truth, reported back so the parent's aggregate stats
     stay accurate under ``--jobs > 1``.
     """
+    from repro.verify.fuzz import fuzz_one_seed
+
     new_verdicts: List[NewVerdict] = []
     hits = misses = 0
 
@@ -359,6 +365,8 @@ def _diff_task(seed: int, ctx: "_TaskContext"):
     and the persistent store, and the parent counts memo hits from
     ``judged`` in seed order.
     """
+    from repro.verify.diff import diff_one_seed
+
     new_verdicts: List[Tuple[str, bool, Program]] = []
     judged: List[str] = []
 
@@ -542,7 +550,8 @@ class _Session:
     ``dispatcher=`` (the daemon) runs its maps on that dispatcher's
     persistent fleet instead.  Pooled maps go through the one lease
     loop, :meth:`repro.verify.supervisor.FleetSession.map`; the fleet
-    modules are imported there, so in-process calls never load them.
+    modules are imported, and the platform checked for ``fork``, there,
+    so in-process calls never load them or ``multiprocessing``.
     """
 
     def __init__(
@@ -572,11 +581,13 @@ class _Session:
         dispatcher = engine.dispatcher
         if dispatcher is None and self._workers <= 1:
             return None
+        from repro.verify.fleet import Fleet, fork_available
         from repro.verify.supervisor import FleetDispatcher, FleetSession
 
         if dispatcher is None:
-            from repro.verify.fleet import Fleet
-
+            if not fork_available():
+                self._workers = 1  # no fork here: every map runs in-process
+                return None
             self._own_fleet = Fleet(self._workers)
             self._own_fleet.start()
             dispatcher = FleetDispatcher(
@@ -792,8 +803,11 @@ class VerificationEngine:
 
     @property
     def can_fork(self) -> bool:
-        """Whether a worker fleet is actually available on this platform."""
-        return "fork" in multiprocessing.get_all_start_methods()
+        """Whether a worker fleet is actually available on this platform
+        (the check a session makes at its first pooled map)."""
+        from repro.verify.fleet import fork_available
+
+        return fork_available()
 
     def _task_landed(self, task: tuple, seconds: float = 0.0) -> None:
         """Progress tick: one task's value just folded into the parent.
@@ -832,7 +846,7 @@ class VerificationEngine:
         # *this* process through the same `_execute_task`.
         _TASK_CONTEXT = context
         session_start = _now_us() if self.tracer.enabled else 0
-        session = _Session(self, self.jobs if self.can_fork else 1)
+        session = _Session(self, self.jobs)
         failed = False
         try:
             yield session
@@ -1444,6 +1458,10 @@ class VerificationEngine:
         parent's :class:`~repro.verify.cache.CacheStats` so parallel
         campaigns report true hit rates.
         """
+        # Imported before the session forks its fleet, so workers inherit
+        # the fuzz module instead of importing it per process.
+        from repro.verify.fuzz import merge_outcomes
+
         seeds = list(seeds)
         context = _TaskContext(
             generator=generator,
@@ -1512,6 +1530,9 @@ class VerificationEngine:
         Disagreements are auto-minimized in the parent (serial,
         deterministic) after the fold.
         """
+        # Imported before the session forks its fleet (see fuzz()).
+        from repro.verify.diff import merge_diff_outcomes, minimize_disagreement
+
         seeds = list(seeds)
         context = _TaskContext(
             generator=generator,

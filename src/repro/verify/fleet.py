@@ -45,6 +45,11 @@ from repro.obs import stream as obs_stream
 FLEET_ROLE = "fleet"
 
 
+def fork_available() -> bool:
+    """Whether this platform can fork a fleet (POSIX ``fork``)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
 def _worker_main(
     conn,
     inherited_fds: List[int],
@@ -199,13 +204,9 @@ class Fleet:
     def _bump(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
-    @property
-    def available(self) -> bool:
-        return "fork" in multiprocessing.get_all_start_methods()
-
     def start(self) -> None:
         """Spawn the initial fleet (call before heavy daemon threading)."""
-        if not self.available:
+        if not fork_available():
             return
         self._ctx = multiprocessing.get_context("fork")
         for _ in range(self.size):

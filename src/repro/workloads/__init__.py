@@ -1,39 +1,17 @@
 """Synthetic workloads for the quantitative comparison (Section 7's future work)."""
 
-from repro.workloads.barrier import (
-    barrier_workload,
-    expected_neighbour_values,
-    phase_parallel_workload,
-)
-from repro.workloads.locks import (
-    contended_release_workload,
-    expected_count,
-    lock_workload,
-)
-from repro.workloads.producer_consumer import (
-    batch_value,
-    data_locations,
-    expected_final_data,
-    producer_consumer_workload,
-)
-from repro.workloads.work_queue import (
-    consumed_total,
-    expected_total,
-    work_queue_workload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "consumed_total",
-    "expected_total",
-    "work_queue_workload",
-    "barrier_workload",
-    "batch_value",
-    "contended_release_workload",
-    "data_locations",
-    "expected_count",
-    "expected_final_data",
-    "expected_neighbour_values",
-    "lock_workload",
-    "phase_parallel_workload",
-    "producer_consumer_workload",
-]
+_EXPORTS = {
+    "barrier": (
+        "barrier_workload", "expected_neighbour_values",
+        "phase_parallel_workload",
+    ),
+    "locks": ("contended_release_workload", "expected_count", "lock_workload"),
+    "producer_consumer": (
+        "batch_value", "data_locations", "expected_final_data",
+        "producer_consumer_workload",
+    ),
+    "work_queue": ("consumed_total", "expected_total", "work_queue_workload"),
+}
+__all__ = _lazy_exports(__name__, _EXPORTS)

@@ -81,6 +81,141 @@ class TestImports:
             can_fork = "fork" in multiprocessing.get_all_start_methods()
             assert ("repro.verify.fleet" in loaded) == can_fork
 
+    @staticmethod
+    def _loaded_after(imports: str, prefixes) -> list:
+        """Modules under ``prefixes`` that a fresh interpreter has loaded
+        after running ``imports``."""
+        proc = _run_cli("-c", (
+            "import json, sys\n"
+            f"{imports}\n"
+            f"prefixes = {tuple(prefixes)!r}\n"
+            "print(json.dumps(sorted(\n"
+            "    name for name in sys.modules if name in prefixes\n"
+            "    or name.startswith(tuple(p + '.' for p in prefixes)))))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_repro_loads_no_submodule(self):
+        assert self._loaded_after("import repro", ["repro"]) == ["repro"]
+
+    def test_cli_loads_no_oracle_or_engine(self):
+        # Module level of repro.cli holds only what build_parser needs;
+        # each handler imports the modules it runs.
+        assert self._loaded_after("import repro.cli", [
+            "repro.analysis", "repro.axiomatic", "repro.verify",
+            "repro.core.contract", "repro.sim.system",
+        ]) == []
+
+    def test_submit_path_loads_no_daemon(self):
+        # `repro submit` sends one HTTP request: the lazy service package
+        # must not pull in the daemon, its event loop or the engine.
+        assert self._loaded_after(
+            "import repro.cli, repro.service.client",
+            ["asyncio", "multiprocessing", "repro.service.daemon",
+             "repro.verify"],
+        ) == []
+
+    def test_warm_pooled_sweep_loads_no_multiprocessing(self, tmp_path):
+        # The fork check runs at the first pooled map, so a --jobs 2
+        # sweep that the store answers in full forks nothing and imports
+        # no multiprocessing.
+        sweep = (
+            "from repro.hw import POLICY_FACTORIES\n"
+            "from repro.litmus.catalog import by_name\n"
+            "from repro.verify.engine import VerificationEngine\n"
+            "programs = [by_name(n).program for n in ('MP+sync', 'SB')]\n"
+            "engine = VerificationEngine(jobs={jobs}, cache_dir={store!r})\n"
+            "rows = engine.definition2_sweep(\n"
+            "    programs, {{'sc': POLICY_FACTORIES['sc']}}, seeds=range(4),\n"
+            ").rows\n"
+            "stats = engine.store.stats\n"
+            "engine.store.close()\n"
+            "print(json.dumps([rows, stats.flushed_sc + stats.flushed_drf0\n"
+            "                  + stats.flushed_runs,\n"
+            "                  'multiprocessing' in sys.modules]))\n"
+        )
+        runs = []
+        for jobs in (1, 2):
+            proc = _run_cli("-c", "import json, sys\n" + sweep.format(
+                jobs=jobs, store=str(tmp_path)
+            ))
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout))
+        (cold_rows, cold_flushed, _), (warm_rows, warm_flushed, mp) = runs
+        assert cold_flushed > 0 and warm_flushed == 0
+        assert warm_rows == cold_rows
+        assert mp is False
+
+    def test_daemon_loads_what_its_workers_resolve_before_the_fork(self):
+        # The daemon's fleet workers resolve each campaign's program
+        # names after the fork; what the daemon loads before forking them
+        # must cover every name, so no worker imports a module.
+        proc = _run_cli("-c", (
+            "import json, sys\n"
+            "from repro.cli import WORKLOAD_FACTORIES\n"
+            "from repro.service.campaigns import (\n"
+            "    load_program_registries, resolve_program)\n"
+            "load_program_registries()\n"
+            "from repro.litmus import all_tests\n"
+            "names = [*WORKLOAD_FACTORIES, *(t.name for t in all_tests())]\n"
+            "before = set(sys.modules)\n"
+            "for name in names:\n"
+            "    resolve_program(name)\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    @pytest.mark.parametrize("order", ("name_first", "submodule_first"))
+    @pytest.mark.parametrize("package", (
+        "repro", "repro.analysis", "repro.axiomatic", "repro.core",
+        "repro.litmus", "repro.machine", "repro.obs", "repro.service",
+        "repro.sim", "repro.verify", "repro.workloads",
+    ))
+    def test_every_export_resolves(self, package, order):
+        # Each lazy re-export is the object its defining submodule binds,
+        # whether the name or the submodule is imported first
+        # (repro.verify.fuzz is the function, never the submodule).
+        proc = _run_cli("-c", (
+            "import importlib, json\n"
+            f"package = importlib.import_module({package!r})\n"
+            "origin = {name: f'{package.__name__}.{sub}'\n"
+            "          for sub, names in package._EXPORTS.items()\n"
+            "          for name in names}\n"
+            f"if {order == 'submodule_first'}:\n"
+            "    for source in set(origin.values()):\n"
+            "        importlib.import_module(source)\n"
+            "exported = {name: getattr(package, name) for name in origin}\n"
+            "wrong = sorted(\n"
+            "    name for name, source in origin.items()\n"
+            "    if exported[name] is not getattr(\n"
+            "        importlib.import_module(source), name)\n"
+            "    or getattr(package, name) is not exported[name])\n"
+            "listed = set(package.__all__)\n"
+            "print(json.dumps([wrong, sorted(set(origin) - listed),\n"
+            "                  sorted(listed - set(origin) - set(vars(package))),\n"
+            "                  sorted(listed - set(dir(package)))]))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        wrong, unlisted, unbound, undir = json.loads(proc.stdout)
+        assert wrong == [] and unlisted == [] and unbound == [] and undir == []
+
+    def test_obs_export_validate_runs_clean(self, tmp_path):
+        # `python -m repro.obs.export` must run its module once: a package
+        # that imported it eagerly made runpy warn (RuntimeWarning) and
+        # execute it a second time as __main__.
+        from repro.obs import RecordingTracer, write_chrome_trace
+
+        tracer = RecordingTracer()
+        tracer.span("cat", "s", "P0", 0, 5)
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, tracer)
+        proc = _run_cli("-m", "repro.obs.export", "--validate", str(path))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == f"{path}: ok\n"
+
 
 class TestCatalogCommand:
     def test_catalog_lists_tests_and_workloads(self, capsys):
