@@ -64,10 +64,6 @@ class Candidate:
     write_values: Dict[int, Value]
     fences: Tuple[FenceMarker, ...] = ()
 
-    def value_of_read(self, event: Event) -> Value:
-        """Concrete value returned by a read event."""
-        return self.read_values[event.uid]
-
     def event(self, uid: int) -> Event:
         """The event with this uid (no uid == list-index assumption)."""
         table = self.__dict__.get("_event_table")
@@ -106,9 +102,6 @@ class Candidate:
                     edges.append((read_uid, w))
         self.__dict__["_fr_edges"] = edges
         return edges
-
-    def _event(self, uid: int) -> Event:
-        return self.event(uid)
 
     def result(self) -> Result:
         """The observable result of this candidate."""

@@ -942,10 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retry-backoff", type=float, default=0.05,
                    metavar="SECONDS",
                    help="base delay of the retry backoff schedule")
-    p.add_argument("--heartbeat-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="also reclaim a lease when its worker stops "
-                        "heartbeating for this long (default: off)")
     p.add_argument("--keep-journals", type=int, default=3,
                    help="terminal campaigns whose checkpoint journals "
                         "survive the retention GC (default: 3)")
@@ -1154,7 +1150,6 @@ def cmd_serve(args) -> int:
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
-        heartbeat_timeout=args.heartbeat_timeout,
         keep_journals=args.keep_journals,
     )
     print(

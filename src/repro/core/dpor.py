@@ -111,14 +111,6 @@ class _Event:
         self.index = index
 
 
-def _dependent(a: Operation, b: Operation) -> bool:
-    if a.proc == b.proc:
-        return True
-    if a.location != b.location:
-        return False
-    return a.has_write or b.has_write
-
-
 def _dependent_with_pending(op: Operation, proc: int, request) -> bool:
     """Dependency between an executed op and a *pending* request of ``proc``.
 

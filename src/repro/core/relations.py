@@ -36,10 +36,6 @@ class Relation:
 
     # -- construction --------------------------------------------------------
 
-    def add_node(self, node) -> None:
-        """Ensure ``node`` is part of the relation's carrier set."""
-        self._nodes.add(node)
-
     def add(self, a, b) -> None:
         """Add the edge ``a -> b``."""
         self._nodes.add(a)
@@ -212,8 +208,3 @@ def happens_before(execution: Execution, model=None) -> Relation:
     po = program_order(execution)
     so = synchronization_order(execution, model)
     return po.union(so).transitive_closure()
-
-
-def completion_order_index(execution: Execution) -> Dict[Operation, int]:
-    """Map each operation to its completion index (its uid by convention)."""
-    return {op: index for index, op in enumerate(execution.ops)}

@@ -10,10 +10,9 @@ crash, stall, and lie.
 The fleet and its lease loop are the engine's own: the daemon keeps one
 :class:`~repro.verify.fleet.Fleet` for its whole life (workers resolve
 each campaign's spec into a task context and stream heartbeats into the
-daemon's spool) and passes a
-:class:`~repro.verify.supervisor.FleetDispatcher` with heartbeat-expiry
-reclamation and a drain switch to the engine -- the same supervised
-dispatch, circuit breaker included, that a batch ``--jobs N`` runs.
+daemon's spool) and lends it to each campaign's engine as ``fleet=``,
+with its drain switch on the fleet -- the same supervised dispatch,
+circuit breaker included, that a batch ``--jobs N`` runs.
 
 Layers (each its own module):
 
@@ -24,9 +23,9 @@ Layers (each its own module):
   (no dependencies, no frameworks);
 * :mod:`repro.service.daemon`     -- the daemon: campaign queue with
   backpressure (429 + Retry-After), sequential execution through
-  :class:`~repro.verify.engine.VerificationEngine` with the fleet as
-  its dispatcher, SIGTERM drain, journal-based restart resume, and
-  retention GC between campaigns;
+  :class:`~repro.verify.engine.VerificationEngine` on the fleet,
+  SIGTERM drain, journal-based restart resume, and retention GC
+  between campaigns;
 * :mod:`repro.service.client`     -- the stdlib client the ``submit`` /
   ``campaigns`` CLI subcommands and the tests drive.
 
@@ -35,9 +34,9 @@ lazily, so ``repro submit``, which needs only the client, loads neither
 the daemon nor ``asyncio``, the engine or ``multiprocessing``.
 
 The determinism story: the daemon never re-implements the sweep.  The
-engine runs in the daemon process with ``dispatcher=`` pointing at the
-fleet, so folds, journaling, store flushes, and monitor ticks are the
-engine's own -- a campaign's evidence table is bit-identical to
+engine runs in the daemon process with ``fleet=`` pointing at the
+daemon's fleet, so folds, journaling, store flushes, and monitor ticks
+are the engine's own -- a campaign's evidence table is bit-identical to
 ``repro sweep``'s no matter how many workers were killed on the way.
 """
 

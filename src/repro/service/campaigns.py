@@ -236,33 +236,22 @@ class CampaignSpec:
         )
         return programs, factories, config, failpoints
 
-    def worker_context_data(self) -> dict:
-        """The picklable campaign description shipped to fleet workers
-        (they re-resolve every name on their side)."""
-        return self.to_dict()
-
 
 def build_task_context(data: dict):
-    """Worker-side: spec dict -> the engine ``_TaskContext``.
-
-    Cells are ordered ``programs x policies`` -- the same nesting
+    """Worker-side: spec dict -> the engine's task context, built by
+    :func:`~repro.verify.engine.sweep_task_context` as
     :meth:`~repro.verify.engine.VerificationEngine.definition2_sweep`
-    uses -- so the cell indices inside engine task tuples mean the same
-    thing in every process.
-    """
-    from repro.verify import engine as engine_mod
+    builds its own, so cell indices mean the same in every process."""
+    from repro.verify.engine import sweep_task_context
 
     spec = CampaignSpec.from_dict(data)
     programs, factories, config, failpoints = spec.resolve()
-    cells = tuple(
-        engine_mod._SweepCell(program, factory, config, spec.check_51)
-        for program in programs
-        for factory in factories.values()
-    )
-    return engine_mod._TaskContext(
-        cells=cells,
-        programs=tuple(programs),
-        exhaustive_drf0=spec.exhaustive_drf0,
-        drf0_seeds=tuple(range(spec.drf0_seeds)),
-        failpoints=failpoints,
+    return sweep_task_context(
+        programs,
+        factories,
+        config,
+        spec.exhaustive_drf0,
+        range(spec.drf0_seeds),
+        spec.check_51,
+        failpoints,
     )

@@ -2,9 +2,9 @@
 
 One asyncio loop serves the HTTP protocol; campaigns execute
 sequentially in a worker thread, each as a full
-``VerificationEngine.definition2_sweep`` with the supervised fleet as
-its dispatcher.  The daemon adds the service semantics around that
-engine call:
+``VerificationEngine.definition2_sweep`` on the daemon's supervised
+fleet (``VerificationEngine(fleet=)``).  The daemon adds the service
+semantics around that engine call:
 
 * **queueing + backpressure** -- submissions past ``queue_limit``
   pending campaigns are rejected with 429 and a ``Retry-After`` hint
@@ -67,11 +67,7 @@ from repro.verify.engine import VerificationEngine
 from repro.verify.fleet import Fleet
 from repro.verify.journal import journal_files
 from repro.verify.store import VerdictStore
-from repro.verify.supervisor import (
-    CircuitBreaker,
-    DrainRequested,
-    FleetDispatcher,
-)
+from repro.verify.supervisor import DrainRequested
 
 #: Campaign record states (a superset of the snapshot's enum: ``queued``
 #: exists only daemon-side, before a monitor is born).
@@ -113,10 +109,8 @@ class CampaignDaemon:
         task_timeout: Optional[float] = 60.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        heartbeat_timeout: Optional[float] = None,
         keep_journals: int = 3,
         hb_interval: float = 0.05,
-        breaker_threshold: int = 3,
     ) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.campaigns_dir = os.path.join(self.state_dir, "campaigns")
@@ -127,6 +121,9 @@ class CampaignDaemon:
         self.queue_limit = max(1, int(queue_limit))
         self.keep_journals = max(0, int(keep_journals))
         self.hb_interval = hb_interval
+        self.task_timeout = task_timeout
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
         #: One flat dict every supervision layer bumps into -- surfaced
         #: as ``engine.service.*`` metrics and ``health.service``.
         self.counters: Dict[str, int] = {}
@@ -137,17 +134,6 @@ class CampaignDaemon:
             hb_interval=hb_interval,
             counters=self.counters,
             resolve_context=build_task_context,
-        )
-        self.dispatcher = FleetDispatcher(
-            self.fleet,
-            counters=self.counters,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            backoff=retry_backoff,
-            heartbeat_timeout=heartbeat_timeout,
-            breaker=CircuitBreaker(
-                threshold=breaker_threshold, counters=self.counters
-            ),
             stop_event=self.stop_event,
         )
         self.store = VerdictStore(os.path.join(self.state_dir, "store"))
@@ -261,7 +247,8 @@ class CampaignDaemon:
         monitor.attach_service(self.counters)
         try:
             programs, factories, config, _failpoints = spec.resolve()
-            self.dispatcher.prepare(spec.worker_context_data())
+            self.fleet.ensure()
+            self.fleet.set_context(spec.to_dict())
             journal_path = self._journal_path(cid)
             resume = bool(journal_files(journal_path))
             if resume:
@@ -270,10 +257,10 @@ class CampaignDaemon:
                 jobs=self.workers,
                 store=self.store,
                 monitor=monitor,
-                dispatcher=self.dispatcher,
-                task_timeout=self.dispatcher.task_timeout,
-                max_task_retries=self.dispatcher.max_retries,
-                retry_backoff=self.dispatcher.backoff,
+                fleet=self.fleet,
+                task_timeout=self.task_timeout,
+                max_task_retries=self.max_retries,
+                retry_backoff=self.retry_backoff,
             )
             evidence = engine.definition2_sweep(
                 programs,

@@ -38,11 +38,6 @@ class Simulator:
         self._events_executed = 0
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
 
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far (for runaway detection/stats)."""
-        return self._events_executed
-
     def at(self, time: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
         if time < self.now:

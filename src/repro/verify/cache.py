@@ -183,10 +183,6 @@ class SCVerdictCache:
             for (fingerprint, result), (verdict, _) in self._entries.items()
         ]
 
-    def program_for(self, fingerprint: str) -> Optional[Program]:
-        """The program registered for ``fingerprint``, if any."""
-        return self._programs.get(fingerprint)
-
     def judge(
         self, program: Program, result: Result, quarantine: bool = False
     ) -> bool:

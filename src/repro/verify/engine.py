@@ -38,12 +38,17 @@ runs there too, at the first pooled map, so a call that dispatches
 nothing (a warm sweep) imports neither the fleet nor
 ``multiprocessing``; on platforms without ``fork`` the engine
 transparently degrades to the in-process path (still memoized, still
-identical output).  The diff and fuzz modules are imported by
-:meth:`VerificationEngine.diff_campaign` and
-:meth:`VerificationEngine.fuzz` before their session forks, so workers
-inherit them and never import after the fork.  The campaign daemon
-passes its persistent fleet as ``dispatcher=`` instead; both run the
-one lease loop, :class:`~repro.verify.supervisor.FleetSession`.
+identical output).  The diff and fuzz modules, and the snoop substrate
+their seeds run on, are imported before a seed campaign's session
+forks, so workers inherit them and never import after the fork.  The
+campaign daemon lends the engine its persistent fleet as ``fleet=``
+instead; both run the one lease loop,
+:class:`~repro.verify.supervisor.FleetSession`, which takes its task
+timeout, retry budget and backoff from the engine.  The engine alone
+knows the shape of its task tuples: the task label, the progress tick
+and the circuit-breaker key (:func:`_breaker_key`) are read here, and
+:func:`sweep_task_context` builds a sweep's cells in the one order
+both the engine and the daemon's workers index.
 
 Resilience (the lease loop's hardening, all preserving the bit-for-bit
 contract because tasks are pure -- re-executing one yields the identical
@@ -247,30 +252,62 @@ class _SweepCell:
 
 @dataclass
 class _TaskContext:
-    """Everything a worker needs, inherited via fork (never pickled)."""
+    """Everything a worker needs, inherited via fork (never pickled).
+
+    A sweep fills the cells and the DRF0 premise
+    (:func:`sweep_task_context`).  A fuzz or diff campaign fills
+    ``seed_body``, ``(seed, judge) -> outcome``, which runs one seed,
+    and ``oracle``, ``(program, arg) -> (verdict, states)``, the verdict
+    that judge memoizes (:func:`_seed_task`).
+    """
 
     cells: Tuple[_SweepCell, ...] = ()
     programs: Tuple[Program, ...] = ()
     exhaustive_drf0: bool = False
     drf0_seeds: Tuple[int, ...] = ()
-    generator: Optional[GeneratorConfig] = None
-    fuzz_hardware_seeds: Tuple[int, ...] = ()
-    check_cross_enumerators: bool = True
-    diff_hardware_seeds: Tuple[int, ...] = ()
+    seed_body: Optional[Callable[[int, Callable[..., bool]], object]] = None
+    oracle: Optional[Callable[[Program, object], Tuple[bool, int]]] = None
     failpoints: Tuple[Failpoint, ...] = ()
+
+
+def sweep_task_context(
+    programs: Sequence[Program],
+    policy_factories: Dict[str, Callable[[], object]],
+    config: SystemConfig,
+    exhaustive_drf0: bool,
+    drf0_seeds: Sequence[int],
+    check_51_conditions: bool,
+    failpoints: Sequence[Failpoint] = (),
+) -> _TaskContext:
+    """The task context of a Definition-2 sweep.
+
+    Cells are ordered ``programs x policies``, so the cell indices inside
+    task tuples mean the same thing in the engine and in every worker
+    that builds its context from a campaign spec (the daemon's fleet).
+    """
+    return _TaskContext(
+        cells=tuple(
+            _SweepCell(program, factory, config, check_51_conditions)
+            for program in programs
+            for factory in policy_factories.values()
+        ),
+        programs=tuple(programs),
+        exhaustive_drf0=exhaustive_drf0,
+        drf0_seeds=tuple(drf0_seeds),
+        failpoints=tuple(failpoints),
+    )
 
 
 #: Published by the parent before its session forks a fleet; workers
 #: read it, the parent restores the previous value afterwards.
 _TASK_CONTEXT: Optional[_TaskContext] = None
 
-#: Worker-process-local memo for fuzz SC judgments (workers cannot share
-#: the parent cache object; each at least never re-judges its own repeats).
-_WORKER_SC_MEMO: Dict[Tuple[str, Result], bool] = {}
-
-#: Worker-process-local memo for exhaustive DRF0 program verdicts, used by
-#: the differential campaign (same fork-warmed lifecycle as the SC memo).
-_WORKER_DRF0_MEMO: Dict[str, bool] = {}
+#: The memo of a fuzz or diff campaign's oracle, keyed as the campaign's
+#: verdict cache files it: ``(fingerprint, result)`` for SC judgments,
+#: ``(fingerprint, mode)`` for DRF0 verdicts.  The parent resets it to
+#: the cache's entries before its session forks, so workers inherit it,
+#: and merges every task's new verdicts into it as the task lands.
+_WORKER_MEMO: Dict[Tuple[str, object], bool] = {}
 
 
 def _run_one(cell: _SweepCell, seed: int) -> RunSummary:
@@ -297,96 +334,30 @@ def _run_one(cell: _SweepCell, seed: int) -> RunSummary:
     )
 
 
-@dataclass
-class NewVerdict:
-    """One SC judgment a fuzz task computed (was not in its memo).
+def _seed_task(seed: int, ctx: _TaskContext):
+    """One fuzz or diff seed, its judge memoized in ``_WORKER_MEMO``.
 
-    Shipped back to the parent so sibling workers' work is merged into
-    the shared caches and flushed to the persistent store: content key,
-    verdict, the program body (kept so the stored entry is auditable),
-    and the explorer cost of deriving it.
+    The judge files ``ctx.oracle(program, arg)`` under
+    ``(fingerprint, arg)``.  Returns ``(outcome, new, judged)``: ``new``
+    lists ``(key, verdict, program, states)`` for every verdict this
+    task computed (the program rides along so the stored entry is
+    auditable), ``judged`` every key the judge was asked, in order, so
+    the parent counts memo hits in seed order.
     """
+    new: List[Tuple[Tuple[str, object], bool, Program, int]] = []
+    judged: List[Tuple[str, object]] = []
 
-    fingerprint: str
-    result: Result
-    verdict: bool
-    program: Program
-    states: int = 0
-
-
-def _fuzz_task(seed: int, ctx: "_TaskContext"):
-    """One fuzz seed with a counting, recording memoized judge.
-
-    Returns ``(outcome, new_verdicts, (hits, misses))``.  The memo is
-    the worker-process-local ``_WORKER_SC_MEMO`` -- warmed from the
-    parent's cache before the fork -- and the hit/miss delta is the
-    worker's own truth, reported back so the parent's aggregate stats
-    stay accurate under ``--jobs > 1``.
-    """
-    from repro.verify.fuzz import fuzz_one_seed
-
-    new_verdicts: List[NewVerdict] = []
-    hits = misses = 0
-
-    def judge(program: Program, result: Result) -> bool:
-        nonlocal hits, misses
-        key = (program_fingerprint(program), result)
-        verdict = _WORKER_SC_MEMO.get(key)
+    def judge(program: Program, arg: object) -> bool:
+        key = (program_fingerprint(program), arg)
+        judged.append(key)
+        verdict = _WORKER_MEMO.get(key)
         if verdict is None:
-            misses += 1
-            stats = ExplorerStats()
-            verdict = is_sc_result(program, result, stats=stats)
-            _WORKER_SC_MEMO[key] = verdict
-            new_verdicts.append(
-                NewVerdict(key[0], result, verdict, program, stats.states)
-            )
-        else:
-            hits += 1
+            verdict, states = ctx.oracle(program, arg)
+            _WORKER_MEMO[key] = verdict
+            new.append((key, verdict, program, states))
         return verdict
 
-    outcome = fuzz_one_seed(
-        seed,
-        ctx.generator,
-        ctx.fuzz_hardware_seeds,
-        ctx.check_cross_enumerators,
-        judge=judge,
-    )
-    return outcome, new_verdicts, (hits, misses)
-
-
-def _diff_task(seed: int, ctx: "_TaskContext"):
-    """One differential-campaign seed with a memoized DRF0 judge.
-
-    Returns ``(outcome, new_drf0_verdicts, judged)`` where each new
-    verdict is ``(fingerprint, verdict, program)`` and ``judged`` lists
-    the fingerprints of every program the judge was asked about.  The
-    memo is the fork-warmed worker-local ``_WORKER_DRF0_MEMO``; fresh
-    verdicts ride back so the parent merges them into the shared cache
-    and the persistent store, and the parent counts memo hits from
-    ``judged`` in seed order.
-    """
-    from repro.verify.diff import diff_one_seed
-
-    new_verdicts: List[Tuple[str, bool, Program]] = []
-    judged: List[str] = []
-
-    def drf0_judge(program: Program) -> bool:
-        fingerprint = program_fingerprint(program)
-        judged.append(fingerprint)
-        verdict = _WORKER_DRF0_MEMO.get(fingerprint)
-        if verdict is None:
-            verdict = check_program(program).obeys
-            _WORKER_DRF0_MEMO[fingerprint] = verdict
-            new_verdicts.append((fingerprint, verdict, program))
-        return verdict
-
-    outcome = diff_one_seed(
-        seed,
-        ctx.generator,
-        ctx.diff_hardware_seeds,
-        drf0_judge=drf0_judge,
-    )
-    return outcome, new_verdicts, judged
+    return ctx.seed_body(seed, judge), new, judged
 
 
 def _task_label(task: tuple) -> str:
@@ -396,11 +367,20 @@ def _task_label(task: tuple) -> str:
         return f"{kind}:cell{task[1]}x{len(task[2])}"
     if kind == "drf0":
         return f"drf0:prog{task[1]}"
-    if kind == "fuzz":
-        return f"fuzz:seed{task[1]}"
-    if kind == "diff":
-        return f"diff:seed{task[1]}"
+    if kind in ("fuzz", "diff"):
+        return f"{kind}:seed{task[1]}"
     return str(kind)
+
+
+def _breaker_key(task: tuple) -> str:
+    """The circuit-breaker key a task's failures count against: its cell
+    (``cell:<i>``), its program (``drf0:<i>``), or its kind."""
+    kind = task[0]
+    if kind in ("run", "judge"):
+        return f"cell:{task[1]}"
+    if kind == "drf0":
+        return f"drf0:{task[1]}"
+    return kind
 
 
 def _execute_task(task: tuple, tag: Optional[tuple] = None):
@@ -466,24 +446,20 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
                 "states": report.stats.states if report.stats else 0,
             }
         elif kind == "fuzz":
-            _, seed = task
-            value = _fuzz_task(seed, ctx)
-            _outcome, new_verdicts, (hits, misses) = value
+            value = outcome, new, judged = _seed_task(task[1], ctx)
             deltas = {
                 "fuzz_seeds": 1,
-                "sc_hits": hits,
-                "sc_misses": misses,
-                "states": sum(new.states for new in new_verdicts),
+                "sc_hits": len(judged) - len(new),
+                "sc_misses": len(new),
+                "states": sum(states for *_, states in new),
             }
         elif kind == "diff":
-            _, seed = task
-            value = _diff_task(seed, ctx)
-            diff_outcome, new_drf0, judged = value
+            value = outcome, new, judged = _seed_task(task[1], ctx)
             deltas = {
                 "diff_seeds": 1,
-                "drf0_hits": len(judged) - len(new_drf0),
-                "drf0_misses": len(new_drf0),
-                "runs": diff_outcome.hardware_runs,
+                "drf0_hits": len(judged) - len(new),
+                "drf0_misses": len(new),
+                "runs": outcome.hardware_runs,
             }
         else:
             raise ValueError(f"unknown task kind {kind!r}")
@@ -546,12 +522,12 @@ class _Session:
     With ``workers > 1`` a :class:`~repro.verify.fleet.Fleet` of that
     size is forked by the first non-empty :meth:`map`, so a call that
     dispatches nothing (a warm sweep) never pays for the fork and the
-    join, and :meth:`close` stops it.  An engine built with
-    ``dispatcher=`` (the daemon) runs its maps on that dispatcher's
-    persistent fleet instead.  Pooled maps go through the one lease
-    loop, :meth:`repro.verify.supervisor.FleetSession.map`; the fleet
-    modules are imported, and the platform checked for ``fork``, there,
-    so in-process calls never load them or ``multiprocessing``.
+    join, and :meth:`close` stops it.  An engine built with ``fleet=``
+    (the daemon) runs its maps on that persistent fleet instead.
+    Pooled maps go through the one lease loop,
+    :meth:`repro.verify.supervisor.FleetSession.map`; the fleet modules
+    are imported, and the platform checked for ``fork``, there, so
+    in-process calls never load them or ``multiprocessing``.
     """
 
     def __init__(
@@ -572,32 +548,30 @@ class _Session:
     @property
     def fleet(self):
         """The fleet this call's pooled maps ran on, if any."""
-        return self._pooled.dispatcher.fleet if self._pooled else None
+        return self._pooled.fleet if self._pooled else None
 
     def _open_pooled(self):
-        """The lease loop for this call, forking its fleet if it owns one
-        (None: run in-process)."""
+        """The lease loop for this call, forking its fleet unless the
+        engine borrowed one (None: run in-process).
+
+        Lease events count in the engine's ``resilience`` dict on a fleet
+        this call forked, and in the borrowed fleet's own ``counters``
+        (the daemon's) otherwise."""
         engine = self._engine
-        dispatcher = engine.dispatcher
-        if dispatcher is None and self._workers <= 1:
+        fleet = engine.fleet
+        if fleet is None and self._workers <= 1:
             return None
         from repro.verify.fleet import Fleet, fork_available
-        from repro.verify.supervisor import FleetDispatcher, FleetSession
+        from repro.verify.supervisor import FleetSession
 
-        if dispatcher is None:
+        counters = engine.resilience if fleet is None else fleet.counters
+        if fleet is None:
             if not fork_available():
                 self._workers = 1  # no fork here: every map runs in-process
                 return None
-            self._own_fleet = Fleet(self._workers)
-            self._own_fleet.start()
-            dispatcher = FleetDispatcher(
-                self._own_fleet,
-                counters=engine.resilience,
-                task_timeout=engine.task_timeout,
-                max_retries=engine.max_task_retries,
-                backoff=engine.retry_backoff,
-            )
-        self._pooled = FleetSession(dispatcher, engine)
+            fleet = self._own_fleet = Fleet(self._workers)
+            fleet.start()
+        self._pooled = FleetSession(fleet, engine, counters)
         return self._pooled
 
     def close(self, failed: bool = False) -> bool:
@@ -714,10 +688,13 @@ class VerificationEngine:
             and exposes its live resilience counters; workers stream
             heartbeats through the monitor's published spool.  Telemetry
             never touches results -- outputs stay bit-identical.
-        dispatcher: The campaign daemon's
-            :class:`~repro.verify.supervisor.FleetDispatcher`, whose
-            persistent fleet then runs every pooled map.  When set,
-            ``jobs`` only sizes chunking -- no fleet is forked.
+        fleet: The campaign daemon's persistent
+            :class:`~repro.verify.fleet.Fleet`, which then runs every
+            pooled map under this engine's timeout, retry budget and
+            backoff; the lease loop counts its events in the fleet's
+            ``counters`` and stops at its ``stop_event`` (the daemon's
+            drain).  When set, ``jobs`` only sizes chunking -- no fleet is
+            forked.
     """
 
     def __init__(
@@ -734,7 +711,7 @@ class VerificationEngine:
         store: Optional[VerdictStore] = None,
         cache_dir: Optional[str] = None,
         monitor=None,
-        dispatcher=None,
+        fleet=None,
     ) -> None:
         if not jobs:
             jobs = os.cpu_count() or 1
@@ -758,10 +735,10 @@ class VerificationEngine:
         self.tracer = tracer
         self.metrics = metrics
         self.monitor = monitor
-        #: The daemon's fleet dispatcher, or None (a batch engine forks a
-        #: fleet per call).  Either way the same fold/journal/store path
-        #: runs above the same lease loop.
-        self.dispatcher = dispatcher
+        #: The daemon's fleet, or None (a batch engine forks a fleet per
+        #: call).  Either way the same fold/journal/store path runs above
+        #: the same lease loop.
+        self.fleet = fleet
         #: Whether *this* engine owns the monitor's campaign plan (the
         #: first engine to claim it does; chaos' helper engines share a
         #: monitor and only heartbeat).
@@ -829,9 +806,7 @@ class VerificationEngine:
                 monitor.extra_done("drf0")
             elif kind == "judge":
                 monitor.extra_done("judge", len(task[2]))
-            elif kind == "fuzz":
-                monitor.unit_done(0, 1)
-            elif kind == "diff":
+            elif kind in ("fuzz", "diff"):
                 monitor.unit_done(0, 1)
         monitor.poll()
 
@@ -1004,112 +979,196 @@ class VerificationEngine:
             positions.append((cell_index, chunk))
         return tasks, positions
 
-    def _flush_run_costs(
+    def _record_costs(
         self,
-        session: _Session,
-        task_positions: Sequence[Tuple[int, Tuple[int, ...]]],
         identities: Optional[List[Tuple[str, str]]],
-        offset: int = 0,
+        observed: Iterable[Tuple[int, int, float, int]],
     ) -> None:
-        """Record observed per-cell hardware-run cost into the store.
+        """Record observed per-cell cost into the store.
 
-        ``offset`` skips leading non-run tasks in ``session.task_seconds``
-        (the definition2 map front-loads DRF0 tasks)."""
-        if identities is None or not task_positions:
+        ``observed`` yields ``(cell_index, runs, seconds, states)`` per
+        task; each cell's sums become one cost record, in cell order."""
+        if identities is None:
             return
-        acc: Dict[int, Tuple[int, int]] = {}
-        for (cell_index, chunk), seconds in zip(
-            task_positions, session.task_seconds[offset:]
-        ):
-            runs, wall_us = acc.get(cell_index, (0, 0))
+        acc: Dict[int, Tuple[int, int, int]] = {}
+        for cell_index, runs, seconds, states in observed:
+            total_runs, wall_us, total_states = acc.get(cell_index, (0, 0, 0))
             acc[cell_index] = (
-                runs + len(chunk),
+                total_runs + runs,
                 wall_us + int(seconds * 1_000_000),
+                total_states + states,
             )
-        for cell_index, (runs, wall_us) in sorted(acc.items()):
+        for cell_index, (runs, wall_us, states) in sorted(acc.items()):
             fingerprint, policy_name = identities[cell_index]
             self.store.record_cost(
-                cell_key(fingerprint, policy_name), runs, wall_us
+                cell_key(fingerprint, policy_name),
+                runs=runs,
+                wall_us=wall_us,
+                states=states,
             )
 
-    def _judge_new_results(
+    # ------------------------------------------------------------------
+    # The cell pipeline (contract_sweep, definition2_sweep)
+    # ------------------------------------------------------------------
+
+    def _sweep_cells(
         self,
-        session: _Session,
-        cells: Sequence[_SweepCell],
-        per_cell: Sequence[Sequence[RunSummary]],
+        context: _TaskContext,
+        seeds: Sequence[int],
+        labels: Sequence[str],
         journal: Optional[CheckpointJournal] = None,
-        identities: Optional[List[Tuple[str, str]]] = None,
-    ) -> None:
-        """Judge every not-yet-cached distinct result, once, possibly in
-        parallel, and file the verdicts in :attr:`sc_cache`.
+        journaled_runs: Optional[Dict[Tuple[int, int], RunSummary]] = None,
+    ) -> List[List[RunSummary]]:
+        """The cell pipeline of both sweeps; returns each cell's run
+        summaries in seed order.
 
-        With a store attached, each verdict is merged into the shared
-        cache and flushed to disk *as it lands* (crash tolerance: a
-        judgment computed is a judgment persisted), and the judging cost
-        is attributed to the observing cell's cost record.
+        Registers the plan with the monitor (one row per cell, named by
+        ``labels``), fills positions from ``journaled_runs`` and the
+        store, runs every position still missing together with the DRF0
+        verdict of each of ``context.programs`` the cache lacks (none for
+        a contract sweep), then judges every distinct result the SC cache
+        lacks, once, and files the verdicts in :attr:`sc_cache`.  Every
+        unit -- run, DRF0 verdict, judgment -- is filed, journaled and
+        flushed to the store in its map's ``on_result``, as it lands
+        (crash tolerance: a unit computed is a unit persisted); each
+        map's observed cost is recorded against the cells once it ends.
         """
-        pending: List[List[Result]] = [[] for _ in per_cell]
-        claimed: Set[Tuple[str, Result]] = set()
-        for cell_index, summaries in enumerate(per_cell):
-            program = cells[cell_index].program
-            for summary in summaries:
-                key = self.sc_cache.key(program, summary.result)
-                if key in claimed:
-                    continue
-                claimed.add(key)
-                if (
-                    self.sc_cache.lookup_or_quarantine(program, summary.result)
-                    is None
-                ):
-                    pending[cell_index].append(summary.result)
-        tasks = [
-            ("judge", cell_index, chunk)
-            for cell_index, chunks in enumerate(self._plan_chunks(pending))
-            for chunk in chunks
-        ]
+        cells = context.cells
+        programs = context.programs
+        exhaustive = context.exhaustive_drf0
+        drf0_seeds = context.drf0_seeds
+        drf0_mode: object = (
+            "exhaustive" if exhaustive else ("sampled", drf0_seeds)
+        )
+        identities = self._cell_identities(cells)
+        if self.monitor is not None and self.monitor.claim_plan():
+            self._owns_plan = True
+            expected = self._expected_us(identities, len(cells))
+            self.monitor.plan(
+                [
+                    (label, len(seeds), expected[index])
+                    for index, label in enumerate(labels)
+                ]
+            )
+        with self._session(context) as session:
+            drf0_pending = [
+                index
+                for index, program in enumerate(programs)
+                if self.drf0_cache.lookup_or_quarantine(
+                    program, exhaustive, drf0_seeds
+                )
+                is None
+            ]
+            per_cell: List[List[Optional[RunSummary]]] = [
+                [None] * len(seeds) for _ in cells
+            ]
+            for (cell_index, pos), summary in (journaled_runs or {}).items():
+                per_cell[cell_index][pos] = summary
+            run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
+            if self._owns_plan:
+                for cell_index, summaries in enumerate(per_cell):
+                    filled = sum(1 for summary in summaries if summary is not None)
+                    if filled:
+                        self.monitor.prefill(cell_index, filled)
+                self.monitor.add_extra("drf0", len(drf0_pending))
+                self.monitor.poll(force=True)
+            drf0_tasks = [("drf0", index) for index in drf0_pending]
+            run_tasks, positions = self._plan_run_tasks(
+                cells, seeds, per_cell, identities
+            )
 
-        on_result = None
-        if self.store is not None:
-            def on_result(index: int, task: tuple, value: object) -> None:
+            def on_run(index: int, task: tuple, value) -> None:
+                if task[0] == "drf0":
+                    program = programs[task[1]]
+                    verdict, stats = value
+                    if stats is not None:
+                        self.explorer_stats.merge(stats)
+                    self.drf0_cache.store(
+                        program, exhaustive, drf0_seeds, verdict
+                    )
+                    if journal is not None:
+                        journal.record_drf0(task[1], verdict)
+                    if self.store is not None:
+                        self.store.record_drf0(
+                            program_fingerprint(program),
+                            drf0_mode,
+                            verdict,
+                            program=program,
+                        )
+                    return
+                cell_index, chunk = positions[index - len(drf0_tasks)]
+                for pos, summary in zip(chunk, value):
+                    per_cell[cell_index][pos] = summary
+                    if journal is None and self.store is None:
+                        continue
+                    encoded = _encode_summary(summary)
+                    if journal is not None:
+                        journal.record_run(cell_index, pos, encoded)
+                    if self.store is not None:
+                        self.store.record_run(
+                            run_keys[(cell_index, pos)], encoded
+                        )
+
+            session.map(drf0_tasks + run_tasks, on_result=on_run)
+            self._record_costs(
+                identities,
+                (
+                    (cell_index, len(chunk), seconds, 0)
+                    for (cell_index, chunk), seconds in zip(
+                        positions, session.task_seconds[len(drf0_tasks) :]
+                    )
+                ),
+            )
+
+            pending: List[List[Result]] = [[] for _ in cells]
+            claimed: Set[Tuple[str, Result]] = set()
+            for cell_index, summaries in enumerate(per_cell):
+                program = cells[cell_index].program
+                for summary in summaries:
+                    key = self.sc_cache.key(program, summary.result)
+                    if key in claimed:
+                        continue
+                    claimed.add(key)
+                    if (
+                        self.sc_cache.lookup_or_quarantine(
+                            program, summary.result
+                        )
+                        is None
+                    ):
+                        pending[cell_index].append(summary.result)
+            judge_tasks = [
+                ("judge", cell_index, chunk)
+                for cell_index, chunks in enumerate(self._plan_chunks(pending))
+                for chunk in chunks
+            ]
+            if self._owns_plan and judge_tasks:
+                self.monitor.add_extra("judge", sum(map(len, pending)))
+
+            def on_judged(index: int, task: tuple, value) -> None:
                 _, cell_index, results = task
                 program = cells[cell_index].program
                 fingerprint = program_fingerprint(program)
-                for result, (verdict, _stats) in zip(results, value):
-                    self.sc_cache.store_by_fingerprint(
-                        fingerprint, result, verdict, program=program
-                    )
-                    self.store.record_sc(
-                        fingerprint, result, verdict, program=program
-                    )
+                for result, (verdict, stats) in zip(results, value):
+                    self.explorer_stats.merge(stats)
+                    self.sc_cache.store(program, result, verdict)
+                    if journal is not None:
+                        journal.record_judgment(fingerprint, result, verdict)
+                    if self.store is not None:
+                        self.store.record_sc(
+                            fingerprint, result, verdict, program=program
+                        )
 
-        if self._owns_plan and tasks:
-            self.monitor.add_extra("judge", sum(map(len, pending)))
-
-        values = session.map(tasks, on_result=on_result)
-        costs: Dict[int, Tuple[int, int]] = {}
-        for (_, cell_index, results), judged, seconds in zip(
-            tasks, values, session.task_seconds
-        ):
-            program = cells[cell_index].program
-            wall_us, states = costs.get(cell_index, (0, 0))
-            for result, (verdict, stats) in zip(results, judged):
-                self.explorer_stats.merge(stats)
-                self.sc_cache.store(program, result, verdict)
-                states += stats.states
-                if journal is not None:
-                    journal.record_judgment(
-                        program_fingerprint(program), result, verdict
+            judged = session.map(judge_tasks, on_result=on_judged)
+            self._record_costs(
+                identities,
+                (
+                    (task[1], 0, seconds, sum(s.states for _, s in verdicts))
+                    for task, verdicts, seconds in zip(
+                        judge_tasks, judged, session.task_seconds
                     )
-            costs[cell_index] = (wall_us + int(seconds * 1_000_000), states)
-        if self.store is not None and identities is not None:
-            for cell_index, (wall_us, states) in sorted(costs.items()):
-                fingerprint, policy_name = identities[cell_index]
-                self.store.record_cost(
-                    cell_key(fingerprint, policy_name),
-                    runs=0,
-                    wall_us=wall_us,
-                    states=states,
-                )
+                ),
+            )
+        return per_cell
 
     def _assemble_sweep(
         self,
@@ -1184,44 +1243,15 @@ class VerificationEngine:
         seeds: Sequence[int] = range(20),
         check_51_conditions: bool = False,
     ) -> SweepReport:
-        """Parallel :func:`repro.verify.sweeps.contract_sweep`."""
+        """Parallel :func:`repro.verify.sweeps.contract_sweep`: the cell
+        pipeline on one cell, with no DRF0 premise."""
         config = config or SystemConfig()
         seeds = list(seeds)
         cell = _SweepCell(program, policy_factory, config, check_51_conditions)
-        cells = [cell]
-        identities = self._cell_identities(cells)
-        per_cell: List[List[Optional[RunSummary]]] = [[None] * len(seeds)]
-        run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            self.monitor.plan([(program.name, len(seeds), 0.0)])
-            filled = sum(1 for summary in per_cell[0] if summary is not None)
-            if filled:
-                self.monitor.prefill(0, filled)
-        with self._session(_TaskContext(cells=(cell,))) as session:
-            tasks, positions = self._plan_run_tasks(
-                cells, seeds, per_cell, identities
-            )
-
-            on_result = None
-            if self.store is not None:
-                def on_result(index: int, task: tuple, value) -> None:
-                    cell_index, chunk = positions[index]
-                    for pos, summary in zip(chunk, value):
-                        self.store.record_run(
-                            run_keys[(cell_index, pos)],
-                            _encode_summary(summary),
-                        )
-
-            values = session.map(tasks, on_result=on_result)
-            for (cell_index, chunk), summaries in zip(positions, values):
-                for pos, summary in zip(chunk, summaries):
-                    per_cell[cell_index][pos] = summary
-            self._flush_run_costs(session, positions, identities)
-            self._judge_new_results(
-                session, cells, per_cell, identities=identities
-            )
-        return self._assemble_sweep(cell, seeds, per_cell[0])
+        (summaries,) = self._sweep_cells(
+            _TaskContext(cells=(cell,)), seeds, [program.name]
+        )
+        return self._assemble_sweep(cell, seeds, summaries)
 
     def definition2_sweep(
         self,
@@ -1248,12 +1278,16 @@ class VerificationEngine:
         config = config or SystemConfig()
         programs = list(programs)
         seeds = list(seeds)
-        drf0_tuple = tuple(drf0_seeds)
-        cells = [
-            _SweepCell(program, factory, config, check_51_conditions)
-            for program in programs
-            for factory in policy_factories.values()
-        ]
+        context = sweep_task_context(
+            programs,
+            policy_factories,
+            config,
+            exhaustive_drf0,
+            drf0_seeds,
+            check_51_conditions,
+        )
+        cells = context.cells
+        drf0_tuple = context.drf0_seeds
 
         journal: Optional[CheckpointJournal] = None
         journaled_runs: Dict[Tuple[int, int], RunSummary] = {}
@@ -1309,121 +1343,15 @@ class VerificationEngine:
             journal = CheckpointJournal(journal_path)
             journal.open(signature, fresh=not resume)
 
-        identities = self._cell_identities(cells)
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            policy_names = [
-                name for _ in programs for name in policy_factories
-            ]
-            expected = self._expected_us(identities, len(cells))
-            self.monitor.plan(
-                [
-                    (
-                        f"{cell.program.name}/{policy_names[index]}",
-                        len(seeds),
-                        expected[index],
-                    )
-                    for index, cell in enumerate(cells)
-                ]
-            )
-        drf0_mode: object = (
-            "exhaustive" if exhaustive_drf0 else ("sampled", drf0_tuple)
-        )
-        context = _TaskContext(
-            cells=tuple(cells),
-            programs=tuple(programs),
-            exhaustive_drf0=exhaustive_drf0,
-            drf0_seeds=drf0_tuple,
-        )
+        labels = [
+            f"{program.name}/{name}"
+            for program in programs
+            for name in policy_factories
+        ]
         try:
-            with self._session(context) as session:
-                drf0_pending = [
-                    index
-                    for index, program in enumerate(programs)
-                    if self.drf0_cache.lookup_or_quarantine(
-                        program, exhaustive_drf0, drf0_tuple
-                    )
-                    is None
-                ]
-                per_cell: List[List[Optional[RunSummary]]] = [
-                    [None] * len(seeds) for _ in cells
-                ]
-                for (cell_index, pos), summary in journaled_runs.items():
-                    per_cell[cell_index][pos] = summary
-                run_keys = self._fill_from_store(
-                    cells, seeds, per_cell, identities
-                )
-                if self._owns_plan:
-                    for cell_index in range(len(cells)):
-                        filled = sum(
-                            1
-                            for summary in per_cell[cell_index]
-                            if summary is not None
-                        )
-                        if filled:
-                            self.monitor.prefill(cell_index, filled)
-                    self.monitor.add_extra("drf0", len(drf0_pending))
-                    self.monitor.poll(force=True)
-                run_tasks, task_positions = self._plan_run_tasks(
-                    cells, seeds, per_cell, identities
-                )
-                drf0_tasks = [("drf0", index) for index in drf0_pending]
-
-                def on_result(index: int, task: tuple, value: object) -> None:
-                    if task[0] == "drf0":
-                        verdict = value[0]
-                        if journal is not None:
-                            journal.record_drf0(task[1], verdict)
-                        if self.store is not None:
-                            program = programs[task[1]]
-                            self.store.record_drf0(
-                                program_fingerprint(program),
-                                drf0_mode,
-                                verdict,
-                                program=program,
-                            )
-                        return
-                    cell_index, chunk = task_positions[
-                        index - len(drf0_tasks)
-                    ]
-                    for pos, summary in zip(chunk, value):
-                        encoded = _encode_summary(summary)
-                        if journal is not None:
-                            journal.record_run(cell_index, pos, encoded)
-                        if self.store is not None:
-                            self.store.record_run(
-                                run_keys[(cell_index, pos)], encoded
-                            )
-
-                values = session.map(
-                    drf0_tasks + run_tasks,
-                    on_result=(
-                        on_result
-                        if journal is not None or self.store is not None
-                        else None
-                    ),
-                )
-                for index, (verdict, stats) in zip(
-                    drf0_pending, values[: len(drf0_tasks)]
-                ):
-                    if stats is not None:
-                        self.explorer_stats.merge(stats)
-                    self.drf0_cache.store(
-                        programs[index], exhaustive_drf0, drf0_tuple, verdict
-                    )
-                for (cell_index, chunk), summaries in zip(
-                    task_positions, values[len(drf0_tasks) :]
-                ):
-                    for pos, summary in zip(chunk, summaries):
-                        per_cell[cell_index][pos] = summary
-                self._flush_run_costs(
-                    session, task_positions, identities,
-                    offset=len(drf0_tasks),
-                )
-                self._judge_new_results(
-                    session, cells, per_cell, journal=journal,
-                    identities=identities,
-                )
+            per_cell = self._sweep_cells(
+                context, seeds, labels, journal, journaled_runs
+            )
         finally:
             if journal is not None:
                 journal.close()
@@ -1441,6 +1369,65 @@ class VerificationEngine:
                 cell_index += 1
         return evidence
 
+    def _seed_campaign(
+        self,
+        kind: str,
+        seeds: Sequence[int],
+        seed_body: Callable[[int, Callable[..., bool]], object],
+        oracle: Callable[[Program, object], Tuple[bool, int]],
+        cache,
+        file: Callable[[str, object, bool, Program], None],
+    ) -> list:
+        """The seed loop of fuzz and diff: one ``kind`` task per seed,
+        returning the seeds' outcomes in seed order.
+
+        ``seed_body(seed, judge)`` runs one seed, and its
+        ``judge(program, arg)`` memoizes ``oracle`` in ``_WORKER_MEMO``
+        under the keys ``cache`` files its verdicts by
+        (:func:`_seed_task`).  The memo is reset to exactly ``cache``'s
+        entries before the session forks, so workers inherit it and
+        leftovers of an earlier campaign in this process cannot turn
+        misses into hits.  Each task's new verdicts are merged into the
+        memo, passed to ``file(fingerprint, arg, verdict, program)`` --
+        the cache and the store -- and counted in :attr:`explorer_stats`
+        as the task lands.  Memo hits and misses are counted here, in
+        seed order, so they are the serial run's at any ``jobs``.
+        """
+        # Loaded before the session forks: run_on_hardware imports the
+        # snoop substrate on first use, which would be once per worker.
+        import repro.sim.snoop  # noqa: F401
+
+        seeds = list(seeds)
+        if self.monitor is not None and self.monitor.claim_plan():
+            self._owns_plan = True
+            self.monitor.plan([(kind, len(seeds), 0.0)])
+        _WORKER_MEMO.clear()
+        for fingerprint, arg, verdict in cache.entries():
+            _WORKER_MEMO[(fingerprint, arg)] = verdict
+        known = set(_WORKER_MEMO)
+
+        def on_result(index: int, task: tuple, value) -> None:
+            for key, verdict, program, states in value[1]:
+                _WORKER_MEMO.setdefault(key, verdict)
+                file(*key, verdict, program)
+                self.explorer_stats.states += states
+
+        context = _TaskContext(seed_body=seed_body, oracle=oracle)
+        with self._session(context) as session:
+            values = session.map(
+                [(kind, seed) for seed in seeds], on_result=on_result
+            )
+        hits = misses = 0
+        for _outcome, _new, judged in values:
+            for key in judged:
+                if key in known:
+                    hits += 1
+                else:
+                    misses += 1
+                    known.add(key)
+        cache.stats.add(hits=hits, misses=misses)
+        return [outcome for outcome, _new, _judged in values]
+
     def fuzz(
         self,
         seeds: Sequence[int],
@@ -1450,63 +1437,44 @@ class VerificationEngine:
     ) -> FuzzReport:
         """Parallel :func:`repro.verify.fuzz.fuzz` (one task per seed).
 
-        The worker-local SC memo is warmed from the engine's cache (and
-        therefore from the persistent store) *before* the fork; newly
-        computed verdicts ride back with each task's outcome and are
-        merged into the shared cache -- and flushed to the store -- as
-        they land, with the memo's hit/miss deltas folded into the
-        parent's :class:`~repro.verify.cache.CacheStats` so parallel
-        campaigns report true hit rates.
+        Each seed's SC judgments are memoized (see :meth:`_seed_campaign`),
+        warm from the engine's cache and therefore from the persistent
+        store; new judgments are filed in the cache and flushed to the
+        store as they land.
         """
         # Imported before the session forks its fleet, so workers inherit
         # the fuzz module instead of importing it per process.
-        from repro.verify.fuzz import merge_outcomes
+        from repro.verify.fuzz import fuzz_one_seed, merge_outcomes
 
-        seeds = list(seeds)
-        context = _TaskContext(
-            generator=generator,
-            fuzz_hardware_seeds=tuple(hardware_seeds),
-            check_cross_enumerators=check_cross_enumerators,
-        )
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            self.monitor.plan([("fuzz", len(seeds), 0.0)])
-        # Reset the (module-global, fork-inherited) worker memo to exactly
-        # what this engine's cache knows: leftovers from an earlier
-        # campaign in this process would turn misses into hits and make
-        # the reported hit rate depend on unrelated history.
-        _WORKER_SC_MEMO.clear()
-        for fingerprint, result, verdict in self.sc_cache.entries():
-            _WORKER_SC_MEMO[(fingerprint, result)] = verdict
+        hardware_seeds = tuple(hardware_seeds)
 
-        def on_result(index: int, task: tuple, value) -> None:
-            _outcome, new_verdicts, (hits, misses) = value
-            self.sc_cache.stats.add(hits=hits, misses=misses)
-            for new in new_verdicts:
-                # Merge sibling workers' judgments into the shared cache
-                # (and the parent's own serial-path memo) mid-run...
-                _WORKER_SC_MEMO.setdefault(
-                    (new.fingerprint, new.result), new.verdict
-                )
-                self.sc_cache.store_by_fingerprint(
-                    new.fingerprint, new.result, new.verdict,
-                    program=new.program,
-                )
-                self.explorer_stats.states += new.states
-                # ... and persist them immediately (duplicates from
-                # sibling workers deduplicate at the store).
-                if self.store is not None:
-                    self.store.record_sc(
-                        new.fingerprint, new.result, new.verdict,
-                        program=new.program,
-                    )
-
-        with self._session(context) as session:
-            values = session.map(
-                [("fuzz", seed) for seed in seeds], on_result=on_result
+        def seed_body(seed: int, judge: Callable[..., bool]) -> SeedOutcome:
+            return fuzz_one_seed(
+                seed,
+                generator,
+                hardware_seeds,
+                check_cross_enumerators,
+                judge=judge,
             )
-        outcomes: List[SeedOutcome] = [value[0] for value in values]
-        return merge_outcomes(outcomes)
+
+        def oracle(program: Program, result: Result) -> Tuple[bool, int]:
+            stats = ExplorerStats()
+            return is_sc_result(program, result, stats=stats), stats.states
+
+        def file(fingerprint, result, verdict, program) -> None:
+            self.sc_cache.store_by_fingerprint(
+                fingerprint, result, verdict, program=program
+            )
+            if self.store is not None:
+                self.store.record_sc(
+                    fingerprint, result, verdict, program=program
+                )
+
+        return merge_outcomes(
+            self._seed_campaign(
+                "fuzz", seeds, seed_body, oracle, self.sc_cache, file
+            )
+        )
 
     def diff_campaign(
         self,
@@ -1520,62 +1488,43 @@ class VerificationEngine:
         legacy enumerator, the operational explorers, and the hardware
         simulator over the generated-program corpus.
 
-        The expensive shared sub-question -- each program's operational
-        DRF0 verdict -- is memoized exactly like fuzz's SC judgments: the
-        worker-local memo is warmed from the engine's cache (and hence
-        the persistent store) before the fork, new verdicts ride back
-        with each outcome and are flushed to the store as they land.
-        Memo hits and misses are counted in the parent's seed-ordered
-        fold, so they are the serial run's at any ``jobs``.
-        Disagreements are auto-minimized in the parent (serial,
-        deterministic) after the fold.
+        The expensive shared sub-question -- each program's exhaustive
+        DRF0 verdict -- is memoized like fuzz's SC judgments (see
+        :meth:`_seed_campaign`).  Disagreements are auto-minimized in the
+        parent (serial, deterministic) after the fold.
         """
-        # Imported before the session forks its fleet (see fuzz()).
-        from repro.verify.diff import merge_diff_outcomes, minimize_disagreement
-
-        seeds = list(seeds)
-        context = _TaskContext(
-            generator=generator,
-            diff_hardware_seeds=tuple(hardware_seeds),
+        # Imported before the session forks (see fuzz()).
+        from repro.verify.diff import (
+            diff_one_seed,
+            merge_diff_outcomes,
+            minimize_disagreement,
         )
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            self.monitor.plan([("diff", len(seeds), 0.0)])
-        _WORKER_DRF0_MEMO.clear()
-        for fingerprint, mode, verdict in self.drf0_cache.entries():
-            if mode == "exhaustive":
-                _WORKER_DRF0_MEMO[fingerprint] = verdict
-        known = set(_WORKER_DRF0_MEMO)
 
-        def on_result(index: int, task: tuple, value) -> None:
-            _outcome, new_verdicts, _judged = value
-            for fingerprint, verdict, program in new_verdicts:
-                _WORKER_DRF0_MEMO.setdefault(fingerprint, verdict)
-                self.drf0_cache.store_by_key(
-                    fingerprint, "exhaustive", verdict
-                )
-                if self.store is not None:
-                    self.store.record_drf0(
-                        fingerprint, "exhaustive", verdict, program=program
-                    )
+        hardware_seeds = tuple(hardware_seeds)
 
-        with self._session(context) as session:
-            values = session.map(
-                [("diff", seed) for seed in seeds], on_result=on_result
+        def seed_body(seed: int, judge: Callable[..., bool]) -> DiffSeedOutcome:
+            return diff_one_seed(
+                seed,
+                generator,
+                hardware_seeds,
+                drf0_judge=lambda program: judge(program, "exhaustive"),
             )
-        # A hit is a fingerprint that was warm or judged at an earlier
-        # seed: the serial count, whichever worker ran each seed.
-        hits = misses = 0
-        for _outcome, _new, judged in values:
-            for fingerprint in judged:
-                if fingerprint in known:
-                    hits += 1
-                else:
-                    misses += 1
-                    known.add(fingerprint)
-        self.drf0_cache.stats.add(hits=hits, misses=misses)
-        outcomes: List[DiffSeedOutcome] = [value[0] for value in values]
-        report = merge_diff_outcomes(outcomes)
+
+        def oracle(program: Program, _mode: object) -> Tuple[bool, int]:
+            return check_program(program).obeys, 0
+
+        def file(fingerprint, mode, verdict, program) -> None:
+            self.drf0_cache.store_by_key(fingerprint, mode, verdict)
+            if self.store is not None:
+                self.store.record_drf0(
+                    fingerprint, mode, verdict, program=program
+                )
+
+        report = merge_diff_outcomes(
+            self._seed_campaign(
+                "diff", seeds, seed_body, oracle, self.drf0_cache, file
+            )
+        )
         if minimize:
             for disagreement in report.disagreements:
                 minimize_disagreement(
@@ -1630,10 +1579,10 @@ class VerificationEngine:
                 registry=registry,
                 prefix="engine.stream",
             )
-        # The daemon's dispatcher keeps a flat counters dict: lease
+        # The daemon's fleet keeps a flat counters dict: lease
         # reclamations, retry/backoff charges, breaker transitions,
         # worker crash/replace events.
-        counters = self.dispatcher.counters if self.dispatcher else None
+        counters = self.fleet.counters if self.fleet is not None else None
         if counters:
             for name, count in sorted(counters.items()):
                 registry.counter(f"engine.service.{name}").value = count

@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Set
 
@@ -177,9 +178,13 @@ class Fleet:
     ``counters`` receives supervision events (``workers_spawned``,
     ``workers_replaced``, ``workers_killed``); the daemon passes the
     dict it surfaces as ``engine.service.*`` metrics and the status
-    snapshot's ``health.service`` block.  ``spool_dir`` and
-    ``resolve_context`` are the daemon's: its long-lived workers publish
-    their own heartbeat stream and resolve shipped campaign specs.
+    snapshot's ``health.service`` block, and the lease loop an engine
+    runs on the daemon's fleet counts its events there too.
+    ``spool_dir``, ``resolve_context`` and ``stop_event`` are the
+    daemon's: its long-lived workers publish their own heartbeat stream
+    and resolve shipped campaign specs, and its drain sets
+    ``stop_event``, which stops the lease loop running on the fleet at
+    its next turn.
     """
 
     def __init__(
@@ -189,11 +194,13 @@ class Fleet:
         hb_interval: float = 0.05,
         counters: Optional[Dict[str, int]] = None,
         resolve_context: Optional[Callable[[dict], object]] = None,
+        stop_event: Optional[threading.Event] = None,
     ) -> None:
         self.size = max(1, int(size))
         self.spool_dir = spool_dir
         self.hb_interval = hb_interval
         self.resolve_context = resolve_context
+        self.stop_event = stop_event
         self.counters: Dict[str, int] = (
             counters if counters is not None else {}
         )

@@ -109,10 +109,6 @@ class TaskBoard:
         self.counters[key] = self.counters.get(key, 0) + n
 
     @property
-    def done_count(self) -> int:
-        return len(self._done)
-
-    @property
     def finished(self) -> bool:
         return len(self._done) >= self.n_tasks
 
@@ -153,8 +149,8 @@ class TaskBoard:
     def fail(self, task: int, gen: int, kind: str, now: float) -> str:
         """Disposition one failed lease: RETRY, DEGRADE, or STALE.
 
-        ``kind`` feeds the counters (``task_timeouts``, ``task_errors``,
-        ``heartbeat_expiries`` ...).  A ``(task, gen)`` pair is charged at
+        ``kind`` feeds the counters (``task_timeouts``, ``task_errors``
+        ...).  A ``(task, gen)`` pair is charged at
         most once -- a second failure report for the same lease is
         STALE: no budget burned, no resubmission.
         """

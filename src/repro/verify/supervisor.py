@@ -3,9 +3,9 @@
 Every task the engine runs outside its own process goes through
 :class:`FleetSession`, over a :class:`~repro.verify.fleet.Fleet`: the
 fleet a batch session forks for ``--jobs N``, or the campaign daemon's
-persistent one (passed as ``VerificationEngine(dispatcher=)``).  The
-session drives the :class:`~repro.verify.leases.TaskBoard` state
-machine:
+persistent one (lent as ``VerificationEngine(fleet=)``).  The session
+takes its task timeout, retry budget and backoff from the engine, and
+drives the :class:`~repro.verify.leases.TaskBoard` state machine:
 
 * every dispatch is a **lease** (task, generation) on one known
   worker; completions are first-wins and failure charges are
@@ -13,15 +13,12 @@ machine:
 * the loop sleeps in ``connection.wait`` on every busy worker's pipe
   and process sentinel, so any reply or any worker death wakes it at
   once, and each death is charged to the lease its worker held;
-* a lease is **reclaimed** when its task times out *or* (daemon) when
-  the worker's heartbeat stream goes silent past ``heartbeat_timeout``
-  -- the beat records workers already emit are the liveness evidence,
-  so a wedged worker is caught by the telemetry plane before the
-  (longer) task timeout would fire; the wedged worker is killed and
-  replaced;
+* a lease is **reclaimed** when its task times out: the wedged worker
+  is killed and replaced;
 * failures feed a per-cell :class:`CircuitBreaker`
-  (healthy -> suspect -> quarantined -> recovered): a quarantined
-  cell's tasks run serially in the parent process, with every K-th task
+  (healthy -> suspect -> quarantined -> recovered), one per engine call
+  since its keys are the call's cell indices: a quarantined cell's
+  tasks run serially in the parent process, with every K-th task
   probing the fleet so a recovered cell is promoted back;
 * a task that exhausts its retry budget degrades to serial execution
   in the parent -- the call always terminates with the exact serial
@@ -29,9 +26,10 @@ machine:
   against the context the engine published.
 
 All supervision events land in one counters dict: the engine's
-``resilience`` dict in batch, or the daemon's, surfaced as
+``resilience`` dict in batch, or the daemon's on its fleet, surfaced as
 ``engine.service.*`` metrics and the status snapshot's
-``health.service`` block.
+``health.service`` block.  The daemon's drain also travels on its
+fleet: a set ``Fleet.stop_event`` stops the loop at its next turn.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.obs import stream as obs_stream
-from repro.obs.tracer import now_us
 from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
 
 
@@ -127,58 +124,7 @@ class CircuitBreaker:
         return "serial"
 
 
-def _breaker_key(task: tuple) -> str:
-    kind = task[0]
-    if kind in ("run", "judge"):
-        return f"cell:{task[1]}"
-    if kind == "drf0":
-        return f"drf0:{task[1]}"
-    return kind
-
-
-# -- the dispatcher ------------------------------------------------------
-
-
-class FleetDispatcher:
-    """A fleet plus its dispatch policy: timeouts, retries, breaker.
-
-    The daemon passes one as ``VerificationEngine(dispatcher=)`` and
-    sets campaign-scoped state (the spec shipped to workers) with
-    :meth:`prepare` before each engine call; a batch engine builds one
-    around the fleet it forks.  The engine opens a :class:`FleetSession`
-    on it at a call's first pooled map.
-    """
-
-    def __init__(
-        self,
-        fleet,
-        counters: Optional[Dict[str, int]] = None,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        backoff: float = 0.05,
-        heartbeat_timeout: Optional[float] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        stop_event=None,
-    ) -> None:
-        self.fleet = fleet
-        self.counters: Dict[str, int] = (
-            counters if counters is not None else {}
-        )
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.heartbeat_timeout = heartbeat_timeout
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(counters=self.counters)
-        )
-        self.stop_event = stop_event
-
-    def prepare(self, ctx_data: Optional[dict]) -> int:
-        """Broadcast a campaign spec to the fleet; returns ack count."""
-        self.fleet.ensure()
-        return self.fleet.set_context(ctx_data)
+# -- the lease loop -----------------------------------------------------
 
 
 class FleetSession:
@@ -186,12 +132,15 @@ class FleetSession:
 
     The engine's ``_Session`` delegates every pooled :meth:`map` here,
     so the fold/journal/store path above it is the one the in-process
-    path runs.
+    path runs.  Lease events and the transitions of the call's circuit
+    breaker are counted in ``counters``.
     """
 
-    def __init__(self, dispatcher: FleetDispatcher, engine) -> None:
-        self.dispatcher = dispatcher
+    def __init__(self, fleet, engine, counters: Dict[str, int]) -> None:
+        self.fleet = fleet
         self.engine = engine
+        self.counters = counters
+        self.breaker = CircuitBreaker(counters=counters)
         self.task_seconds: List[float] = []
         #: Pids this session killed on purpose (reclaimed leases, chaos
         #: cleanup): their deaths are already charged and must not count
@@ -201,23 +150,7 @@ class FleetSession:
     # -- helpers -------------------------------------------------------
 
     def _bump(self, key: str, n: int = 1) -> None:
-        counters = self.dispatcher.counters
-        counters[key] = counters.get(key, 0) + n
-
-    def _heartbeat_expired(self, pid: int, submitted: float, now: float) -> bool:
-        """Is this worker's beat stream silent past the lease's grace?"""
-        hb_timeout = self.dispatcher.heartbeat_timeout
-        if hb_timeout is None:
-            return False
-        monitor = getattr(self.engine, "monitor", None)
-        if monitor is None:
-            return False
-        if now - submitted <= hb_timeout:
-            return False  # the lease itself is younger than the window
-        view = monitor.fold.workers.get(f"fleet-{pid}")
-        if view is None or not view.last_ts:
-            return True  # held a lease past the window, never beat at all
-        return now_us() - view.last_ts > hb_timeout * 1e6
+        self.counters[key] = self.counters.get(key, 0) + n
 
     # -- the dispatch loop ---------------------------------------------
 
@@ -226,31 +159,30 @@ class FleetSession:
             return []
         from repro.verify import engine as engine_mod
 
-        dispatcher = self.dispatcher
-        fleet = dispatcher.fleet
-        breaker = dispatcher.breaker
+        fleet = self.fleet
+        breaker = self.breaker
         engine = self.engine
-        timeout = dispatcher.task_timeout
-        if timeout is None and engine is not None:
-            timeout = engine.task_timeout
+        timeout = engine.task_timeout
 
         board = TaskBoard(
             len(tasks),
-            max_retries=dispatcher.max_retries,
-            backoff=BackoffPolicy(base=dispatcher.backoff),
-            counters=dispatcher.counters,
+            max_retries=engine.max_task_retries,
+            backoff=BackoffPolicy(base=engine.retry_backoff),
+            counters=self.counters,
         )
         results: List[object] = [None] * len(tasks)
         self.task_seconds = [0.0] * len(tasks)
         batch = next(engine_mod._TELEMETRY_BATCH)
+
+        def breaker_key(index: int) -> str:
+            return engine_mod._breaker_key(tasks[index])
 
         def finish(index: int, value: object, seconds: float = 0.0) -> None:
             results[index] = value
             self.task_seconds[index] = seconds
             if on_result is not None:
                 on_result(index, tasks[index], value)
-            if engine is not None:
-                engine._task_landed(tasks[index], seconds)
+            engine._task_landed(tasks[index], seconds)
 
         def run_serial(index: int, attempt: int) -> None:
             serial_start = time.perf_counter()
@@ -261,15 +193,12 @@ class FleetSession:
             finish(index, value, time.perf_counter() - serial_start)
 
         def dispose(index: int, gen: int, kind: str) -> None:
-            breaker.record_failure(_breaker_key(tasks[index]))
+            breaker.record_failure(breaker_key(index))
             if board.fail(index, gen, kind, time.monotonic()) == DEGRADE:
                 run_serial(index, board.attempts.get(index, 0))
 
         while not board.finished:
-            if (
-                dispatcher.stop_event is not None
-                and dispatcher.stop_event.is_set()
-            ):
+            if fleet.stop_event is not None and fleet.stop_event.is_set():
                 raise DrainRequested("daemon draining")
             now = time.monotonic()
 
@@ -296,7 +225,7 @@ class FleetSession:
                 lease = board.grant(now)
                 if lease is None:
                     break
-                if breaker.route(_breaker_key(tasks[lease.task])) == "serial":
+                if breaker.route(breaker_key(lease.task)) == "serial":
                     run_serial(lease.task, lease.gen - 1)
                     continue
                 if not idle:
@@ -354,7 +283,7 @@ class FleetSession:
                     while handle.conn.poll():
                         reply = handle.conn.recv()
                         self._absorb_reply(
-                            handle, reply, board, breaker, tasks,
+                            handle, reply, board, breaker, breaker_key,
                             finish, dispose,
                         )
                         if handle.assignment is None:
@@ -362,33 +291,24 @@ class FleetSession:
                 except (EOFError, OSError):
                     continue  # death; reaped at the top of the next turn
 
-            # 5. Reclaim expired leases: task timeout or heartbeat
-            #    silence.  The holder is wedged -- kill and replace it.
+            # 5. Reclaim leases past the task timeout.  The holder is
+            #    wedged -- kill and replace it.
             scan_now = time.monotonic()
             for handle in busy:
                 if handle.assignment is None or not handle.alive():
                     continue
                 index, gen, submitted = handle.assignment
-                timed_out = (
-                    timeout is not None and scan_now - submitted > timeout
-                )
-                hb_dead = self._heartbeat_expired(
-                    handle.pid, submitted, scan_now
-                )
-                if not (timed_out or hb_dead):
+                if timeout is None or scan_now - submitted <= timeout:
                     continue
                 handle.assignment = None
                 self._bump("leases_reclaimed")
                 self._expected_deaths.add(handle.pid)
                 fleet.kill(handle.pid)
-                dispose(
-                    index, gen,
-                    "task_timeouts" if timed_out else "heartbeat_expiries",
-                )
+                dispose(index, gen, "task_timeouts")
         return results
 
     def _absorb_reply(
-        self, handle, reply, board, breaker, tasks, finish, dispose
+        self, handle, reply, board, breaker, breaker_key, finish, dispose
     ) -> None:
         kind = reply[0]
         if kind not in ("ok", "err") or handle.assignment is None:
@@ -399,7 +319,7 @@ class FleetSession:
             return  # stale reply from a superseded lease; ignore
         handle.assignment = None
         if kind == "ok":
-            breaker.record_success(_breaker_key(tasks[index]))
+            breaker.record_success(breaker_key(index))
             if board.complete(index, gen):
                 finish(index, reply[2], time.monotonic() - submitted)
         else:
@@ -408,7 +328,7 @@ class FleetSession:
     def close(self) -> None:
         """End-of-map hygiene: no worker may carry a stale assignment or
         a buffered stale reply into the next engine call."""
-        fleet = self.dispatcher.fleet
+        fleet = self.fleet
         for handle in list(fleet.handles):
             if handle.assignment is not None:
                 # Still chewing on an abandoned lease (drain/interrupt):

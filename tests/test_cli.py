@@ -167,6 +167,39 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
 
+    def test_seed_campaign_workers_import_nothing_after_the_fork(self):
+        # fuzz and diff import what their seeds run (the snoop substrate
+        # included) before the session forks, so no worker imports a
+        # repro module of its own.
+        proc = _run_cli("-c", (
+            "import json, os, sys, tempfile\n"
+            "from repro.verify import fleet\n"
+            "out = tempfile.mkdtemp()\n"
+            "original = fleet._worker_main\n"
+            "def recording(*args):\n"
+            "    before = set(sys.modules)\n"
+            "    try:\n"
+            "        original(*args)\n"
+            "    finally:\n"
+            "        with open(os.path.join(out, str(os.getpid())), 'w') as fh:\n"
+            "            json.dump(sorted(set(sys.modules) - before), fh)\n"
+            "fleet._worker_main = recording\n"
+            "from repro.verify.engine import VerificationEngine\n"
+            "VerificationEngine(jobs=2).diff_campaign(range(4), minimize=False)\n"
+            "VerificationEngine(jobs=2).fuzz(range(4))\n"
+            "imported = {}\n"
+            "for name in sorted(os.listdir(out)):\n"
+            "    with open(os.path.join(out, name)) as fh:\n"
+            "        imported[name] = [module for module in json.load(fh)\n"
+            "                          if module.split('.')[0] == 'repro']\n"
+            "print(json.dumps(imported))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        imported = json.loads(proc.stdout)
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert len(imported) == 4  # two workers per campaign
+        assert all(modules == [] for modules in imported.values()), imported
+
     @pytest.mark.parametrize("order", ("name_first", "submodule_first"))
     @pytest.mark.parametrize("package", (
         "repro", "repro.analysis", "repro.axiomatic", "repro.core",

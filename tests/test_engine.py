@@ -193,6 +193,18 @@ class TestParallelMatchesSerial:
             counts.append((stats.hits, stats.misses))
         assert counts == [(4, 3), (4, 3)]
 
+    def test_fuzz_memo_counts_independent_of_jobs(self):
+        """SC memo hits are counted in seed order in the parent too: seed
+        114 repeats seed 15's program, so its judgments are all hits
+        whichever worker runs it."""
+        counts = []
+        for jobs in (1, 2):
+            engine = VerificationEngine(jobs=jobs)
+            engine.fuzz([15, 114])
+            stats = engine.sc_cache.stats
+            counts.append((stats.hits, stats.misses))
+        assert counts == [(29, 1), (29, 1)]
+
     def test_jobs_zero_means_cpu_count(self):
         engine = VerificationEngine(jobs=0)
         assert engine.jobs >= 1

@@ -188,6 +188,47 @@ class TestCompletionWake:
         assert len(live) == fleet.size == 2  # back at full strength
 
 
+def _failing_in_worker_task(task, tag=None):
+    """Stand-in for ``_execute_task`` on ``("x", index, fail)``: raises
+    in a fleet worker when ``fail`` is set; the parent's serial fallback
+    returns normally."""
+    _kind, index, fail = task
+    if fail and _in_worker():
+        raise RuntimeError("injected task failure")
+    return index
+
+
+@pool_available
+class TestBreakerScope:
+    def test_quarantine_ends_with_the_engine_call(self, monkeypatch):
+        # Breaker keys are one call's cell indices, so a key that one
+        # call quarantined must not send the next call's tasks to the
+        # parent, even when both calls borrow one fleet (the daemon's).
+        from repro.verify.fleet import Fleet
+
+        monkeypatch.setattr(
+            engine_module, "_execute_task", _failing_in_worker_task
+        )
+        counters = {}
+        fleet = Fleet(2, counters=counters)
+        fleet.start()
+        try:
+            serial_tasks = []
+            for fail in (True, False):
+                engine = VerificationEngine(
+                    jobs=2, fleet=fleet, max_task_retries=0, retry_backoff=0
+                )
+                with engine._session(_TaskContext()) as session:
+                    tasks = [("x", index, fail) for index in range(8)]
+                    assert session.map(tasks) == list(range(8))
+                serial_tasks.append(counters.get("breaker_serial_tasks", 0))
+        finally:
+            fleet.stop()
+        assert counters["breaker_opened"] == 1
+        assert serial_tasks[0] > 0
+        assert serial_tasks[1] == serial_tasks[0]
+
+
 def _attempt_of_task(task, tag=None):
     """Stand-in for ``_execute_task``: returns the dispatch's attempt
     number, the third element of its telemetry tag."""
@@ -254,6 +295,39 @@ class TestJournalResume:
         _sweep(engine, journal_path=path, resume=True)
         # A fully journaled sweep re-runs no hardware tasks at all.
         assert engine.metrics.counter("engine.tasks.run").value == 0
+
+    def test_judgments_are_journaled_as_they_land(
+        self, monkeypatch, tmp_path
+    ):
+        # An interrupt during the judge map must leave every judgment
+        # that already landed in the journal, as runs and DRF0 verdicts
+        # are, not only those of a finished map.
+        path = str(tmp_path / "sweep.jsonl")
+        real = engine_module._execute_task
+        judge_tasks = []
+
+        def interrupted_on_third_judge(task, tag=None):
+            if task[0] == "judge":
+                judge_tasks.append(task)
+                if len(judge_tasks) == 3:
+                    raise KeyboardInterrupt
+            return real(task, tag)
+
+        monkeypatch.setattr(
+            engine_module, "_execute_task", interrupted_on_third_judge
+        )
+        programs = [by_name(name).program for name in ("SB", "MP")]
+        factories = {
+            name: POLICY_FACTORIES[name] for name in ("relaxed", "adve-hill")
+        }
+        with pytest.raises(KeyboardInterrupt):
+            VerificationEngine(jobs=1).definition2_sweep(
+                programs, factories, seeds=range(8), journal_path=path
+            )
+        state = CheckpointJournal.load(path)
+        landed = sum(len(task[2]) for task in judge_tasks[:2])
+        assert (len(state.runs), len(state.drf0), landed) == (32, 2, 4)
+        assert len(state.judgments) == landed
 
     def test_resume_without_journal_refuses(self, tmp_path):
         engine = VerificationEngine(jobs=1)
