@@ -42,7 +42,7 @@ from __future__ import annotations
 import importlib
 import sys
 import types
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 __version__ = "1.0.0"
 
@@ -100,6 +100,21 @@ def _lazy_exports(package: str, table: Dict[str, Sequence[str]]) -> List[str]:
     namespace["__dir__"] = __dir__
     module.__class__ = _LazyPackage
     return list(origin)
+
+
+def _deferred(module: str, factory: str, *args, **kwargs) -> Callable:
+    """``factory(*args, **kwargs)`` from ``module``, imported when called.
+
+    The registries of names a command line accepts (policies, workloads)
+    map each name to one of these, so listing the names loads nothing.
+    """
+
+    def build():
+        return getattr(importlib.import_module(module), factory)(
+            *args, **kwargs
+        )
+
+    return build
 
 
 _EXPORTS = {

@@ -2,6 +2,6 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import entry
 
-sys.exit(main())
+sys.exit(entry())

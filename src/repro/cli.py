@@ -63,11 +63,11 @@ in Perfetto) and ``--metrics-json FILE``; ``simulate`` and ``drf0`` accept
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro import _deferred
 from repro.hw import POLICY_FACTORIES
 
 if TYPE_CHECKING:
@@ -76,17 +76,6 @@ if TYPE_CHECKING:
 
 # Module level holds only what build_parser needs; every handler imports
 # what it runs, so each command loads only its own modules at start-up.
-
-
-def _deferred(module: str, factory: str, *args, **kwargs) -> Callable:
-    """``factory(*args, **kwargs)`` from ``module``, imported when called."""
-
-    def build():
-        return getattr(importlib.import_module(module), factory)(
-            *args, **kwargs
-        )
-
-    return build
 
 
 WORKLOAD_FACTORIES = {
@@ -548,6 +537,8 @@ def cmd_sweep(args) -> int:
     except LivenessError as exc:
         if monitor is not None:
             monitor.fail(exc.diagnosis())
+        if engine.store is not None:
+            engine.store.close()
         print(exc.diagnosis(), file=sys.stderr)
         return 1
     except BaseException as exc:
@@ -662,7 +653,66 @@ def cmd_delays(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """What ``add_parser`` makes for a subcommand not yet invoked: the
+    keyword arguments its parser will be built with."""
+
+    def __init__(self, **kwargs) -> None:
+        self.kwargs = kwargs
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers that build a subcommand's parser when it is invoked.
+
+    Every subcommand is registered up front with its name and help, so
+    ``repro --help`` and an unknown command read as they would with
+    every parser built; the parser, handler and arguments of the one
+    subcommand argparse dispatches to are built just before it parses.
+    """
+
+    def __init__(self, *args, lazy: bool = True, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.lazy = lazy
+        self._unbuilt: Dict[str, Tuple[Callable, Callable]] = {}
+
+    def command(self, name: str, func: Callable, **kwargs) -> Callable:
+        """Register subcommand ``name`` with handler ``func`` (``kwargs``
+        go to ``add_parser``); the decorated function adds its arguments."""
+
+        def register(add_arguments: Callable) -> Callable:
+            parser_class, self._parser_class = self._parser_class, _Unbuilt
+            try:
+                self.add_parser(name, **kwargs)
+            finally:
+                self._parser_class = parser_class
+            self._unbuilt[name] = (func, add_arguments)
+            if not self.lazy:
+                self._build(name)
+            return add_arguments
+
+        return register
+
+    def _build(self, name: str) -> None:
+        func, add_arguments = self._unbuilt.pop(name)
+        parser = self._parser_class(**self._name_parser_map[name].kwargs)
+        parser.set_defaults(func=func)
+        add_arguments(parser)
+        self._name_parser_map[name] = parser
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] in self._unbuilt:
+            self._build(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    With ``lazy`` (what :func:`main` uses) a subcommand's parser is built
+    only when it is invoked, so a command pays for its own parser alone;
+    ``lazy=False`` builds every subcommand's parser up front.  Both
+    parse, print help and fail alike on every command line.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Weak Ordering -- A New Definition (ISCA 1990) reproduction",
@@ -672,7 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run explorers on the interpreted EngineState instead of the "
              "compiled engine (differential debugging; same answers, slower)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, action=_Subcommands, lazy=lazy
+    )
 
     def add_hw_args(p, single_policy=True):
         if single_policy:
@@ -715,196 +767,199 @@ def build_parser() -> argparse.ArgumentParser:
                             "stall diagnosis after CYCLES cycles without "
                             "architectural progress")
 
-    p = sub.add_parser("catalog", help="list litmus tests and workloads")
-    p.set_defaults(func=cmd_catalog)
+    @sub.command("catalog", cmd_catalog, help="list litmus tests and workloads")
+    def catalog(p):
+        pass
 
-    p = sub.add_parser("litmus", help="run litmus tests on simulated hardware")
-    p.add_argument("names", nargs="*")
-    add_hw_args(p)
-    add_obs_args(p)
-    p.set_defaults(func=cmd_litmus)
+    @sub.command("litmus", cmd_litmus,
+                 help="run litmus tests on simulated hardware")
+    def litmus(p):
+        p.add_argument("names", nargs="*")
+        add_hw_args(p)
+        add_obs_args(p)
 
-    p = sub.add_parser("drf0", help="Definition-3 verdict for a program")
-    p.add_argument("name")
-    p.add_argument("--sampled", action="store_true")
-    p.add_argument("--dpor", action="store_true",
-                   help="partial-order reduction (bounded programs)")
-    p.add_argument("--no-sleep-sets", action="store_true",
-                   help="with --dpor: disable the sleep-set pruning layer")
-    p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--witness", action="store_true")
-    p.add_argument("--stats", action="store_true",
-                   help="print explorer counters (states/sec, undo depth, "
-                        "sleep-set cuts, peak visited-set size)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable verdict on stdout")
-    add_obs_args(p)
-    add_status_arg(p)
-    p.set_defaults(func=cmd_drf0)
+    @sub.command("drf0", cmd_drf0, help="Definition-3 verdict for a program")
+    def drf0(p):
+        p.add_argument("name")
+        p.add_argument("--sampled", action="store_true")
+        p.add_argument("--dpor", action="store_true",
+                       help="partial-order reduction (bounded programs)")
+        p.add_argument("--no-sleep-sets", action="store_true",
+                       help="with --dpor: disable the sleep-set pruning layer")
+        p.add_argument("--seeds", type=int, default=50)
+        p.add_argument("--witness", action="store_true")
+        p.add_argument("--stats", action="store_true",
+                       help="print explorer counters (states/sec, undo depth, "
+                            "sleep-set cuts, peak visited-set size)")
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable verdict on stdout")
+        add_obs_args(p)
+        add_status_arg(p)
 
-    p = sub.add_parser("models", help="axiomatic admission table")
-    p.add_argument("names", nargs="*")
-    p.set_defaults(func=cmd_models)
+    @sub.command("models", cmd_models, help="axiomatic admission table")
+    def models(p):
+        p.add_argument("names", nargs="*")
 
-    p = sub.add_parser("simulate", help="one hardware run with timing details")
-    p.add_argument("name")
-    p.add_argument("--trace", action="store_true",
-                   help="print the stall-attribution table and the "
-                        "chronological event stream of the run")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable run report on stdout")
-    add_hw_args(p)
-    add_fault_args(p)
-    add_obs_args(p)
-    p.set_defaults(func=cmd_simulate)
+    @sub.command("simulate", cmd_simulate,
+                 help="one hardware run with timing details")
+    def simulate(p):
+        p.add_argument("name")
+        p.add_argument("--trace", action="store_true",
+                       help="print the stall-attribution table and the "
+                            "chronological event stream of the run")
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable run report on stdout")
+        add_hw_args(p)
+        add_fault_args(p)
+        add_obs_args(p)
 
-    p = sub.add_parser(
-        "sweep",
+    @sub.command(
+        "sweep", cmd_sweep,
         help="Definition-2 evidence sweep (programs x policies x seeds)",
     )
-    p.add_argument("names", nargs="*",
-                   help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
-    add_hw_args(p, single_policy=False)
-    p.add_argument("--policy", action="append", type=_canon_policy,
-                   choices=sorted(POLICY_FACTORIES), metavar="POLICY",
-                   help="policy to include, repeatable (default: all except "
-                        "the broken 'relaxed' strawman)")
-    p.add_argument("--drf0-seeds", type=int, default=30,
-                   help="seeds for the sampled DRF0 premise check")
-    p.add_argument("--exhaustive-drf0", action="store_true",
-                   help="search every reachable configuration for the "
-                        "DRF0 verdict")
-    p.add_argument("--check-51", action="store_true",
-                   help="run the Section-5.1 condition monitor on every run")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (0 = one per CPU); output is "
-                        "identical to --jobs 1")
-    p.add_argument("--stats", action="store_true",
-                   help="print aggregate explorer counters for the oracle "
-                        "work the sweep dispatched")
-    p.add_argument("--task-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="abandon and resubmit a pooled task stuck longer "
-                        "than this (hung-worker recovery)")
-    p.add_argument("--journal", metavar="FILE", default=None,
-                   help="append every completed work unit to a checkpoint "
-                        "journal as the sweep runs")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="persistent verdict store: warm-start from DIR and "
-                        "flush new verdicts/run summaries back (identical "
-                        "output, large speedup on repeat runs)")
-    p.add_argument("--resume", action="store_true",
-                   help="load the --journal file and recompute only the "
-                        "work units it is missing")
-    add_fault_args(p)
-    add_obs_args(p)
-    add_status_arg(p)
-    p.set_defaults(func=cmd_sweep)
+    def sweep(p):
+        p.add_argument("names", nargs="*",
+                       help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
+        add_hw_args(p, single_policy=False)
+        p.add_argument("--policy", action="append", type=_canon_policy,
+                       choices=sorted(POLICY_FACTORIES), metavar="POLICY",
+                       help="policy to include, repeatable (default: all except "
+                            "the broken 'relaxed' strawman)")
+        p.add_argument("--drf0-seeds", type=int, default=30,
+                       help="seeds for the sampled DRF0 premise check")
+        p.add_argument("--exhaustive-drf0", action="store_true",
+                       help="search every reachable configuration for the "
+                            "DRF0 verdict")
+        p.add_argument("--check-51", action="store_true",
+                       help="run the Section-5.1 condition monitor on every run")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (0 = one per CPU); output is "
+                            "identical to --jobs 1")
+        p.add_argument("--stats", action="store_true",
+                       help="print aggregate explorer counters for the oracle "
+                            "work the sweep dispatched")
+        p.add_argument("--task-timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="abandon and resubmit a pooled task stuck longer "
+                            "than this (hung-worker recovery)")
+        p.add_argument("--journal", metavar="FILE", default=None,
+                       help="append every completed work unit to a checkpoint "
+                            "journal as the sweep runs")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent verdict store: warm-start from DIR and "
+                            "flush new verdicts/run summaries back (identical "
+                            "output, large speedup on repeat runs)")
+        p.add_argument("--resume", action="store_true",
+                       help="load the --journal file and recompute only the "
+                            "work units it is missing")
+        add_fault_args(p)
+        add_obs_args(p)
+        add_status_arg(p)
 
-    p = sub.add_parser(
-        "profile",
+    @sub.command(
+        "profile", cmd_profile,
         help="instrumented run(s) with stall attribution and trace export",
     )
-    p.add_argument("--workload", required=True, metavar="NAME",
-                   help="workload or litmus test to profile")
-    p.add_argument("--compare", type=_canon_policy, default="definition1",
-                   metavar="POLICY",
-                   help="second policy for the side-by-side stall table "
-                        "(default: definition1; empty string disables)")
-    add_hw_args(p)
-    add_obs_args(p)
-    p.set_defaults(func=cmd_profile)
+    def profile(p):
+        p.add_argument("--workload", required=True, metavar="NAME",
+                       help="workload or litmus test to profile")
+        p.add_argument("--compare", type=_canon_policy, default="definition1",
+                       metavar="POLICY",
+                       help="second policy for the side-by-side stall table "
+                            "(default: definition1; empty string disables)")
+        add_hw_args(p)
+        add_obs_args(p)
 
-    p = sub.add_parser("delays", help="Shasha-Snir delay pairs")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_delays)
+    @sub.command("delays", cmd_delays, help="Shasha-Snir delay pairs")
+    def delays(p):
+        p.add_argument("name")
 
-    p = sub.add_parser(
-        "fuzz",
+    @sub.command(
+        "fuzz", cmd_fuzz,
         help="random programs vs all oracles (enumerators + SC hardware)",
     )
-    p.add_argument("--programs", type=int, default=20)
-    p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (0 = one per CPU); output is "
-                        "identical to --jobs 1")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="persistent verdict store shared across runs")
-    p.add_argument("--metrics-json", metavar="FILE", default=None,
-                   help="write engine metrics (incl. aggregated cache hit "
-                        "rates and store counters) as JSON")
-    add_status_arg(p)
-    p.set_defaults(func=cmd_fuzz)
+    def fuzz(p):
+        p.add_argument("--programs", type=int, default=20)
+        p.add_argument("--start-seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (0 = one per CPU); output is "
+                            "identical to --jobs 1")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent verdict store shared across runs")
+        p.add_argument("--metrics-json", metavar="FILE", default=None,
+                       help="write engine metrics (incl. aggregated cache hit "
+                            "rates and store counters) as JSON")
+        add_status_arg(p)
 
-    p = sub.add_parser(
-        "diff",
+    @sub.command(
+        "diff", cmd_diff,
         help="differential campaign: axiomatic solver vs enumerator vs "
              "operational explorers vs the hardware simulator",
     )
-    p.add_argument("--programs", type=int, default=200)
-    p.add_argument("--start-seed", type=int, default=0)
-    p.add_argument("--hw-seeds", type=int, default=2,
-                   help="hardware nondeterminism seeds per substrate")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (0 = one per CPU); output is "
-                        "identical to --jobs 1")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="persistent verdict store shared across runs")
-    p.add_argument("--no-minimize", action="store_true",
-                   help="skip DSL-level shrinking of disagreements")
-    p.add_argument("--report", metavar="FILE", default=None,
-                   help="also write the campaign report (with minimized "
-                        "litmus reproducers) as JSON")
-    p.add_argument("--metrics-json", metavar="FILE", default=None,
-                   help="write engine metrics (incl. aggregated cache hit "
-                        "rates and store counters) as JSON")
-    add_status_arg(p)
-    p.set_defaults(func=cmd_diff)
+    def diff(p):
+        p.add_argument("--programs", type=int, default=200)
+        p.add_argument("--start-seed", type=int, default=0)
+        p.add_argument("--hw-seeds", type=int, default=2,
+                       help="hardware nondeterminism seeds per substrate")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (0 = one per CPU); output is "
+                            "identical to --jobs 1")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent verdict store shared across runs")
+        p.add_argument("--no-minimize", action="store_true",
+                       help="skip DSL-level shrinking of disagreements")
+        p.add_argument("--report", metavar="FILE", default=None,
+                       help="also write the campaign report (with minimized "
+                            "litmus reproducers) as JSON")
+        p.add_argument("--metrics-json", metavar="FILE", default=None,
+                       help="write engine metrics (incl. aggregated cache hit "
+                            "rates and store counters) as JSON")
+        add_status_arg(p)
 
-    p = sub.add_parser(
-        "chaos",
+    @sub.command(
+        "chaos", cmd_chaos,
         help="fault-injection resilience suite (verdict invariance + "
              "liveness detection)",
     )
-    p.add_argument("--quick", action="store_true",
-                   help="CI-smoke subset: fewer programs, policies, plans, "
-                        "and seeds")
-    p.add_argument("--seeds", type=int, default=10,
-                   help="hardware seeds per (program, policy, plan) cell")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the per-plan sweeps")
-    p.add_argument("--report", metavar="FILE", default=None,
-                   help="also write the report as JSON")
-    p.add_argument("--cache-dir", metavar="DIR", default=None,
-                   help="persistent verdict store shared by the baseline "
-                        "and every fault plan (and across chaos runs)")
-    p.add_argument("--service", metavar="DIR", default=None,
-                   help="process-level chaos instead: run a campaign "
-                        "daemon on DIR, kill fleet workers mid-campaign "
-                        "(and SIGKILL/restart the daemon), and require "
-                        "evidence byte-identical to a serial sweep")
-    p.add_argument("--service-kills", type=int, default=2, metavar="N",
-                   help="with --service: crash failpoints to arm "
-                        "(worker deaths injected; default: 2)")
-    p.add_argument("--service-no-restart", action="store_true",
-                   help="with --service: skip the daemon SIGKILL/restart "
-                        "round (worker kills only)")
-    add_status_arg(p)
-    p.set_defaults(func=cmd_chaos)
+    def chaos(p):
+        p.add_argument("--quick", action="store_true",
+                       help="CI-smoke subset: fewer programs, policies, plans, "
+                            "and seeds")
+        p.add_argument("--seeds", type=int, default=10,
+                       help="hardware seeds per (program, policy, plan) cell")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the per-plan sweeps")
+        p.add_argument("--report", metavar="FILE", default=None,
+                       help="also write the report as JSON")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent verdict store shared by the baseline "
+                            "and every fault plan (and across chaos runs)")
+        p.add_argument("--service", metavar="DIR", default=None,
+                       help="process-level chaos instead: run a campaign "
+                            "daemon on DIR, kill fleet workers mid-campaign "
+                            "(and SIGKILL/restart the daemon), and require "
+                            "evidence byte-identical to a serial sweep")
+        p.add_argument("--service-kills", type=int, default=2, metavar="N",
+                       help="with --service: crash failpoints to arm "
+                            "(worker deaths injected; default: 2)")
+        p.add_argument("--service-no-restart", action="store_true",
+                       help="with --service: skip the daemon SIGKILL/restart "
+                            "round (worker kills only)")
+        add_status_arg(p)
 
-    p = sub.add_parser(
-        "cache",
+    @sub.command(
+        "cache", cmd_cache,
         help="inspect / audit / compact a persistent verdict store",
     )
-    p.add_argument("action", choices=["stats", "audit", "compact"])
-    p.add_argument("cache_dir", metavar="DIR",
-                   help="the store directory (what --cache-dir wrote)")
-    p.add_argument("--sample", type=int, default=None, metavar="N",
-                   help="audit: re-judge at most N entries (deterministic "
-                        "stride over the key space; default: all)")
-    p.add_argument("--json", action="store_true",
-                   help="stats: machine-readable output")
-    p.set_defaults(func=cmd_cache)
+    def cache(p):
+        p.add_argument("action", choices=["stats", "audit", "compact"])
+        p.add_argument("cache_dir", metavar="DIR",
+                       help="the store directory (what --cache-dir wrote)")
+        p.add_argument("--sample", type=int, default=None, metavar="N",
+                       help="audit: re-judge at most N entries (deterministic "
+                            "stride over the key space; default: all)")
+        p.add_argument("--json", action="store_true",
+                       help="stats: machine-readable output")
 
     def add_service_client_args(p):
         p.add_argument("--state-dir", metavar="DIR", default=None,
@@ -915,105 +970,105 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--port", type=int, default=0,
                        help="daemon port when not using --state-dir")
 
-    p = sub.add_parser(
-        "serve",
+    @sub.command(
+        "serve", cmd_serve,
         help="fault-tolerant campaign daemon (supervised worker fleet)",
     )
-    p.add_argument("state_dir", metavar="DIR",
-                   help="daemon state directory: verdict store, campaign "
-                        "specs, journals, status snapshots, endpoint.json")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (default 0 = ephemeral; clients read "
-                        "endpoint.json from the state directory)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="fleet worker processes (default: 2)")
-    p.add_argument("--queue-limit", type=int, default=8,
-                   help="pending campaigns before submissions get 429 + "
-                        "Retry-After backpressure (default: 8)")
-    p.add_argument("--task-timeout", type=float, default=60.0,
-                   metavar="SECONDS",
-                   help="lease timeout: a task stuck longer gets its "
-                        "worker killed and the lease reassigned")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="per-task retry budget (exponential backoff + "
-                        "jitter) before the circuit breaker degrades the "
-                        "cell to in-daemon serial execution")
-    p.add_argument("--retry-backoff", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="base delay of the retry backoff schedule")
-    p.add_argument("--keep-journals", type=int, default=3,
-                   help="terminal campaigns whose checkpoint journals "
-                        "survive the retention GC (default: 3)")
-    p.set_defaults(func=cmd_serve)
+    def serve(p):
+        p.add_argument("state_dir", metavar="DIR",
+                       help="daemon state directory: verdict store, campaign "
+                            "specs, journals, status snapshots, endpoint.json")
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=int, default=0,
+                       help="bind port (default 0 = ephemeral; clients read "
+                            "endpoint.json from the state directory)")
+        p.add_argument("--workers", type=int, default=2,
+                       help="fleet worker processes (default: 2)")
+        p.add_argument("--queue-limit", type=int, default=8,
+                       help="pending campaigns before submissions get 429 + "
+                            "Retry-After backpressure (default: 8)")
+        p.add_argument("--task-timeout", type=float, default=60.0,
+                       metavar="SECONDS",
+                       help="lease timeout: a task stuck longer gets its "
+                            "worker killed and the lease reassigned")
+        p.add_argument("--max-retries", type=int, default=2,
+                       help="per-task retry budget (exponential backoff + "
+                            "jitter) before the circuit breaker degrades the "
+                            "cell to in-daemon serial execution")
+        p.add_argument("--retry-backoff", type=float, default=0.05,
+                       metavar="SECONDS",
+                       help="base delay of the retry backoff schedule")
+        p.add_argument("--keep-journals", type=int, default=3,
+                       help="terminal campaigns whose checkpoint journals "
+                            "survive the retention GC (default: 3)")
 
-    p = sub.add_parser(
-        "submit",
+    @sub.command(
+        "submit", cmd_submit,
         help="submit a campaign to a running daemon and print its "
              "evidence table",
     )
-    p.add_argument("names", nargs="*",
-                   help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
-    add_service_client_args(p)
-    p.add_argument("--policy", action="append", type=_canon_policy,
-                   choices=sorted(POLICY_FACTORIES), metavar="POLICY",
-                   help="policy to include, repeatable (default: all except "
-                        "the broken 'relaxed' strawman)")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--drf0-seeds", type=int, default=30,
-                   help="seeds for the sampled DRF0 premise check")
-    p.add_argument("--exhaustive-drf0", action="store_true",
-                   help="search every reachable configuration for the "
-                        "DRF0 verdict")
-    p.add_argument("--check-51", action="store_true",
-                   help="run the Section-5.1 condition monitor on every run")
-    p.add_argument("--no-wait", action="store_true",
-                   help="print the campaign id and return immediately "
-                        "instead of waiting for the evidence table")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   metavar="SECONDS",
-                   help="how long to wait for the campaign to finish")
-    p.set_defaults(func=cmd_submit)
+    def submit(p):
+        p.add_argument("names", nargs="*",
+                       help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
+        add_service_client_args(p)
+        p.add_argument("--policy", action="append", type=_canon_policy,
+                       choices=sorted(POLICY_FACTORIES), metavar="POLICY",
+                       help="policy to include, repeatable (default: all except "
+                            "the broken 'relaxed' strawman)")
+        p.add_argument("--seeds", type=int, default=20)
+        p.add_argument("--drf0-seeds", type=int, default=30,
+                       help="seeds for the sampled DRF0 premise check")
+        p.add_argument("--exhaustive-drf0", action="store_true",
+                       help="search every reachable configuration for the "
+                            "DRF0 verdict")
+        p.add_argument("--check-51", action="store_true",
+                       help="run the Section-5.1 condition monitor on every run")
+        p.add_argument("--no-wait", action="store_true",
+                       help="print the campaign id and return immediately "
+                            "instead of waiting for the evidence table")
+        p.add_argument("--timeout", type=float, default=600.0,
+                       metavar="SECONDS",
+                       help="how long to wait for the campaign to finish")
 
-    p = sub.add_parser(
-        "campaigns",
+    @sub.command(
+        "campaigns", cmd_campaigns,
         help="list/inspect campaigns on a running daemon",
     )
-    p.add_argument("id", nargs="?", default=None,
-                   help="campaign id for a detailed view")
-    add_service_client_args(p)
-    p.add_argument("--events", action="store_true",
-                   help="with ID: print its status-snapshot history "
-                        "as JSONL")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable listing")
-    p.add_argument("--shutdown", action="store_true",
-                   help="ask the daemon to drain and exit (the running "
-                        "campaign checkpoints and resumes on restart)")
-    p.set_defaults(func=cmd_campaigns)
+    def campaigns(p):
+        p.add_argument("id", nargs="?", default=None,
+                       help="campaign id for a detailed view")
+        add_service_client_args(p)
+        p.add_argument("--events", action="store_true",
+                       help="with ID: print its status-snapshot history "
+                            "as JSONL")
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable listing")
+        p.add_argument("--shutdown", action="store_true",
+                       help="ask the daemon to drain and exit (the running "
+                            "campaign checkpoints and resumes on restart)")
 
-    p = sub.add_parser(
-        "status",
+    @sub.command(
+        "status", cmd_status,
         help="validate and render a --status-json campaign snapshot once",
     )
-    p.add_argument("path", metavar="FILE",
-                   help="the snapshot a running (or finished) campaign "
-                        "writes via --status-json")
-    p.add_argument("--json", action="store_true",
-                   help="print the validated snapshot JSON instead of the "
-                        "rendered view")
-    p.set_defaults(func=cmd_status)
+    def status(p):
+        p.add_argument("path", metavar="FILE",
+                       help="the snapshot a running (or finished) campaign "
+                            "writes via --status-json")
+        p.add_argument("--json", action="store_true",
+                       help="print the validated snapshot JSON instead of the "
+                            "rendered view")
 
-    p = sub.add_parser(
-        "top",
+    @sub.command(
+        "top", cmd_top,
         help="live-refreshing view of a --status-json campaign snapshot",
     )
-    p.add_argument("path", metavar="FILE")
-    p.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                   help="refresh period (default: 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit (no ANSI clear)")
-    p.set_defaults(func=cmd_top)
+    def top(p):
+        p.add_argument("path", metavar="FILE")
+        p.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
+                       help="refresh period (default: 1.0)")
+        p.add_argument("--once", action="store_true",
+                       help="render a single frame and exit (no ANSI clear)")
 
     return parser
 
@@ -1464,5 +1519,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
 
 
+def entry() -> int:
+    """A ``repro`` process: ``python -m repro`` and the console script.
+
+    Runs :func:`main`, flushes stdout and freezes the heap
+    (:func:`gc.freeze`), so the interpreter's shutdown collections skip
+    every object the command created.  The collector never finalizes a
+    frozen object, so every command closes the files it writes before
+    :func:`main` returns; in-process callers call :func:`main`, which
+    never freezes.  A reader that closed stdout early (``repro catalog |
+    head -1``) gets exit status 1 and nothing on stderr: stdout is
+    pointed at ``os.devnull`` for the interpreter's last flush.
+    """
+    import gc
+    import os
+
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())
+    sys.exit(entry())

@@ -104,16 +104,18 @@ def resolve_program(name: str) -> Program:
 
 
 def load_program_registries() -> None:
-    """Import every module a program name can resolve through.
+    """Import every module a program or policy name can resolve through.
 
     Fleet workers resolve each campaign's names after the fork; the
     daemon calls this before it forks them, so they inherit the litmus
-    catalog and the workload modules instead of each importing them.
+    catalog, the workload modules and the policy modules instead of
+    each importing them.
     """
     from repro.cli import WORKLOAD_FACTORIES
+    from repro.hw import POLICY_FACTORIES
     from repro.litmus import catalog  # noqa: F401 -- loaded for the fork
 
-    for build in WORKLOAD_FACTORIES.values():
+    for build in (*WORKLOAD_FACTORIES.values(), *POLICY_FACTORIES.values()):
         build()
 
 

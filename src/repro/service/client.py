@@ -6,6 +6,13 @@ The client resolves the daemon either from an explicit ``host:port`` or
 from the ``endpoint.json`` the daemon writes into its state directory
 (the natural handshake when the daemon was started with ``--port 0``).
 
+It speaks the daemon's HTTP/1.1 over a plain socket, one request per
+connection, as the daemon serves it (``Connection: close``), so a
+``repro submit`` process loads neither ``http.client`` nor the email
+and ssl modules behind it.  Every transport failure -- a refused
+connection, a timeout, a reply cut short, a reply that is not HTTP --
+raises :class:`ServiceError` with ``status == 0``.
+
 Backpressure is a first-class outcome, not an exception to hide: a 429
 raises :class:`ServiceError` with ``status == 429`` and the daemon's
 ``Retry-After`` seconds in :attr:`ServiceError.retry_after`, so callers
@@ -14,11 +21,11 @@ can implement honest client-side backoff (``submit`` does).
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
+import socket
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 #: Longest the daemon holds one ``GET /campaigns/<id>?wait=S`` before it
@@ -54,6 +61,10 @@ def read_endpoint(state_dir: str) -> Dict[str, Any]:
         )
 
 
+#: Longest status or header line the client reads.
+_MAX_LINE = 65536
+
+
 class ServiceClient:
     """One daemon connection (a fresh HTTP connection per request)."""
 
@@ -78,46 +89,75 @@ class ServiceClient:
     def _request(
         self, method: str, path: str, payload: Optional[dict] = None
     ) -> Any:
-        body = None
-        headers = {}
+        body = b""
+        head = [f"{method} {path} HTTP/1.1", f"Host: {self.host}:{self.port}"]
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+            head.append("Content-Type: application/json")
+        head += [f"Content-Length: {len(body)}", "Connection: close"]
+        request = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
         try:
+            status, headers, data = self._exchange(request)
+        except (OSError, ValueError) as exc:
+            raise ServiceError(
+                f"cannot reach daemon at {self.host}:{self.port}: {exc}"
+            )
+        decoded: Any = None
+        if data:
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise ServiceError(
-                    f"cannot reach daemon at {self.host}:{self.port}: {exc}"
-                )
-            decoded: Any = None
-            if data:
-                try:
-                    decoded = json.loads(data.decode("utf-8"))
-                except ValueError:
-                    decoded = data.decode("utf-8", "replace")
-            if response.status >= 400:
-                retry_after = response.getheader("Retry-After")
-                message = (
-                    decoded.get("error", str(decoded))
-                    if isinstance(decoded, dict)
-                    else str(decoded)
-                )
-                raise ServiceError(
-                    f"{method} {path} -> {response.status}: {message}",
-                    status=response.status,
-                    retry_after=(
-                        float(retry_after) if retry_after else None
-                    ),
-                )
-            return decoded
-        finally:
-            conn.close()
+                decoded = json.loads(data.decode("utf-8"))
+            except ValueError:
+                decoded = data.decode("utf-8", "replace")
+        if status >= 400:
+            retry_after = headers.get("retry-after")
+            message = (
+                decoded.get("error", str(decoded))
+                if isinstance(decoded, dict)
+                else str(decoded)
+            )
+            raise ServiceError(
+                f"{method} {path} -> {status}: {message}",
+                status=status,
+                retry_after=float(retry_after) if retry_after else None,
+            )
+        return decoded
+
+    def _exchange(self, request: bytes) -> Tuple[int, Dict[str, str], bytes]:
+        """Send one request on a fresh connection; return the reply's
+        status, headers (lower-case names) and body.  Raises OSError for
+        transport failures and ValueError for a reply that is not HTTP
+        or ends before its ``Content-Length``."""
+        with socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        ) as sock:
+            sock.sendall(request)
+            with sock.makefile("rb") as reply:
+                line = reply.readline(_MAX_LINE)
+                if not line:
+                    raise ValueError("no reply")
+                version, _, rest = line.decode("latin-1").partition(" ")
+                code = rest[:3]
+                if not (
+                    version.startswith("HTTP/") and len(code) == 3
+                    and code.isdigit()
+                ):
+                    raise ValueError(f"malformed status line {line!r}")
+                headers = {}
+                while True:
+                    line = reply.readline(_MAX_LINE)
+                    if not line.endswith(b"\n"):
+                        raise ValueError("reply cut short")
+                    if not line.strip():
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                if "content-length" not in headers:
+                    return int(code), headers, reply.read()
+                length = int(headers["content-length"])
+                data = reply.read(length)
+                if len(data) < length:
+                    raise ValueError("reply cut short")
+                return int(code), headers, data
 
     # -- endpoints -----------------------------------------------------
 

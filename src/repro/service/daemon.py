@@ -611,6 +611,7 @@ class CampaignDaemon:
             asyncio.run(self._main())
         finally:
             self.fleet.stop()
+            self.store.close()
             try:
                 os.unlink(os.path.join(self.state_dir, "endpoint.json"))
             except OSError:

@@ -40,9 +40,12 @@ nothing (a warm sweep) imports neither the fleet nor
 transparently degrades to the in-process path (still memoized, still
 identical output).  The diff and fuzz modules, and the snoop substrate
 their seeds run on, are imported before a seed campaign's session
-forks, so workers inherit them and never import after the fork.  The
-campaign daemon lends the engine its persistent fleet as ``fleet=``
-instead; both run the one lease loop,
+forks, so workers inherit them and never import after the fork; a
+sweep calls each of its policy factories once before its session
+forks (:func:`_policy_names`), since a factory of
+:data:`repro.hw.POLICY_FACTORIES` imports its policy module when
+called.  The campaign daemon lends the engine its persistent fleet as
+``fleet=`` instead; both run the one lease loop,
 :class:`~repro.verify.supervisor.FleetSession`, which takes its task
 timeout, retry budget and backoff from the engine.  The engine alone
 knows the shape of its task tuples: the task label, the progress tick
@@ -308,6 +311,21 @@ _TASK_CONTEXT: Optional[_TaskContext] = None
 #: the cache's entries before its session forks, so workers inherit it,
 #: and merges every task's new verdicts into it as the task lands.
 _WORKER_MEMO: Dict[Tuple[str, object], bool] = {}
+
+
+def _policy_names(cells: Sequence[_SweepCell]) -> Dict[Callable, str]:
+    """Each distinct policy factory of ``cells`` -> its policy's name.
+
+    Calls every factory once, in the parent and before its session
+    forks: a factory imports its policy module when called
+    (:data:`repro.hw.POLICY_FACTORIES`), and workers must inherit that
+    module rather than import it after the fork.
+    """
+    names: Dict[Callable, str] = {}
+    for cell in cells:
+        if cell.policy_factory not in names:
+            names[cell.policy_factory] = cell.policy_factory().name
+    return names
 
 
 def _run_one(cell: _SweepCell, seed: int) -> RunSummary:
@@ -865,15 +883,13 @@ class VerificationEngine:
         self, cells: Sequence[_SweepCell]
     ) -> Optional[List[Tuple[str, str]]]:
         """(program fingerprint, policy name) per cell -- the store's
-        content identity of a sweep cell.  None without a store (the
-        policy instantiation it costs is only paid on the store path)."""
+        content identity of a sweep cell.  None without a store; the
+        policies are resolved either way (:func:`_policy_names`)."""
+        names = _policy_names(cells)
         if self.store is None:
             return None
         return [
-            (
-                program_fingerprint(cell.program),
-                cell.policy_factory().name,
-            )
+            (program_fingerprint(cell.program), names[cell.policy_factory])
             for cell in cells
         ]
 
@@ -1222,6 +1238,7 @@ class VerificationEngine:
         config = config or SystemConfig()
         seeds = list(seeds)
         cell = _SweepCell(program, policy_factory, config, check_51_conditions)
+        _policy_names([cell])
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
             self.monitor.plan([(program.name, len(seeds), 0.0)])

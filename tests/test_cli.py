@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,19 +12,25 @@ import sys
 import pytest
 
 import repro
-from repro.cli import _print_evidence_table, main
+from repro.cli import _print_evidence_table, build_parser, main
 
 
-def _run_cli(*code_or_args: str, **env_vars: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with this checkout's ``repro`` importable."""
+def _cli_env(**env_vars: str) -> dict:
+    """The environment of a child with this checkout's ``repro``
+    importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env
+
+
+def _run_cli(*code_or_args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's ``repro`` importable."""
     return subprocess.run(
         [sys.executable, *code_or_args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_cli_env(**env_vars), timeout=120,
     )
 
 
@@ -83,14 +92,15 @@ class TestImports:
 
     @staticmethod
     def _loaded_after(imports: str, prefixes) -> list:
-        """Modules under ``prefixes`` that a fresh interpreter has loaded
-        after running ``imports``."""
+        """Modules under ``prefixes`` that running ``imports`` loads in a
+        fresh interpreter (whatever start-up loaded before is left out)."""
         proc = _run_cli("-c", (
             "import json, sys\n"
+            "before = set(sys.modules)\n"
             f"{imports}\n"
             f"prefixes = {tuple(prefixes)!r}\n"
             "print(json.dumps(sorted(\n"
-            "    name for name in sys.modules if name in prefixes\n"
+            "    name for name in set(sys.modules) - before if name in prefixes\n"
             "    or name.startswith(tuple(p + '.' for p in prefixes)))))\n"
         ))
         assert proc.returncode == 0, proc.stderr
@@ -101,20 +111,26 @@ class TestImports:
 
     def test_cli_loads_no_oracle_or_engine(self):
         # Module level of repro.cli holds only what build_parser needs;
-        # each handler imports the modules it runs.
+        # each handler imports the modules it runs.  The policy table
+        # names the policies without importing them or the simulator.
         assert self._loaded_after("import repro.cli", [
             "repro.analysis", "repro.axiomatic", "repro.verify",
-            "repro.core.contract", "repro.sim.system",
-        ]) == []
+            "repro.core", "repro.sim", "repro.hw", "dataclasses",
+        ]) == ["repro.hw"]
 
     def test_submit_path_loads_no_daemon(self):
-        # `repro submit` sends one HTTP request: the lazy service package
-        # must not pull in the daemon, its event loop or the engine.
+        # `repro submit` sends one HTTP request over a socket: it parses
+        # its own arguments only and loads neither the daemon, its event
+        # loop, the engine, http.client (with email and ssl), nor a
+        # policy or simulator module.
         assert self._loaded_after(
-            "import repro.cli, repro.service.client",
+            "import repro.cli, repro.service.client\n"
+            "repro.cli.build_parser().parse_args(\n"
+            "    ['submit', 'SB', '--policy', 'sc', '--state-dir', 'svc'])",
             ["asyncio", "multiprocessing", "repro.service.daemon",
-             "repro.verify"],
-        ) == []
+             "repro.service.protocol", "repro.verify", "http", "email",
+             "ssl", "dataclasses", "repro.hw", "repro.sim", "repro.core"],
+        ) == ["repro.hw"]
 
     def test_warm_pooled_sweep_loads_no_multiprocessing(self, tmp_path):
         # The fork check runs at the first pooled map, so a --jobs 2
@@ -154,18 +170,23 @@ class TestImports:
         proc = _run_cli("-c", (
             "import json, sys\n"
             "from repro.cli import WORKLOAD_FACTORIES\n"
+            "from repro.hw import POLICY_FACTORIES\n"
             "from repro.service.campaigns import (\n"
-            "    load_program_registries, resolve_program)\n"
+            "    load_program_registries, resolve_policies, resolve_program)\n"
             "load_program_registries()\n"
             "from repro.litmus import all_tests\n"
             "names = [*WORKLOAD_FACTORIES, *(t.name for t in all_tests())]\n"
             "before = set(sys.modules)\n"
             "for name in names:\n"
             "    resolve_program(name)\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+            "policies = resolve_policies(sorted(POLICY_FACTORIES))\n"
+            "built = sorted(factory().name for factory in policies.values())\n"
+            "print(json.dumps([sorted(set(sys.modules) - before), built]))\n"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        imported, built = json.loads(proc.stdout)
+        assert imported == []
+        assert len(built) == 6
 
     def test_seed_campaign_workers_import_nothing_after_the_fork(self):
         # fuzz and diff import what their seeds run (the snoop substrate
@@ -200,11 +221,45 @@ class TestImports:
             assert len(imported) == 4  # two workers per campaign
         assert all(modules == [] for modules in imported.values()), imported
 
+    def test_sweep_workers_import_nothing_after_the_fork(self):
+        # The policy table imports a policy module only when its factory
+        # is called; a sweep with no store calls each factory in the
+        # parent before its session forks, so no worker imports one.
+        proc = _run_cli("-c", (
+            "import json, os, sys, tempfile\n"
+            "from repro.verify import fleet\n"
+            "out = tempfile.mkdtemp()\n"
+            "original = fleet._worker_main\n"
+            "def recording(*args):\n"
+            "    before = set(sys.modules)\n"
+            "    try:\n"
+            "        original(*args)\n"
+            "    finally:\n"
+            "        with open(os.path.join(out, str(os.getpid())), 'w') as fh:\n"
+            "            json.dump(sorted(set(sys.modules) - before), fh)\n"
+            "fleet._worker_main = recording\n"
+            "from repro.cli import main\n"
+            "code = main(['sweep', 'MP+sync', 'SB', 'lock', '--seeds', '3',\n"
+            "             '--exhaustive-drf0', '--jobs', '2'])\n"
+            "imported = {}\n"
+            "for name in sorted(os.listdir(out)):\n"
+            "    with open(os.path.join(out, name)) as fh:\n"
+            "        imported[name] = [module for module in json.load(fh)\n"
+            "                          if module.split('.')[0] == 'repro']\n"
+            "print(json.dumps([code, imported]))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        code, imported = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert len(imported) == 2
+        assert all(modules == [] for modules in imported.values()), imported
+
     @pytest.mark.parametrize("order", ("name_first", "submodule_first"))
     @pytest.mark.parametrize("package", (
         "repro", "repro.analysis", "repro.axiomatic", "repro.core",
-        "repro.litmus", "repro.machine", "repro.obs", "repro.service",
-        "repro.sim", "repro.verify", "repro.workloads",
+        "repro.hw", "repro.litmus", "repro.machine", "repro.obs",
+        "repro.service", "repro.sim", "repro.verify", "repro.workloads",
     ))
     def test_every_export_resolves(self, package, order):
         # Each lazy re-export is the object its defining submodule binds,
@@ -248,6 +303,232 @@ class TestImports:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout == f"{path}: ok\n"
+
+
+#: Command lines that name every subcommand and every one of its flags
+#: (checked below), top-level ``--interpreted-engine`` and repeated
+#: ``--policy`` included.
+PARSER_CORPUS = [
+    ["catalog"],
+    ["--interpreted-engine", "catalog"],
+    ["litmus"],
+    ["litmus", "SB", "MP", "--policy", "adve_hill", "--topology", "bus",
+     "--no-caches", "--seed", "3", "--seeds", "4", "--net-latency", "2",
+     "--capacity", "8", "--trace-out", "t.json", "--metrics-json", "m.json"],
+    ["drf0", "SB", "--sampled", "--seeds", "5", "--witness", "--stats",
+     "--json", "--trace-out", "t.json", "--metrics-json", "m.json",
+     "--status-json", "s.json"],
+    ["drf0", "MP", "--dpor", "--no-sleep-sets"],
+    ["models"],
+    ["models", "SB", "MP"],
+    ["simulate", "TAS", "--trace", "--json", "--policy", "sc",
+     "--topology", "network", "--no-caches", "--seed", "1", "--seeds", "2",
+     "--net-latency", "1", "--capacity", "4", "--faults", "reorder",
+     "--fault-seed", "3", "--watchdog", "1000", "--trace-out", "t.json",
+     "--metrics-json", "m.json"],
+    ["sweep"],
+    ["--interpreted-engine", "sweep", "SB", "--seeds", "2"],
+    ["sweep", "MP+sync", "SB", "--policy", "sc", "--policy", "adve_hill",
+     "--policy", "relaxed", "--topology", "bus", "--no-caches", "--seed", "2",
+     "--seeds", "3", "--net-latency", "4", "--capacity", "16",
+     "--drf0-seeds", "4", "--exhaustive-drf0", "--check-51", "--jobs", "2",
+     "--stats", "--task-timeout", "1.5", "--journal", "j.jsonl",
+     "--cache-dir", "store", "--resume", "--faults", "jitter-light",
+     "--fault-seed", "7", "--watchdog", "500", "--trace-out", "t.json",
+     "--metrics-json", "m.json", "--status-json", "s.json"],
+    ["profile", "--workload", "lock"],
+    ["profile", "--workload", "critical_section", "--compare", "sc",
+     "--policy", "definition1", "--topology", "bus", "--no-caches",
+     "--seed", "5", "--seeds", "2", "--net-latency", "2", "--capacity", "4",
+     "--trace-out", "t.json", "--metrics-json", "m.json"],
+    ["delays", "SB"],
+    ["fuzz"],
+    ["fuzz", "--programs", "3", "--start-seed", "2", "--jobs", "2",
+     "--cache-dir", "store", "--metrics-json", "m.json",
+     "--status-json", "s.json"],
+    ["diff", "--programs", "3", "--start-seed", "1", "--hw-seeds", "1",
+     "--jobs", "2", "--cache-dir", "store", "--no-minimize",
+     "--report", "r.json", "--metrics-json", "m.json",
+     "--status-json", "s.json"],
+    ["chaos", "--quick", "--seeds", "2", "--jobs", "2", "--report", "r.json",
+     "--cache-dir", "store", "--service", "svc", "--service-kills", "1",
+     "--service-no-restart", "--status-json", "s.json"],
+    ["cache", "stats", "store", "--json"],
+    ["cache", "audit", "store", "--sample", "5"],
+    ["serve", "svc"],
+    ["serve", "svc", "--host", "0.0.0.0", "--port", "9", "--workers", "3",
+     "--queue-limit", "2", "--task-timeout", "5", "--max-retries", "1",
+     "--retry-backoff", "0.1", "--keep-journals", "2"],
+    ["submit", "--state-dir", "svc"],
+    ["submit", "SB", "lock", "--state-dir", "svc", "--policy", "sc",
+     "--policy", "adve-hill-drf1", "--seeds", "3", "--drf0-seeds", "2",
+     "--exhaustive-drf0", "--check-51", "--no-wait", "--timeout", "9"],
+    ["submit", "--host", "localhost", "--port", "9"],
+    ["campaigns", "--state-dir", "svc"],
+    ["campaigns", "c1", "--state-dir", "svc", "--host", "h", "--port", "9",
+     "--events", "--json", "--shutdown"],
+    ["status", "s.json", "--json"],
+    ["top", "s.json", "--interval", "0.5", "--once"],
+]
+
+#: Command lines that argparse rejects (exit status 2).
+BAD_ARGV = [
+    [],
+    ["nosuchcmd"],
+    ["--bogus", "catalog"],
+    ["catalog", "extra"],
+    ["submit", "--policy", "nope"],
+    ["sweep", "--policy", "nope"],
+    ["litmus", "--policy", "adve-hill", "--policy", "nope"],
+    ["simulate", "TAS", "--faults", "nope"],
+    ["sweep", "--faults", "nope"],
+    ["sweep", "--seeds", "many"],
+    ["drf0"],
+    ["simulate"],
+    ["delays"],
+    ["cache", "stats"],
+    ["serve"],
+    ["status"],
+    ["top"],
+    ["profile"],
+]
+
+
+def _parse(parser, argv):
+    """``(exit status or None, namespace, stdout, stderr)`` of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    namespace, status = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, namespace, out.getvalue(), err.getvalue()
+
+
+class TestParser:
+    """The parser :func:`main` uses adds only the invoked subcommand's
+    arguments; it must parse, print help and fail exactly as the parser
+    with every subcommand's arguments added."""
+
+    @staticmethod
+    def _subcommands():
+        return build_parser(lazy=False)._subparsers._group_actions[0].choices
+
+    def test_corpus_names_every_flag_of_every_subcommand(self):
+        for name, subparser in self._subcommands().items():
+            flags = {
+                option
+                for action in subparser._actions
+                for option in action.option_strings
+            } - {"-h", "--help"}
+            named = {
+                token for argv in PARSER_CORPUS
+                if next(t for t in argv if t[0] != "-") == name
+                for token in argv
+            }
+            assert flags <= named, (name, sorted(flags - named))
+
+    @pytest.mark.parametrize(
+        "argv", [[], *([name] for name in (
+            "catalog", "litmus", "drf0", "models", "simulate", "sweep",
+            "profile", "delays", "fuzz", "diff", "chaos", "cache", "serve",
+            "submit", "campaigns", "status", "top",
+        ))], ids=lambda argv: argv[0] if argv else "repro",
+    )
+    def test_help_is_the_full_parsers(self, argv):
+        lazy = _parse(build_parser(), argv + ["--help"])
+        assert lazy == _parse(build_parser(lazy=False), argv + ["--help"])
+        assert lazy[0] == 0 and lazy[2].startswith("usage: repro")
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_argv_parses_as_in_the_full_parser(self, argv):
+        lazy = _parse(build_parser(), argv)
+        assert lazy[0] is None, lazy[3]
+        assert lazy == _parse(build_parser(lazy=False), argv)
+
+    @pytest.mark.parametrize(
+        "argv", BAD_ARGV, ids=lambda argv: " ".join(argv) or "empty"
+    )
+    def test_bad_argv_fails_as_in_the_full_parser(self, argv):
+        lazy = _parse(build_parser(), argv)
+        assert lazy[0] == 2 and lazy[3].startswith("usage: repro")
+        assert lazy == _parse(build_parser(lazy=False), argv)
+
+    def test_only_the_invoked_subcommand_gets_a_parser(self):
+        parser = build_parser()
+        parser.parse_args(["submit", "--state-dir", "svc"])
+        built = sorted(
+            name
+            for name, sub in parser._subparsers._group_actions[0].choices.items()
+            if isinstance(sub, argparse.ArgumentParser)
+        )
+        assert built == ["submit"]
+
+
+class TestEntry:
+    """``python -m repro`` runs :func:`repro.cli.entry`: it flushes,
+    freezes the heap for a quick exit, and survives a closed stdout."""
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # The read end is closed before the child starts, so its first
+        # write to stdout fails, whether stdout is buffered or not.
+        for unbuffered in ("", "1"):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "repro", "catalog"],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                    timeout=120, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+                )
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 1
+            assert proc.stderr == ""
+
+    def test_frozen_exit_leaves_every_output_whole(self, tmp_path, capsys):
+        # The collector never finalizes a frozen object, so everything a
+        # command writes must be closed before main() returns.
+        store, journal = tmp_path / "store", tmp_path / "sweep.journal"
+        metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
+        status = tmp_path / "s.json"
+        argv = ["sweep", "MP+sync", "SB", "--seeds", "4", "--policy", "sc",
+                "--policy", "adve-hill"]
+        proc = _run_cli(
+            "-m", "repro", *argv, "--jobs", "2", "--cache-dir", str(store),
+            "--journal", str(journal), "--metrics-json", str(metrics),
+            "--trace-out", str(trace), "--status-json", str(status),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+        stats = _run_cli(
+            "-m", "repro", "cache", "stats", str(store), "--json"
+        )
+        summary = json.loads(stats.stdout)
+        assert summary["dropped_lines"] == 0
+        assert summary["quarantined_segments"] == 0
+
+        records = len(journal.read_text().splitlines()) - 1  # meta header
+        resumed = _run_cli(
+            "-m", "repro", *argv, "--journal", str(journal), "--resume",
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert resumed.stdout == proc.stdout
+        assert f": {records} journaled work units reused" in resumed.stderr
+        assert records > 0
+        assert os.path.getsize(f"{journal}.seg-1") == 0  # nothing recomputed
+
+        validated = _run_cli("-m", "repro.obs.export", "--validate", str(trace))
+        assert validated.returncode == 0, validated.stdout
+        assert json.loads(metrics.read_text())
+        checked = _run_cli(
+            "-m", "repro.obs.export", "--validate-status", str(status)
+        )
+        assert checked.returncode == 0, checked.stdout
+        assert json.loads(status.read_text())["state"] == "done"
 
 
 class TestCatalogCommand:

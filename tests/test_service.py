@@ -9,10 +9,12 @@ byte-identical to a serial in-process sweep, and a wedged worker's
 lease must be reclaimed (visible in ``engine.service.*``).
 """
 
+import contextlib
 import json
 import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -197,6 +199,94 @@ def test_campaign_spec_rejects_bad_payloads(payload):
     with pytest.raises(CampaignError):
         spec = CampaignSpec.from_dict(payload)
         spec.resolve()
+
+
+# ---------------------------------------------------------------------------
+# Client transport: every failure is a ServiceError
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _one_shot_server(reply):
+    """A client of a local server that accepts one connection, reads its
+    request head and answers with the raw bytes ``reply`` (None: close
+    without answering)."""
+    server = socket.socket()
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+
+    def answer():
+        conn, _ = server.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                request += chunk
+            if reply is not None:
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient("127.0.0.1", server.getsockname()[1], timeout=10)
+    finally:
+        thread.join(timeout=10)
+        server.close()
+
+
+def test_client_refused_connection_is_a_service_error():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()  # nothing listens on the port now
+    with pytest.raises(ServiceError) as excinfo:
+        ServiceClient("127.0.0.1", port, timeout=5).health()
+    assert str(excinfo.value).startswith(
+        f"cannot reach daemon at 127.0.0.1:{port}: "
+    )
+    assert excinfo.value.status == 0
+    assert excinfo.value.retry_after is None
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        None,
+        b"garbage\n",
+        b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\n{\"ok\": ",
+        b"HTTP/1.1 200 OK\r\ncontent-len",
+    ],
+    ids=["closed-without-reply", "not-http", "body-cut-short",
+         "head-cut-short"],
+)
+def test_client_transport_failures_are_service_errors(reply):
+    with _one_shot_server(reply) as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client.health()
+    assert str(excinfo.value).startswith(
+        f"cannot reach daemon at 127.0.0.1:{client.port}: "
+    )
+    assert excinfo.value.status == 0
+    assert excinfo.value.retry_after is None
+
+
+@pytest.mark.parametrize("status, headers, retry_after", [
+    (404, {}, None), (429, {"Retry-After": "3"}, 3.0),
+])
+def test_client_http_errors_keep_status_and_message(
+    status, headers, retry_after
+):
+    from repro.service.protocol import _render, json_response
+
+    reply = _render(json_response(status, {"error": "no"}, headers))
+    with _one_shot_server(reply) as client:
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", "/nope")
+    assert str(excinfo.value) == f"GET /nope -> {status}: no"
+    assert excinfo.value.status == status
+    assert excinfo.value.retry_after == retry_after
 
 
 # ---------------------------------------------------------------------------
