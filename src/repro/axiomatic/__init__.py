@@ -6,8 +6,8 @@ _EXPORTS = {
     "candidates": ("Candidate", "enumerate_candidates"),
     "checker": (
         "LEGACY_BACKEND_ENV", "allowed_candidates", "allowed_results",
-        "allowed_results_by_model", "default_backend", "outcome_table",
-        "well_formed_candidates",
+        "allowed_results_by_model", "default_backend", "model_groups",
+        "outcome_table", "well_formed_candidates",
     ),
     "events": (
         "Event", "EventLayout", "ReadRef", "UnsupportedProgram",

@@ -19,9 +19,11 @@ Setting ``REPRO_AXIOMATIC_LEGACY=1`` in the environment flips the default
 back to the enumerator everywhere -- the escape hatch if the solver is
 ever suspected of disagreeing with the oracle in the wild.
 
-:func:`allowed_results_by_model` answers several models at once; on the
+:func:`allowed_results_by_model` answers several models at once: on the
 enumerator it generates each program's candidates once for all of them,
-which is how ``repro diff`` and :func:`outcome_table` use the oracle.
+which is how ``repro diff`` and :func:`outcome_table` use the oracle, and
+on the solver it searches once per group of models with the same axiom
+graphs (:func:`model_groups`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Tuple,
 )
 
 from repro.axiomatic.candidates import Candidate, enumerate_candidates
@@ -152,6 +155,23 @@ def well_formed_candidates(
     return _admitted_candidates(program, None, backend, config)
 
 
+def model_groups(
+    program: Program, models: Iterable[AxiomaticModel]
+) -> Dict[Tuple[AxiomGraph, ...], List[AxiomaticModel]]:
+    """``models`` grouped by their axiom graphs on ``program``.
+
+    A model is its axiom graphs, so the models of one group admit the
+    same candidates, and one search answers them all.  WO-DRF0's group
+    is SC's on a DRF0 program and COHERENCE's on a racy one.
+    """
+    layout = extract_layout(program)
+    groups: Dict[Tuple[AxiomGraph, ...], List[AxiomaticModel]] = {}
+    for model in models:
+        key = tuple(model.axiom_graphs(program, layout))
+        groups.setdefault(key, []).append(model)
+    return groups
+
+
 def allowed_results_by_model(
     program: Program,
     models: Iterable[AxiomaticModel],
@@ -160,55 +180,67 @@ def allowed_results_by_model(
 ) -> Dict[str, FrozenSet[Result]]:
     """Every model's admitted results on ``program``, keyed by model name.
 
-    Equal to ``{m.name: allowed_results(program, m, backend, config)}``.
-    The solver prunes per model, so its backend runs one search per
-    model.  The enumerator generates the well-formed candidates once and
-    checks every model against each: every model's axiom graphs are built
-    once per program, and a graph several models share (WO-DRF0's is
-    SC's or COHERENCE's; TSO's coherence axiom is COHERENCE's) is checked
-    once per candidate, in one :class:`AcyclicityCheck` pass that builds
-    the candidate's rf, co and fr edges once for all of them.  The budget
-    is the per-model one: the cap counts each model's admitted
-    candidates, the deadline covers the pass.
+    Equal to ``{m.name: allowed_results(program, m, backend, config)}``,
+    answered once per group of models with the same axiom graphs
+    (:func:`model_groups`): WO-DRF0 shares SC's or COHERENCE's.  The
+    solver prunes per group, so its backend runs one search per group.
+    The enumerator generates the well-formed candidates once and checks
+    every group against each: a graph several groups share (TSO's
+    coherence axiom is COHERENCE's) is checked once per candidate, in one
+    :class:`AcyclicityCheck` pass that builds the candidate's rf, co and
+    fr edges once for all of them and decides each graph only when a
+    group asks for it (:meth:`AcyclicityCheck.verdicts`).  The budget is
+    the per-model one: the cap counts each model's admitted candidates,
+    the deadline covers the pass.
     """
     models = list(models)
     backend = backend or default_backend()
-    if backend == "solver":
-        return {
-            model.name: allowed_results(program, model, backend, config)
-            for model in models
-        }
-    if backend != "enumerator":
+    if backend not in ("solver", "enumerator"):
         raise ValueError(f"unknown axiomatic backend {backend!r}")
-    config = config or SolverConfig()
-    layout = extract_layout(program)
-    graphs: Dict[AxiomGraph, int] = {}
-    model_graphs = [
-        [
-            graphs.setdefault(graph, len(graphs))
-            for graph in model.axiom_graphs(program, layout)
+    groups = model_groups(program, models)
+    if backend == "solver":
+        found = [
+            allowed_results(program, group[0], backend, config)
+            for group in groups.values()
         ]
-        for model in models
+    else:
+        found = _one_pass(program, list(groups), config or SolverConfig())
+    sets = {
+        model.name: results
+        for group, results in zip(groups.values(), found)
+        for model in group
+    }
+    return {model.name: sets[model.name] for model in models}
+
+
+def _one_pass(
+    program: Program,
+    graph_sets: List[Tuple[AxiomGraph, ...]],
+    config: SolverConfig,
+) -> List[FrozenSet[Result]]:
+    """The enumerator's admitted results for each set of axiom graphs
+    (a model's), from one walk over the program's candidates."""
+    graphs: Dict[AxiomGraph, int] = {}
+    indices = [
+        [graphs.setdefault(graph, len(graphs)) for graph in graph_set]
+        for graph_set in graph_sets
     ]
-    check = AcyclicityCheck(layout, list(graphs))
-    admitted = [0] * len(models)
-    results: List[set] = [set() for _ in models]
+    check = AcyclicityCheck(extract_layout(program), list(graphs))
+    admitted = [0] * len(graph_sets)
+    results: List[set] = [set() for _ in graph_sets]
     for candidate in enumerate_candidates(
         program, _deadline_check(program, config)
     ):
-        holds = check.holds(candidate)
+        holds = check.verdicts(candidate)
         result = None
-        for k, indices in enumerate(model_graphs):
-            if all(holds[i] for i in indices):
+        for k, needed in enumerate(indices):
+            if all(holds[i] for i in needed):
                 admitted[k] += 1
                 _over_cap(program, config, admitted[k])
                 if result is None:
                     result = candidate.result()
                 results[k].add(result)
-    return {
-        model.name: frozenset(found)
-        for model, found in zip(models, results)
-    }
+    return [frozenset(found) for found in results]
 
 
 def outcome_table(

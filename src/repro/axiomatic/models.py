@@ -37,7 +37,7 @@ the oracle cannot drift apart on what each axiom contains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.axiomatic.candidates import Candidate
 from repro.axiomatic.events import Event, EventLayout, FenceMarker
@@ -152,6 +152,50 @@ def _kahn(
     return len(ready) == len(indeg)
 
 
+def _po_reach(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """Per node, a bitmask of the nodes it reaches over ``pairs``."""
+    succ: List[List[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        succ[a].append(b)
+    reach = []
+    for node in range(n):
+        seen = 0
+        stack = list(succ[node])
+        while stack:
+            target = stack.pop()
+            if not seen >> target & 1:
+                seen |= 1 << target
+                stack.extend(succ[target])
+        reach.append(seen)
+    return reach
+
+
+def _containment(
+    n: int, graphs: Sequence[AxiomGraph]
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+    """Which graphs lie inside which, for every candidate alike.
+
+    Graph A lies inside graph B when every po pair of A is in the
+    transitive closure of B's po pairs, and A's rf is no larger than B's
+    (A takes only external rf, or B takes all of it); both take all of
+    co and fr.  Then every edge of A is a path of B, so a cycle of A
+    maps to a cycle of B: B acyclic settles A acyclic, and A cyclic
+    settles B cyclic.  Returns, per graph, the graphs inside it and the
+    graphs around it, each including the graph itself.
+    """
+    reach = [_po_reach(n, graph.po_pairs) for graph in graphs]
+    inside: List[List[int]] = [[] for _ in graphs]
+    around: List[List[int]] = [[] for _ in graphs]
+    for a, inner in enumerate(graphs):
+        for b, outer in enumerate(graphs):
+            if (
+                inner.external_rf_only or not outer.external_rf_only
+            ) and all(reach[b][x] >> y & 1 for x, y in inner.po_pairs):
+                inside[b].append(a)
+                around[a].append(b)
+    return [tuple(g) for g in inside], [tuple(g) for g in around]
+
+
 class AcyclicityCheck:
     """Which of a program's axiom graphs a candidate keeps acyclic.
 
@@ -161,7 +205,17 @@ class AcyclicityCheck:
     :meth:`holds` then builds a candidate's rf, co and fr edges once --
     and TSO's external-rf subset once, if a graph asks for it -- and runs
     :func:`_kahn` once per graph over its po edges plus those.
+
+    With two or more graphs the check also works out which graphs lie
+    inside which (:func:`_containment`), and :meth:`verdicts` decides a
+    candidate's graphs lazily from that.
     """
+
+    #: Per graph: the graphs inside it, the graphs around it, and the
+    #: graphs :class:`LazyVerdicts` runs to decide it.  A lone graph
+    #: keeps these class defaults, so a one-graph check (every
+    #: :meth:`AxiomaticModel.allows` call) builds no tables.
+    _inside = _around = _settlers = ((0,),)
 
     def __init__(
         self, layout: EventLayout, graphs: Sequence[AxiomGraph]
@@ -169,10 +223,11 @@ class AcyclicityCheck:
         n = len(layout.events)
         if sorted(e.uid for e in layout.events) != list(range(n)):
             raise ValueError("axiom graphs need dense event uids 0..n-1")
-        self._proc = [0] * n
-        for event in layout.events:
-            self._proc[event.uid] = event.proc
         self._external = any(graph.external_rf_only for graph in graphs)
+        if self._external:
+            self._proc = [0] * n
+            for event in layout.events:
+                self._proc[event.uid] = event.proc
         self._po: List[Tuple[List[List[int]], List[int], bool]] = []
         for graph in graphs:
             succ: List[List[int]] = [[] for _ in range(n)]
@@ -181,9 +236,27 @@ class AcyclicityCheck:
                 succ[a].append(b)
                 indeg[b] += 1
             self._po.append((succ, indeg, graph.external_rf_only))
+        if len(graphs) > 1:
+            self._inside, self._around = _containment(n, graphs)
+            # To decide a graph, first run the graph inside it that lies
+            # inside the most others (if cyclic, it settles the graph),
+            # then the graph itself.
+            self._settlers = []
+            for graph, inner in enumerate(self._inside):
+                first = min(inner, key=lambda g: (-len(self._around[g]), g))
+                self._settlers.append(
+                    (first, graph) if first != graph else (graph,)
+                )
 
-    def holds(self, candidate: Candidate) -> List[bool]:
-        """One verdict per graph, in order: True when acyclic."""
+    def lies_inside(self, inner: int, outer: int) -> bool:
+        """True when graph ``inner`` lies inside graph ``outer``."""
+        return inner in self._inside[outer]
+
+    def _edges(
+        self, candidate: Candidate
+    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+        """The candidate's co, fr and rf edges, and the same with rfe in
+        place of rf (the first list again when no graph takes rfe)."""
         co_fr: List[Tuple[int, int]] = []
         for order in candidate.co.values():
             co_fr.extend(zip(order, order[1:]))
@@ -194,13 +267,69 @@ class AcyclicityCheck:
             if src is not None and src != read
         ]
         dynamic = co_fr + rf
-        if self._external:
-            proc = self._proc
-            external = co_fr + [(a, b) for a, b in rf if proc[a] != proc[b]]
+        if not self._external:
+            return dynamic, dynamic
+        proc = self._proc
+        return dynamic, co_fr + [(a, b) for a, b in rf if proc[a] != proc[b]]
+
+    def holds(self, candidate: Candidate) -> List[bool]:
+        """One verdict per graph, in order: True when acyclic."""
+        dynamic, external = self._edges(candidate)
         return [
             _kahn(succ, indeg, external if external_rf_only else dynamic)
             for succ, indeg, external_rf_only in self._po
         ]
+
+    def verdicts(self, candidate: Candidate) -> "LazyVerdicts":
+        """:meth:`holds`, with each graph decided when first asked."""
+        return LazyVerdicts(self, *self._edges(candidate))
+
+
+class LazyVerdicts:
+    """One candidate's graph verdicts, decided on first use.
+
+    ``verdicts[i]`` equals ``check.holds(candidate)[i]``.  Asked for an
+    undecided graph, it runs :func:`_kahn` on the graph inside that
+    graph that lies inside the most others, and then, if that run was
+    acyclic, on the graph itself.  Each run settles more than its own
+    graph: an acyclic graph every graph inside it, a cyclic graph every
+    graph around it.  On SC, TSO and COHERENCE the first run is the
+    coherence graph, whose cycle alone rejects all three.
+    """
+
+    __slots__ = ("_check", "_dynamic", "_external", "_known")
+
+    def __init__(
+        self,
+        check: AcyclicityCheck,
+        dynamic: List[Tuple[int, int]],
+        external: List[Tuple[int, int]],
+    ) -> None:
+        self._check = check
+        self._dynamic = dynamic
+        self._external = external
+        self._known: List[Optional[bool]] = [None] * len(check._po)
+
+    def __getitem__(self, index: int) -> bool:
+        known = self._known
+        verdict = known[index]
+        if verdict is None:
+            check = self._check
+            for graph in check._settlers[index]:
+                if known[graph] is not None:
+                    continue
+                succ, indeg, external_rf_only = check._po[graph]
+                edges = self._external if external_rf_only else self._dynamic
+                if _kahn(succ, indeg, edges):
+                    for inner in check._inside[graph]:
+                        known[inner] = True
+                else:
+                    for outer in check._around[graph]:
+                        known[outer] = False
+                verdict = known[index]
+                if verdict is not None:
+                    break
+        return verdict
 
 
 def _graph_allows(candidate: Candidate, graph: AxiomGraph) -> bool:

@@ -72,7 +72,8 @@ class SystemConfig:
             jittered point-to-point) -- the two interconnects of Figure 1.
         caches: Whether processors have coherent caches (directory protocol)
             or talk straight to a memory module.
-        seed: Seed for the network's latency jitter (all nondeterminism).
+        seed: Seed for the network's latency jitter and the fault plan's
+            draws (all nondeterminism; see :attr:`draws_from_seed`).
         bus_latency: Cycles per bus transfer.
         net_latency / net_jitter: Base + uniform extra latency per message.
         fifo_per_pair: Restore per-link FIFO on the general network
@@ -122,6 +123,24 @@ class SystemConfig:
     #: Liveness watchdog: abort with a per-processor stall diagnosis after
     #: this many cycles without architectural progress (None = disabled).
     watchdog_cycles: Optional[int] = None
+
+    @property
+    def draws_from_seed(self) -> bool:
+        """True when a run on this config draws anything from its seed.
+
+        Only two components own a seeded random stream: the general
+        network's latency jitter (the directory substrate over
+        ``topology="network"`` with ``net_jitter > 0``) and a fault plan
+        that injects anything.  Every other config -- a bus, a jitter-free
+        network, the snooping substrate -- runs alike at every seed.
+        """
+        if self.fault_plan is not None and self.fault_plan.injects_anything:
+            return True
+        return (
+            self.coherence != "snoop"
+            and self.topology == "network"
+            and self.net_jitter > 0
+        )
 
     def with_seed(self, seed: int) -> "SystemConfig":
         """Copy of this config with a different nondeterminism seed.

@@ -39,9 +39,11 @@ from repro.axiomatic import (
     WeakOrderingDRF,
     allowed_results,
     allowed_results_by_model,
+    model_groups,
 )
+from repro.core.execution import Result
 from repro.core.sc import sc_results
-from repro.hw import AdveHillPolicy, SCPolicy
+from repro.hw import AdveHillPolicy, MemoryPolicy, SCPolicy
 from repro.machine.generator import (
     GeneratorConfig,
     random_program,
@@ -67,6 +69,34 @@ def _default_drf0_judge(program: Program) -> bool:
     return check_program(program).obeys
 
 
+def seed_results(
+    program: Program,
+    policy: MemoryPolicy,
+    config: SystemConfig,
+    hardware_seeds: Sequence[int],
+) -> List[Result]:
+    """``program``'s result under ``policy`` on ``config`` at each
+    hardware seed, in order.
+
+    A config that draws nothing from its seed
+    (:attr:`~repro.sim.system.SystemConfig.draws_from_seed`) would run
+    alike at every seed, so it is simulated once, at the first seed, and
+    that result stands for every seed.  Both differential campaigns (this
+    module and :mod:`repro.verify.fuzz`) run their seed loops through
+    here.
+    """
+    if config.draws_from_seed:
+        return [
+            run_on_hardware(program, policy, config.with_seed(seed)).result
+            for seed in hardware_seeds
+        ]
+    once = [
+        run_on_hardware(program, policy, config.with_seed(seed)).result
+        for seed in hardware_seeds[:1]
+    ]
+    return once * len(hardware_seeds)
+
+
 def compare_program(
     program: Program,
     hardware_seeds: Sequence[int] = range(2),
@@ -77,7 +107,12 @@ def compare_program(
 
     ``drf0_judge`` supplies the operational DRF0 verdict (the engine
     substitutes a memoizing wrapper); ``counters`` accumulates
-    ``comparisons`` / ``hardware_runs`` when given.
+    ``comparisons`` / ``hardware_runs`` when given.  Each distinct
+    question is asked once: the solver searches once per group of models
+    with the same axiom graphs (WO-DRF0's are SC's or COHERENCE's), and a
+    seed-free hardware config is simulated once per policy
+    (:func:`seed_results`); every model and every hardware seed is still
+    compared and counted.
     """
     drf0_judge = drf0_judge or _default_drf0_judge
     failures: List[Tuple[str, str]] = []
@@ -91,16 +126,19 @@ def compare_program(
     wo_model.prime_verdict(program, drf0)
     models = [SCModel(), CoherenceModel(), TSOModel(), wo_model]
 
-    # One enumerator pass answers every model; the solver prunes per model.
+    # One enumerator pass answers every model; the solver prunes per
+    # group of models with the same axiom graphs.
     oracle_sets = allowed_results_by_model(
         program, models, backend="enumerator"
     )
     sets: Dict[str, frozenset] = {}
+    for group in model_groups(program, models).values():
+        found = allowed_results(program, group[0], backend="solver")
+        sets.update((model.name, found) for model in group)
     for model in models:
-        solver_set = allowed_results(program, model, backend="solver")
+        solver_set = sets[model.name]
         oracle_set = oracle_sets[model.name]
         count("comparisons")
-        sets[model.name] = solver_set
         if solver_set != oracle_set:
             extra = len(solver_set - oracle_set)
             missing = len(oracle_set - solver_set)
@@ -139,21 +177,24 @@ def compare_program(
             )
         )
 
+    bounds = (
+        (SCPolicy(), sc_set, "SC"),
+        (AdveHillPolicy(), wo_set, "WO-DRF0"),
+    )
     for config in _DIFF_CONFIGS:
-        for hw_seed in hardware_seeds:
-            cfg = config.with_seed(hw_seed)
-            for policy_factory, bound, bound_name in (
-                (SCPolicy, sc_set, "SC"),
-                (AdveHillPolicy, wo_set, "WO-DRF0"),
-            ):
-                run = run_on_hardware(program, policy_factory(), cfg)
+        results = [
+            seed_results(program, policy, config, hardware_seeds)
+            for policy, _, _ in bounds
+        ]
+        for position, hw_seed in enumerate(hardware_seeds):
+            for (policy, bound, bound_name), found in zip(bounds, results):
                 count("hardware_runs")
                 count("comparisons")
-                if run.result not in bound:
+                if found[position] not in bound:
                     failures.append(
                         (
                             "simulator",
-                            f"{policy_factory().name} on "
+                            f"{policy.name} on "
                             f"{config.coherence}/{config.topology} seed "
                             f"{hw_seed} produced a result outside the "
                             f"axiomatic {bound_name} set",

@@ -357,12 +357,13 @@ def _seed_task(seed: int, ctx: _TaskContext):
 
     The judge files ``ctx.oracle(program, arg)`` under
     ``(fingerprint, arg)``.  Returns ``(outcome, new, judged)``: ``new``
-    lists ``(key, verdict, program, states)`` for every verdict this
+    lists ``(key, verdict, program, stats)`` for every verdict this
     task computed (the program rides along so the stored entry is
-    auditable), ``judged`` every key the judge was asked, in order, so
-    the parent counts memo hits in seed order.
+    auditable; ``stats`` is the search's :class:`ExplorerStats`),
+    ``judged`` every key the judge was asked, in order, so the parent
+    counts memo hits in seed order.
     """
-    new: List[Tuple[Tuple[str, object], bool, Program, int]] = []
+    new: List[Tuple[Tuple[str, object], bool, Program, ExplorerStats]] = []
     judged: List[Tuple[str, object]] = []
 
     def judge(program: Program, arg: object) -> bool:
@@ -370,9 +371,9 @@ def _seed_task(seed: int, ctx: _TaskContext):
         judged.append(key)
         verdict = _WORKER_MEMO.get(key)
         if verdict is None:
-            verdict, states = ctx.oracle(program, arg)
+            verdict, stats = ctx.oracle(program, arg)
             _WORKER_MEMO[key] = verdict
-            new.append((key, verdict, program, states))
+            new.append((key, verdict, program, stats))
         return verdict
 
     return ctx.seed_body(seed, judge), new, judged
@@ -469,7 +470,7 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
                 "fuzz_seeds": 1,
                 "sc_hits": len(judged) - len(new),
                 "sc_misses": len(new),
-                "states": sum(states for *_, states in new),
+                "states": sum(stats.states for *_, stats in new),
             }
         elif kind == "diff":
             value = outcome, new, judged = _seed_task(task[1], ctx)
@@ -765,8 +766,11 @@ class VerificationEngine:
             monitor.attach_resilience(self.resilience)
         #: Aggregate exploration counters from every oracle task this
         #: engine dispatched (guided SC-membership searches and exhaustive
-        #: DRF0 verdicts).  Cache hits add nothing -- the counters measure
-        #: work actually done, which is what the benchmarks report.
+        #: DRF0 verdicts, fuzz's and diff's included).  Cache hits add
+        #: nothing -- the counters measure work actually done, which is
+        #: what the benchmarks report -- and a fuzz or diff verdict two
+        #: workers both computed counts once, so the counters do not
+        #: depend on ``jobs``.
         self.explorer_stats = ExplorerStats()
         if store is None and cache_dir is not None:
             store = VerdictStore(cache_dir)
@@ -1391,7 +1395,7 @@ class VerificationEngine:
         kind: str,
         seeds: Sequence[int],
         seed_body: Callable[[int, Callable[..., bool]], object],
-        oracle: Callable[[Program, object], Tuple[bool, int]],
+        oracle: Callable[[Program, object], Tuple[bool, ExplorerStats]],
         cache,
         file: Callable[[str, object, bool, Program], None],
     ) -> list:
@@ -1406,9 +1410,12 @@ class VerificationEngine:
         leftovers of an earlier campaign in this process cannot turn
         misses into hits.  Each task's new verdicts are merged into the
         memo, passed to ``file(fingerprint, arg, verdict, program)`` --
-        the cache and the store -- and counted in :attr:`explorer_stats`
-        as the task lands.  Memo hits and misses are counted here, in
-        seed order, so they are the serial run's at any ``jobs``.
+        the cache and the store -- as the task lands, and its search's
+        :class:`ExplorerStats` merged into :attr:`explorer_stats` once
+        per key (two workers may both compute a key the serial run
+        computes once).  Memo hits and misses are counted here, in seed
+        order, so they and the explorer counters are the serial run's at
+        any ``jobs``.
         """
         # Loaded before the session forks: run_on_hardware imports the
         # snoop substrate on first use, which would be once per worker.
@@ -1422,12 +1429,15 @@ class VerificationEngine:
         for fingerprint, arg, verdict in cache.entries():
             _WORKER_MEMO[(fingerprint, arg)] = verdict
         known = set(_WORKER_MEMO)
+        explored = set()
 
         def on_result(index: int, task: tuple, value) -> None:
-            for key, verdict, program, states in value[1]:
+            for key, verdict, program, stats in value[1]:
                 _WORKER_MEMO.setdefault(key, verdict)
                 file(*key, verdict, program)
-                self.explorer_stats.states += states
+                if key not in explored:
+                    explored.add(key)
+                    self.explorer_stats.merge(stats)
 
         context = _TaskContext(seed_body=seed_body, oracle=oracle)
         with self._session(context) as session:
@@ -1474,9 +1484,11 @@ class VerificationEngine:
                 judge=judge,
             )
 
-        def oracle(program: Program, result: Result) -> Tuple[bool, int]:
+        def oracle(
+            program: Program, result: Result
+        ) -> Tuple[bool, ExplorerStats]:
             stats = ExplorerStats()
-            return is_sc_result(program, result, stats=stats), stats.states
+            return is_sc_result(program, result, stats=stats), stats
 
         def file(fingerprint, result, verdict, program) -> None:
             self.sc_cache.store_by_fingerprint(
@@ -1527,8 +1539,11 @@ class VerificationEngine:
                 drf0_judge=lambda program: judge(program, "exhaustive"),
             )
 
-        def oracle(program: Program, _mode: object) -> Tuple[bool, int]:
-            return check_program(program).obeys, 0
+        def oracle(
+            program: Program, _mode: object
+        ) -> Tuple[bool, ExplorerStats]:
+            report = check_program(program)
+            return report.obeys, report.stats or ExplorerStats()
 
         def file(fingerprint, mode, verdict, program) -> None:
             self.drf0_cache.store_by_key(fingerprint, mode, verdict)

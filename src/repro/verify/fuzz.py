@@ -31,6 +31,7 @@ from repro.hw import (
 )
 from repro.machine.generator import GeneratorConfig, random_program
 from repro.sim.system import SystemConfig, run_on_hardware
+from repro.verify.diff import seed_results
 
 
 @dataclass
@@ -90,7 +91,10 @@ def fuzz_one_seed(
 
     ``judge`` is the SC-membership oracle; it defaults to the exact
     :func:`is_sc_result` and exists so callers can substitute a memoizing
-    wrapper (the parallel engine does).
+    wrapper (the parallel engine does).  A config that draws nothing from
+    its seed runs the SC policy once
+    (:func:`repro.verify.diff.seed_results`); that result is still counted
+    and judged at every hardware seed.
     """
     judge = judge or is_sc_result
     outcome = SeedOutcome(seed=seed)
@@ -111,14 +115,13 @@ def fuzz_one_seed(
     for config_index, config in enumerate(_FUZZ_CONFIGS):
         if config.coherence == "snoop" and not config.caches:
             continue
-        for hw_seed in hardware_seeds:
-            cfg = config.with_seed(hw_seed)
-            run = run_on_hardware(program, SCPolicy(), cfg)
+        results = seed_results(program, SCPolicy(), config, hardware_seeds)
+        for hw_seed, result in zip(hardware_seeds, results):
             outcome.hardware_runs += 1
-            if not judge(program, run.result):
+            if not judge(program, result):
                 outcome.failures.append(
                     f"seed {seed} config {config_index} hw-seed {hw_seed}: "
-                    f"SC hardware produced non-SC result {run.result}"
+                    f"SC hardware produced non-SC result {result}"
                 )
         for factory in _LIVENESS_POLICIES:
             if factory().requires_caches and not config.caches:

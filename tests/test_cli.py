@@ -710,6 +710,26 @@ class TestDiffCommand:
         # Same line either way, memo-hit tallies included.
         assert parallel == serial
 
+    def test_metrics_count_every_drf0_search(self, tmp_path, capsys):
+        """Each program's exhaustive DRF0 search lands in
+        ``engine.explorer.*``, with the same totals at any --jobs."""
+        counters = []
+        for jobs in ("1", "2"):
+            metrics = tmp_path / f"metrics-{jobs}.json"
+            argv = ["diff", "--programs", "20", "--jobs", jobs]
+            assert main([*argv, "--metrics-json", str(metrics)]) == 0
+            counters.append(
+                {
+                    name: value
+                    for name, value in json.loads(metrics.read_text())[
+                        "counters"
+                    ].items()
+                    if name.startswith("engine.explorer.")
+                }
+            )
+        assert counters[0]["engine.explorer.states"] > 0
+        assert counters[0] == counters[1]
+
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["diff", "--jobs", "-1"])

@@ -205,6 +205,21 @@ class TestParallelMatchesSerial:
             counts.append((stats.hits, stats.misses))
         assert counts == [(29, 1), (29, 1)]
 
+    def test_seed_campaign_explorer_counts_independent_of_jobs(self):
+        """A verdict two workers both compute (seed 114 repeats seed 15's
+        program) adds its search to ``explorer_stats`` once, as the serial
+        run does; diff's DRF0 searches are counted too."""
+        counts = []
+        for jobs in (1, 2):
+            engine = VerificationEngine(jobs=jobs)
+            engine.fuzz([15, 114])
+            fuzz_states = engine.explorer_stats.states
+            engine = VerificationEngine(jobs=jobs)
+            engine.diff_campaign([15, 114], minimize=False)
+            counts.append((fuzz_states, engine.explorer_stats.as_dict()))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0 and counts[0][1]["states"] > 0
+
     def test_jobs_zero_means_cpu_count(self):
         engine = VerificationEngine(jobs=0)
         assert engine.jobs >= 1

@@ -1,5 +1,7 @@
 """Tests for the random program generator and the fuzz harness."""
 
+import importlib
+
 import pytest
 
 from repro.cli import main
@@ -8,7 +10,7 @@ from repro.machine.generator import (
     random_program,
     random_programs,
 )
-from repro.verify.fuzz import fuzz
+from repro.verify.fuzz import fuzz, fuzz_one_seed
 
 
 class TestGenerator:
@@ -61,3 +63,32 @@ class TestFuzzHarness:
         assert main(["fuzz", "--programs", "4"]) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out
+
+    def test_seed_free_configs_simulated_once(self, monkeypatch):
+        """Of fuzz's five configs, the two buses draw nothing from their
+        seed: their SC runs are simulated once and still counted and
+        judged at all three hardware seeds."""
+        # ``repro.verify.fuzz`` names the function; fetch the modules.
+        modules = [
+            importlib.import_module(f"repro.verify.{name}")
+            for name in ("diff", "fuzz")
+        ]
+        simulations = []
+        for module in modules:
+            original = module.run_on_hardware
+
+            def counted(*args, _original=original, **kwargs):
+                simulations.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_on_hardware", counted)
+        judged = []
+
+        def judge(program, result):
+            judged.append(result)
+            return True
+
+        outcome = fuzz_one_seed(7, check_cross_enumerators=False, judge=judge)
+        assert outcome.hardware_runs == 29 and not outcome.failures
+        assert len(judged) == 15
+        assert len(simulations) == 25

@@ -11,13 +11,17 @@ from repro.hw import (
     RelaxedPolicy,
     SCPolicy,
 )
+from repro.litmus.catalog import all_tests
 from repro.machine.dsl import ThreadBuilder, build_program
+from repro.sim.faults import DELIVERY_PRESERVING_PLANS, FaultPlan
 from repro.sim.system import (
     FIGURE1_CONFIGS,
     SystemConfig,
     run_on_hardware,
     run_seed_sweep,
 )
+from repro.verify.diff import _DIFF_CONFIGS
+from repro.verify.fuzz import _FUZZ_CONFIGS
 
 from helpers import (
     lock_increment_program,
@@ -162,6 +166,63 @@ class TestRunMechanics:
         run_fast = run_on_hardware(fast, SCPolicy(), SystemConfig(seed=0))
         run_slow = run_on_hardware(slow, SCPolicy(), SystemConfig(seed=0))
         assert run_slow.cycles >= run_fast.cycles + 500
+
+
+def _run_digest(run):
+    return (
+        run.result,
+        run.cycles,
+        run.messages_sent,
+        [s.total_stall_cycles for s in run.proc_stats],
+        run.cache_stats,
+        run.directory_stats,
+        run.fault_stats,
+    )
+
+
+#: diff's and fuzz's matrices, Figure 1's four systems, and the corners
+#: of the property: a jitter-free network, a plan that injects nothing,
+#: and an injecting plan on an otherwise seed-free bus.
+SEED_PROPERTY_CONFIGS = {
+    **{f"diff-{i}": config for i, config in enumerate(_DIFF_CONFIGS)},
+    **{f"fuzz-{i}": config for i, config in enumerate(_FUZZ_CONFIGS)},
+    **FIGURE1_CONFIGS,
+    "network-no-jitter": SystemConfig(net_jitter=0),
+    "bus-null-plan": SystemConfig(
+        topology="bus", fault_plan=FaultPlan(name="none")
+    ),
+    "bus-jitter-plan": SystemConfig(
+        topology="bus", fault_plan=DELIVERY_PRESERVING_PLANS["jitter-light"]
+    ),
+}
+
+
+class TestSeedFreeConfigs:
+    """``SystemConfig.draws_from_seed`` is exact: it is False precisely
+    for the configs on which every catalog run is identical at seeds
+    0-3, under the SC policy and (with caches) Adve--Hill."""
+
+    @pytest.mark.parametrize("name", sorted(SEED_PROPERTY_CONFIGS))
+    def test_draws_from_seed_iff_runs_differ(self, name):
+        config = SEED_PROPERTY_CONFIGS[name]
+        policies = [SCPolicy(), AdveHillPolicy()] if config.caches else [
+            SCPolicy()
+        ]
+        differs = False
+        for test in all_tests():
+            for policy in policies:
+                digests = {
+                    repr(
+                        _run_digest(
+                            run_on_hardware(
+                                test.program, policy, config.with_seed(seed)
+                            )
+                        )
+                    )
+                    for seed in range(4)
+                }
+                differs = differs or len(digests) > 1
+        assert config.draws_from_seed == differs, name
 
 
 class TestContractAcrossPolicies:

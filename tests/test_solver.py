@@ -11,6 +11,7 @@ built on top of it (shrinking, minimization, cross-checks).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ import time
 import pytest
 
 from repro.axiomatic import (
+    AxiomGraph,
     CoherenceModel,
     LEGACY_BACKEND_ENV,
     SCModel,
@@ -383,6 +385,74 @@ class TestAcyclicityCheck:
             )
 
 
+class TestLazyVerdicts:
+    """``AcyclicityCheck.verdicts`` decides graphs on demand, settling
+    others through containment; asked in any order, it gives ``holds``."""
+
+    def _agree(self, programs):
+        seen = set()
+        for program in programs:
+            try:
+                layout = extract_layout(program)
+            except UnsupportedProgram:
+                continue
+            graphs = _distinct_graphs(program, layout)
+            check = AcyclicityCheck(layout, graphs)
+            orders = list(itertools.permutations(range(len(graphs))))
+            for candidate in enumerate_candidates(program):
+                holds = check.holds(candidate)
+                for order in orders:
+                    lazy = check.verdicts(candidate)
+                    assert [lazy[i] for i in order] == [
+                        holds[i] for i in order
+                    ], program.name
+                seen.update(holds)
+        return seen
+
+    def test_catalog_and_tas(self):
+        programs = [t.program for t in all_tests()] + [_tas_program(4)]
+        assert self._agree(programs) == {True, False}
+
+    @pytest.mark.parametrize("chunk", range(2))
+    def test_generated_corpus(self, chunk):
+        seeds = range(chunk * 100, chunk * 100 + 100)
+        assert self._agree(random_program(seed) for seed in seeds) == {
+            True,
+            False,
+        }
+
+    def test_containment_table(self):
+        """coherence and tso lie inside sc, coherence does not lie inside
+        tso (its rf is full, tso's external only), and sc lies inside
+        neither."""
+        thread = ThreadBuilder().store("x", 1).load("r1", "y").load("r2", "x")
+        program = build_program([thread, ThreadBuilder().store("y", 1)])
+        layout = extract_layout(program)
+        (sc,) = SCModel().axiom_graphs(program, layout)
+        coherence, tso = TSOModel().axiom_graphs(program, layout)
+        check = AcyclicityCheck(layout, [sc, coherence, tso])
+        assert check.lies_inside(1, 0)
+        assert check.lies_inside(2, 0)
+        assert not check.lies_inside(1, 2)
+        assert not check.lies_inside(2, 1)
+        assert not check.lies_inside(0, 1)
+        assert not check.lies_inside(0, 2)
+        assert all(check.lies_inside(g, g) for g in range(3))
+        # tso keeps the store-to-load pair on x, which skips the load of
+        # y: it lies inside sc only through the closure of sc's po.
+        assert not set(tso.po_pairs) <= set(sc.po_pairs)
+
+    def test_containment_through_po_closure(self):
+        layout = extract_layout(store_buffer().program)
+        a, b = (e.uid for e in layout.events if e.proc == 0)
+        c, d = (e.uid for e in layout.events if e.proc == 1)
+        chain = AxiomGraph("chain", ((a, b), (b, c), (c, d)))
+        skip = AxiomGraph("skip", ((a, d),))
+        check = AcyclicityCheck(layout, [chain, skip])
+        assert check.lies_inside(1, 0)
+        assert not check.lies_inside(0, 1)
+
+
 class TestWellFormedCandidates:
     def test_counts_match_enumerator(self):
         for seed in range(10):
@@ -592,6 +662,28 @@ class TestDifferentialCampaign:
         # 4 backend + 1 sc-explorer + 1 wo-contract + per-run simulator.
         assert counters["hardware_runs"] == 8
         assert counters["comparisons"] == 6 + 8
+
+    @pytest.mark.parametrize("name", ["SB", "SB+sync"])
+    def test_compare_program_asks_each_question_once(self, name, monkeypatch):
+        """WO-DRF0 shares SC's solver search (DRF0 SB+sync) or COHERENCE's
+        (racy SB), and the snoop bus draws nothing from its seed, so it
+        runs once per policy; every comparison is still made."""
+        import repro.verify.diff as diff_mod
+
+        calls = collections.Counter()
+        for attr in ("allowed_results", "run_on_hardware"):
+            original = getattr(diff_mod, attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(diff_mod, attr, counted)
+        program = next(t.program for t in all_tests() if t.name == name)
+        counters = {}
+        assert compare_program(program, range(2), counters=counters) == []
+        assert calls == {"allowed_results": 3, "run_on_hardware": 6}
+        assert counters == {"comparisons": 14, "hardware_runs": 8}
 
     def test_merge_preserves_order(self):
         outcomes = [diff_one_seed(seed) for seed in (3, 1, 2)]
