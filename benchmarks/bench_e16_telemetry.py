@@ -1,8 +1,8 @@
 """E16 -- live campaign telemetry overhead and snapshot latency.
 
-PR 9 added the telemetry plane: worker heartbeat spools, the campaign
-progress/ETA engine, and the atomically-replaced ``--status-json``
-snapshot.  Its promise is that watching a campaign is (nearly) free and
+The telemetry plane is worker heartbeats, the campaign progress/ETA
+engine, and the atomically-replaced ``--status-json`` snapshot.  Its
+promise is that watching a campaign is (nearly) free and
 *never* changes the answers.  This benchmark prices both halves on
 small verification workloads:
 
@@ -133,7 +133,7 @@ def run_benchmark(quick: Optional[bool] = None) -> Dict[str, object]:
 
             def run_enabled():
                 # Production monitor settings; a fresh status path per
-                # repeat so O_EXCL spool slots never collide.
+                # repeat, so each repeat writes its own snapshot series.
                 monitor = CampaignMonitor(
                     os.path.join(
                         scratch, f"{name}-{len(monitors)}.json"

@@ -83,13 +83,17 @@ def po_adjacent_pairs(layout: EventLayout) -> Tuple[Tuple[int, int], ...]:
 
 
 def po_loc_pairs(layout: EventLayout) -> Tuple[Tuple[int, int], ...]:
-    """Adjacent same-thread pairs restricted to a common location."""
-    by_uid = {e.uid: e for e in layout.events}
-    return tuple(
-        (a, b)
-        for (a, b) in po_adjacent_pairs(layout)
-        if by_uid[a].location == by_uid[b].location
-    )
+    """Each event paired with the next event of its own thread on the
+    same location: the transitive reduction of po|same-loc, whatever
+    accesses to other locations sit between the two."""
+    edges = []
+    for row in _by_proc(layout.events):
+        last: dict = {}
+        for event in row:
+            if event.location in last:
+                edges.append((last[event.location], event.uid))
+            last[event.location] = event.uid
+    return tuple(edges)
 
 
 def tso_ppo_pairs(layout: EventLayout) -> Tuple[Tuple[int, int], ...]:

@@ -185,12 +185,8 @@ def _write_obs_outputs(args, tracer=None, registry=None) -> None:
 
 
 def _make_monitor(args, command: str):
-    """A :class:`~repro.obs.CampaignMonitor` when ``--status-json`` asks.
-
-    Must be constructed *before* the engine (and before any worker fleet
-    forks) so the spool directory is published into the pre-fork module
-    state every worker inherits.
-    """
+    """A :class:`~repro.obs.CampaignMonitor` when ``--status-json`` asks
+    (the engine that runs the command takes it as ``monitor=``)."""
     path = getattr(args, "status_json", None)
     if not path:
         return None

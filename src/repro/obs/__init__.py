@@ -10,16 +10,15 @@ Three pillars (see ``docs/observability.md``):
   trace-event (Perfetto) JSON, JSONL event logs, and the per-processor
   per-cause stall tables that turn Figure 3 into numbers.
 
-Plus the live-campaign plane (PR 8):
+Plus the live-campaign plane:
 
-* :mod:`repro.obs.stream`   -- per-worker checksummed heartbeat spools
-  (lock-free multi-process streaming) with an incremental reader and an
-  exactly-once fold;
-* :mod:`repro.obs.lines`    -- the checksummed JSONL line codec the
-  spools share with the verdict store and the checkpoint journal;
-* :mod:`repro.obs.progress` -- completion/ETA/straggler arithmetic and
-  the :class:`CampaignMonitor` that writes the atomically-replaced
-  ``--status-json`` snapshot the ``status``/``top`` CLI renders.
+* :mod:`repro.obs.progress` -- worker heartbeats (sent over the fleet's
+  pipes, or folded in place by the parent) and their exactly-once fold,
+  completion/ETA/straggler arithmetic, and the :class:`CampaignMonitor`
+  that writes the atomically-replaced ``--status-json`` snapshot the
+  ``status``/``top`` CLI renders;
+* :mod:`repro.obs.lines`    -- the checksummed JSONL line codec of the
+  verdict store and the checkpoint journal.
 """
 
 from repro import _lazy_exports
@@ -35,14 +34,12 @@ _EXPORTS = {
         "run_metrics", "stream_metrics",
     ),
     "progress": (
-        "CampaignMonitor", "ProgressEngine", "STATUS_SCHEMA", "render_status",
+        "CampaignMonitor", "ProgressEngine", "STATUS_SCHEMA", "StreamFold",
+        "render_status",
     ),
     "stall": (
         "CAUSE_ORDER", "render_event_stream", "render_stall_comparison",
         "render_stall_table", "stall_breakdown",
-    ),
-    "stream": (
-        "HeartbeatWriter", "SpoolReader", "StreamFold", "prune_spool_dir",
     ),
     "tracer": (
         "NULL_TRACER", "NullTracer", "OBS_CLOCK", "OBS_CLOCK_EPOCH",

@@ -230,16 +230,16 @@ def store_metrics(
 
 def stream_metrics(
     fold,
-    reader=None,
     registry: Optional[MetricsRegistry] = None,
     prefix: str = "stream",
 ) -> MetricsRegistry:
-    """Fold a live :class:`~repro.obs.stream.StreamFold` into a registry.
+    """Fold a live :class:`~repro.obs.progress.StreamFold` into a registry.
 
-    Surfaces the heartbeat channel's health (workers seen, beats folded,
-    checksum-dropped lines) and the exactly-once deduped task totals --
-    including ``duplicate_tasks_skipped``, the count of crash-resubmitted
-    task records whose counters were *not* double-folded.
+    Surfaces the telemetry channel's health (worker processes heard
+    from, beat and stall records folded, records rejected) and the
+    exactly-once task totals -- including ``duplicate_tasks_skipped``,
+    the count of task replies the lease loop turned down because the
+    task had already completed.
     """
     registry = registry if registry is not None else MetricsRegistry()
     registry.counter(f"{prefix}.workers").value = len(fold.workers)
@@ -251,8 +251,7 @@ def stream_metrics(
     registry.counter(f"{prefix}.stalls").inc(len(fold.stalls))
     for name, value in sorted(fold.totals.items()):
         registry.counter(f"{prefix}.totals.{name}").inc(value)
-    if reader is not None:
-        registry.counter(f"{prefix}.spools").value = reader.spools_seen
-        registry.counter(f"{prefix}.records").inc(reader.records_read)
-        registry.counter(f"{prefix}.dropped_lines").inc(reader.dropped_lines)
+    registry.counter(f"{prefix}.spools").value = len(fold.workers)
+    registry.counter(f"{prefix}.records").inc(fold.records)
+    registry.counter(f"{prefix}.dropped_lines").inc(fold.dropped)
     return registry

@@ -1,4 +1,16 @@
-"""Campaign progress: completion %, ETA, stragglers, and the status file.
+"""Campaign progress: live telemetry, completion %, ETA, stragglers, and
+the status file.
+
+Worker telemetry travels on channels the engine already has.  A
+process that runs engine tasks while a campaign monitor watches owns
+one :class:`Heartbeat`: rate-limited ``beat`` records (current task,
+cumulative per-worker counters, RSS) and ``stall`` records (a failed
+task's stall-cause diagnosis), handed to a sink.  A fleet worker's sink
+is its pipe to the parent, and the lease loop folds each ``("beat",
+record)`` message as it drains replies; the parent's own sink, for the
+tasks it runs itself, is the monitor's :class:`StreamFold`.  Each
+task's counter deltas are not sent at all: the engine adds them to the
+fold where the task lands, exactly once per task.
 
 :class:`ProgressEngine` is the arithmetic half: it takes the campaign
 plan (one entry per sweep cell, with the verdict store's per-cell cost
@@ -10,11 +22,9 @@ costs, and a cell is a *straggler* once its observed time exceeds 2x its
 predicted cost -- the same threshold the engine uses to route expensive
 judges.
 
-:class:`CampaignMonitor` is the plumbing half: it owns the heartbeat
-spool (publishing it for workers via :func:`repro.obs.stream.publish`),
-tails it with a :class:`~repro.obs.stream.SpoolReader`, folds records
-with a :class:`~repro.obs.stream.StreamFold`, and periodically writes a
-**schema-versioned status snapshot** -- a single JSON object replaced
+:class:`CampaignMonitor` is the plumbing half: it owns the fold and the
+parent's heartbeat, and periodically writes a **schema-versioned status
+snapshot** -- a single JSON object replaced
 atomically (write-temp + ``os.replace``), so any process can poll the
 path and never observe a torn file.  The snapshot's timestamps are all
 on :data:`~repro.obs.tracer.OBS_CLOCK`; the schema embeds the epoch
@@ -36,21 +46,239 @@ Snapshot schema (``repro-status/1``)::
     health      {silent_workers, stalls[], resilience{}}
     stream      {spools, records, dropped_lines, beats,
                  duplicate_tasks_skipped}
-    totals      {<counter>: int}     # deduped exactly-once task totals
+    totals      {<counter>: int}     # exactly-once task totals
     verdicts    [...]                # final only: evidence rows verbatim
     result      {...}                # final only: command outcome
     error       str                  # failed only
+
+``stream`` describes the telemetry channel: ``spools`` counts the
+worker processes heard from, ``records`` the beat and stall records
+folded, ``dropped_lines`` the records the fold rejected, ``beats`` the
+beats among them, and ``duplicate_tasks_skipped`` the task replies the
+lease loop turned down because the task had already completed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import stream as _stream
-from repro.obs.stream import SpoolReader, StreamFold
 from repro.obs.tracer import OBS_CLOCK, OBS_CLOCK_EPOCH, now_us
+
+#: Seconds between one process's heartbeats.
+HEARTBEAT_INTERVAL = 0.25
+
+
+def rss_kb() -> int:
+    """Resident set size of this process in KiB (stdlib-only).
+
+    Reads ``/proc/self/status`` where available, falls back to
+    ``resource.getrusage`` peak RSS (already KiB on Linux), and returns
+    0 where neither exists -- a heartbeat must never fail over a metric.
+    """
+    try:
+        with open("/proc/self/status", "rb") as handle:
+            for line in handle:
+                if line.startswith(b"VmRSS:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        import resource
+
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    except Exception:
+        return 0
+
+
+class Heartbeat:
+    """One process's live telemetry, handed to ``sink`` record by record.
+
+    ``beat`` sends at most one record per :data:`HEARTBEAT_INTERVAL`
+    (unless forced); ``stall`` always sends.  ``role`` names the process
+    in the worker table: ``worker-<pid>`` for a batch fleet worker and
+    the parent, ``fleet-<pid>`` for a daemon fleet worker.
+    """
+
+    def __init__(
+        self, sink: Callable[[dict], None], role: str = "worker"
+    ) -> None:
+        self.sink = sink
+        self.role = role
+        self.pid = os.getpid()
+        self.worker_id = f"{role}-{self.pid}"
+        #: Cumulative work counters carried by every beat.
+        self.counters: Dict[str, int] = {}
+        self._last_beat_us = 0
+
+    def add(self, deltas: Dict[str, int]) -> None:
+        """Accumulate one task's counters into this process's totals."""
+        counters = self.counters
+        for key, value in deltas.items():
+            counters[key] = counters.get(key, 0) + value
+
+    def beat(
+        self, task: Optional[str] = None, gen: int = 0, force: bool = False
+    ) -> None:
+        """Send the current task and attempt, counters and RSS, unless
+        the last beat is under :data:`HEARTBEAT_INTERVAL` old."""
+        now = now_us()
+        if not force and now - self._last_beat_us < HEARTBEAT_INTERVAL * 1e6:
+            return
+        self._last_beat_us = now
+        self.sink(
+            {
+                "kind": "beat",
+                "ts": now,
+                "worker": self.worker_id,
+                "pid": self.pid,
+                "role": self.role,
+                "task": task,
+                "gen": gen,
+                "counters": dict(self.counters),
+                "rss_kb": rss_kb(),
+            }
+        )
+
+    def stall(self, diagnosis: str, task: Optional[str] = None) -> None:
+        """Send a failed task's stall-cause diagnosis."""
+        self.sink(
+            {
+                "kind": "stall",
+                "ts": now_us(),
+                "worker": self.worker_id,
+                "task": task,
+                "diagnosis": str(diagnosis)[:4000],
+            }
+        )
+
+
+class WorkerView:
+    """The fold's latest knowledge of one worker process."""
+
+    __slots__ = (
+        "worker", "pid", "role", "last_ts", "task", "gen", "counters",
+        "rss_kb", "beats",
+    )
+
+    def __init__(self, worker: str, pid: int, role: str) -> None:
+        self.worker = worker
+        self.pid = pid
+        self.role = role
+        self.last_ts = 0
+        self.task: Optional[str] = None
+        self.gen = 0
+        self.counters: Dict[str, int] = {}
+        self.rss_kb = 0
+        self.beats = 0
+
+
+#: How many recent stall diagnoses the fold retains for the snapshot.
+_MAX_STALLS = 20
+
+
+class StreamFold:
+    """Folds a campaign's telemetry into live aggregates.
+
+    Two aggregation disciplines coexist:
+
+    * **beats** carry cumulative per-worker counters; the fold keeps the
+      latest per worker (:attr:`workers`) -- a liveness/throughput view
+      where a resubmitted task's work legitimately shows up twice
+      (both workers really did burn the cycles);
+    * **task counts** are added by the engine (:meth:`add`) where each
+      task lands, once per task however often it ran, into
+      :attr:`totals` -- the exactly-once aggregate ``metrics_snapshot``
+      hit rates are built on.  :attr:`duplicates_skipped` counts the
+      task replies the lease loop turned down.
+    """
+
+    def __init__(self) -> None:
+        self.workers: Dict[str, WorkerView] = {}
+        self.totals: Dict[str, int] = {}
+        self.stalls: List[dict] = []
+        self.duplicates_skipped = 0
+        self.beats = 0
+        self.tasks = 0
+        #: Beat and stall records folded, and records rejected.
+        self.records = 0
+        self.dropped = 0
+
+    def add(self, counts: Dict[str, int]) -> None:
+        """Add counts of landed work into :attr:`totals`."""
+        totals = self.totals
+        for name, value in counts.items():
+            totals[name] = totals.get(name, 0) + value
+
+    def absorb(self, record: dict) -> None:
+        """Fold one ``beat`` or ``stall`` record (others are dropped)."""
+        kind = record.get("kind") if isinstance(record, dict) else None
+        if kind == "beat":
+            worker = str(record.get("worker", "?"))
+            view = self.workers.get(worker)
+            if view is None:
+                view = self.workers[worker] = WorkerView(
+                    worker,
+                    int(record.get("pid", 0) or 0),
+                    str(record.get("role", "worker")),
+                )
+            view.last_ts = max(view.last_ts, int(record.get("ts", 0)))
+            view.task = record.get("task")
+            view.gen = int(record.get("gen", 0) or 0)
+            counters = record.get("counters")
+            if isinstance(counters, dict):
+                view.counters = counters
+            view.rss_kb = int(record.get("rss_kb", 0) or 0)
+            view.beats += 1
+            self.beats += 1
+        elif kind == "stall":
+            self.stalls.append(
+                {
+                    "ts": int(record.get("ts", 0)),
+                    "worker": record.get("worker"),
+                    "task": record.get("task"),
+                    "diagnosis": record.get("diagnosis", ""),
+                }
+            )
+            del self.stalls[:-_MAX_STALLS]
+        else:
+            self.dropped += 1
+            return
+        self.records += 1
+
+    def worker_rows(self, now: int, silent_after_us: int) -> List[dict]:
+        """Per-worker health rows, silent-first then by id.
+
+        A worker whose last heartbeat is older than ``silent_after_us``
+        is marked ``silent`` -- the early-warning health signal that
+        fires *before* any task timeout does.
+        """
+        rows = []
+        for view in self.workers.values():
+            silent_us = max(0, now - view.last_ts) if view.last_ts else 0
+            rows.append(
+                {
+                    "id": view.worker,
+                    "pid": view.pid,
+                    "role": view.role,
+                    "last_ts_us": view.last_ts,
+                    "silent_s": round(silent_us / 1e6, 3),
+                    "state": (
+                        "silent" if silent_us > silent_after_us else "ok"
+                    ),
+                    "task": view.task,
+                    "gen": view.gen,
+                    "rss_kb": view.rss_kb,
+                    "counters": dict(sorted(view.counters.items())),
+                }
+            )
+        rows.sort(key=lambda r: (r["state"] != "silent", r["id"]))
+        return rows
+
+    def states_total(self) -> int:
+        """Exactly-once explored-state total across all landed tasks."""
+        return int(self.totals.get("states", 0))
 
 #: Status snapshot schema identifier (bump on incompatible change).
 STATUS_SCHEMA = "repro-status/1"
@@ -217,19 +445,16 @@ class ProgressEngine:
 
 
 class CampaignMonitor:
-    """Owns one campaign's telemetry: spool, fold, progress, status file.
+    """Owns one campaign's telemetry: fold, progress, status file.
 
-    Constructing the monitor publishes the heartbeat spool (a sibling
-    directory of the status file) via the :mod:`repro.obs.stream` module
-    global, so it must exist *before* the engine forks its workers.
-    The engine/CLI then feed it plan and completion ticks; every
-    :meth:`poll` (rate-limited to ``interval`` seconds, called freely
-    from dispatch loops through :func:`repro.obs.stream.parent_poll`)
-    tails the spools and atomically replaces the snapshot at
-    ``status_path``.  :meth:`finish` / :meth:`fail` write the terminal
-    snapshot -- with the verdict evidence rows embedded verbatim, so the
-    final snapshot's ``verdicts`` equal the printed table byte-for-byte
-    -- and tear the spool down.
+    The engine/CLI feed it plan and completion ticks, the engine adds
+    each landed task's counts to :attr:`fold`, and the lease loop folds
+    its workers' beat and stall records there; every :meth:`poll`
+    (rate-limited to ``interval`` seconds, called freely from dispatch
+    loops) atomically replaces the snapshot at ``status_path``.
+    :meth:`finish` / :meth:`fail` write the terminal snapshot -- with
+    the verdict evidence rows embedded verbatim, so the final
+    snapshot's ``verdicts`` equal the printed table byte-for-byte.
     """
 
     def __init__(
@@ -238,25 +463,17 @@ class CampaignMonitor:
         command: str = "",
         interval: float = 0.5,
         silent_after: float = 5.0,
-        hb_interval: float = 0.25,
         on_snapshot=None,
-        keep_spool: bool = False,
-        spool_dir: Optional[str] = None,
     ) -> None:
         self.status_path = status_path
-        # The daemon points every campaign monitor at its long-lived
-        # fleet spool (with keep_spool=True): workers are pre-spawned
-        # once and beat into a single directory across campaigns.
-        self.spool_dir = (
-            spool_dir if spool_dir is not None else status_path + ".spool"
-        )
         self.command = command
         self.interval_us = max(0, int(interval * 1e6))
         self.silent_after_us = max(0, int(silent_after * 1e6))
         self.on_snapshot = on_snapshot
-        self.keep_spool = keep_spool
-        self.reader = SpoolReader(self.spool_dir)
         self.fold = StreamFold()
+        #: The telemetry of tasks this process runs itself: it folds
+        #: straight into :attr:`fold`.
+        self.heartbeat = Heartbeat(self.fold.absorb)
         self.progress = ProgressEngine()
         self.started_us = now_us()
         self.seq = 0
@@ -275,7 +492,6 @@ class CampaignMonitor:
         self.write_us_max = 0
         parent = os.path.dirname(os.path.abspath(status_path))
         os.makedirs(parent, exist_ok=True)
-        _stream.publish(self.spool_dir, hb_interval, monitor=self)
 
     # -- plan ownership ------------------------------------------------
 
@@ -347,9 +563,9 @@ class CampaignMonitor:
                 ),
             },
             "stream": {
-                "spools": self.reader.spools_seen,
-                "records": self.reader.records_read,
-                "dropped_lines": self.reader.dropped_lines,
+                "spools": len(self.fold.workers),
+                "records": self.fold.records,
+                "dropped_lines": self.fold.dropped,
                 "beats": self.fold.beats,
                 "duplicate_tasks_skipped": self.fold.duplicates_skipped,
             },
@@ -370,14 +586,13 @@ class CampaignMonitor:
         return snap
 
     def poll(self, force: bool = False) -> Optional[Dict[str, Any]]:
-        """Tail the spools and refresh the status file (rate-limited)."""
+        """Refresh the status file (rate-limited)."""
         if self._closed:
             return None
         now = now_us()
         if not force and now - self._last_write_us < self.interval_us:
             return None
         self._last_write_us = now
-        self.fold.absorb(self.reader.poll())
         snap = self.snapshot()
         self.seq += 1
         snap["seq"] = self.seq
@@ -406,7 +621,7 @@ class CampaignMonitor:
         verdicts: Optional[List[dict]] = None,
         result: Optional[dict] = None,
     ) -> None:
-        """Write the terminal snapshot and tear the telemetry down.
+        """Write the terminal snapshot and close the monitor.
 
         ``verdicts`` (the evidence table rows) are embedded verbatim so
         the final snapshot's totals match the printed table exactly.
@@ -429,20 +644,8 @@ class CampaignMonitor:
         self.close()
 
     def close(self) -> None:
-        if self._closed:
-            return
+        """Stop writing snapshots (:meth:`poll` becomes a no-op)."""
         self._closed = True
-        _stream.unpublish()
-        if not self.keep_spool:
-            try:
-                for name in os.listdir(self.spool_dir):
-                    try:
-                        os.unlink(os.path.join(self.spool_dir, name))
-                    except OSError:
-                        pass
-                os.rmdir(self.spool_dir)
-            except OSError:
-                pass
 
 
 # ----------------------------------------------------------------------

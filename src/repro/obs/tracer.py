@@ -38,8 +38,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, MutableSequence, Optional
 
 #: Identifier of the shared obs timebase, stamped into status snapshots
-#: and heartbeat spool headers so a reader never mistakes a monotonic
-#: timestamp for wall-clock time.
+#: so a reader never mistakes a monotonic timestamp for wall-clock time.
 OBS_CLOCK = "monotonic-us"
 
 #: Human-readable epoch contract for :data:`OBS_CLOCK`, embedded in the
@@ -55,9 +54,9 @@ OBS_CLOCK_EPOCH = (
 def now_us() -> int:
     """The one obs wall-time clock: monotonic microseconds.
 
-    Every obs *wall-clock* timestamp -- engine dispatch spans, heartbeat
-    records in the streaming spool, status-snapshot fields, checkpoint
-    journal stamps -- reads this clock, so they are mutually comparable
+    Every obs *wall-clock* timestamp -- engine dispatch spans, worker
+    heartbeat records, status-snapshot fields, checkpoint journal
+    stamps -- reads this clock, so they are mutually comparable
     within a run and across the run's forked worker processes (POSIX
     ``CLOCK_MONOTONIC`` is system-wide, unlike ``perf_counter`` whose
     epoch is unspecified per-process on some platforms).  The per-domain

@@ -25,16 +25,19 @@ semantics around that engine call:
 * **retention GC** -- after each terminal campaign, journals beyond the
   newest ``keep_journals`` terminal campaigns are deleted
   (:func:`repro.verify.journal.journal_files` -- base + continuation
-  segments) and the fleet's heartbeat spool is rotated and pruned
-  (:func:`repro.obs.stream.prune_spool_dir`), so daemon state stays
-  bounded across thousands of campaigns.
+  segments), so daemon state stays bounded across thousands of
+  campaigns.
+
+Each campaign's :class:`~repro.obs.progress.CampaignMonitor` hears the
+fleet workers through the lease loop: their beats ride the fleet's
+pipes, so the daemon keeps no telemetry files beyond each campaign's
+status snapshot and its events feed.
 
 State directory layout::
 
     endpoint.json              host/port/pid (written after bind; the
                                ``--port 0`` handshake)
     store/                     shared verdict store segments
-    fleet-spool/               long-lived worker heartbeat spool
     campaigns/<id>.json        submitted spec (the resume source)
     campaigns/<id>.status.json live repro-status/1 snapshot
     campaigns/<id>.events.jsonl  snapshot history (the events feed)
@@ -52,7 +55,6 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.obs.progress import CampaignMonitor
-from repro.obs.stream import prune_spool_dir
 from repro.obs.tracer import now_us
 from repro.service import protocol
 from repro.service.campaigns import (
@@ -110,17 +112,14 @@ class CampaignDaemon:
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         keep_journals: int = 3,
-        hb_interval: float = 0.05,
     ) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.campaigns_dir = os.path.join(self.state_dir, "campaigns")
-        self.fleet_spool = os.path.join(self.state_dir, "fleet-spool")
         self.host = host
         self.port = int(port)
         self.workers = max(1, int(workers))
         self.queue_limit = max(1, int(queue_limit))
         self.keep_journals = max(0, int(keep_journals))
-        self.hb_interval = hb_interval
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -130,8 +129,6 @@ class CampaignDaemon:
         self.stop_event = threading.Event()
         self.fleet = Fleet(
             self.workers,
-            spool_dir=self.fleet_spool,
-            hb_interval=hb_interval,
             counters=self.counters,
             resolve_context=build_task_context,
             stop_event=self.stop_event,
@@ -239,9 +236,6 @@ class CampaignDaemon:
         monitor = CampaignMonitor(
             self._status_path(cid),
             command=f"serve {cid}",
-            spool_dir=self.fleet_spool,
-            keep_spool=True,
-            hb_interval=self.hb_interval,
             on_snapshot=on_snapshot,
         )
         monitor.attach_service(self.counters)
@@ -320,7 +314,7 @@ class CampaignDaemon:
             self._retention_gc()
 
     def _retention_gc(self) -> None:
-        """Bound daemon state: prune old journals and spool slots."""
+        """Bound daemon state: prune old journals."""
         terminal = [
             cid
             for cid in self.order
@@ -341,17 +335,6 @@ class CampaignDaemon:
                     pass
         if pruned:
             self._bump("journal_files_pruned", pruned)
-        # Rotate every live writer off its slot, then delete everything:
-        # closed slots only, and each campaign's monitor starts its fold
-        # from a clean directory (no stale totals bleeding across).
-        self.fleet.rotate_spools()
-        removed = prune_spool_dir(
-            self.fleet_spool,
-            keep_per_pid=0,
-            live_pids=self.fleet.live_pids() | {os.getpid()},
-        )
-        if removed:
-            self._bump("spool_files_pruned", removed)
 
     # -- HTTP surface ----------------------------------------------------
 
@@ -601,7 +584,6 @@ class CampaignDaemon:
         """Blocking entry point (the ``repro serve`` command body)."""
         os.makedirs(self.state_dir, exist_ok=True)
         os.makedirs(self.campaigns_dir, exist_ok=True)
-        os.makedirs(self.fleet_spool, exist_ok=True)
         self._scan_state_dir()
         # Fork the fleet before the event loop spins up any threads, and
         # after loading the modules its workers resolve campaigns with.

@@ -386,18 +386,12 @@ def _sample_fault_events(
 
 # -- service kill-chaos -------------------------------------------------
 
-def _daemon_entry(
-    state_dir: str, workers: int, task_timeout: float, hb_interval: float
-) -> None:
+def _daemon_entry(state_dir: str, workers: int, task_timeout: float) -> None:
     """Child-process body: run a campaign daemon until it drains."""
     from repro.service.daemon import CampaignDaemon
 
     daemon = CampaignDaemon(
-        state_dir,
-        port=0,
-        workers=workers,
-        task_timeout=task_timeout,
-        hb_interval=hb_interval,
+        state_dir, port=0, workers=workers, task_timeout=task_timeout
     )
     daemon.serve_forever()
 
@@ -484,7 +478,7 @@ def service_kill_chaos(
     def start_daemon():
         proc = ctx.Process(
             target=_daemon_entry,
-            args=(state_dir, workers, task_timeout, 0.05),
+            args=(state_dir, workers, task_timeout),
         )
         proc.start()
         while time.monotonic() < deadline:

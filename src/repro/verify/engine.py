@@ -105,7 +105,6 @@ across processes and across runs, three ways:
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from contextlib import contextmanager
@@ -127,7 +126,6 @@ from repro.core.drf0 import check_program, check_program_sampled
 from repro.core.engine_state import ExplorerStats
 from repro.core.execution import Result
 from repro.machine.program import Program
-from repro.obs import stream as obs_stream
 from repro.obs.tracer import now_us as _obs_now_us
 from repro.sim.system import SystemConfig, run_on_hardware
 from repro.verify.cache import (
@@ -152,6 +150,7 @@ from repro.verify.sweeps import (
 
 if TYPE_CHECKING:
     from repro.machine.generator import GeneratorConfig
+    from repro.obs.progress import Heartbeat
     from repro.verify.diff import DiffReport, DiffSeedOutcome
     from repro.verify.fuzz import FuzzReport, SeedOutcome
 
@@ -312,6 +311,14 @@ _TASK_CONTEXT: Optional[_TaskContext] = None
 #: and merges every task's new verdicts into it as the task lands.
 _WORKER_MEMO: Dict[Tuple[str, object], bool] = {}
 
+#: Where :func:`_execute_task` sends its beats and stall diagnoses while
+#: a campaign monitor watches: a :class:`~repro.obs.progress.Heartbeat`
+#: whose sink is the fleet worker's pipe (set per task by
+#: ``repro.verify.fleet._worker_main``) or, for tasks the parent runs,
+#: the monitor's fold (set by the engine's session).  None when no
+#: monitor watches.
+_HEARTBEAT: Optional[Heartbeat] = None
+
 
 def _policy_names(cells: Sequence[_SweepCell]) -> Dict[Callable, str]:
     """Each distinct policy factory of ``cells`` -> its policy's name.
@@ -391,6 +398,27 @@ def _task_label(task: tuple) -> str:
     return str(kind)
 
 
+def _task_counts(task: tuple, value) -> Dict[str, int]:
+    """The work one task did, as telemetry counters: the runs, judgments,
+    explored states, DRF0 verdicts and fuzz or diff seeds of its value.
+    (A seed's memo hits, misses and states are counted where it lands,
+    by :meth:`VerificationEngine._seed_campaign`.)"""
+    kind = task[0]
+    if kind == "run":
+        return {"runs": len(task[2])}
+    if kind == "judge":
+        return {
+            "judges": len(task[2]),
+            "states": sum(stats.states for _, stats in value),
+        }
+    if kind == "drf0":
+        stats = value[1]
+        return {"drf0": 1, "states": stats.states if stats else 0}
+    if kind == "fuzz":
+        return {"fuzz_seeds": 1}
+    return {"diff_seeds": 1, "runs": value[0].hardware_runs}
+
+
 def _breaker_key(task: tuple) -> str:
     """The circuit-breaker key a task's failures count against: its cell
     (``cell:<i>``), its program (``drf0:<i>``), or its kind."""
@@ -402,26 +430,25 @@ def _breaker_key(task: tuple) -> str:
     return kind
 
 
-def _execute_task(task: tuple, tag: Optional[tuple] = None):
+def _execute_task(task: tuple, gen: int = 0):
     """Worker dispatch: map one task tuple to its (picklable) value.
 
-    ``tag`` is the telemetry identity ``(batch, index, generation)`` of
-    this dispatch: when a campaign monitor has published a heartbeat
-    spool, the worker emits a liveness beat on entry, periodic beats
-    while chewing through a run chunk, and an exactly-once ``task``
-    record (keyed ``batch:index`` with the resubmission generation) on
-    completion so the parent's fold can dedupe crash-resubmitted work.
-    With telemetry off, ``writer`` is ``None`` and every hook below is a
-    single comparison.
+    While a campaign monitor watches (:data:`_HEARTBEAT` is set), the
+    task beats on entry, after each run or judgment of a chunk and on
+    completion (rate-limited by
+    :data:`~repro.obs.progress.HEARTBEAT_INTERVAL`); a failing task
+    sends its stall diagnosis before it raises, so the diagnosis reaches
+    the parent ahead of the failure.  ``gen`` is the resubmission
+    attempt the beats carry.  With no monitor, ``heartbeat`` is ``None``
+    and every hook below is a single comparison.
     """
     ctx = _TASK_CONTEXT
     assert ctx is not None, "task executed outside an engine session"
     kind = task[0]
-    writer = obs_stream.worker_writer()
-    gen = tag[2] if tag is not None else 0
-    label = _task_label(task) if writer is not None else None
-    if writer is not None:
-        writer.beat(task=label, gen=gen)
+    heartbeat = _HEARTBEAT
+    label = _task_label(task) if heartbeat is not None else None
+    if heartbeat is not None:
+        heartbeat.beat(label, gen)
     try:
         for failpoint in ctx.failpoints:
             if failpoint.task_kind in ("*", kind):
@@ -432,10 +459,8 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
             value = []
             for seed in seeds:
                 value.append(_run_one(cell, seed))
-                if writer is not None:
-                    writer.add(runs=1)
-                    writer.beat(task=label, gen=gen)
-            deltas = {"runs": len(seeds)}
+                if heartbeat is not None:
+                    heartbeat.beat(label, gen)
         elif kind == "judge":
             # One (verdict, stats) per result, in the task's order.
             _, cell_index, results = task
@@ -446,12 +471,8 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
                 value.append(
                     (is_sc_result(program, result, stats=stats), stats)
                 )
-                if writer is not None:
-                    writer.beat(task=label, gen=gen)
-            deltas = {
-                "judges": len(results),
-                "states": sum(stats.states for _, stats in value),
-            }
+                if heartbeat is not None:
+                    heartbeat.beat(label, gen)
         elif kind == "drf0":
             _, program_index = task
             program = ctx.programs[program_index]
@@ -460,44 +481,23 @@ def _execute_task(task: tuple, tag: Optional[tuple] = None):
             else:
                 report = check_program_sampled(program, seeds=ctx.drf0_seeds)
             value = (report.obeys, report.stats)
-            deltas = {
-                "drf0": 1,
-                "states": report.stats.states if report.stats else 0,
-            }
-        elif kind == "fuzz":
-            value = outcome, new, judged = _seed_task(task[1], ctx)
-            deltas = {
-                "fuzz_seeds": 1,
-                "sc_hits": len(judged) - len(new),
-                "sc_misses": len(new),
-                "states": sum(stats.states for *_, stats in new),
-            }
-        elif kind == "diff":
-            value = outcome, new, judged = _seed_task(task[1], ctx)
-            deltas = {
-                "diff_seeds": 1,
-                "drf0_hits": len(judged) - len(new),
-                "drf0_misses": len(new),
-                "runs": outcome.hardware_runs,
-            }
+        elif kind in ("fuzz", "diff"):
+            value = _seed_task(task[1], ctx)
         else:
             raise ValueError(f"unknown task kind {kind!r}")
     except Exception as exc:
-        if writer is not None:
+        if heartbeat is not None:
             diagnose = getattr(exc, "diagnosis", None)
             diagnosis = (
                 diagnose() if callable(diagnose)
                 else f"{type(exc).__name__}: {exc}"
             )
-            writer.stall(diagnosis, task=label)
-            writer.beat(task=label, gen=gen, force=True)
+            heartbeat.stall(diagnosis, task=label)
+            heartbeat.beat(label, gen, force=True)
         raise
-    if writer is not None:
-        if kind != "run":  # run counters already accumulated per seed
-            writer.add(**deltas)
-        if tag is not None:
-            writer.task_done(f"{tag[0]}:{tag[1]}", gen, deltas)
-        writer.beat(task=label, gen=gen)
+    if heartbeat is not None:
+        heartbeat.add(_task_counts(task, value))
+        heartbeat.beat(label, gen)
     return value
 
 
@@ -505,12 +505,6 @@ def _now_us() -> int:
     """Wall-clock microseconds -- the shared obs clock, so engine trace
     spans are directly comparable with heartbeat and snapshot stamps."""
     return _obs_now_us()
-
-
-#: Process-wide telemetry batch counter: every :meth:`_Session.map` call
-#: gets a fresh batch id so ``batch:index`` task keys are unique across
-#: all engines sharing one campaign monitor (chaos runs several).
-_TELEMETRY_BATCH = itertools.count(1)
 
 
 def _balanced_chunks(items: Sequence, size: int) -> List[tuple]:
@@ -630,17 +624,15 @@ class _Session:
             self.task_seconds = pooled.task_seconds
         else:
             self.task_seconds = [0.0] * len(tasks)
-            batch = next(_TELEMETRY_BATCH)
             values = []
             for index, task in enumerate(tasks):
                 task_start = time.perf_counter()
-                value = _execute_task(task, (batch, index, 0))
+                value = _execute_task(task)
                 seconds = time.perf_counter() - task_start
                 self.task_seconds[index] = seconds
                 if on_result is not None:
                     on_result(index, task, value)
-                engine._task_landed(task, seconds)
-                obs_stream.parent_poll()
+                engine._task_landed(task, value, seconds)
                 values.append(value)
         if observed:
             counts: Dict[str, int] = {}
@@ -704,9 +696,10 @@ class VerificationEngine:
             registers its plan (cells x seeds, store-costed) with the
             first monitor that grants :meth:`~repro.obs.progress.
             CampaignMonitor.claim_plan`, ticks completion as tasks land,
-            and exposes its live resilience counters; workers stream
-            heartbeats through the monitor's published spool.  Telemetry
-            never touches results -- outputs stay bit-identical.
+            exposes its live resilience counters, counts each task's work
+            as it lands, and has its workers send heartbeats over their
+            pipes.  Telemetry never touches results -- outputs stay
+            bit-identical.
         fleet: The campaign daemon's persistent
             :class:`~repro.verify.fleet.Fleet`, which then runs every
             pooled map under this engine's timeout, retry budget and
@@ -808,17 +801,23 @@ class VerificationEngine:
 
         return fork_available()
 
-    def _task_landed(self, task: tuple, seconds: float = 0.0) -> None:
-        """Progress tick: one task's value just folded into the parent.
+    def _task_landed(
+        self, task: tuple, value: object, seconds: float = 0.0
+    ) -> None:
+        """Telemetry tick: one task's value just folded into the parent.
 
-        Fires exactly once per task slot (the session's ``finish`` path
-        guards duplicates), so monitor completion counts stay truthful
-        under crash resubmission.  Only the plan-owning engine ticks
-        units; every engine polls so the status file stays fresh.
+        Fires exactly once per task slot (the lease loop's board keeps
+        only the first completion), so the task's counts
+        (:func:`_task_counts`) join the monitor's totals once and
+        completion stays truthful under crash resubmission.  Every
+        engine sharing the monitor counts; only the plan-owning engine
+        ticks units; every engine polls so the status file stays fresh.
         """
         monitor = self.monitor
         if monitor is None:
             return
+        monitor.fold.tasks += 1
+        monitor.fold.add(_task_counts(task, value))
         if self._owns_plan:
             kind = task[0]
             if kind == "run":
@@ -834,14 +833,17 @@ class VerificationEngine:
 
     @contextmanager
     def _session(self, context: _TaskContext):
-        global _TASK_CONTEXT
-        previous = _TASK_CONTEXT
+        global _TASK_CONTEXT, _HEARTBEAT
+        previous = _TASK_CONTEXT, _HEARTBEAT
         if self.failpoints and not context.failpoints:
             context.failpoints = self.failpoints
         # Published before any fork, so a batch fleet inherits it, and
         # on the daemon's path too: serial degradation runs tasks in
         # *this* process through the same `_execute_task`.
         _TASK_CONTEXT = context
+        _HEARTBEAT = (
+            self.monitor.heartbeat if self.monitor is not None else None
+        )
         session_start = _now_us() if self.tracer.enabled else 0
         session = _Session(self, self.jobs)
         failed = False
@@ -852,7 +854,7 @@ class VerificationEngine:
             raise
         finally:
             pooled = session.close(failed)
-            _TASK_CONTEXT = previous
+            _TASK_CONTEXT, _HEARTBEAT = previous
             if self.tracer.enabled:
                 self.tracer.span(
                     "engine", "session", "engine", session_start, _now_us(),
@@ -1413,9 +1415,13 @@ class VerificationEngine:
         the cache and the store -- as the task lands, and its search's
         :class:`ExplorerStats` merged into :attr:`explorer_stats` once
         per key (two workers may both compute a key the serial run
-        computes once).  Memo hits and misses are counted here, in seed
-        order, so they and the explorer counters are the serial run's at
-        any ``jobs``.
+        computes once).  Memo hits and misses are counted as each task
+        lands, into ``cache.stats`` and the monitor's totals alike
+        (``sc_*`` for fuzz, ``drf0_*`` for diff, with the states of each
+        key's first search): a miss is a judged key that was not in
+        ``cache`` at the start, counted once, and every other judgment
+        is a hit, so the counts and the explorer counters are the serial
+        run's at any ``jobs`` and in any landing order.
         """
         # Loaded before the session forks: run_on_hardware imports the
         # snoop substrate on first use, which would be once per worker.
@@ -1430,29 +1436,38 @@ class VerificationEngine:
             _WORKER_MEMO[(fingerprint, arg)] = verdict
         known = set(_WORKER_MEMO)
         explored = set()
+        memo = "sc" if kind == "fuzz" else "drf0"
 
         def on_result(index: int, task: tuple, value) -> None:
-            for key, verdict, program, stats in value[1]:
+            _outcome, new, judged = value
+            misses = states = 0
+            for key in judged:
+                if key not in known:
+                    misses += 1
+                    known.add(key)
+            for key, verdict, program, stats in new:
                 _WORKER_MEMO.setdefault(key, verdict)
                 file(*key, verdict, program)
                 if key not in explored:
                     explored.add(key)
                     self.explorer_stats.merge(stats)
+                    states += stats.states
+            hits = len(judged) - misses
+            cache.stats.add(hits=hits, misses=misses)
+            if self.monitor is not None:
+                self.monitor.fold.add(
+                    {
+                        f"{memo}_hits": hits,
+                        f"{memo}_misses": misses,
+                        "states": states,
+                    }
+                )
 
         context = _TaskContext(seed_body=seed_body, oracle=oracle)
         with self._session(context) as session:
             values = session.map(
                 [(kind, seed) for seed in seeds], on_result=on_result
             )
-        hits = misses = 0
-        for _outcome, _new, judged in values:
-            for key in judged:
-                if key in known:
-                    hits += 1
-                else:
-                    misses += 1
-                    known.add(key)
-        cache.stats.add(hits=hits, misses=misses)
         return [outcome for outcome, _new, _judged in values]
 
     def fuzz(
@@ -1606,10 +1621,7 @@ class VerificationEngine:
         )
         if self.monitor is not None:
             stream_metrics(
-                self.monitor.fold,
-                reader=self.monitor.reader,
-                registry=registry,
-                prefix="engine.stream",
+                self.monitor.fold, registry=registry, prefix="engine.stream"
             )
         # The daemon's fleet keeps a flat counters dict: lease
         # reclamations, retry/backoff charges, breaker transitions,

@@ -38,11 +38,9 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.obs import stream as obs_stream
-
 #: Heartbeat role for the daemon's fleet workers (``fleet-<pid>`` worker
 #: ids in the status snapshot's worker table).  A batch session's
-#: workers keep the engine's default role, ``worker``.
+#: workers keep the default role, ``worker``.
 FLEET_ROLE = "fleet"
 
 
@@ -54,8 +52,6 @@ def fork_available() -> bool:
 def _worker_main(
     conn,
     inherited_fds: List[int],
-    spool_dir: Optional[str],
-    hb_interval: float,
     resolve_context: Optional[Callable[[dict], object]],
 ) -> None:
     """Fleet worker loop: resolve campaign contexts, execute engine tasks.
@@ -64,9 +60,9 @@ def _worker_main(
 
     * ``("ctx", spec_dict)``    -> ``("ctx-ok",)`` | ``("ctx-err", msg)``
       (the daemon's fleet only; ``resolve_context`` builds the context)
-    * ``("task", tid, task, tag)`` -> ``("ok", tid, value)`` |
-      ``("err", tid, msg)``
-    * ``("rotate",)``           -> ``("rotate-ok",)``  (new spool slot)
+    * ``("task", tid, task, watched)`` -> ``("ok", tid, value)`` |
+      ``("err", tid, msg)``; when ``watched`` (a campaign monitor is
+      watching), the task's ``("beat", record)`` messages come first
     * ``("ping",)``             -> ``("pong", pid)``
     * ``("exit",)``             -> no reply; the worker returns.
 
@@ -85,17 +81,11 @@ def _worker_main(
         except OSError:
             pass
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
-    if spool_dir is not None:
-        # Daemon workers are spawned before any campaign monitor exists,
-        # so they publish the stream themselves; the per-campaign
-        # monitors tail this same long-lived directory.  Batch workers
-        # inherit the stream their session's monitor published.
-        obs_stream.publish(spool_dir, hb_interval)
-        writer = obs_stream.worker_writer(role=FLEET_ROLE)
-        if writer is not None:
-            writer.beat(task=None, force=True)
-
     from repro.verify import engine as engine_mod
+
+    # This worker's telemetry, made at its first watched task (the
+    # parent loaded the monitor's module before forking the fleet).
+    heartbeat = None
 
     def reply(message) -> bool:
         """Send a reply; False means the parent is gone (orphan exit)."""
@@ -112,17 +102,9 @@ def _worker_main(
             return
         kind = message[0]
         if kind == "exit":
-            writer = obs_stream.worker_writer(role=FLEET_ROLE)
-            if writer is not None:
-                writer.close()
             return
         if kind == "ping":
             sent = reply(("pong", os.getpid()))
-        elif kind == "rotate":
-            writer = obs_stream.worker_writer(role=FLEET_ROLE)
-            if writer is not None:
-                writer.rotate()
-            sent = reply(("rotate-ok",))
         elif kind == "ctx":
             try:
                 engine_mod._TASK_CONTEXT = resolve_context(message[1])
@@ -131,9 +113,19 @@ def _worker_main(
             else:
                 sent = reply(("ctx-ok",))
         elif kind == "task":
-            _kind, task_id, task, tag = message
+            _kind, task_id, task, watched = message
+            if watched and heartbeat is None:
+                from repro.obs.progress import Heartbeat
+
+                heartbeat = Heartbeat(
+                    lambda record: conn.send(("beat", record)),
+                    # Only the daemon's fleet resolves shipped contexts.
+                    role="worker" if resolve_context is None else FLEET_ROLE,
+                )
+            engine_mod._HEARTBEAT = heartbeat if watched else None
             try:
-                value = engine_mod._execute_task(task, tag)
+                # The lease generation counts from 1, the attempt from 0.
+                value = engine_mod._execute_task(task, task_id[1] - 1)
             except Exception as exc:
                 sent = reply(
                     ("err", task_id, f"{type(exc).__name__}: {exc}")
@@ -180,25 +172,20 @@ class Fleet:
     dict it surfaces as ``engine.service.*`` metrics and the status
     snapshot's ``health.service`` block, and the lease loop an engine
     runs on the daemon's fleet counts its events there too.
-    ``spool_dir``, ``resolve_context`` and ``stop_event`` are the
-    daemon's: its long-lived workers publish their own heartbeat stream
-    and resolve shipped campaign specs, and its drain sets
-    ``stop_event``, which stops the lease loop running on the fleet at
-    its next turn.
+    ``resolve_context`` and ``stop_event`` are the daemon's: its
+    long-lived workers resolve shipped campaign specs (and beat as
+    ``fleet-<pid>``), and its drain sets ``stop_event``, which stops the
+    lease loop running on the fleet at its next turn.
     """
 
     def __init__(
         self,
         size: int,
-        spool_dir: Optional[str] = None,
-        hb_interval: float = 0.05,
         counters: Optional[Dict[str, int]] = None,
         resolve_context: Optional[Callable[[dict], object]] = None,
         stop_event: Optional[threading.Event] = None,
     ) -> None:
         self.size = max(1, int(size))
-        self.spool_dir = spool_dir
-        self.hb_interval = hb_interval
         self.resolve_context = resolve_context
         self.stop_event = stop_event
         self.counters: Dict[str, int] = (
@@ -234,10 +221,7 @@ class Fleet:
                 pass
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn, inherited, self.spool_dir, self.hb_interval,
-                self.resolve_context,
-            ),
+            args=(child_conn, inherited, self.resolve_context),
             daemon=True,
         )
         process.start()
@@ -277,17 +261,6 @@ class Fleet:
             if self._send_ctx(handle):
                 acked += 1
         return acked
-
-    def rotate_spools(self) -> None:
-        """Ask every worker to close its spool slot (between campaigns,
-        so the retention GC can prune closed files, never live ones)."""
-        for handle in list(self.handles):
-            try:
-                handle.conn.send(("rotate",))
-                if handle.conn.poll(5.0):
-                    handle.conn.recv()
-            except (OSError, EOFError):
-                self._retire(handle)
 
     def _retire(self, handle: WorkerHandle) -> None:
         if handle in self.handles:

@@ -16,8 +16,7 @@ is an append-only JSONL file:
   judgment -- and is flushed as soon as the unit completes.
 
 Every line carries a truncated SHA-256 checksum of its own payload, in
-the line codec the verdict store and the heartbeat spool share
-(:mod:`repro.obs.lines`).  A process killed mid-write leaves a partial
+the line codec the verdict store shares (:mod:`repro.obs.lines`).  A process killed mid-write leaves a partial
 last line; loading is **tolerant**: unparsable or checksum-failing lines
 are dropped (counted), never fatal, so a resumed sweep recomputes
 exactly the units that did not make it to disk.  A journal whose

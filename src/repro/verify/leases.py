@@ -10,9 +10,9 @@ leases is :class:`repro.verify.supervisor.FleetSession`:
   jitter (hashed from ``(task, attempt)``, so two daemons replaying the
   same campaign sleep the same amounts -- no ``random`` state involved);
 * :class:`TaskBoard` -- per-task lease generations, idempotent failure
-  handling (a ``(task, generation)`` pair is charged **at most once**,
-  the same exactly-once discipline ``StreamFold`` applies to telemetry
-  task records), and retry budgets.
+  handling (a ``(task, generation)`` pair is charged **at most once**),
+  first-wins completion (which the campaign monitor's exactly-once task
+  totals rely on), and retry budgets.
 
 Nothing here touches task *values*: completion is first-wins per task
 (late duplicates are discarded), which preserves the engine's

@@ -24,8 +24,7 @@ subsequent line is one record -- an SC verdict, a DRF0 verdict, a run
 summary, a cost observation, or a serialized program (kept so ``repro
 cache audit`` can re-judge stored verdicts offline).  Every line carries
 a truncated-SHA-256 checksum over its own bytes after the ``c`` field,
-in the line codec the checkpoint journal and the heartbeat spool share
-(:mod:`repro.obs.lines`).  Loading checks those bytes as written and
+in the line codec the checkpoint journal shares (:mod:`repro.obs.lines`).  Loading checks those bytes as written and
 decodes each line once; a line that is not byte for byte what the
 writer wrote -- torn, damaged, or re-serialized in another JSON form --
 fails the check.

@@ -13,6 +13,10 @@ drives the :class:`~repro.verify.leases.TaskBoard` state machine:
 * the loop sleeps in ``connection.wait`` on every busy worker's pipe
   and process sentinel, so any reply or any worker death wakes it at
   once, and each death is charged to the lease its worker held;
+* while a campaign monitor watches, each task message says so, and the
+  worker's beat and stall records come back on the same pipe ahead of
+  the task's reply, as ``("beat", record)`` messages the loop folds
+  into the monitor;
 * a lease is **reclaimed** when its task times out: the wedged worker
   is killed and replaced;
 * failures feed a per-cell :class:`CircuitBreaker`
@@ -38,7 +42,6 @@ import time
 from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.obs import stream as obs_stream
 from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
 
 
@@ -172,7 +175,7 @@ class FleetSession:
         )
         results: List[object] = [None] * len(tasks)
         self.task_seconds = [0.0] * len(tasks)
-        batch = next(engine_mod._TELEMETRY_BATCH)
+        monitor = engine.monitor
 
         def breaker_key(index: int) -> str:
             return engine_mod._breaker_key(tasks[index])
@@ -182,13 +185,11 @@ class FleetSession:
             self.task_seconds[index] = seconds
             if on_result is not None:
                 on_result(index, tasks[index], value)
-            engine._task_landed(tasks[index], seconds)
+            engine._task_landed(tasks[index], value, seconds)
 
         def run_serial(index: int, attempt: int) -> None:
             serial_start = time.perf_counter()
-            value = engine_mod._execute_task(
-                tasks[index], (batch, index, attempt)
-            )
+            value = engine_mod._execute_task(tasks[index], attempt)
             board.complete(index, attempt)
             finish(index, value, time.perf_counter() - serial_start)
 
@@ -233,11 +234,10 @@ class FleetSession:
                     board.requeue(lease.task, now)
                     break
                 handle = idle.pop()
-                tag = (batch, lease.task, lease.gen - 1)
                 try:
                     handle.conn.send(
                         ("task", (lease.task, lease.gen),
-                         tasks[lease.task], tag)
+                         tasks[lease.task], monitor is not None)
                     )
                 except (OSError, ValueError):
                     fleet._retire(handle)
@@ -273,7 +273,8 @@ class FleetSession:
                 [h.conn for h in busy] + [h.sentinel for h in busy],
                 timeout=0.05,
             )
-            obs_stream.parent_poll()
+            if monitor is not None:
+                monitor.poll()
 
             # 4. Drain replies.
             for handle in busy:
@@ -311,8 +312,14 @@ class FleetSession:
         self, handle, reply, board, breaker, breaker_key, finish, dispose
     ) -> None:
         kind = reply[0]
+        monitor = self.engine.monitor
+        if kind == "beat":
+            # Telemetry sent while the task runs, not its reply.
+            if monitor is not None:
+                monitor.fold.absorb(reply[1])
+            return
         if kind not in ("ok", "err") or handle.assignment is None:
-            return  # stray ack (rotate/ping) or reply for a reclaimed lease
+            return  # stray ack (ping) or reply for a reclaimed lease
         task_id = reply[1]
         index, gen, submitted = handle.assignment
         if task_id != (index, gen):
@@ -322,6 +329,8 @@ class FleetSession:
             breaker.record_success(breaker_key(index))
             if board.complete(index, gen):
                 finish(index, reply[2], time.monotonic() - submitted)
+            elif monitor is not None:
+                monitor.fold.duplicates_skipped += 1
         else:
             dispose(index, gen, "task_errors")
 

@@ -143,6 +143,18 @@ class TestModels:
         results = allowed_results(test.program, CoherenceModel())
         assert not test.outcome_observed(results)
 
+    def test_coherence_orders_same_location_accesses_across_others(self):
+        """po|same-loc pairs each access with the next one of its thread
+        on the same location, not only with a po-adjacent one: a thread
+        reads its own store back past a load of another location."""
+        thread = ThreadBuilder().store("x", 1).load("r1", "y").load("r2", "x")
+        program = build_program([thread], name="own-store")
+        for backend in ("solver", "enumerator"):
+            results = allowed_results(
+                program, CoherenceModel(), backend=backend
+            )
+            assert {result.reads for result in results} == {((0, 1),)}
+
     def test_coherence_allows_mp_and_sb(self):
         for test in (store_buffer(), message_passing()):
             results = allowed_results(test.program, CoherenceModel())

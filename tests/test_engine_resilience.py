@@ -122,13 +122,13 @@ def _held_oldest_task(task, tag=None):
     return index * 3
 
 
-def _late_first_attempt_task(task, tag=None):
+def _late_first_attempt_task(task, gen=0):
     """Stand-in for ``_execute_task`` on ``("late", index, pause)``: in a
     pool worker, task 0's first attempt sleeps 1.5 s and then returns;
     every other attempt sleeps ``pause``."""
     _kind, index, pause = task
     if _in_worker():
-        time.sleep(1.5 if index == 0 and tag[2] == 0 else pause)
+        time.sleep(1.5 if index == 0 and gen == 0 else pause)
     return index * 3
 
 
@@ -229,11 +229,11 @@ class TestBreakerScope:
         assert serial_tasks[1] == serial_tasks[0]
 
 
-def _attempt_of_task(task, tag=None):
+def _attempt_of_task(task, gen=0):
     """Stand-in for ``_execute_task``: returns the dispatch's attempt
-    number, the third element of its telemetry tag."""
+    number, the argument its beats carry."""
     time.sleep(0.002)
-    return tag[2]
+    return gen
 
 
 @pool_available
@@ -241,7 +241,7 @@ class TestLeaseGenerations:
     def test_clean_pooled_map_dispatches_first_attempts(self, monkeypatch):
         # With every worker busy, the loop finds no one to lease the next
         # task to; that void lease must not count as an attempt, or
-        # heartbeat and task records would report retries that never ran.
+        # heartbeats would report retries that never ran.
         monkeypatch.setattr(engine_module, "_execute_task", _attempt_of_task)
         engine = VerificationEngine(jobs=2)
         with engine._session(_TaskContext()) as session:
@@ -306,12 +306,12 @@ class TestJournalResume:
         real = engine_module._execute_task
         judge_tasks = []
 
-        def interrupted_on_third_judge(task, tag=None):
+        def interrupted_on_third_judge(task, gen=0):
             if task[0] == "judge":
                 judge_tasks.append(task)
                 if len(judge_tasks) == 3:
                     raise KeyboardInterrupt
-            return real(task, tag)
+            return real(task, gen)
 
         monkeypatch.setattr(
             engine_module, "_execute_task", interrupted_on_third_judge

@@ -68,6 +68,7 @@ def _models():
 
 
 def _assert_backends_agree(program):
+    allowed = {}
     for model in _models():
         solver = allowed_results(program, model, backend="solver")
         oracle = allowed_results(program, model, backend="enumerator")
@@ -75,6 +76,9 @@ def _assert_backends_agree(program):
             f"{program.name} under {model.name}: solver and enumerator "
             f"disagree ({len(solver)} vs {len(oracle)} results)"
         )
+        allowed[model.name] = solver
+    # COHERENCE keeps only SC's per-location orderings.
+    assert allowed["SC"] <= allowed["COHERENCE"], program.name
 
 
 class TestBackendBitIdentity:

@@ -1,9 +1,10 @@
-"""Tests for the live campaign telemetry plane (PR 9).
+"""Tests for the live campaign telemetry plane.
 
 Three layers, bottom-up:
 
-* the streaming channel -- checksummed per-writer heartbeat spools, the
-  tolerant tail reader, and the exactly-once task fold;
+* the telemetry channel -- heartbeats handed to one sink (a fleet
+  worker's pipe, or the monitor's fold in the parent), and the
+  exactly-once task fold;
 * the progress engine -- completion %, ETA convergence, stragglers, and
   the atomically-replaced status snapshot;
 * end-to-end -- a monitored sweep (serial and pooled, calm and under
@@ -14,6 +15,8 @@ Three layers, bottom-up:
 
 import json
 import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,20 +24,21 @@ from repro.hw import POLICY_FACTORIES
 from repro.litmus.catalog import by_name
 from repro.obs import (
     CampaignMonitor,
-    HeartbeatWriter,
     MetricsRegistry,
     ProgressEngine,
-    SpoolReader,
     StreamFold,
     render_status,
     validate_status,
     validate_status_file,
 )
-from repro.obs import stream as obs_stream
+from repro.obs.progress import Heartbeat
 from repro.obs.tracer import OBS_CLOCK, now_us
 from repro.sim.faults import DELIVERY_PRESERVING_PLANS
 from repro.sim.system import SystemConfig
-from repro.verify.engine import Failpoint, VerificationEngine
+from repro.verify import engine as engine_module
+from repro.verify.engine import Failpoint, VerificationEngine, _TaskContext
+from repro.verify.leases import TaskBoard
+from repro.verify.supervisor import FleetSession
 
 PROGRAM_NAMES = ("MP+sync", "SB")
 POLICY_NAMES = ("sc", "adve-hill")
@@ -63,11 +67,10 @@ pool_available = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _unpublished_stream():
-    """Telemetry globals must never leak between tests."""
-    obs_stream.unpublish()
+def _no_leaked_sink():
+    """An engine session uninstalls its heartbeat sink when it ends."""
     yield
-    obs_stream.unpublish()
+    assert engine_module._HEARTBEAT is None
 
 
 # ----------------------------------------------------------------------
@@ -84,98 +87,90 @@ def test_clock_is_monotonic_microseconds():
 
 
 # ----------------------------------------------------------------------
-# Streaming channel
+# Telemetry channel
 # ----------------------------------------------------------------------
 
 
-class TestSpool:
-    def test_round_trip(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        writer = HeartbeatWriter(spool, role="worker", interval=0.0)
-        writer.add(runs=2, states=10)
-        assert writer.beat(task="run:cell0x2")
-        writer.task_done("1:0", 0, {"runs": 2, "states": 10})
-        writer.stall("P0 stuck on gate:gp", task="run:cell0x2")
-        writer.close()
+def _sink_of_task(task, gen=0):
+    """Stand-in for ``_execute_task``: the worker id of the heartbeat
+    installed for this task, or None when none is."""
+    heartbeat = engine_module._HEARTBEAT
+    return None if heartbeat is None else heartbeat.worker_id
 
-        reader = SpoolReader(spool)
-        records = reader.poll()
-        kinds = [r["kind"] for r in records]
-        assert kinds == ["meta", "beat", "task", "stall"]
-        assert reader.dropped_lines == 0
-        assert reader.spools_seen == 1
-        meta, beat, task, stall = records
-        assert meta["clock"] == OBS_CLOCK
-        assert beat["counters"] == {"runs": 2, "states": 10}
-        assert task["key"] == "1:0"
-        assert stall["diagnosis"].startswith("P0 stuck")
-        # Incremental: nothing new on the next poll.
-        assert reader.poll() == []
 
-    def test_torn_tail_left_for_next_poll(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        writer = HeartbeatWriter(spool, interval=0.0)
-        writer.beat(force=True)
-        writer.close()
-        [path] = [
-            os.path.join(spool, n) for n in os.listdir(spool)
+class TestHeartbeat:
+    def test_disabled_telemetry_hooks_are_none(self, tmp_path):
+        with VerificationEngine(jobs=1)._session(_TaskContext()):
+            assert engine_module._HEARTBEAT is None
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
+        watched = VerificationEngine(jobs=1, monitor=monitor)
+        with watched._session(_TaskContext()):
+            assert engine_module._HEARTBEAT is monitor.heartbeat
+        assert engine_module._HEARTBEAT is None
+
+    @pool_available
+    def test_workers_beat_only_when_watched(self, monkeypatch, tmp_path):
+        # The task message says whether a monitor watches: unwatched
+        # workers get no sink, watched ones their own worker-<pid> one.
+        # (Fuzz-shaped tasks, so the landed tasks count as fuzz seeds.)
+        monkeypatch.setattr(engine_module, "_execute_task", _sink_of_task)
+        tasks = [("fuzz", index) for index in range(6)]
+        with VerificationEngine(jobs=2)._session(_TaskContext()) as session:
+            assert session.map(tasks) == [None] * 6
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
+        watched = VerificationEngine(jobs=2, monitor=monitor)
+        with watched._session(_TaskContext()) as session:
+            ids = session.map(tasks)
+        assert all(i.startswith("worker-") for i in ids)
+        assert f"worker-{os.getpid()}" not in ids
+
+    def test_beats_are_rate_limited(self):
+        records = []
+        heartbeat = Heartbeat(records.append)
+        heartbeat.beat("a")
+        heartbeat.beat("b")  # inside HEARTBEAT_INTERVAL: not sent
+        heartbeat.beat("c", force=True)
+        heartbeat.stall("P0 stuck on gate:gp", task="c")
+        assert [(r["kind"], r["task"]) for r in records] == [
+            ("beat", "a"), ("beat", "c"), ("stall", "c"),
         ]
-        reader = SpoolReader(spool)
-        assert len(reader.poll()) == 2  # meta + beat
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "beat", "truncated')  # no newline
-        assert reader.poll() == []  # torn tail: not consumed, not dropped
-        assert reader.dropped_lines == 0
-
-    def test_corrupt_line_dropped_and_counted(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        writer = HeartbeatWriter(spool, interval=0.0)
-        writer.beat(force=True)
-        writer.close()
-        [name] = os.listdir(spool)
-        with open(os.path.join(spool, name), "a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"kind": "beat", "ts": 1, "c": "badsum"}\n')
-        reader = SpoolReader(spool)
-        records = reader.poll()
-        assert [r["kind"] for r in records] == ["meta", "beat"]
-        assert reader.dropped_lines == 2
-
-    def test_writers_never_share_a_file(self, tmp_path):
-        spool = str(tmp_path / "spool")
-        first = HeartbeatWriter(spool, interval=0.0)
-        second = HeartbeatWriter(spool, interval=0.0)
-        first.beat(force=True)
-        second.beat(force=True)
-        first.close()
-        second.close()
-        assert len(os.listdir(spool)) == 2  # same pid, distinct slots
-
-    def test_disabled_telemetry_hooks_are_none(self):
-        assert obs_stream.worker_writer() is None
-        assert obs_stream.active_spool_dir() is None
-        obs_stream.parent_poll()  # no-op, must not raise
+        assert records[0]["worker"] == f"worker-{os.getpid()}"
 
 
 class TestStreamFold:
-    def _task(self, key, gen, counters):
-        return {"kind": "task", "key": key, "gen": gen, "counters": counters}
+    def test_duplicate_task_generations_fold_exactly_once(self, tmp_path):
+        # Two leases of one task both reply.  The board keeps the first
+        # completion, so the task's counts join the totals once and the
+        # second reply is counted as skipped.
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
+        engine = VerificationEngine(jobs=2, monitor=monitor)
+        session = FleetSession(None, engine, {})
+        task = ("run", 0, (0, 1))
+        board = TaskBoard(1)
 
-    def test_duplicate_task_generations_fold_exactly_once(self):
-        fold = StreamFold()
-        fold.absorb(
-            [
-                self._task("1:0", 0, {"runs": 2, "states": 10}),
-                self._task("1:1", 0, {"runs": 1, "states": 5}),
-                # The same dispatch slot completing again after a crash
-                # resubmission must not double-count.
-                self._task("1:0", 1, {"runs": 2, "states": 10}),
-            ]
-        )
-        assert fold.totals == {"runs": 3, "states": 15}
+        def finish(index, value, seconds=0.0):
+            engine._task_landed(task, value, seconds)
+
+        for gen in (1, 2):
+            handle = SimpleNamespace(assignment=(0, gen, time.monotonic()))
+            session._absorb_reply(
+                handle, ("ok", (0, gen), []), board, session.breaker,
+                lambda index: "cell:0", finish, None,
+            )
+        fold = monitor.fold
+        assert fold.totals == {"runs": 2}
+        assert fold.tasks == 1
         assert fold.duplicates_skipped == 1
-        assert fold.tasks == 2
-        assert fold.states_total() == 15
+
+    def test_unknown_records_are_dropped_and_counted(self):
+        fold = StreamFold()
+        fold.absorb({"kind": "task", "key": "1:0"})
+        fold.absorb({"no": "kind"})
+        fold.absorb(["not", "a", "record"])
+        fold.absorb({"kind": "stall", "worker": "worker-1", "ts": 5})
+        assert fold.dropped == 3
+        assert fold.records == 1
+        assert len(fold.stalls) == 1
 
     def test_beats_keep_latest_cumulative_counters(self):
         fold = StreamFold()
@@ -185,7 +180,8 @@ class TestStreamFold:
             "rss_kb": 5,
         }
         later = dict(beat, ts=20, task="b", counters={"runs": 4})
-        fold.absorb([beat, later])
+        fold.absorb(beat)
+        fold.absorb(later)
         view = fold.workers["worker-1"]
         assert view.counters == {"runs": 4}
         assert view.task == "b"
@@ -193,20 +189,19 @@ class TestStreamFold:
 
     def test_silent_worker_detection(self):
         fold = StreamFold()
-        fold.absorb(
-            [
-                {
-                    "kind": "beat", "worker": "worker-1", "pid": 1,
-                    "role": "worker", "ts": 1_000_000, "task": None,
-                    "gen": 0, "counters": {}, "rss_kb": 0,
-                },
-                {
-                    "kind": "beat", "worker": "worker-2", "pid": 2,
-                    "role": "worker", "ts": 9_000_000, "task": None,
-                    "gen": 0, "counters": {}, "rss_kb": 0,
-                },
-            ]
-        )
+        for record in (
+            {
+                "kind": "beat", "worker": "worker-1", "pid": 1,
+                "role": "worker", "ts": 1_000_000, "task": None,
+                "gen": 0, "counters": {}, "rss_kb": 0,
+            },
+            {
+                "kind": "beat", "worker": "worker-2", "pid": 2,
+                "role": "worker", "ts": 9_000_000, "task": None,
+                "gen": 0, "counters": {}, "rss_kb": 0,
+            },
+        ):
+            fold.absorb(record)
         rows = fold.worker_rows(now=10_000_000, silent_after_us=5_000_000)
         states = {row["id"]: row["state"] for row in rows}
         assert states == {"worker-1": "silent", "worker-2": "ok"}
@@ -273,7 +268,6 @@ class TestProgressEngine:
 class TestCampaignMonitor:
     def _monitor(self, tmp_path, **kwargs):
         kwargs.setdefault("interval", 0.0)
-        kwargs.setdefault("hb_interval", 0.0)
         return CampaignMonitor(
             str(tmp_path / "status.json"), command="test", **kwargs
         )
@@ -309,15 +303,22 @@ class TestCampaignMonitor:
     def test_worker_heartbeats_surface_in_snapshot(self, tmp_path):
         monitor = self._monitor(tmp_path)
         try:
-            writer = obs_stream.worker_writer()
-            assert writer is not None  # publishing activated streaming
-            writer.add(runs=3)
-            writer.beat(task="run:cell0x3", force=True)
-            writer.task_done("1:0", 0, {"runs": 3})
+            # A worker's beat, folded as the lease loop folds its
+            # ("beat", record) messages; the task's counts join the
+            # totals where the task lands.
+            sent = []
+            heartbeat = Heartbeat(sent.append)
+            heartbeat.add({"runs": 3})
+            heartbeat.beat("run:cell0x3", force=True)
+            for record in sent:
+                monitor.fold.absorb(record)
+            task = ("run", 0, (0, 1, 2))
+            VerificationEngine(monitor=monitor)._task_landed(task, [])
             snap = monitor.poll(force=True)
             [row] = snap["workers"]
             assert row["state"] == "ok"
             assert row["task"] == "run:cell0x3"
+            assert row["counters"] == {"runs": 3}
             assert snap["totals"] == {"runs": 3}
             assert snap["stream"]["beats"] == 1
         finally:
@@ -336,8 +337,6 @@ class TestCampaignMonitor:
         assert snap["progress"]["completion"] == 1.0
         assert snap["progress"]["eta_s"] == 0.0
         assert validate_status(snap) == []
-        assert not os.path.isdir(monitor.spool_dir)
-        assert obs_stream.active_spool_dir() is None  # unpublished
 
     def test_fail_writes_terminal_error_snapshot(self, tmp_path):
         monitor = self._monitor(tmp_path)
@@ -350,8 +349,12 @@ class TestCampaignMonitor:
     def test_stall_diagnosis_reaches_snapshot(self, tmp_path):
         monitor = self._monitor(tmp_path)
         try:
-            writer = obs_stream.worker_writer()
-            writer.stall("P1 stuck on fence (47 cycles)", task="run:cell1x2")
+            sent = []
+            Heartbeat(sent.append).stall(
+                "P1 stuck on fence (47 cycles)", task="run:cell1x2"
+            )
+            for record in sent:
+                monitor.fold.absorb(record)
             snap = monitor.poll(force=True)
             [stall] = snap["health"]["stalls"]
             assert "P1 stuck on fence" in stall["diagnosis"]
@@ -374,9 +377,7 @@ class TestCampaignMonitor:
 
 class TestValidator:
     def _valid(self, tmp_path):
-        monitor = CampaignMonitor(
-            str(tmp_path / "s.json"), interval=0.0, hb_interval=0.0
-        )
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
         snap = monitor.poll(force=True)
         monitor.close()
         return snap
@@ -418,7 +419,6 @@ def _monitored_sweep(tmp_path, jobs, config=None, **engine_kwargs):
         str(tmp_path / "status.json"),
         command="sweep",
         interval=0.0,
-        hb_interval=0.0,
         on_snapshot=snapshots.append,
     )
     engine = VerificationEngine(jobs=jobs, monitor=monitor, **engine_kwargs)
@@ -477,6 +477,29 @@ class TestMonitoredSweep:
         assert final["stream"]["dropped_lines"] == 0
 
     @pool_available
+    def test_pooled_stall_diagnosis_reaches_snapshot(
+        self, tmp_path, reference_evidence
+    ):
+        # A task that fails on a fleet worker sends its diagnosis over
+        # the worker's pipe ahead of its error reply; the retry lands,
+        # so the evidence is the serial run's.
+        evidence, snapshots, final = _monitored_sweep(
+            tmp_path,
+            jobs=2,
+            failpoints=(
+                Failpoint("run", "error", str(tmp_path / "token")),
+            ),
+        )
+        _assert_telemetry_contract(
+            evidence, snapshots, final, reference_evidence
+        )
+        [stall] = final["health"]["stalls"]
+        assert stall["diagnosis"].startswith("InjectedTaskError")
+        assert stall["worker"].startswith("worker-")
+        assert stall["worker"] != f"worker-{os.getpid()}"
+        assert stall["worker"] in {row["id"] for row in final["workers"]}
+
+    @pool_available
     def test_judge_pool_ticks_every_judgment(self, tmp_path):
         # A judge task carries several results; progress counts results.
         registry = MetricsRegistry()
@@ -514,6 +537,40 @@ class TestMonitoredSweep:
         # every (cell, seed) hardware run counted exactly once even
         # though a crashed task was resubmitted.
         assert final["totals"].get("runs") == len(evidence.rows) * len(SEEDS)
+
+
+class TestSeedCampaignTotals:
+    """Fuzz and diff count memo hits and misses where each seed lands.
+
+    Seeds 15 and 114 generate the same program, so with two or more
+    workers both seeds' workers judge it fresh; the totals must still
+    count one miss, as the caches and the explorer counters do."""
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_fuzz_totals_equal_cache_counts(self, tmp_path, jobs):
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
+        engine = VerificationEngine(jobs=jobs, monitor=monitor)
+        engine.fuzz([15, 114])
+        counters = engine.metrics_snapshot().as_dict()["counters"]
+        assert counters["engine.stream.totals.sc_hits"] == 29
+        assert counters["engine.stream.totals.sc_misses"] == 1
+        assert counters["engine.stream.totals.states"] == 1
+        assert counters["engine.sc_cache.hits"] == 29
+        assert counters["engine.sc_cache.misses"] == 1
+        assert counters["engine.explorer.states"] == 1
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_diff_totals_equal_cache_counts(self, tmp_path, jobs):
+        monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
+        engine = VerificationEngine(jobs=jobs, monitor=monitor)
+        engine.diff_campaign([15, 114])
+        counters = engine.metrics_snapshot().as_dict()["counters"]
+        for name in ("hits", "misses"):
+            assert counters[f"engine.stream.totals.drf0_{name}"] == 1
+            assert counters[f"engine.drf0_cache.{name}"] == 1
+        assert counters["engine.stream.totals.states"] == (
+            counters["engine.explorer.states"]
+        )
 
 
 # ----------------------------------------------------------------------
