@@ -1,7 +1,7 @@
 """E14 -- the compiled execution engine, three ways against its ancestors.
 
 E10 ended with a regression: the in-place do/undo engine *lost to the
-frozen legacy snapshot explorers* on small DPOR/contract/DRF0 rows --
+frozen legacy snapshot explorers* on small litmus-sized rows --
 exactly the litmus-sized runs every Definition-2 verdict bottoms out in.
 :mod:`repro.core.compile` fixes that by compiling each program once into
 specialized step closures over packed int state.
@@ -55,12 +55,10 @@ from conftest import RESULTS_DIR, emit_table
 from repro.core._legacy import (
     legacy_check_program,
     legacy_explore,
-    legacy_explore_dpor,
     legacy_is_sc_result,
 )
 from repro.core.compile import interpreted_engine
 from repro.core.contract import is_sc_result
-from repro.core.dpor import explore_dpor
 from repro.core.drf0 import check_program
 from repro.core.engine_state import ExplorerStats
 from repro.core.sc import ExplorationConfig, explore, sc_results
@@ -177,22 +175,6 @@ def _bench_modes(name: str, program: Program) -> List[Dict[str, object]]:
         )
         row(mode, legacy_s, interp_s, compiled_s, compiled_out.stats)
 
-    # DPOR representative enumeration.  Stats are created inside the timed
-    # callable so best-of repeats don't accumulate into one counter.
-    def dpor_with_stats():
-        st = ExplorerStats()
-        return explore_dpor(program, stats=st), st
-
-    legacy_s, legacy_execs = _time(lambda: legacy_explore_dpor(program))
-    compiled_s, (compiled_execs, stats) = _time(dpor_with_stats)
-    with interpreted_engine():
-        interp_s, interp_execs = _time(lambda: explore_dpor(program))
-    assert compiled_execs == interp_execs, f"{name}: DPOR traces differ"
-    assert {e.result() for e in compiled_execs} == {
-        e.result() for e in legacy_execs
-    }, f"{name}: DPOR result sets differ"
-    row("dpor", legacy_s, interp_s, compiled_s, stats)
-
     # DRF0 verdict over all interleavings.
     legacy_s, legacy_report = _time(lambda: legacy_check_program(program))
     compiled_s, compiled_report = _time(lambda: check_program(program))
@@ -229,7 +211,7 @@ def _bench_modes(name: str, program: Program) -> List[Dict[str, object]]:
 
 def _aggregate(rows: List[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {}
-    modes = ["naive", "results", "dedup", "dpor", "drf0", "contract", "overall"]
+    modes = ["naive", "results", "dedup", "drf0", "contract", "overall"]
     for scope in modes:
         scoped = [r for r in rows if scope == "overall" or r["mode"] == scope]
         legacy_s = sum(r["legacy_s"] for r in scoped)

@@ -84,34 +84,3 @@ def test_e2_vector_clock_detector_speed(benchmark):
     execution = figure2a_execution()
     races = benchmark(races_in_execution_vc, execution)
     assert races == []
-
-
-def dpor_reduction_rows():
-    from repro.core.dpor import check_program_dpor, explore_dpor
-    from repro.core.sc import sc_executions
-
-    rows = []
-    for test in all_tests():
-        if not test.program.is_straight_line():
-            continue
-        naive = len(sc_executions(test.program))
-        reduced = len(explore_dpor(test.program))
-        verdict = check_program_dpor(test.program).obeys
-        assert verdict == test.drf0
-        rows.append((test.name, naive, reduced, f"{naive / reduced:.1f}x"))
-    return rows
-
-
-def test_e2_dpor_reduction(benchmark):
-    """Partial-order reduction for the Definition-3 verdict: interleavings
-    explored, naive vs DPOR, with identical verdicts."""
-    rows = benchmark.pedantic(dpor_reduction_rows, rounds=1, iterations=1)
-    emit_table(
-        "E2c",
-        "Interleavings explored for the DRF0 verdict: naive vs DPOR",
-        ["test", "naive interleavings", "DPOR traces", "reduction"],
-        rows,
-    )
-    total_naive = sum(r[1] for r in rows)
-    total_dpor = sum(r[2] for r in rows)
-    assert total_dpor < total_naive

@@ -273,7 +273,6 @@ def _print_explorer_stats(stats, elapsed: Optional[float] = None) -> None:
     )
     print(
         f"                  max undo depth {stats.max_depth}, "
-        f"{stats.sleep_cuts} sleep-set cuts, "
         f"peak visited-set size {stats.peak_visited}"
     )
     if elapsed is not None and elapsed > 0:
@@ -300,20 +299,6 @@ def cmd_drf0(args) -> int:
         if args.sampled:
             report = check_program_sampled(program, seeds=range(args.seeds))
             mode = f"sampled over {report.executions_checked} executions"
-        elif args.dpor:
-            from repro.core.dpor import check_program_dpor
-
-            cfg = ExplorationConfig(
-                sleep_sets=not args.no_sleep_sets,
-                tracer=tracer,
-            )
-            report = check_program_dpor(program, config=cfg)
-            mode = (
-                f"DPOR over {report.executions_checked} "
-                "representative executions"
-            )
-            if args.no_sleep_sets:
-                mode += ", sleep sets off"
         else:
             report = check_program(
                 program, config=ExplorationConfig(max_ops=400, tracer=tracer)
@@ -713,11 +698,6 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
         prog="repro",
         description="Weak Ordering -- A New Definition (ISCA 1990) reproduction",
     )
-    parser.add_argument(
-        "--interpreted-engine", action="store_true",
-        help="run explorers on the interpreted EngineState instead of the "
-             "compiled engine (differential debugging; same answers, slower)",
-    )
     sub = parser.add_subparsers(
         dest="command", required=True, action=_Subcommands, lazy=lazy
     )
@@ -778,15 +758,11 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
     def drf0(p):
         p.add_argument("name")
         p.add_argument("--sampled", action="store_true")
-        p.add_argument("--dpor", action="store_true",
-                       help="partial-order reduction (bounded programs)")
-        p.add_argument("--no-sleep-sets", action="store_true",
-                       help="with --dpor: disable the sleep-set pruning layer")
         p.add_argument("--seeds", type=int, default=50)
         p.add_argument("--witness", action="store_true")
         p.add_argument("--stats", action="store_true",
                        help="print explorer counters (states/sec, undo depth, "
-                            "sleep-set cuts, peak visited-set size)")
+                            "peak visited-set size)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable verdict on stdout")
         add_obs_args(p)
@@ -1502,10 +1478,6 @@ def cmd_top(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.interpreted_engine:
-        from repro.core.compile import use_compiled
-
-        use_compiled(False)
     try:
         return args.func(args)
     except KeyboardInterrupt:

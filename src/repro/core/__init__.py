@@ -5,15 +5,11 @@ from repro import _lazy_exports
 _EXPORTS = {
     "compile": (
         "CompiledEngine", "compiled_enabled", "compiled_program",
-        "interpreted_engine", "make_engine", "use_compiled",
+        "interpreted_engine", "make_engine",
     ),
     "contract": (
         "ContractReport", "WeakOrderingVerdict", "appears_sc",
         "check_weak_ordering", "is_sc_result",
-    ),
-    "dpor": (
-        "check_program_dpor", "explore_dpor", "iter_dpor_executions",
-        "sc_results_dpor",
     ),
     "drf0": (
         "DRF0Report", "Race", "check_program", "check_program_sampled",

@@ -1,4 +1,4 @@
-"""The pre-engine snapshot-based enumerators, frozen as a differential oracle.
+"""The pre-engine snapshot-based searches, frozen as a differential oracle.
 
 These are verbatim copies of the interleaving searches as they existed
 before the in-place do/undo transition engine
@@ -11,22 +11,23 @@ They are **not** part of the public API and are kept for two purposes only:
 * the equivalence property tests (``tests/test_explorer_equivalence.py``)
   check the fast engine against them on the litmus catalog and hundreds of
   generated programs -- same result sets, same executions, same DRF0
-  verdicts, same ``complete`` flags, including cap-hit paths;
-* the explorer benchmark (``benchmarks/bench_e10_explorer.py``) measures
-  the before/after speedup against them and asserts bit-identical outputs.
+  verdicts, same ``complete`` flags, including cap-hit paths.
+  :func:`legacy_explore` is the only independent oracle of
+  :func:`repro.core.sc.explore` on spin programs (MP+sync), on cap-hit
+  truncation order and on ``dedup=False`` execution counts;
+* the explorer benchmarks (``benchmarks/bench_e10_explorer.py`` and
+  ``bench_e14_compiled.py``) measure the engines' speedup against them
+  and assert bit-identical outputs.
 
 Do not "fix" or optimize this module; its value is being the old code.
 (One deliberate deviation: ``legacy_explore`` counts ``states`` outside the
 dedup branch, mirroring the satellite bugfix in the live code, so cap-hit
-``complete`` flags stay comparable between the two in ``dedup=False`` mode.
-The old aliasing bug -- mutating the caller's config -- is likewise not
-reproduced in the wrappers.)
+``complete`` flags stay comparable between the two in ``dedup=False`` mode.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine_state import (
     _Thread,
@@ -163,30 +164,6 @@ def legacy_explore(
     )
 
 
-def legacy_sc_results(
-    program: Program, config: Optional[ExplorationConfig] = None
-) -> FrozenSet[Result]:
-    """Old result-set entry point (without the caller-config mutation)."""
-    from dataclasses import replace
-
-    cfg = replace(config, dedup=True) if config else ExplorationConfig()
-    return legacy_explore(program, cfg).result_set
-
-
-def legacy_sc_executions(
-    program: Program, config: Optional[ExplorationConfig] = None
-) -> List[Execution]:
-    """Old every-interleaving entry point (without the config mutation)."""
-    from dataclasses import replace
-
-    cfg = (
-        replace(config, dedup=False)
-        if config
-        else ExplorationConfig(dedup=False)
-    )
-    return legacy_explore(program, cfg).executions
-
-
 def legacy_is_sc_result(
     program: Program, result: Result, max_states: int = 2_000_000
 ) -> bool:
@@ -250,116 +227,6 @@ def legacy_is_sc_result(
     threads = _initial_threads(program)
     memory = dict(program.initial_memory)
     return dfs(threads, memory, [0] * program.num_procs)
-
-
-@dataclass
-class _LegacyStackEntry:
-    """Old DPOR stack entry, pre-state snapshots and all."""
-
-    proc: int
-    op: Optional[Operation]
-    threads: Optional[List[_Thread]]
-    memory: Optional[Dict[str, int]]
-    enabled: Set[int]
-    backtrack: Set[int]
-    done: Set[int] = field(default_factory=set)
-
-
-def legacy_explore_dpor(
-    program: Program, config: Optional[ExplorationConfig] = None
-) -> List[Execution]:
-    """The original snapshot-per-branch DPOR explorer (no sleep sets)."""
-    from repro.core.dpor import _dependent_with_pending
-
-    cfg = config or ExplorationConfig()
-    executions: List[Execution] = []
-    stack: List[_LegacyStackEntry] = []
-
-    def snapshot(threads, memory):
-        return [t.copy() for t in threads], dict(memory)
-
-    def enabled_procs(threads) -> Set[int]:
-        return {i for i, t in enumerate(threads) if t.pending is not None}
-
-    def run_one(threads, memory, proc, po_counts) -> Operation:
-        thread = threads[proc]
-        request = thread.pending
-        value_read, value_written = execute_atomically(memory, request)
-        op = Operation(
-            uid=len(stack),
-            proc=proc,
-            po_index=po_counts[proc],
-            kind=request.kind,
-            location=request.location,
-            value_read=value_read,
-            value_written=value_written,
-        )
-        po_counts[proc] += 1
-        complete(program.threads[proc], thread.state, request, value_read)
-        _advance(program, proc, thread)
-        return op
-
-    def add_backtrack_points(threads, enabled: Set[int]) -> None:
-        for proc in enabled:
-            request = threads[proc].pending
-            for entry in reversed(stack):
-                if entry.proc != proc and _dependent_with_pending(
-                    entry.op, proc, request
-                ):
-                    if proc in entry.enabled:
-                        entry.backtrack.add(proc)
-                    else:
-                        entry.backtrack |= entry.enabled
-                    break
-
-    def explore(threads, memory, po_counts) -> None:
-        enabled = enabled_procs(threads)
-        if not enabled:
-            ops = tuple(e.op for e in stack)
-            executions.append(
-                Execution(program, ops, final_memory_from_dict(memory))
-            )
-            return
-        if len(stack) >= cfg.max_ops:
-            if cfg.allow_incomplete:
-                return
-            raise ExplorationIncomplete(
-                f"DPOR execution exceeded {cfg.max_ops} operations; use the "
-                "naive explorer for programs with spin loops"
-            )
-        add_backtrack_points(threads, enabled)
-        entry = _LegacyStackEntry(
-            proc=-1,
-            op=None,
-            threads=None,
-            memory=None,
-            enabled=enabled,
-            backtrack={min(enabled)},
-        )
-        stack.append(entry)
-        pre_threads, pre_memory = snapshot(threads, memory)
-        pre_po = list(po_counts)
-        while True:
-            choice = next(
-                (p for p in sorted(entry.backtrack) if p not in entry.done), None
-            )
-            if choice is None:
-                break
-            entry.done.add(choice)
-            branch_threads, branch_memory = snapshot(pre_threads, pre_memory)
-            branch_po = list(pre_po)
-            op = run_one(branch_threads, branch_memory, choice, branch_po)
-            entry.proc = choice
-            entry.op = op
-            entry.threads = pre_threads
-            entry.memory = pre_memory
-            explore(branch_threads, branch_memory, branch_po)
-        stack.pop()
-
-    threads = _initial_threads(program)
-    memory = dict(program.initial_memory)
-    explore(threads, memory, [0] * program.num_procs)
-    return executions
 
 
 def legacy_all_interleavings(
@@ -426,30 +293,6 @@ def legacy_check_program(program: Program, model=None, config=None):
     cfg = config or ExplorationConfig(max_ops=400)
     checked = 0
     for execution in legacy_all_interleavings(program, cfg):
-        checked += 1
-        races = races_in_execution_vc(execution, model)
-        if races:
-            return DRF0Report(
-                program=program,
-                model_name=model.name,
-                obeys=False,
-                executions_checked=checked,
-                race=races[0],
-                witness=execution,
-            )
-    return DRF0Report(
-        program=program, model_name=model.name, obeys=True, executions_checked=checked
-    )
-
-
-def legacy_check_program_dpor(program: Program, model=None, config=None):
-    """Old DPOR Definition-3 verdict (list-materializing)."""
-    from repro.core.drf0 import DRF0Report, races_in_execution_vc
-    from repro.core.models import DRF0_MODEL
-
-    model = model or DRF0_MODEL
-    checked = 0
-    for execution in legacy_explore_dpor(program, config):
         checked += 1
         races = races_in_execution_vc(execution, model)
         if races:

@@ -1,7 +1,7 @@
 """Program-specialized compiled execution: the explorers' fast inner loop.
 
 E10 left a real regression: the in-place do/undo engine *lost to the
-legacy snapshot explorers* on small DPOR/contract runs, because every
+legacy snapshot explorers* on small litmus-sized runs, because every
 :meth:`~repro.core.engine_state.EngineState.step` still paid
 ``ThreadState`` snapshot/restore (a dict copy), ``run_to_memory_op``
 isinstance-dispatch over the ISA, and nested-tuple key hash-consing --
@@ -36,20 +36,18 @@ into program-specialized execution:
   append, and :meth:`CompiledEngine.undo` is a slice assignment.
 
 :func:`make_engine` is the factory every explorer routes through.  It
-returns a :class:`CompiledEngine` when compilation is enabled and
-succeeds, and falls back to the interpreted
-:class:`~repro.core.engine_state.EngineState` otherwise (unknown future
-instructions, or the ``REPRO_INTERPRETED_ENGINE=1`` escape hatch /
-:func:`interpreted_engine` context manager used by the differential
-tests).  Both engines expose the same interface and produce bit-identical
-results, executions, and :class:`~repro.core.engine_state.ExplorerStats`
-counts -- pinned by ``tests/test_explorer_equivalence.py`` against the
-frozen :mod:`repro.core._legacy` oracles.
+returns a :class:`CompiledEngine` when compilation succeeds, and falls
+back to the interpreted :class:`~repro.core.engine_state.EngineState`
+when it does not (an unknown future instruction) or inside the
+:func:`interpreted_engine` block the differential tests use.  Both
+engines expose the same interface and produce bit-identical results,
+executions, and :class:`~repro.core.engine_state.ExplorerStats` counts --
+pinned by ``tests/test_explorer_equivalence.py`` against each other and
+the frozen :mod:`repro.core._legacy` oracles.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
@@ -88,7 +86,6 @@ __all__ = [
     "compiled_program",
     "interpreted_engine",
     "make_engine",
-    "use_compiled",
 ]
 
 
@@ -586,11 +583,9 @@ class CompiledEngine:
 #: ``None`` so the fallback does not retry per engine.
 _COMPILED: Dict[int, tuple] = {}
 
-_ENABLED = os.environ.get("REPRO_INTERPRETED_ENGINE", "") not in (
-    "1",
-    "true",
-    "yes",
-)
+#: Whether :func:`make_engine` returns compiled engines; only
+#: :func:`interpreted_engine` clears it.
+_ENABLED = True
 
 
 def compiled_enabled() -> bool:
@@ -598,22 +593,16 @@ def compiled_enabled() -> bool:
     return _ENABLED
 
 
-def use_compiled(enabled: bool = True) -> None:
-    """Globally enable/disable the compiled engine (see also the
-    ``REPRO_INTERPRETED_ENGINE=1`` environment variable)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
 @contextmanager
 def interpreted_engine():
     """Force the interpreted engine within the block (differential tests)."""
+    global _ENABLED
     previous = _ENABLED
-    use_compiled(False)
+    _ENABLED = False
     try:
         yield
     finally:
-        use_compiled(previous)
+        _ENABLED = previous
 
 
 def compiled_program(program: Program) -> Optional[CompiledProgram]:
@@ -641,7 +630,7 @@ def make_engine(program: Program, record_trace: bool = True):
     """An execution engine for ``program``: compiled when possible.
 
     This is the factory every explorer (`sc.explore`, the Definition-2
-    membership search, the DRF0 checker, DPOR) goes through.  The
+    membership search, the DRF0 checker) goes through.  The
     returned object is either a :class:`CompiledEngine` or an interpreted
     :class:`~repro.core.engine_state.EngineState`; both expose the same
     interface and identical observable behaviour.  ``record_trace`` only

@@ -273,11 +273,12 @@ def _replay_execution(program: Program, path) -> Execution:
 class DRF0Report:
     """Outcome of a Definition-3 program check.
 
-    ``executions_checked`` counts executions race-checked by the sampled
-    and DPOR checkers; for :func:`check_program` it counts the distinct
-    halted configurations the search reached.  ``complete`` is False when
-    a cap cut the search or the check samples: then a clean verdict is
-    only evidence, while a reported race is always real.
+    ``executions_checked`` counts executions race-checked by
+    :func:`check_program_sampled`; for :func:`check_program` it counts
+    the distinct halted configurations the search reached.
+    ``complete`` is False when a cap cut the search or the check
+    samples: then a clean verdict is only evidence, while a reported
+    race is always real.
     """
 
     program: Program

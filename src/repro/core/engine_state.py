@@ -1,10 +1,10 @@
 """The shared in-place transition engine behind every interleaving search.
 
-Three searches bottom out in the same inner loop -- the naive enumerator
+Three searches bottom out in the same inner loop -- the enumerator
 (:func:`repro.core.sc.explore`), the guided SC-membership search
-(:func:`repro.core.contract.is_sc_result`), and the DPOR explorer
-(:func:`repro.core.dpor.explore_dpor`).  Historically each DFS node paid a
-deep copy of every thread state, a ``dict(memory)`` copy, and a
+(:func:`repro.core.contract.is_sc_result`), and the DRF0 configuration
+search (:func:`repro.core.drf0.check_program`).  Historically each DFS
+node paid a deep copy of every thread state, a ``dict(memory)`` copy, and a
 ``tuple(sorted(memory.items()))`` key -- O(procs + |memory| log |memory|)
 per node.  :class:`EngineState` replaces all of that with *in-place
 execution plus an undo log*, the standard stateless-search technique from
@@ -27,7 +27,7 @@ histories, and the program-order counters, so explorers read finished
 values straight off it at leaves.
 
 :class:`ExplorerStats` is the profiling layer every explorer fills in:
-states, transitions, undo depth, sleep-set cuts, peak visited-set size.
+states, transitions, executions, undo depth, peak visited-set size.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class ExplorerStats:
             calls), i.e. undo-log pushes.
         executions: Complete executions reached.
         max_depth: Peak undo-log depth (longest execution prefix held).
-        sleep_cuts: Branches pruned by the DPOR sleep set.
         peak_visited: Final size of the dedup set (it only grows, so this
             is also its peak).
     """
@@ -68,7 +67,6 @@ class ExplorerStats:
     transitions: int = 0
     executions: int = 0
     max_depth: int = 0
-    sleep_cuts: int = 0
     peak_visited: int = 0
 
     def merge(self, other: "ExplorerStats") -> None:
@@ -77,7 +75,6 @@ class ExplorerStats:
         self.transitions += other.transitions
         self.executions += other.executions
         self.max_depth = max(self.max_depth, other.max_depth)
-        self.sleep_cuts += other.sleep_cuts
         self.peak_visited = max(self.peak_visited, other.peak_visited)
 
     def as_dict(self) -> Dict[str, int]:
@@ -87,7 +84,6 @@ class ExplorerStats:
             "transitions": self.transitions,
             "executions": self.executions,
             "max_depth": self.max_depth,
-            "sleep_cuts": self.sleep_cuts,
             "peak_visited": self.peak_visited,
         }
 
@@ -205,6 +201,11 @@ class EngineState:
     per-processor read histories -- and exposes :meth:`step`/:meth:`undo`
     so a DFS explores the whole tree on a *single* configuration instead
     of copying it at every node.
+
+    The explorers run on :class:`repro.core.compile.CompiledEngine`;
+    this interpreted engine is its differential oracle
+    (:func:`repro.core.compile.interpreted_engine`) and its fallback for
+    a program that will not compile.
     """
 
     __slots__ = (

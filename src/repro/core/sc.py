@@ -6,8 +6,12 @@ in program order".  This module *is* that architecture: an explicit-state
 enumerator that explores every interleaving of a program's memory
 operations, executing each operation atomically.
 
+:func:`explore` and :func:`sc_results` are the one production source of
+a program's SC result set; the axiomatic SC model
+(:mod:`repro.axiomatic`) is its independent oracle on loop-free programs.
+
 The search runs on the shared in-place do/undo transition engine
-(:class:`repro.core.engine_state.EngineState`): one live configuration,
+(:func:`repro.core.compile.make_engine`): one live configuration,
 stepped forward and rewound via an undo log, with incrementally maintained
 configuration keys -- no per-node copying of thread states or memory.
 
@@ -19,9 +23,9 @@ Two exploration modes matter:
   sequentially consistent results -- this is the right mode for the
   Definition-2 contract checker.
 * ``dedup=False``: every interleaving is enumerated as a distinct
-  :class:`~repro.core.execution.Execution` trace.  The DRF0 checker uses
-  this mode because two interleavings with the same observable state can
-  still have different happens-before relations.
+  :class:`~repro.core.execution.Execution` trace (:func:`sc_executions`),
+  because two interleavings with the same observable state can still
+  have different happens-before relations.
 
 Result-set-only callers can additionally set
 ``collect_executions=False`` so finished executions are *consumed as they
@@ -107,9 +111,6 @@ class ExplorationConfig:
         collect_executions: Materialize every finished execution in
             :attr:`Exploration.executions`.  Result-set-only callers set
             this to ``False`` to stream executions into the result fold.
-        sleep_sets: Let the DPOR explorer layer sleep sets over its
-            backtrack sets (prunes redundant branches; no effect on the
-            naive enumerator).
         tracer: Optional :class:`~repro.obs.tracer.Tracer` receiving
             engine step/undo and explorer events (timestamps are the
             engine's transition count).  ``None`` keeps the hot loop
@@ -122,7 +123,6 @@ class ExplorationConfig:
     dedup: bool = True
     allow_incomplete: bool = False
     collect_executions: bool = True
-    sleep_sets: bool = True
     tracer: Optional[object] = None
 
 

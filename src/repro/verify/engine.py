@@ -434,13 +434,14 @@ def _execute_task(task: tuple, gen: int = 0):
     """Worker dispatch: map one task tuple to its (picklable) value.
 
     While a campaign monitor watches (:data:`_HEARTBEAT` is set), the
-    task beats on entry, after each run or judgment of a chunk and on
-    completion (rate-limited by
-    :data:`~repro.obs.progress.HEARTBEAT_INTERVAL`); a failing task
-    sends its stall diagnosis before it raises, so the diagnosis reaches
-    the parent ahead of the failure.  ``gen`` is the resubmission
-    attempt the beats carry.  With no monitor, ``heartbeat`` is ``None``
-    and every hook below is a single comparison.
+    task beats on entry and after each run or judgment of a chunk
+    (rate-limited by :data:`~repro.obs.progress.HEARTBEAT_INTERVAL`),
+    and always on completion, so the worker table ends on the task's
+    counters; a failing task sends its stall diagnosis before it
+    raises, so the diagnosis reaches the parent ahead of the failure.
+    ``gen`` is the resubmission attempt the beats carry.  With no
+    monitor, ``heartbeat`` is ``None`` and every hook below is a single
+    comparison.
     """
     ctx = _TASK_CONTEXT
     assert ctx is not None, "task executed outside an engine session"
@@ -497,7 +498,7 @@ def _execute_task(task: tuple, gen: int = 0):
         raise
     if heartbeat is not None:
         heartbeat.add(_task_counts(task, value))
-        heartbeat.beat(label, gen)
+        heartbeat.beat(label, gen, force=True)
     return value
 
 
@@ -1475,7 +1476,6 @@ class VerificationEngine:
         seeds: Sequence[int],
         generator: Optional[GeneratorConfig] = None,
         hardware_seeds: Sequence[int] = range(3),
-        check_cross_enumerators: bool = True,
     ) -> FuzzReport:
         """Parallel :func:`repro.verify.fuzz.fuzz` (one task per seed).
 
@@ -1491,13 +1491,7 @@ class VerificationEngine:
         hardware_seeds = tuple(hardware_seeds)
 
         def seed_body(seed: int, judge: Callable[..., bool]) -> SeedOutcome:
-            return fuzz_one_seed(
-                seed,
-                generator,
-                hardware_seeds,
-                check_cross_enumerators,
-                judge=judge,
-            )
+            return fuzz_one_seed(seed, generator, hardware_seeds, judge=judge)
 
         def oracle(
             program: Program, result: Result

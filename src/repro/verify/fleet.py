@@ -63,7 +63,6 @@ def _worker_main(
     * ``("task", tid, task, watched)`` -> ``("ok", tid, value)`` |
       ``("err", tid, msg)``; when ``watched`` (a campaign monitor is
       watching), the task's ``("beat", record)`` messages come first
-    * ``("ping",)``             -> ``("pong", pid)``
     * ``("exit",)``             -> no reply; the worker returns.
 
     A ``crash``-mode failpoint never replies (``os._exit`` inside the
@@ -103,9 +102,7 @@ def _worker_main(
         kind = message[0]
         if kind == "exit":
             return
-        if kind == "ping":
-            sent = reply(("pong", os.getpid()))
-        elif kind == "ctx":
+        if kind == "ctx":
             try:
                 engine_mod._TASK_CONTEXT = resolve_context(message[1])
             except Exception as exc:

@@ -5,8 +5,8 @@ Three oracles run on every random program:
 1. **SC hardware is SC for everything** -- every result the SC policy
    produces (any substrate) must pass the exact membership oracle; no
    DRF0 precondition is needed, so arbitrary racy programs are fair game.
-2. **Cross-checker agreement** -- the axiomatic SC model, the naive
-   enumerator, and DPOR must agree on the program's SC result set.
+2. **Cross-checker agreement** -- the axiomatic SC model and the
+   operational enumerator must agree on the program's SC result set.
 3. **Liveness everywhere** -- every policy/substrate combination must run
    the program to completion with all writes globally performed.
 
@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.axiomatic import SCModel, allowed_results
 from repro.core.contract import is_sc_result
-from repro.core.dpor import sc_results_dpor
 from repro.core.sc import sc_results
 from repro.hw import (
     AdveHillPolicy,
@@ -84,7 +83,6 @@ def fuzz_one_seed(
     seed: int,
     generator: Optional[GeneratorConfig] = None,
     hardware_seeds: Sequence[int] = range(3),
-    check_cross_enumerators: bool = True,
     judge: Optional[Callable[..., bool]] = None,
 ) -> SeedOutcome:
     """Run every fuzz oracle on the one random program ``seed`` names.
@@ -101,16 +99,10 @@ def fuzz_one_seed(
     program = random_program(seed, generator)
     outcome.programs_run += 1
 
-    if check_cross_enumerators:
-        reference = sc_results(program)
-        if allowed_results(program, SCModel()) != reference:
-            outcome.failures.append(
-                f"seed {seed}: axiomatic SC disagrees with enumerator"
-            )
-        if sc_results_dpor(program) != reference:
-            outcome.failures.append(
-                f"seed {seed}: DPOR disagrees with enumerator"
-            )
+    if allowed_results(program, SCModel()) != sc_results(program):
+        outcome.failures.append(
+            f"seed {seed}: axiomatic SC disagrees with enumerator"
+        )
 
     for config_index, config in enumerate(_FUZZ_CONFIGS):
         if config.coherence == "snoop" and not config.caches:
@@ -155,12 +147,8 @@ def fuzz(
     seeds: Sequence[int],
     generator: Optional[GeneratorConfig] = None,
     hardware_seeds: Sequence[int] = range(3),
-    check_cross_enumerators: bool = True,
 ) -> FuzzReport:
     """Run the fuzz oracles over one random program per seed."""
     return merge_outcomes(
-        [
-            fuzz_one_seed(seed, generator, hardware_seeds, check_cross_enumerators)
-            for seed in seeds
-        ]
+        [fuzz_one_seed(seed, generator, hardware_seeds) for seed in seeds]
     )

@@ -306,11 +306,9 @@ class TestImports:
 
 
 #: Command lines that name every subcommand and every one of its flags
-#: (checked below), top-level ``--interpreted-engine`` and repeated
-#: ``--policy`` included.
+#: (checked below), repeated ``--policy`` included.
 PARSER_CORPUS = [
     ["catalog"],
-    ["--interpreted-engine", "catalog"],
     ["litmus"],
     ["litmus", "SB", "MP", "--policy", "adve_hill", "--topology", "bus",
      "--no-caches", "--seed", "3", "--seeds", "4", "--net-latency", "2",
@@ -318,7 +316,6 @@ PARSER_CORPUS = [
     ["drf0", "SB", "--sampled", "--seeds", "5", "--witness", "--stats",
      "--json", "--trace-out", "t.json", "--metrics-json", "m.json",
      "--status-json", "s.json"],
-    ["drf0", "MP", "--dpor", "--no-sleep-sets"],
     ["models"],
     ["models", "SB", "MP"],
     ["simulate", "TAS", "--trace", "--json", "--policy", "sc",
@@ -327,7 +324,6 @@ PARSER_CORPUS = [
      "--fault-seed", "3", "--watchdog", "1000", "--trace-out", "t.json",
      "--metrics-json", "m.json"],
     ["sweep"],
-    ["--interpreted-engine", "sweep", "SB", "--seeds", "2"],
     ["sweep", "MP+sync", "SB", "--policy", "sc", "--policy", "adve_hill",
      "--policy", "relaxed", "--topology", "bus", "--no-caches", "--seed", "2",
      "--seeds", "3", "--net-latency", "4", "--capacity", "16",
@@ -563,20 +559,29 @@ class TestDrf0Command:
         with pytest.raises(SystemExit):
             main(["drf0", "not-a-program"])
 
-    def test_dpor_cap_is_a_usage_error(self, tmp_path):
-        # --dpor is for bounded programs; MP+sync's spin loop hits the
-        # operation cap.  That is no verdict, so neither exit 1 (racy)
-        # nor a traceback; the status snapshot still records the failure.
-        status = tmp_path / "status.json"
-        proc = _run_cli(
-            "-m", "repro", "drf0", "MP+sync", "--dpor",
-            "--status-json", str(status),
+    def test_search_cap_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # A thread that counts forever never halts and never revisits a
+        # configuration, so the search hits its 400-operation cap.  That
+        # is no verdict, so neither exit 1 (racy) nor a traceback; the
+        # status snapshot still records the failure.
+        from repro import cli
+        from repro.machine.dsl import ThreadBuilder, build_program
+
+        counter = build_program(
+            [ThreadBuilder().label("l").add("r", "r", 1).store("x", "r")
+             .jump("l")],
+            initial_memory={"x": 0},
+            name="counter",
         )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
-        assert "spin loops" in proc.stderr
-        assert proc.stdout == ""
+        monkeypatch.setattr(cli, "_resolve_program", lambda name: counter)
+        status = tmp_path / "status.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["drf0", "counter", "--status-json", str(status)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "exceeded 400 operations" in captured.err
         snapshot = json.loads(status.read_text())
         assert snapshot["state"] == "failed"
         assert "ExplorationCapError" in snapshot["error"]

@@ -19,7 +19,6 @@ from repro.core.compile import (
     compiled_program,
     interpreted_engine,
     make_engine,
-    use_compiled,
 )
 from repro.core.engine_state import EngineState
 from repro.litmus.catalog import by_name
@@ -213,12 +212,14 @@ def test_interpreted_engine_restores_flag_on_exception():
 
 
 def test_use_compiled_toggle():
+    # The toggle nests: leaving an inner block keeps the outer one's
+    # interpreted engine; only the outermost exit turns compilation back on.
     program = by_name("SB").program
-    try:
-        use_compiled(False)
+    with interpreted_engine():
+        with interpreted_engine():
+            assert isinstance(make_engine(program), EngineState)
+        assert not compiled_enabled()
         assert isinstance(make_engine(program), EngineState)
-    finally:
-        use_compiled(True)
     assert isinstance(make_engine(program), CompiledEngine)
 
 

@@ -8,6 +8,7 @@ output is bit-for-bit what the undisturbed serial engine produces.
 
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -130,6 +131,26 @@ def _late_first_attempt_task(task, gen=0):
     if _in_worker():
         time.sleep(1.5 if index == 0 and gen == 0 else pause)
     return index * 3
+
+
+class TestWorkerProtocol:
+    def test_unknown_request_gets_an_error_reply(self):
+        # The worker loop runs in this process: it answers each queued
+        # request in order and returns at ("exit",).
+        from repro.verify.fleet import _worker_main
+
+        parent, child = multiprocessing.Pipe()
+        parent.send(("ping",))
+        parent.send(("exit",))
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            _worker_main(child, [], None)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert parent.recv() == ("err", None, "unknown request 'ping'")
+        assert not parent.poll()
+        parent.close()
+        child.close()
 
 
 @pool_available

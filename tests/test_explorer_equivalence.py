@@ -1,35 +1,27 @@
 """Differential tests: the in-place do/undo engine vs the frozen legacy
-snapshot explorers (:mod:`repro.core._legacy`).
+snapshot explorers (:mod:`repro.core._legacy`) and the axiomatic SC model.
 
-The E10 refactor replaced the copy-everything inner loops of the naive
-enumerator, the DPOR explorer, and the DRF0 checker with one shared
+The E10 refactor replaced the copy-everything inner loops of the
+enumerator, the membership search and the DRF0 checker with one shared
 engine.  These tests pin the refactor's contract: **bit-identical
 observable answers** -- SC result sets, DRF0 race verdicts, and
 ``complete`` flags -- across the full litmus catalog and hundreds of
-generated programs, with sleep sets both on and off, including the
-cap-hit paths under ``allow_incomplete``.
+generated programs, including the cap-hit paths under
+``allow_incomplete``.  Each SC result set is checked three ways: the
+engine, the legacy enumerator and the axiomatic SC model.
 """
 
 import pytest
 
+from repro.axiomatic import SCModel, allowed_results
 from repro.core._legacy import (
     legacy_check_program,
-    legacy_check_program_dpor,
     legacy_explore,
-    legacy_explore_dpor,
     legacy_is_sc_result,
 )
 from repro.core.compile import interpreted_engine, make_engine
 from repro.core.contract import is_sc_result
-from repro.core.dpor import (
-    _StackEntry,
-    check_program_dpor,
-    explore_dpor,
-    iter_dpor_executions,
-    sc_results_dpor,
-)
 from repro.core.drf0 import check_program
-from repro.core.engine_state import ExplorerStats
 from repro.core.sc import (
     ExplorationConfig,
     ExplorationIncomplete,
@@ -44,8 +36,6 @@ from repro.core.types import Condition
 
 CATALOG = all_tests()
 STRAIGHT_TESTS = [t for t in CATALOG if t.program.is_straight_line()]
-
-NO_SLEEP = ExplorationConfig(sleep_sets=False)
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +55,9 @@ def test_catalog_naive_matches_legacy(test):
 
 
 @pytest.mark.parametrize("test", STRAIGHT_TESTS, ids=lambda t: t.name)
-def test_catalog_dpor_matches_naive_both_sleep_modes(test):
-    """DPOR (sleep sets on and off) and legacy DPOR agree with naive."""
-    naive = sc_results(test.program)
-    assert sc_results_dpor(test.program) == naive
-    assert sc_results_dpor(test.program, NO_SLEEP) == naive
-    assert {e.result() for e in legacy_explore_dpor(test.program)} == naive
+def test_catalog_axiomatic_sc_matches_naive(test):
+    """The axiomatic SC model admits exactly the enumerator's results."""
+    assert allowed_results(test.program, SCModel()) == sc_results(test.program)
 
 
 @pytest.mark.parametrize("test", STRAIGHT_TESTS, ids=lambda t: t.name)
@@ -78,9 +65,6 @@ def test_catalog_drf0_verdicts_agree(test):
     """Every checker variant returns the catalog's recorded DRF0 verdict."""
     assert check_program(test.program).obeys == test.drf0
     assert legacy_check_program(test.program).obeys == test.drf0
-    assert check_program_dpor(test.program).obeys == test.drf0
-    assert check_program_dpor(test.program, config=NO_SLEEP).obeys == test.drf0
-    assert legacy_check_program_dpor(test.program).obeys == test.drf0
 
 
 @pytest.mark.parametrize("test", STRAIGHT_TESTS[:4], ids=lambda t: t.name)
@@ -99,9 +83,9 @@ def test_catalog_contract_membership_matches_legacy(test):
 def test_generated_programs_all_explorers_agree():
     """One sweep over 200 seeded random programs, every explorer variant.
 
-    Asserts, per program: equal SC result sets from the naive engine, the
-    legacy enumerator, and DPOR with sleep sets on and off; equal
-    ``complete`` flags; and equal DRF0 verdicts from all four checkers.
+    Asserts, per program: equal SC result sets from the engine, the
+    legacy enumerator and the axiomatic SC model; equal ``complete``
+    flags; and equal DRF0 verdicts from the engine and legacy checkers.
     """
     for seed in range(200):
         program = random_program(seed)
@@ -110,21 +94,13 @@ def test_generated_programs_all_explorers_agree():
         old = legacy_explore(program, cfg)
         assert new.results == old.results, f"seed {seed}: result sets differ"
         assert new.complete == old.complete, f"seed {seed}: complete differs"
-        naive = new.results
-        assert sc_results_dpor(program) == naive, f"seed {seed}: dpor+sleep"
-        assert sc_results_dpor(program, NO_SLEEP) == naive, (
-            f"seed {seed}: dpor-sleep"
+        assert allowed_results(program, SCModel()) == new.results, (
+            f"seed {seed}: axiomatic SC"
         )
-        assert {e.result() for e in legacy_explore_dpor(program)} == naive, (
-            f"seed {seed}: legacy dpor"
-        )
-        verdicts = {
-            check_program(program).obeys,
-            legacy_check_program(program).obeys,
-            check_program_dpor(program).obeys,
-            check_program_dpor(program, config=NO_SLEEP).obeys,
-        }
-        assert len(verdicts) == 1, f"seed {seed}: DRF0 verdicts disagree"
+        assert (
+            check_program(program).obeys
+            == legacy_check_program(program).obeys
+        ), f"seed {seed}: DRF0 verdicts disagree"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +143,7 @@ def test_catalog_compiled_engine_bit_identical(test):
 
 def test_generated_programs_compiled_engine_bit_identical():
     """200 seeded programs: compiled == interpreted, dedup on and off,
-    plus equal DPOR execution lists and DRF0 verdicts/witnesses."""
+    plus equal DRF0 verdicts/witnesses."""
     for seed in range(200):
         program = random_program(seed)
         for cfg in (
@@ -176,12 +152,9 @@ def test_generated_programs_compiled_engine_bit_identical():
         ):
             compiled, interpreted = _explore_both_engines(program, cfg)
             _assert_bit_identical(compiled, interpreted, f"seed {seed}")
-        dpor_compiled = explore_dpor(program)
         report_compiled = check_program(program)
         with interpreted_engine():
-            dpor_interpreted = explore_dpor(program)
             report_interpreted = check_program(program)
-        assert dpor_compiled == dpor_interpreted, f"seed {seed}: dpor traces"
         assert report_compiled.obeys == report_interpreted.obeys, f"seed {seed}"
         assert report_compiled.race == report_interpreted.race, f"seed {seed}"
         assert report_compiled.witness == report_interpreted.witness, (
@@ -203,20 +176,6 @@ def test_compiled_engine_cap_hits_bit_identical():
     ):
         compiled, interpreted = _explore_both_engines(program, cfg)
         _assert_bit_identical(compiled, interpreted, repr(cfg))
-
-
-def test_compiled_engine_sleep_sets_off_bit_identical():
-    """DPOR with sleep sets disabled matches across engines, cuts included."""
-    program = iriw().program
-    stats_c = ExplorerStats()
-    execs_c = explore_dpor(program, NO_SLEEP, stats=stats_c)
-    with interpreted_engine():
-        stats_i = ExplorerStats()
-        execs_i = explore_dpor(program, NO_SLEEP, stats=stats_i)
-    assert execs_c == execs_i
-    assert stats_c.states == stats_i.states
-    assert stats_c.sleep_cuts == stats_i.sleep_cuts
-    assert stats_c.transitions == stats_i.transitions
 
 
 def test_compiled_engine_spin_loop_cycle_pruning_identical():
@@ -325,31 +284,6 @@ def test_max_ops_cap_raises_without_allow_incomplete():
         legacy_explore(program, cfg)
 
 
-def test_dpor_cap_paths():
-    """DPOR honours the caps the same way in both sleep modes."""
-    spin = build_program(
-        [
-            ThreadBuilder().label("s").test_and_set("r", "l").branch_if(
-                Condition.NE, "r", 0, "s"
-            ),
-            ThreadBuilder().test_and_set("r2", "l"),
-        ],
-        initial_memory={"l": 1},
-        name="spinner",
-    )
-    for cfg in (
-        ExplorationConfig(max_ops=50),
-        ExplorationConfig(max_ops=50, sleep_sets=False),
-    ):
-        with pytest.raises(ExplorationIncomplete):
-            explore_dpor(spin, cfg)
-    partial = explore_dpor(
-        by_name("SB").program,
-        ExplorationConfig(max_ops=1, allow_incomplete=True),
-    )
-    assert partial == []
-
-
 # ---------------------------------------------------------------------------
 # Satellite regressions
 # ---------------------------------------------------------------------------
@@ -374,38 +308,3 @@ def test_states_counted_without_dedup():
     assert exploration.stats.states == exploration.states_visited
     assert exploration.stats.transitions > 0
     assert exploration.stats.max_depth == 4  # SB: 2 threads x 2 ops
-
-
-def test_dpor_stack_entries_carry_no_snapshots():
-    """The undo-log engine made per-node state copies dead; keep them gone."""
-    import dataclasses
-
-    fields = {f.name for f in dataclasses.fields(_StackEntry)}
-    assert "threads" not in fields
-    assert "memory" not in fields
-    assert fields == {"proc", "op", "backtrack", "done"}
-
-
-def test_sleep_sets_prune_and_report_cuts():
-    """Sleep sets cut real branches on IRIW and the stats record it."""
-    program = iriw().program
-    with_sleep = ExplorerStats()
-    without = ExplorerStats()
-    on = explore_dpor(program, stats=with_sleep)
-    off = explore_dpor(program, NO_SLEEP, stats=without)
-    assert {e.result() for e in on} == {e.result() for e in off}
-    assert with_sleep.sleep_cuts > 0
-    assert with_sleep.transitions <= without.transitions
-
-
-def test_streaming_consumption_stops_early():
-    """Abandoning the DPOR generator leaves valid stats (no exhaustion)."""
-    stats = ExplorerStats()
-    gen = iter_dpor_executions(iriw().program, stats=stats)
-    first = next(gen)
-    gen.close()
-    assert first.final_memory is not None
-    assert stats.transitions > 0
-    full = ExplorerStats()
-    list(iter_dpor_executions(iriw().program, stats=full))
-    assert stats.transitions < full.transitions

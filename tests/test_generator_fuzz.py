@@ -55,10 +55,6 @@ class TestFuzzHarness:
         assert report.programs_run == 8
         assert report.hardware_runs > 0
 
-    def test_cross_enumerators_can_be_skipped(self):
-        report = fuzz(range(3), check_cross_enumerators=False)
-        assert report.ok
-
     def test_cli_fuzz_command(self, capsys):
         assert main(["fuzz", "--programs", "4"]) == 0
         out = capsys.readouterr().out
@@ -88,7 +84,7 @@ class TestFuzzHarness:
             judged.append(result)
             return True
 
-        outcome = fuzz_one_seed(7, check_cross_enumerators=False, judge=judge)
+        outcome = fuzz_one_seed(7, judge=judge)
         assert outcome.hardware_runs == 29 and not outcome.failures
         assert len(judged) == 15
         assert len(simulations) == 25

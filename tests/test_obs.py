@@ -325,23 +325,6 @@ class TestExplorerTracing:
         ]
         assert len(executions) == ex.stats.executions
 
-    def test_dpor_emits_backtracks_and_sleep_cuts(self):
-        from repro.core.dpor import iter_dpor_executions
-        from repro.core.engine_state import ExplorerStats
-
-        test = next(t for t in all_tests() if t.name == "SB")
-        tracer = RecordingTracer()
-        stats = ExplorerStats()
-        list(
-            iter_dpor_executions(
-                test.program, ExplorationConfig(tracer=tracer), stats
-            )
-        )
-        kinds = [f"{e.cat}:{e.name}" for e in tracer.events]
-        assert "dpor:backtrack-insert" in kinds
-        cuts = kinds.count("dpor:sleep-cut")
-        assert cuts <= stats.sleep_cuts
-
     def test_drf0_checker_flows_tracer(self):
         test = next(t for t in all_tests() if t.name == "SB")
         tracer = RecordingTracer()

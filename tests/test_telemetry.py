@@ -477,6 +477,18 @@ class TestMonitoredSweep:
         assert final["stream"]["dropped_lines"] == 0
 
     @pool_available
+    def test_worker_rows_sum_to_totals(self, tmp_path):
+        # Every task's closing beat is sent, however soon after the
+        # last one, so the worker table ends on all the work each
+        # worker did: its rows add up to the deduped totals.
+        _evidence, _snapshots, final = _monitored_sweep(tmp_path, jobs=2)
+        for key in ("runs", "judges", "states", "drf0"):
+            assert final["totals"][key] > 0
+            assert sum(
+                row["counters"].get(key, 0) for row in final["workers"]
+            ) == final["totals"][key], key
+
+    @pool_available
     def test_pooled_stall_diagnosis_reaches_snapshot(
         self, tmp_path, reference_evidence
     ):
@@ -652,7 +664,7 @@ class TestStatusCLI:
         path = str(tmp_path / "drf0.json")
         # SB is racy (exit 1 from the verdict), but the *campaign*
         # completed, so the snapshot lands in "done" with a converged ETA.
-        code = cli.main(["drf0", "SB", "--dpor", "--status-json", path])
+        code = cli.main(["drf0", "SB", "--status-json", path])
         assert code == 1
         snap = json.load(open(path))
         assert validate_status(snap) == []
