@@ -10,7 +10,7 @@ benchmark prices the three claims:
   submit-to-result wall clock against the same sweep as an in-process
   batch call with the same parallelism.  Gated at <= 10% (with an
   absolute noise floor: the daemon adds HTTP hops, a fleet context
-  broadcast, and journal/store persistence the batch run skips);
+  broadcast, and the store persistence the batch run skips);
 * **warm repeat latency** -- resubmit the identical spec: the daemon
   answers from the shared content-addressed verdict store.  Gated to be
   no slower than the cold run; the warm/cold ratio is the service's

@@ -34,7 +34,6 @@ from repro.axiomatic.events import (
     Event,
     EventLayout,
     FenceMarker,
-    InitWrite,
     ReadRef,
     extract_layout,
 )

@@ -19,7 +19,7 @@ has no fence treatment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.types import Location, OpKind, Value
@@ -27,13 +27,11 @@ from repro.machine.isa import (
     Add,
     Div,
     Fence,
-    Load,
     MemoryInstruction,
     Mov,
     Mul,
     Store,
     Sub,
-    SyncLoad,
     SyncStore,
     TestAndSet,
     Unset,

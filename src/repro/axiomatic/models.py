@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.axiomatic.candidates import Candidate
-from repro.axiomatic.events import Event, EventLayout, FenceMarker
+from repro.axiomatic.events import Event, EventLayout
 from repro.machine.program import Program
 
 

@@ -27,8 +27,9 @@ Commands:
 * ``serve DIR`` -- the fault-tolerant campaign daemon: accepts
   verification campaigns over a local HTTP/JSON protocol, shards them
   across a supervised worker fleet (leases, retries with backoff,
-  circuit-breaker serial degradation), checkpoints through the journal,
-  and resumes mid-flight campaigns after a restart (``docs/service.md``);
+  circuit-breaker serial degradation), files every unit in its shared
+  verdict store, and resumes mid-flight campaigns from it after a
+  restart (``docs/service.md``);
 * ``submit [NAME ...]`` -- send a campaign to a running daemon and print
   the same evidence table ``sweep`` prints (daemon answers repeat
   submissions from its shared verdict store);
@@ -42,12 +43,12 @@ Commands:
 Persistence: ``sweep``, ``fuzz``, and ``chaos`` accept ``--cache-dir DIR``
 -- a content-addressed verdict store shared across runs and processes;
 warm runs skip already-judged verdicts and already-simulated hardware
-runs while producing byte-identical output (see ``docs/caching.md``).
+runs while producing byte-identical output, so a killed sweep re-run
+against the same directory resumes (see ``docs/caching.md``).
 
 Fault injection: ``simulate`` and ``sweep`` accept ``--faults PLAN``
 (see ``repro chaos`` for the plan names), ``--fault-seed N``, and
-``--watchdog CYCLES``.  ``sweep`` also accepts ``--journal FILE`` /
-``--resume`` (checkpointed, crash-tolerant sweeps) and ``--task-timeout``.
+``--watchdog CYCLES``.  ``sweep`` also accepts ``--task-timeout``.
 Usage errors (bad flag combinations) exit with status 2; liveness
 failures print a per-processor diagnosis and exit 1 instead of hanging.
 
@@ -473,14 +474,11 @@ def _print_evidence_table(rows) -> None:
 def cmd_sweep(args) -> int:
     from repro.sim.system import LivenessError
     from repro.verify.engine import VerificationEngine
-    from repro.verify.journal import JournalError
 
     if args.jobs < 0:
         raise _usage_error(
             f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
         )
-    if args.resume and not args.journal:
-        raise _usage_error("--resume requires --journal FILE")
     names = args.names or DEFAULT_SWEEP_PROGRAMS
     programs = [_resolve_program(name) for name in names]
     policy_names = args.policy or [
@@ -508,13 +506,7 @@ def cmd_sweep(args) -> int:
             drf0_seeds=range(args.drf0_seeds),
             exhaustive_drf0=args.exhaustive_drf0,
             check_51_conditions=args.check_51,
-            journal_path=args.journal,
-            resume=args.resume,
         )
-    except JournalError as exc:
-        if monitor is not None:
-            monitor.fail(str(exc))
-        raise _usage_error(str(exc))
     except LivenessError as exc:
         if monitor is not None:
             monitor.fail(exc.diagnosis())
@@ -526,13 +518,6 @@ def cmd_sweep(args) -> int:
         if monitor is not None:
             monitor.fail(f"{type(exc).__name__}: {exc}")
         raise
-    reused = engine.resilience.get("journal_units_reused")
-    if reused:
-        print(
-            f"resumed from {args.journal}: {reused} journaled work units "
-            "reused",
-            file=sys.stderr,
-        )
     if engine.store is not None:
         stats = engine.store.stats
         print(
@@ -814,16 +799,11 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="abandon and resubmit a pooled task stuck longer "
                             "than this (hung-worker recovery)")
-        p.add_argument("--journal", metavar="FILE", default=None,
-                       help="append every completed work unit to a checkpoint "
-                            "journal as the sweep runs")
         p.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="persistent verdict store: warm-start from DIR and "
                             "flush new verdicts/run summaries back (identical "
-                            "output, large speedup on repeat runs)")
-        p.add_argument("--resume", action="store_true",
-                       help="load the --journal file and recompute only the "
-                            "work units it is missing")
+                            "output, large speedup on repeat runs; a killed "
+                            "sweep re-run on DIR resumes)")
         add_fault_args(p)
         add_obs_args(p)
         add_status_arg(p)
@@ -949,7 +929,7 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
     def serve(p):
         p.add_argument("state_dir", metavar="DIR",
                        help="daemon state directory: verdict store, campaign "
-                            "specs, journals, status snapshots, endpoint.json")
+                            "specs, status snapshots, endpoint.json")
         p.add_argument("--host", default="127.0.0.1")
         p.add_argument("--port", type=int, default=0,
                        help="bind port (default 0 = ephemeral; clients read "
@@ -970,9 +950,6 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--retry-backoff", type=float, default=0.05,
                        metavar="SECONDS",
                        help="base delay of the retry backoff schedule")
-        p.add_argument("--keep-journals", type=int, default=3,
-                       help="terminal campaigns whose checkpoint journals "
-                            "survive the retention GC (default: 3)")
 
     @sub.command(
         "submit", cmd_submit,
@@ -1017,7 +994,7 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                        help="machine-readable listing")
         p.add_argument("--shutdown", action="store_true",
                        help="ask the daemon to drain and exit (the running "
-                            "campaign checkpoints and resumes on restart)")
+                            "campaign resumes from the store on restart)")
 
     @sub.command(
         "status", cmd_status,
@@ -1177,7 +1154,6 @@ def cmd_serve(args) -> int:
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
-        keep_journals=args.keep_journals,
     )
     print(
         f"repro serve: state dir {daemon.state_dir} "
@@ -1228,7 +1204,7 @@ def cmd_submit(args) -> int:
         return 1
     if result.get("resumed"):
         print(
-            f"campaign {cid} resumed from its checkpoint journal",
+            f"campaign {cid} resumed from the shared store",
             file=sys.stderr,
         )
     _print_evidence_table(result["rows"])

@@ -65,13 +65,11 @@ from repro.machine.isa import (
     Fence,
     Halt,
     Jump,
-    Load,
     MemoryInstruction,
     Mov,
     Mul,
     Store,
     Sub,
-    SyncLoad,
     SyncStore,
     TestAndSet,
     Unset,

@@ -40,7 +40,7 @@ from repro.core.compile import make_engine
 from repro.core.engine_state import ExplorerStats
 from repro.core.execution import Execution
 from repro.core.models import DRF0_MODEL, SynchronizationModel
-from repro.core.ops import Operation, conflicts
+from repro.core.ops import Operation
 from repro.core.relations import happens_before
 from repro.core.sc import (
     ExplorationCapError,

@@ -11,7 +11,7 @@ the result of some execution of the idealized architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.ops import Operation
 from repro.core.types import Location, ProcId, Value

@@ -54,14 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import FrozenSet, List, Optional, Set
 
 from repro.core.compile import make_engine
-from repro.core.engine_state import (
-    EngineState,
-    ExplorerStats,
-    _Thread,
-    _advance,
-    _initial_threads,
-    execute_atomically,
-)
+from repro.core.engine_state import ExplorerStats
 from repro.core.execution import Execution, Result
 from repro.machine.program import Program
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.types import OpKind
 from repro.hw.base import BlockLevel, GateCondition, MemoryPolicy
 from repro.sim.access import AccessRecord
 

@@ -11,7 +11,7 @@ hardware implementations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List
 
 from repro.core.execution import Result
 from repro.core.types import Condition

@@ -17,8 +17,6 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.core.execution import Execution, final_memory_from_dict
 from repro.core.ops import Operation
 from repro.core.types import Condition, OpKind

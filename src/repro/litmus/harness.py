@@ -21,7 +21,6 @@ from repro.core.contract import appears_sc
 from repro.core.drf0 import check_program
 from repro.core.execution import Result
 from repro.core.sc import ExplorationConfig, sc_results
-from repro.hw.base import MemoryPolicy
 from repro.litmus.catalog import LitmusTest
 from repro.sim.system import SystemConfig, run_seed_sweep
 

@@ -14,12 +14,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from repro.core.types import INITIAL_VALUE, Location, Value
 from repro.machine.isa import (
     BranchIf,
-    Halt,
     Instruction,
     Jump,
-    Load,
     MemoryInstruction,
-    Store,
     SyncLoad,
     SyncStore,
     TestAndSet,

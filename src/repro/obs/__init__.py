@@ -18,7 +18,7 @@ Plus the live-campaign plane:
   that writes the atomically-replaced ``--status-json`` snapshot the
   ``status``/``top`` CLI renders;
 * :mod:`repro.obs.lines`    -- the checksummed JSONL line codec of the
-  verdict store and the checkpoint journal.
+  verdict store.
 """
 
 from repro import _lazy_exports

@@ -1,9 +1,9 @@
-"""Checksummed JSONL lines: the one line codec of every append-only log.
+"""Checksummed JSONL lines: the line codec of the verdict store.
 
-The verdict store's segments and the checkpoint journal both write one
-JSON record per line and protect each line with a checksum, so a reader
-can tell a torn or damaged line from a good one.  This module is that
-codec.
+The verdict store's segments (:mod:`repro.verify.store`) write one JSON
+record per line and protect each line with a checksum, so a reader can
+tell a torn or damaged line from a good one.  This module is that codec;
+it keeps the line format out of the store's record logic.
 
 A line is ``json.dumps(record, sort_keys=True)`` of the record plus a
 ``"c"`` field: the first 16 hex digits of the SHA-256 of the record

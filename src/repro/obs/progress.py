@@ -330,7 +330,7 @@ class ProgressEngine:
 
     def prefill(self, index: int, units: int) -> None:
         """Mark ``units`` of a cell complete *before* the run starts
-        (journal resume, warm store hits).  Prefilled work counts toward
+        (units found in the verdict store).  Prefilled work counts toward
         completion but not toward the throughput the ETA divides by."""
         cell = self.cells[index]
         grant = min(units, cell.units - cell.done)

@@ -55,8 +55,7 @@ def now_us() -> int:
     """The one obs wall-time clock: monotonic microseconds.
 
     Every obs *wall-clock* timestamp -- engine dispatch spans, worker
-    heartbeat records, status-snapshot fields, checkpoint journal
-    stamps -- reads this clock, so they are mutually comparable
+    heartbeat records, status-snapshot fields -- reads this clock, so they are mutually comparable
     within a run and across the run's forked worker processes (POSIX
     ``CLOCK_MONOTONIC`` is system-wide, unlike ``perf_counter`` whose
     epoch is unspecified per-process on some platforms).  The per-domain

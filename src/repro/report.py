@@ -17,10 +17,9 @@ Legend for timeline bars::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.types import OpKind
-from repro.sim.access import AccessRecord
 from repro.sim.system import MachineRun
 
 _KIND_TAG = {

@@ -18,14 +18,13 @@ Layers (each its own module):
 
 * :mod:`repro.service.campaigns`  -- the campaign spec: a JSON document
   naming a program corpus, a policy grid, a config, and seed ranges;
-  content-signed so journals and results are bound to their inputs;
+  content-signed so campaign ids and results are bound to their inputs;
 * :mod:`repro.service.protocol`   -- a minimal asyncio HTTP/1.1 server
   (no dependencies, no frameworks);
 * :mod:`repro.service.daemon`     -- the daemon: campaign queue with
   backpressure (429 + Retry-After), sequential execution through
   :class:`~repro.verify.engine.VerificationEngine` on the fleet,
-  SIGTERM drain, journal-based restart resume, and retention GC
-  between campaigns;
+  SIGTERM drain, and restart resume from the shared verdict store;
 * :mod:`repro.service.client`     -- the stdlib client the ``submit`` /
   ``campaigns`` CLI subcommands and the tests drive.
 
@@ -35,7 +34,7 @@ the daemon nor ``asyncio``, the engine or ``multiprocessing``.
 
 The determinism story: the daemon never re-implements the sweep.  The
 engine runs in the daemon process with ``fleet=`` pointing at the
-daemon's fleet, so folds, journaling, store flushes, and monitor ticks
+daemon's fleet, so folds, store flushes, and monitor ticks
 are the engine's own -- a campaign's evidence table is bit-identical to
 ``repro sweep``'s no matter how many workers were killed on the way.
 """

@@ -10,10 +10,10 @@ fleet worker (which was spawned before the campaign existed and cannot
 inherit anything by fork).
 
 Content signature: :meth:`CampaignSpec.signature` hashes the canonical
-JSON form.  The daemon embeds it in campaign ids and the checkpoint
-journal is keyed by the engine's own sweep signature derived from the
-resolved inputs -- so a restarted daemon can only ever resume a journal
-that matches the spec it was written for.
+JSON form.  The daemon embeds it in campaign ids and results.  A
+restarted daemon resumes a campaign from the shared verdict store,
+whose keys are the units' content, so it can only ever reuse records
+that match the spec's own inputs.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The campaign daemon: queueing, execution, drain, resume, retention.
+"""The campaign daemon: queueing, execution, drain, resume.
 
 One asyncio loop serves the HTTP protocol; campaigns execute
 sequentially in a worker thread, each as a full
@@ -12,21 +12,17 @@ semantics around that engine call:
 * **graceful drain** -- SIGTERM/SIGINT (or ``POST /shutdown``) stops
   intake, interrupts the running campaign between leases
   (:class:`~repro.verify.supervisor.DrainRequested`), and exits; every
-  completed unit is already in the campaign's checkpoint journal;
+  completed unit is already in the shared verdict store;
 * **restart resume** -- on startup, campaign specs without a terminal
-  result are re-enqueued and their journals resumed (the engine's
-  signature check guarantees a journal only ever splices into the spec
-  it was written for), so a SIGKILLed daemon restarted on the same
+  result are re-enqueued, so a SIGKILLed daemon restarted on the same
   state directory finishes mid-flight campaigns with bit-identical
-  evidence;
+  evidence, recomputing only the units the store lacks (the store keys
+  every unit by its content, so no other spec's record can splice in);
+  a requeued campaign whose status snapshot exists had started, and
+  its result says ``resumed``;
 * **repeat queries** -- all campaigns share one content-addressed
   :class:`~repro.verify.store.VerdictStore`, so resubmitting a spec
-  answers almost entirely from disk;
-* **retention GC** -- after each terminal campaign, journals beyond the
-  newest ``keep_journals`` terminal campaigns are deleted
-  (:func:`repro.verify.journal.journal_files` -- base + continuation
-  segments), so daemon state stays bounded across thousands of
-  campaigns.
+  answers almost entirely from disk.
 
 Each campaign's :class:`~repro.obs.progress.CampaignMonitor` hears the
 fleet workers through the lease loop: their beats ride the fleet's
@@ -41,7 +37,6 @@ State directory layout::
     campaigns/<id>.json        submitted spec (the resume source)
     campaigns/<id>.status.json live repro-status/1 snapshot
     campaigns/<id>.events.jsonl  snapshot history (the events feed)
-    campaigns/<id>.journal[.seg-N]  checkpoint journal
     campaigns/<id>.result.json terminal result (evidence + metrics)
 """
 
@@ -67,7 +62,6 @@ from repro.service.client import MAX_WAIT_S
 from repro.service.protocol import Request, Response, json_response
 from repro.verify.engine import VerificationEngine
 from repro.verify.fleet import Fleet
-from repro.verify.journal import journal_files
 from repro.verify.store import VerdictStore
 from repro.verify.supervisor import DrainRequested
 
@@ -80,7 +74,7 @@ FAILED = "failed"
 
 
 class _CampaignRecord:
-    __slots__ = ("id", "spec", "state", "error", "submitted_us")
+    __slots__ = ("id", "spec", "state", "error", "submitted_us", "resumed")
 
     def __init__(self, cid: str, spec: CampaignSpec, submitted_us: int) -> None:
         self.id = cid
@@ -88,6 +82,9 @@ class _CampaignRecord:
         self.state = QUEUED
         self.error: Optional[str] = None
         self.submitted_us = submitted_us
+        #: Requeued at startup after it had started (its status snapshot
+        #: exists): its units so far are in the store.
+        self.resumed = False
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -111,7 +108,6 @@ class CampaignDaemon:
         task_timeout: Optional[float] = 60.0,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        keep_journals: int = 3,
     ) -> None:
         self.state_dir = os.path.abspath(state_dir)
         self.campaigns_dir = os.path.join(self.state_dir, "campaigns")
@@ -119,7 +115,6 @@ class CampaignDaemon:
         self.port = int(port)
         self.workers = max(1, int(workers))
         self.queue_limit = max(1, int(queue_limit))
-        self.keep_journals = max(0, int(keep_journals))
         self.task_timeout = task_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -158,9 +153,6 @@ class CampaignDaemon:
     def _events_path(self, cid: str) -> str:
         return os.path.join(self.campaigns_dir, f"{cid}.events.jsonl")
 
-    def _journal_path(self, cid: str) -> str:
-        return os.path.join(self.campaigns_dir, f"{cid}.journal")
-
     def _result_path(self, cid: str) -> str:
         return os.path.join(self.campaigns_dir, f"{cid}.result.json")
 
@@ -171,8 +163,9 @@ class CampaignDaemon:
 
         A spec with a terminal result is recorded as finished; a spec
         without one -- the daemon died or drained mid-flight -- is
-        re-enqueued, and its surviving journal makes the re-run a
-        resume.
+        re-enqueued, and the re-run resumes from the shared store.  One
+        whose status snapshot exists had reached its plan (the monitor
+        writes the first snapshot there), so it is marked resumed.
         """
         os.makedirs(self.campaigns_dir, exist_ok=True)
         entries = []
@@ -184,12 +177,11 @@ class CampaignDaemon:
                 with open(path, "r", encoding="utf-8") as handle:
                     payload = json.load(handle)
                 spec = CampaignSpec.from_dict(payload["spec"])
-            except (OSError, ValueError, KeyError, CampaignError):
+                cid = str(payload.get("id", name[:-5]))
+                submitted_us = int(payload.get("submitted_us", 0))
+            except (OSError, ValueError, KeyError, TypeError, CampaignError):
                 continue  # unreadable spec: skip, never crash startup
-            cid = payload.get("id", name[:-5])
-            entries.append(
-                (int(payload.get("submitted_us", 0)), cid, spec)
-            )
+            entries.append((submitted_us, cid, spec))
         entries.sort()
         for submitted_us, cid, spec in entries:
             record = _CampaignRecord(cid, spec, submitted_us)
@@ -199,12 +191,13 @@ class CampaignDaemon:
                         self._result_path(cid), "r", encoding="utf-8"
                     ) as handle:
                         result = json.load(handle)
-                    record.state = FAILED if "error" in result else DONE
                     record.error = result.get("error")
-                except (OSError, ValueError):
+                    record.state = FAILED if "error" in result else DONE
+                except (OSError, ValueError, AttributeError):
                     record.state = QUEUED  # torn result: re-run
             if record.state == QUEUED:
                 self._bump("campaigns_requeued_on_start")
+                record.resumed = os.path.exists(self._status_path(cid))
             self.records[cid] = record
             self.order.append(cid)
             # ids are "c<counter>-<sig>"; keep the counter monotone.
@@ -243,9 +236,7 @@ class CampaignDaemon:
             programs, factories, config, _failpoints = spec.resolve()
             self.fleet.ensure()
             self.fleet.set_context(spec.to_dict())
-            journal_path = self._journal_path(cid)
-            resume = bool(journal_files(journal_path))
-            if resume:
+            if record.resumed:
                 self._bump("campaigns_resumed")
             engine = VerificationEngine(
                 jobs=self.workers,
@@ -264,8 +255,6 @@ class CampaignDaemon:
                 drf0_seeds=range(spec.drf0_seeds),
                 exhaustive_drf0=spec.exhaustive_drf0,
                 check_51_conditions=spec.check_51,
-                journal_path=journal_path,
-                resume=resume,
             )
             holds = evidence.contract_holds
             metrics = engine.metrics_snapshot().as_dict()
@@ -274,7 +263,7 @@ class CampaignDaemon:
                 "signature": spec.signature(),
                 "contract_holds": holds,
                 "rows": evidence.rows,
-                "resumed": resume,
+                "resumed": record.resumed,
                 "metrics": metrics,
                 "service": dict(self.counters),
                 "finished_us": now_us(),
@@ -288,11 +277,11 @@ class CampaignDaemon:
             record.state = DONE
             self._bump("campaigns_completed")
         except DrainRequested:
-            # Checkpointed mid-flight: everything completed is in the
-            # journal; the restart scan re-enqueues and resumes.
+            # Stopped mid-flight: everything completed is in the store;
+            # the restart scan re-enqueues and the re-run resumes.
             record.state = QUEUED
             monitor.fail(
-                "drain: campaign checkpointed, resumes on daemon restart"
+                "drain: campaign stopped, resumes on daemon restart"
             )
             self._bump("campaigns_drained")
         except Exception as exc:  # a campaign must never kill the daemon
@@ -311,30 +300,6 @@ class CampaignDaemon:
             self._bump("campaigns_failed")
         finally:
             monitor.close()
-            self._retention_gc()
-
-    def _retention_gc(self) -> None:
-        """Bound daemon state: prune old journals."""
-        terminal = [
-            cid
-            for cid in self.order
-            if self.records[cid].state in (DONE, FAILED)
-            and os.path.exists(self._result_path(cid))
-        ]
-        if self.keep_journals:
-            doomed = terminal[: -self.keep_journals]
-        else:
-            doomed = terminal
-        pruned = 0
-        for cid in doomed:
-            for path in journal_files(self._journal_path(cid)):
-                try:
-                    os.unlink(path)
-                    pruned += 1
-                except OSError:
-                    pass
-        if pruned:
-            self._bump("journal_files_pruned", pruned)
 
     # -- HTTP surface ----------------------------------------------------
 

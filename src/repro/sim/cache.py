@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.core.types import Location, Value

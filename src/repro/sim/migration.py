@@ -23,9 +23,8 @@ original index); only the hardware resources change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.core.execution import Result
 from repro.machine.program import Program
 from repro.sim.access import AccessRecord
 from repro.sim.processor import Processor

@@ -37,7 +37,7 @@ from typing import Deque, Dict, List, Optional
 from repro.core.types import Location, OpKind, Value
 from repro.sim.access import AccessRecord
 from repro.sim.cache import CacheLine, LineState
-from repro.sim.events import SimulationError, Simulator
+from repro.sim.events import Simulator
 
 
 @dataclass

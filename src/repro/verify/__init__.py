@@ -14,9 +14,6 @@ _EXPORTS = {
         "Failpoint", "InjectedTaskError", "RunSummary", "VerificationEngine",
     ),
     "fuzz": ("FuzzReport", "SeedOutcome", "fuzz", "fuzz_one_seed"),
-    "journal": (
-        "CheckpointJournal", "JournalError", "JournalState", "sweep_signature",
-    ),
     "store": (
         "AuditReport", "SEMANTICS_VERSION", "StoreStats", "VerdictStore",
     ),

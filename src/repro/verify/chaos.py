@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sim.faults import (
     DELIVERY_PRESERVING_PLANS,
     DELIVERY_VIOLATING_PLANS,
-    FaultPlan,
 )
 from repro.sim.system import LivenessError, SystemConfig, run_on_hardware
 from repro.verify.cache import DRF0VerdictCache, SCVerdictCache
@@ -418,7 +417,7 @@ def service_kill_chaos(
     worker mid-task, exactly once, token-claimed across the fleet), and
     -- with ``daemon_restart`` -- the daemon process is SIGKILLed the
     moment the first worker dies, then restarted on the same state
-    directory to resume the campaign from its checkpoint journal.
+    directory to resume the campaign from the daemon's verdict store.
 
     The invariance obligation is the same as every other chaos axis:
     the final evidence rows must be byte-identical (as canonical JSON)

@@ -76,9 +76,6 @@ value):
 * **clean interrupt** -- workers ignore SIGINT (the parent owns the
   Ctrl-C); on any exception the call's fleet is killed and joined before
   the exception propagates, so no forked children are orphaned;
-* **checkpoint journal** -- ``definition2_sweep`` can log every completed
-  work unit to a :class:`~repro.verify.journal.CheckpointJournal` and
-  resume after a kill, recomputing only unjournaled units;
 * **cache quarantine** -- verdict-cache entries that fail their integrity
   checksum are evicted and recomputed instead of aborting the sweep.
 
@@ -134,14 +131,13 @@ from repro.verify.cache import (
     program_fingerprint,
 )
 from repro.verify.conditions import check_conditions
-from repro.verify.journal import (
-    CheckpointJournal,
-    JournalError,
+from repro.verify.store import (
+    VerdictStore,
+    cell_key,
     decode_result,
     encode_result,
-    sweep_signature,
+    run_key,
 )
-from repro.verify.store import VerdictStore, cell_key, run_key
 from repro.verify.sweeps import (
     Definition2Evidence,
     SweepReport,
@@ -216,7 +212,7 @@ class RunSummary:
 
 
 def _encode_summary(summary: RunSummary) -> dict:
-    """JSON-safe form of a RunSummary for the checkpoint journal."""
+    """JSON-safe form of a RunSummary for the verdict store."""
     return {
         "seed": summary.seed,
         "policy": summary.policy_name,
@@ -611,7 +607,7 @@ class _Session:
         """Evaluate tasks, returning values in task order.
 
         ``on_result(index, task, value)`` fires once per task as its value
-        lands (checkpoint journaling hook); completion order is arbitrary
+        lands (the store's flush hook); completion order is arbitrary
         on a fleet, but the returned list is always in task order.
         """
         if not tasks:
@@ -749,7 +745,7 @@ class VerificationEngine:
         self.metrics = metrics
         self.monitor = monitor
         #: The daemon's fleet, or None (a batch engine forks a fleet per
-        #: call).  Either way the same fold/journal/store path runs above
+        #: call).  Either way the same fold/store path runs above
         #: the same lease loop.
         self.fleet = fleet
         #: Whether *this* engine owns the monitor's campaign plan (the
@@ -1039,22 +1035,21 @@ class VerificationEngine:
         context: _TaskContext,
         seeds: Sequence[int],
         labels: Sequence[str],
-        journal: Optional[CheckpointJournal] = None,
-        journaled_runs: Optional[Dict[Tuple[int, int], RunSummary]] = None,
     ) -> List[List[RunSummary]]:
         """The cell pipeline of both sweeps; returns each cell's run
         summaries in seed order.
 
         Registers the plan with the monitor (one row per cell, named by
-        ``labels``), fills positions from ``journaled_runs`` and the
-        store, runs every position still missing together with the DRF0
-        verdict of each of ``context.programs`` the cache lacks (none for
-        a contract sweep), then judges every distinct result the SC cache
-        lacks, once, and files the verdicts in :attr:`sc_cache`.  Every
-        unit -- run, DRF0 verdict, judgment -- is filed, journaled and
-        flushed to the store in its map's ``on_result``, as it lands
-        (crash tolerance: a unit computed is a unit persisted); each
-        map's observed cost is recorded against the cells once it ends.
+        ``labels``), fills positions from the store, runs every position
+        still missing together with the DRF0 verdict of each of
+        ``context.programs`` the cache lacks (none for a contract sweep),
+        then judges every distinct result the SC cache lacks, once, and
+        files the verdicts in :attr:`sc_cache`.  Every unit -- run, DRF0
+        verdict, judgment -- is filed and flushed to the store in its
+        map's ``on_result``, as it lands (crash tolerance: a unit
+        computed is a unit persisted, so a re-run against the same store
+        resumes); each map's observed cost is recorded against the cells
+        once it ends.
         """
         cells = context.cells
         programs = context.programs
@@ -1085,8 +1080,6 @@ class VerificationEngine:
             per_cell: List[List[Optional[RunSummary]]] = [
                 [None] * len(seeds) for _ in cells
             ]
-            for (cell_index, pos), summary in (journaled_runs or {}).items():
-                per_cell[cell_index][pos] = summary
             run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
             if self._owns_plan:
                 for cell_index, summaries in enumerate(per_cell):
@@ -1109,8 +1102,6 @@ class VerificationEngine:
                     self.drf0_cache.store(
                         program, exhaustive, drf0_seeds, verdict
                     )
-                    if journal is not None:
-                        journal.record_drf0(task[1], verdict)
                     if self.store is not None:
                         self.store.record_drf0(
                             program_fingerprint(program),
@@ -1122,14 +1113,10 @@ class VerificationEngine:
                 cell_index, chunk = positions[index - len(drf0_tasks)]
                 for pos, summary in zip(chunk, value):
                     per_cell[cell_index][pos] = summary
-                    if journal is None and self.store is None:
-                        continue
-                    encoded = _encode_summary(summary)
-                    if journal is not None:
-                        journal.record_run(cell_index, pos, encoded)
                     if self.store is not None:
                         self.store.record_run(
-                            run_keys[(cell_index, pos)], encoded
+                            run_keys[(cell_index, pos)],
+                            _encode_summary(summary),
                         )
 
             session.map(drf0_tasks + run_tasks, on_result=on_run)
@@ -1174,8 +1161,6 @@ class VerificationEngine:
                 for result, (verdict, stats) in zip(results, value):
                     self.explorer_stats.merge(stats)
                     self.sc_cache.store(program, result, verdict)
-                    if journal is not None:
-                        journal.record_judgment(fingerprint, result, verdict)
                     if self.store is not None:
                         self.store.record_sc(
                             fingerprint, result, verdict, program=program
@@ -1286,18 +1271,13 @@ class VerificationEngine:
         drf0_seeds: Sequence[int] = range(30),
         exhaustive_drf0: bool = False,
         check_51_conditions: bool = False,
-        journal_path: Optional[str] = None,
-        resume: bool = False,
     ) -> Definition2Evidence:
         """Parallel :func:`repro.verify.sweeps.definition2_sweep`.
 
-        With ``journal_path``, every completed unit of work (hardware run,
-        DRF0 verdict, SC judgment) is appended to a checkpoint journal as
-        it lands; with ``resume`` the journal is loaded first and only the
-        units it is missing are recomputed.  The output is bit-identical
-        either way -- the journal changes how results are *obtained*, never
-        what they are.  Resuming against a journal whose signature does not
-        match this sweep's inputs raises :class:`JournalError`.
+        With a store attached, a sweep killed part way resumes when it
+        is run again against the same store: every unit that landed
+        before the kill is filed there and is not recomputed, and the
+        output is bit-identical either way.
         """
         config = config or SystemConfig()
         programs = list(programs)
@@ -1310,84 +1290,23 @@ class VerificationEngine:
             drf0_seeds,
             check_51_conditions,
         )
-        cells = context.cells
-        drf0_tuple = context.drf0_seeds
-
-        journal: Optional[CheckpointJournal] = None
-        journaled_runs: Dict[Tuple[int, int], RunSummary] = {}
-        if journal_path is not None:
-            signature = sweep_signature(
-                [program_fingerprint(p) for p in programs],
-                tuple(policy_factories),
-                repr(config),
-                seeds,
-                drf0_tuple,
-                exhaustive_drf0,
-                check_51_conditions,
-            )
-            if resume:
-                state = CheckpointJournal.load(journal_path)
-                if state.signature is None:
-                    raise JournalError(
-                        f"cannot resume: no usable journal at {journal_path}"
-                    )
-                if state.signature != signature:
-                    raise JournalError(
-                        "journal signature does not match this sweep's "
-                        "inputs (different programs, policies, config, or "
-                        "seeds) -- refusing to splice foreign results"
-                    )
-                fp_to_program = {
-                    program_fingerprint(p): p for p in programs
-                }
-                for (fp, result), verdict in state.judgments.items():
-                    program = fp_to_program.get(fp)
-                    if program is not None:
-                        self.sc_cache.store(program, result, verdict)
-                for index, verdict in state.drf0.items():
-                    if 0 <= index < len(programs):
-                        self.drf0_cache.store(
-                            programs[index],
-                            exhaustive_drf0,
-                            drf0_tuple,
-                            verdict,
-                        )
-                for (cell_index, pos), summary in state.runs.items():
-                    if 0 <= cell_index < len(cells) and 0 <= pos < len(seeds):
-                        try:
-                            journaled_runs[(cell_index, pos)] = (
-                                _decode_summary(summary)
-                            )
-                        except (KeyError, TypeError):
-                            pass  # malformed payload: recompute this unit
-                self.resilience["journal_units_reused"] = (
-                    self.resilience.get("journal_units_reused", 0)
-                    + state.units
-                )
-            journal = CheckpointJournal(journal_path)
-            journal.open(signature, fresh=not resume)
-
         labels = [
             f"{program.name}/{name}"
             for program in programs
             for name in policy_factories
         ]
-        try:
-            per_cell = self._sweep_cells(
-                context, seeds, labels, journal, journaled_runs
-            )
-        finally:
-            if journal is not None:
-                journal.close()
+        per_cell = self._sweep_cells(context, seeds, labels)
 
         evidence = Definition2Evidence()
         cell_index = 0
         for program in programs:
-            drf0 = self.drf0_cache.lookup(program, exhaustive_drf0, drf0_tuple)
+            drf0 = self.drf0_cache.lookup(
+                program, exhaustive_drf0, context.drf0_seeds
+            )
             assert drf0 is not None
             for name in policy_factories:
                 report = self._assemble_sweep(
-                    cells[cell_index], seeds, per_cell[cell_index]
+                    context.cells[cell_index], seeds, per_cell[cell_index]
                 )
                 evidence.rows.append(evidence_row(program, drf0, name, report))
                 cell_index += 1

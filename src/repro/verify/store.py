@@ -24,12 +24,19 @@ subsequent line is one record -- an SC verdict, a DRF0 verdict, a run
 summary, a cost observation, or a serialized program (kept so ``repro
 cache audit`` can re-judge stored verdicts offline).  Every line carries
 a truncated-SHA-256 checksum over its own bytes after the ``c`` field,
-in the line codec the checkpoint journal shares (:mod:`repro.obs.lines`).  Loading checks those bytes as written and
-decodes each line once; a line that is not byte for byte what the
-writer wrote -- torn, damaged, or re-serialized in another JSON form --
-fails the check.
+in the line codec of :mod:`repro.obs.lines`.  Loading checks those bytes
+as written and decodes each line once; a line that is not byte for byte
+what the writer wrote -- torn, damaged, or re-serialized in another JSON
+form -- fails the check.
 
-Integrity discipline (matching ``verify/cache.py`` / ``verify/journal.py``):
+The store is also how an interrupted sweep or daemon campaign resumes:
+the engine files each run, DRF0 verdict and SC judgment here as it
+lands, so a re-run against the same directory recomputes only the units
+that never reached disk.  No sweep signature is needed, because every
+key is the unit's content: another sweep's record can only be found
+where its inputs are the same.
+
+Integrity discipline (matching ``verify/cache.py``):
 
 * a checksum-failing or unparsable **tail** line is a torn write (the
   writer was killed mid-append): dropped and counted, the segment stays;
@@ -73,7 +80,6 @@ from repro.machine.program import Program, ThreadCode
 from repro.obs.lines import encode_line, parse_line
 # Kept importable here: tests re-checksum records they poison.
 from repro.obs.lines import line_checksum as _line_checksum  # noqa: F401
-from repro.verify.journal import decode_result, encode_result
 
 #: Bump when any oracle the stored verdicts depend on changes observable
 #: behavior: the guided SC-membership search, the DRF0 checkers, the
@@ -93,8 +99,24 @@ class StoreError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Program serialization (for offline audit)
+# Result and program serialization
 # ----------------------------------------------------------------------
+
+
+def encode_result(result: Result) -> dict:
+    return {
+        "reads": [list(reads) for reads in result.reads],
+        "mem": [list(pair) for pair in result.final_memory],
+    }
+
+
+def decode_result(data: dict) -> Result:
+    return Result(
+        reads=tuple(tuple(reads) for reads in data["reads"]),
+        final_memory=tuple(
+            (loc, value) for loc, value in data["mem"]
+        ),
+    )
 
 
 def encode_instruction(instr: isa.Instruction) -> list:

@@ -47,8 +47,8 @@ from repro.verify.leases import DEGRADE, BackoffPolicy, TaskBoard
 
 class DrainRequested(RuntimeError):
     """Raised out of the dispatch loop when the daemon is draining; every
-    completed unit is already journaled, so the campaign resumes on
-    restart from exactly where the drain cut it."""
+    completed unit is already in the verdict store, so the campaign
+    resumes on restart from exactly where the drain cut it."""
 
 
 # -- circuit breaker ----------------------------------------------------
@@ -134,7 +134,7 @@ class FleetSession:
     """One engine call's lease loop over the worker fleet.
 
     The engine's ``_Session`` delegates every pooled :meth:`map` here,
-    so the fold/journal/store path above it is the one the in-process
+    so the fold/store path above it is the one the in-process
     path runs.  Lease events and the transitions of the call's circuit
     breaker are counted in ``counters``.
     """

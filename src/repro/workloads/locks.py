@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.types import Condition
 from repro.machine.dsl import ThreadBuilder, build_program
 from repro.machine.program import Program
 

@@ -328,8 +328,8 @@ PARSER_CORPUS = [
      "--policy", "relaxed", "--topology", "bus", "--no-caches", "--seed", "2",
      "--seeds", "3", "--net-latency", "4", "--capacity", "16",
      "--drf0-seeds", "4", "--exhaustive-drf0", "--check-51", "--jobs", "2",
-     "--stats", "--task-timeout", "1.5", "--journal", "j.jsonl",
-     "--cache-dir", "store", "--resume", "--faults", "jitter-light",
+     "--stats", "--task-timeout", "1.5", "--cache-dir", "store",
+     "--faults", "jitter-light",
      "--fault-seed", "7", "--watchdog", "500", "--trace-out", "t.json",
      "--metrics-json", "m.json", "--status-json", "s.json"],
     ["profile", "--workload", "lock"],
@@ -354,7 +354,7 @@ PARSER_CORPUS = [
     ["serve", "svc"],
     ["serve", "svc", "--host", "0.0.0.0", "--port", "9", "--workers", "3",
      "--queue-limit", "2", "--task-timeout", "5", "--max-retries", "1",
-     "--retry-backoff", "0.1", "--keep-journals", "2"],
+     "--retry-backoff", "0.1"],
     ["submit", "--state-dir", "svc"],
     ["submit", "SB", "lock", "--state-dir", "svc", "--policy", "sc",
      "--policy", "adve-hill-drf1", "--seeds", "3", "--drf0-seeds", "2",
@@ -379,6 +379,10 @@ BAD_ARGV = [
     ["simulate", "TAS", "--faults", "nope"],
     ["sweep", "--faults", "nope"],
     ["sweep", "--seeds", "many"],
+    # Retired options are unknown, not silently ignored.
+    ["sweep", "--journal", "j.jsonl"],
+    ["sweep", "--resume"],
+    ["serve", "svc", "--keep-journals", "2"],
     ["drf0"],
     ["simulate"],
     ["delays"],
@@ -486,14 +490,14 @@ class TestEntry:
     def test_frozen_exit_leaves_every_output_whole(self, tmp_path, capsys):
         # The collector never finalizes a frozen object, so everything a
         # command writes must be closed before main() returns.
-        store, journal = tmp_path / "store", tmp_path / "sweep.journal"
+        store = tmp_path / "store"
         metrics, trace = tmp_path / "m.json", tmp_path / "t.json"
         status = tmp_path / "s.json"
         argv = ["sweep", "MP+sync", "SB", "--seeds", "4", "--policy", "sc",
                 "--policy", "adve-hill"]
         proc = _run_cli(
             "-m", "repro", *argv, "--jobs", "2", "--cache-dir", str(store),
-            "--journal", str(journal), "--metrics-json", str(metrics),
+            "--metrics-json", str(metrics),
             "--trace-out", str(trace), "--status-json", str(status),
         )
         assert proc.returncode == 0, proc.stderr
@@ -507,15 +511,10 @@ class TestEntry:
         assert summary["dropped_lines"] == 0
         assert summary["quarantined_segments"] == 0
 
-        records = len(journal.read_text().splitlines()) - 1  # meta header
-        resumed = _run_cli(
-            "-m", "repro", *argv, "--journal", str(journal), "--resume",
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == proc.stdout
-        assert f": {records} journaled work units reused" in resumed.stderr
-        assert records > 0
-        assert os.path.getsize(f"{journal}.seg-1") == 0  # nothing recomputed
+        rerun = _run_cli("-m", "repro", *argv, "--cache-dir", str(store))
+        assert rerun.returncode == 0, rerun.stderr
+        assert rerun.stdout == proc.stdout
+        assert " 0 new records flushed" in rerun.stderr  # nothing recomputed
 
         validated = _run_cli("-m", "repro.obs.export", "--validate", str(trace))
         assert validated.returncode == 0, validated.stdout

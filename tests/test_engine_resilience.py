@@ -2,8 +2,9 @@
 
 The hardened engine makes one promise: whatever goes wrong underneath --
 a worker crashing mid-task, a worker hanging, a task raising, a cache
-entry corrupted, the whole process killed between sweeps -- the sweep's
-output is bit-for-bit what the undisturbed serial engine produces.
+entry corrupted -- the sweep's output is bit-for-bit what the
+undisturbed serial engine produces.  Resuming a killed sweep from its
+verdict store is tested with the store (``test_store.TestResume``).
 """
 
 import multiprocessing
@@ -18,12 +19,9 @@ from repro.litmus.catalog import by_name
 from repro.sim.system import SystemConfig
 from repro.verify import (
     CacheIntegrityError,
-    CheckpointJournal,
     Failpoint,
-    JournalError,
     VerificationEngine,
     program_fingerprint,
-    sweep_signature,
 )
 from repro.verify import engine as engine_module
 from repro.verify.engine import _TaskContext
@@ -270,122 +268,6 @@ class TestLeaseGenerations:
         assert engine.resilience == {}
 
 
-class TestJournalResume:
-    def test_journal_written_and_complete(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        _sweep(VerificationEngine(jobs=1), journal_path=path)
-        state = CheckpointJournal.load(path)
-        assert state.signature is not None
-        # cells x seeds runs + per-program drf0 verdicts + judgments
-        cells = len(PROGRAM_NAMES) * len(POLICY_NAMES)
-        assert len(state.runs) == cells * len(SEEDS)
-        assert len(state.drf0) == len(PROGRAM_NAMES)
-        assert state.judgments
-        assert state.dropped_lines == 0
-
-    def test_resume_after_truncation_is_identical(
-        self, reference_rows, tmp_path
-    ):
-        path = str(tmp_path / "sweep.jsonl")
-        _sweep(VerificationEngine(jobs=1), journal_path=path)
-        with open(path) as fh:
-            lines = fh.readlines()
-        # Keep the meta line plus a partial prefix, plus a torn tail --
-        # exactly what a SIGKILL mid-write leaves behind.
-        with open(path, "w") as fh:
-            fh.writelines(lines[: len(lines) // 2])
-            fh.write('{"kind": "run", "cell": 0, "pos"')
-        engine = VerificationEngine(jobs=1)
-        evidence = _sweep(engine, journal_path=path, resume=True)
-        assert _rows(evidence) == reference_rows
-        assert engine.resilience["journal_units_reused"] > 0
-
-    def test_non_utf8_line_dropped_not_fatal(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        _sweep(VerificationEngine(jobs=1), journal_path=path)
-        with open(path, "ab") as fh:
-            fh.write(b'{"c": "\xff\xfe"}\n')
-        state = CheckpointJournal.load(path)
-        assert state.dropped_lines == 1
-        assert state.signature is not None
-
-    def test_resume_skips_journaled_work(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        _sweep(VerificationEngine(jobs=1), journal_path=path)
-        engine = VerificationEngine(jobs=1, metrics=_registry())
-        _sweep(engine, journal_path=path, resume=True)
-        # A fully journaled sweep re-runs no hardware tasks at all.
-        assert engine.metrics.counter("engine.tasks.run").value == 0
-
-    def test_judgments_are_journaled_as_they_land(
-        self, monkeypatch, tmp_path
-    ):
-        # An interrupt during the judge map must leave every judgment
-        # that already landed in the journal, as runs and DRF0 verdicts
-        # are, not only those of a finished map.
-        path = str(tmp_path / "sweep.jsonl")
-        real = engine_module._execute_task
-        judge_tasks = []
-
-        def interrupted_on_third_judge(task, gen=0):
-            if task[0] == "judge":
-                judge_tasks.append(task)
-                if len(judge_tasks) == 3:
-                    raise KeyboardInterrupt
-            return real(task, gen)
-
-        monkeypatch.setattr(
-            engine_module, "_execute_task", interrupted_on_third_judge
-        )
-        programs = [by_name(name).program for name in ("SB", "MP")]
-        factories = {
-            name: POLICY_FACTORIES[name] for name in ("relaxed", "adve-hill")
-        }
-        with pytest.raises(KeyboardInterrupt):
-            VerificationEngine(jobs=1).definition2_sweep(
-                programs, factories, seeds=range(8), journal_path=path
-            )
-        state = CheckpointJournal.load(path)
-        landed = sum(len(task[2]) for task in judge_tasks[:2])
-        assert (len(state.runs), len(state.drf0), landed) == (32, 2, 4)
-        assert len(state.judgments) == landed
-
-    def test_resume_without_journal_refuses(self, tmp_path):
-        engine = VerificationEngine(jobs=1)
-        with pytest.raises(JournalError, match="no usable journal"):
-            _sweep(
-                engine,
-                journal_path=str(tmp_path / "missing.jsonl"),
-                resume=True,
-            )
-
-    def test_resume_with_foreign_signature_refuses(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        journal = CheckpointJournal(path)
-        journal.open(signature="not-this-sweep", fresh=True)
-        journal.close()
-        with pytest.raises(JournalError, match="signature"):
-            _sweep(VerificationEngine(jobs=1), journal_path=path, resume=True)
-
-    def test_signature_ignores_jobs(self):
-        args = (["fp"], ("sc",), "cfg", [1, 2], [3], False, False)
-        assert sweep_signature(*args) == sweep_signature(*args)
-
-    def test_resume_under_different_jobs(self, reference_rows, tmp_path):
-        if not VerificationEngine(jobs=2).can_fork:
-            pytest.skip("fork unavailable")
-        path = str(tmp_path / "sweep.jsonl")
-        _sweep(VerificationEngine(jobs=2), journal_path=path)
-        with open(path) as fh:
-            lines = fh.readlines()
-        with open(path, "w") as fh:
-            fh.writelines(lines[: len(lines) * 2 // 3])
-        evidence = _sweep(
-            VerificationEngine(jobs=1), journal_path=path, resume=True
-        )
-        assert _rows(evidence) == reference_rows
-
-
 class TestCacheQuarantine:
     def test_poisoned_entry_recomputed_not_fatal(self, reference_rows):
         engine = VerificationEngine(jobs=1)
@@ -441,12 +323,6 @@ class TestInterruptSafety:
             alive = {child.pid for child in multiprocessing.active_children()}
             assert not workers & alive
         assert _rows(_sweep(engine)) == _rows(_sweep(VerificationEngine()))
-
-
-def _registry():
-    from repro.obs import MetricsRegistry
-
-    return MetricsRegistry()
 
 
 def _context():

@@ -395,6 +395,15 @@ def test_daemon_campaign_matches_serial_and_warm_resubmit(tmp_path):
 
         listed = client.campaigns()
         assert [row["state"] for row in listed] == ["done", "done"]
+        # A finished campaign leaves its record and nothing else: every
+        # unit went to the shared store.
+        suffixes = {".json", ".status.json", ".events.jsonl", ".result.json"}
+        for cid in (first["id"], second["id"]):
+            left = {
+                path.name[len(cid):]
+                for path in (state / "campaigns").glob(f"{cid}.*")
+            }
+            assert left == suffixes, left
     finally:
         _stop_daemon(proc, state)
 
@@ -606,8 +615,44 @@ def test_daemon_sigkill_mid_campaign_resumes_byte_identical(tmp_path):
         raw = json.dumps(result["rows"], sort_keys=True)
         assert raw == json.dumps(_serial_rows(spec), sort_keys=True)
         assert result["service"].get("campaigns_requeued_on_start", 0) >= 1
+        assert result["resumed"] is True
+        assert result["service"].get("campaigns_resumed", 0) >= 1
     finally:
         _stop_daemon(proc, state)
+
+
+def test_daemon_restart_scan_skips_malformed_specs(tmp_path):
+    """The restart scan skips a spec file it cannot read, whatever is
+    wrong with it, and requeues the good ones beside it; a result that
+    is not an object counts as torn, so its campaign runs again.  This
+    starts no fleet or other process."""
+    from repro.service.daemon import QUEUED, CampaignDaemon
+
+    campaigns = tmp_path / "svc" / "campaigns"
+    campaigns.mkdir(parents=True)
+    good = {"id": "c3-good", "spec": SMALL_SPEC, "submitted_us": 5}
+    files = {
+        "c1-x.json": [],
+        "c2-x.json": dict(good, id="c2-x", submitted_us="soon"),
+        "c3-good.json": good,
+        "c4-torn.json": dict(good, id="c4-torn", submitted_us=6),
+        "c4-torn.result.json": [],
+    }
+    for name, payload in files.items():
+        (campaigns / name).write_text(json.dumps(payload))
+    (campaigns / "c3-good.status.json").write_text("{}")
+    daemon = CampaignDaemon(str(tmp_path / "svc"), workers=1)
+    daemon._scan_state_dir()
+    assert daemon.order == ["c3-good", "c4-torn"]
+    assert [daemon.records[cid].state for cid in daemon.order] == [
+        QUEUED, QUEUED,
+    ]
+    # c3 had started (its status snapshot exists), so it resumes.
+    assert [daemon.records[cid].resumed for cid in daemon.order] == [
+        True, False,
+    ]
+    assert daemon.counters["campaigns_requeued_on_start"] == 2
+    assert daemon._counter == 5
 
 
 def test_daemon_backpressure_and_bad_specs(tmp_path):
@@ -635,35 +680,5 @@ def test_daemon_backpressure_and_bad_specs(tmp_path):
         health = client.health()
         assert health["service"]["rejected_backpressure"] >= 1
         assert health["campaigns"] == {"done": 2}
-    finally:
-        _stop_daemon(proc, state)
-
-
-def test_daemon_retention_gc_keeps_last_n_journals(tmp_path):
-    state = tmp_path / "svc"
-    proc = _daemon_proc(state, workers=1, keep_journals=1, task_timeout=60.0)
-    try:
-        client = _wait_endpoint(state, proc)
-        ids = []
-        for seeds in (2, 3, 4):  # three distinct tiny campaigns
-            accepted = client.submit(
-                {"programs": ["SB"], "policies": ["sc"], "seeds": seeds,
-                 "drf0_seeds": 2}
-            )
-            ids.append(accepted["id"])
-            client.wait(accepted["id"], timeout=180.0)
-        campaigns = state / "campaigns"
-        survivors = [
-            cid for cid in ids
-            if (campaigns / f"{cid}.journal").exists()
-        ]
-        # keep_journals=1: only the newest terminal campaign's journal
-        # survives; specs and results all do (they are the record).
-        assert survivors == [ids[-1]]
-        for cid in ids:
-            assert (campaigns / f"{cid}.json").exists()
-            assert (campaigns / f"{cid}.result.json").exists()
-        health = client.health()
-        assert health["service"]["journal_files_pruned"] >= 2
     finally:
         _stop_daemon(proc, state)

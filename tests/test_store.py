@@ -4,6 +4,8 @@ The store's contract has three legs: warm runs are *byte-identical* to
 cold runs (persistence must never change an answer), damaged bytes are
 tolerated and quarantined (never crash, never serve a bad verdict), and
 any number of processes may flush into one directory concurrently.
+Because every unit is filed as it lands, a sweep killed part way
+resumes from its store with the output it would have printed.
 """
 
 import json
@@ -14,8 +16,11 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.hw import AdveHillPolicy, Definition1Policy
+from repro.hw import POLICY_FACTORIES, AdveHillPolicy, Definition1Policy
+from repro.litmus.catalog import by_name
+from repro.obs import MetricsRegistry
 from repro.sim.system import SystemConfig
+from repro.verify import engine as engine_module
 from repro.verify import SEMANTICS_VERSION, VerdictStore, VerificationEngine
 from repro.verify.cache import program_fingerprint
 from repro.verify.engine import _SweepCell
@@ -43,10 +48,18 @@ def programs():
     return [message_passing_program(sync=True), store_buffer_program()]
 
 
-def sweep(cache_dir=None, jobs=1, seeds=6):
-    engine = VerificationEngine(jobs=jobs, cache_dir=cache_dir)
+def policies(*names):
+    return {name: POLICY_FACTORIES[name] for name in names}
+
+
+def sweep(cache_dir=None, jobs=1, seeds=6, config=None, factories=None,
+          metrics=None):
+    engine = VerificationEngine(
+        jobs=jobs, cache_dir=cache_dir, metrics=metrics
+    )
     evidence = engine.definition2_sweep(
-        programs(), FACTORIES, SystemConfig(), seeds=range(seeds)
+        programs(), factories or FACTORIES, config or SystemConfig(),
+        seeds=range(seeds),
     )
     if engine.store is not None:
         engine.store.close()
@@ -96,9 +109,13 @@ class TestWarmIdentity:
         assert warm.rows == cold.rows
 
     def test_cost_aware_schedule_changes_nothing(self, tmp_path):
-        """Recorded costs reorder dispatch; output must not move."""
+        """Recorded costs reorder dispatch; output must not move.  Nor
+        do records of sweeps with another config or policy set: the
+        store keys units by content, so none of theirs can splice in."""
         cache = str(tmp_path / "cache")
         sweep(cache, seeds=4)
+        sweep(cache, seeds=12, config=SystemConfig(net_jitter=2))
+        sweep(cache, seeds=12, factories=policies("sc", "relaxed"))
         # skew the recorded costs wildly so the planner reorders + rechunks
         store = VerdictStore(cache)
         state = store.warm()
@@ -111,6 +128,90 @@ class TestWarmIdentity:
         _, plain = sweep(None, seeds=12)
         _, rescheduled = sweep(cache, seeds=12, jobs=2)
         assert rescheduled.rows == plain.rows
+
+
+class TestResume:
+    """A sweep killed part way resumes from its store: every unit filed
+    before the kill is reused, and the output does not move."""
+
+    def test_sweep_files_every_unit(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        engine, _ = sweep(cache)
+        store = VerdictStore(cache)
+        state = store.load()
+        # cells x seeds runs + per-program drf0 verdicts + judgments
+        assert len(state.runs) == len(programs()) * len(FACTORIES) * 6
+        assert len(state.drf0) == len(programs())
+        assert len(state.sc) == engine.store.stats.flushed_sc > 0
+        assert store.stats.dropped_lines == 0
+
+    def test_resume_after_truncation_is_identical(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        _, plain = sweep(None)
+        sweep(cache)
+        [path] = segment_paths(cache)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        # Half the lines plus a torn tail -- exactly what a SIGKILL
+        # mid-write leaves behind.
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[: len(lines) // 2])
+            fh.write('{"c": "0123456789abcdef", "kind": "run", "k"')
+        engine, resumed = sweep(cache)
+        assert resumed.rows == plain.rows
+        assert engine.store.stats.runs_reused > 0
+        assert engine.store.stats.dropped_lines == 1
+
+    def test_full_store_runs_no_hardware(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        sweep(cache)
+        engine, _ = sweep(cache, metrics=MetricsRegistry())
+        assert engine.metrics.counter("engine.tasks.run").value == 0
+
+    def test_judgments_are_filed_as_they_land(self, monkeypatch, tmp_path):
+        # An interrupt during the judge map must leave every judgment
+        # that already landed in the store, as runs and DRF0 verdicts
+        # are, not only those of a finished map.
+        cache = str(tmp_path / "cache")
+        real = engine_module._execute_task
+        judge_tasks = []
+
+        def interrupted_on_third_judge(task, gen=0):
+            if task[0] == "judge":
+                judge_tasks.append(task)
+                if len(judge_tasks) == 3:
+                    raise KeyboardInterrupt
+            return real(task, gen)
+
+        monkeypatch.setattr(
+            engine_module, "_execute_task", interrupted_on_third_judge
+        )
+        engine = VerificationEngine(jobs=1, cache_dir=cache)
+        with pytest.raises(KeyboardInterrupt):
+            engine.definition2_sweep(
+                [by_name(name).program for name in ("SB", "MP")],
+                policies("relaxed", "adve-hill"),
+                seeds=range(8),
+            )
+        engine.store.close()
+        state = VerdictStore(cache).load()
+        landed = sum(len(task[2]) for task in judge_tasks[:2])
+        assert (len(state.runs), len(state.drf0), landed) == (32, 2, 4)
+        assert len(state.sc) == landed
+
+    def test_resume_under_different_jobs(self, tmp_path):
+        if not VerificationEngine(jobs=2).can_fork:
+            pytest.skip("fork unavailable")
+        cache = str(tmp_path / "cache")
+        _, plain = sweep(None)
+        sweep(cache, jobs=2)
+        [path] = segment_paths(cache)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[: len(lines) * 2 // 3])
+        _, resumed = sweep(cache, jobs=1)
+        assert resumed.rows == plain.rows
 
 
 class TestIntegrity:
