@@ -33,11 +33,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from conftest import RESULTS_DIR, emit_table
 
 from repro.verify.chaos import chaos_sweep
+from repro.verify.engine import VerificationEngine
 
 
 def run(quick: bool = False) -> None:
     start = time.perf_counter()
-    report = chaos_sweep(quick=quick, jobs=0)
+    report = chaos_sweep(VerificationEngine(jobs=0), quick=quick)
     elapsed = time.perf_counter() - start
 
     rows = []

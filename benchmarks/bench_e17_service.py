@@ -45,10 +45,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from conftest import RESULTS_DIR, emit_table
 
-from repro.hw import POLICY_FACTORIES
-from repro.litmus.catalog import by_name
+from repro.service.campaigns import CampaignSpec
 from repro.service.client import ServiceClient
-from repro.sim.system import SystemConfig
 from repro.verify.engine import VerificationEngine
 
 JSON_PATH = RESULTS_DIR / "BENCH_e17_service.json"
@@ -77,16 +75,9 @@ def _spec(quick: bool) -> Dict[str, object]:
 
 def _batch_rows_and_time(spec: Dict[str, object]):
     """The same sweep as an in-process batch call (the daemon's rival)."""
-    programs = [by_name(name).program for name in spec["programs"]]
-    factories = {n: POLICY_FACTORIES[n] for n in spec["policies"]}
+    sweep = CampaignSpec.from_dict(spec).sweep_arguments()
     start = time.perf_counter()
-    evidence = VerificationEngine(jobs=WORKERS).definition2_sweep(
-        programs,
-        factories,
-        config=SystemConfig(),
-        seeds=range(spec["seeds"]),
-        drf0_seeds=range(spec["drf0_seeds"]),
-    )
+    evidence = VerificationEngine(jobs=WORKERS).definition2_sweep(**sweep)
     return time.perf_counter() - start, json.dumps(
         evidence.rows, sort_keys=True
     )

@@ -5,9 +5,8 @@ from repro import _lazy_exports
 _EXPORTS = {
     "candidates": ("Candidate", "enumerate_candidates"),
     "checker": (
-        "LEGACY_BACKEND_ENV", "allowed_candidates", "allowed_results",
-        "allowed_results_by_model", "default_backend", "model_groups",
-        "outcome_table", "well_formed_candidates",
+        "allowed_candidates", "allowed_results", "allowed_results_by_model",
+        "model_groups", "outcome_table", "well_formed_candidates",
     ),
     "events": (
         "Event", "EventLayout", "ReadRef", "UnsupportedProgram",

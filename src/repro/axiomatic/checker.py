@@ -15,9 +15,9 @@ Two interchangeable backends compute the set:
   :mod:`repro.axiomatic.candidates`, kept as the differential oracle the
   solver is checked against (the ``core/_legacy.py`` idiom).
 
-Setting ``REPRO_AXIOMATIC_LEGACY=1`` in the environment flips the default
-back to the enumerator everywhere -- the escape hatch if the solver is
-ever suspected of disagreeing with the oracle in the wild.
+Every entry point takes ``backend=``.  ``repro diff`` asks both on
+every program it generates, so the solver is differentially checked
+against the enumerator on each run.
 
 :func:`allowed_results_by_model` answers several models at once: on the
 enumerator it generates each program's candidates once for all of them,
@@ -28,7 +28,6 @@ graphs (:func:`model_groups`).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import (
     Callable,
@@ -55,16 +54,6 @@ from repro.axiomatic.solver import (
 )
 from repro.core.execution import Result
 from repro.machine.program import Program
-
-#: Environment variable forcing the legacy enumerator backend.
-LEGACY_BACKEND_ENV = "REPRO_AXIOMATIC_LEGACY"
-
-
-def default_backend() -> str:
-    """The backend used when a caller does not pick one explicitly."""
-    flag = os.environ.get(LEGACY_BACKEND_ENV, "").strip().lower()
-    return "enumerator" if flag in ("1", "true", "yes", "on") else "solver"
-
 
 def _deadline_check(
     program: Program, config: SolverConfig
@@ -94,7 +83,7 @@ def _over_cap(program: Program, config: SolverConfig, admitted: int) -> None:
 def _admitted_candidates(
     program: Program,
     model: Optional[AxiomaticModel],
-    backend: Optional[str],
+    backend: str,
     config: Optional[SolverConfig],
 ) -> Iterator[Candidate]:
     """Candidates the model admits, via the chosen backend.
@@ -105,7 +94,6 @@ def _admitted_candidates(
     its deadline inside its loop over rf picks and combinations, so a run
     of rf picks that meet no RMW-atomic co pick cannot outlast it.
     """
-    backend = backend or default_backend()
     if backend == "solver":
         yield from solve_candidates(program, model, config)
         return
@@ -126,7 +114,7 @@ def _admitted_candidates(
 def allowed_results(
     program: Program,
     model: AxiomaticModel,
-    backend: Optional[str] = None,
+    backend: str = "solver",
     config: Optional[SolverConfig] = None,
 ) -> FrozenSet[Result]:
     """Every result the model admits on ``program``."""
@@ -139,7 +127,7 @@ def allowed_results(
 def allowed_candidates(
     program: Program,
     model: AxiomaticModel,
-    backend: Optional[str] = None,
+    backend: str = "solver",
     config: Optional[SolverConfig] = None,
 ) -> List[Candidate]:
     """The admitted candidates themselves (for inspection/tests)."""
@@ -148,7 +136,7 @@ def allowed_candidates(
 
 def well_formed_candidates(
     program: Program,
-    backend: Optional[str] = None,
+    backend: str = "solver",
     config: Optional[SolverConfig] = None,
 ) -> Iterator[Candidate]:
     """Every well-formed candidate, with no model axioms applied."""
@@ -175,7 +163,7 @@ def model_groups(
 def allowed_results_by_model(
     program: Program,
     models: Iterable[AxiomaticModel],
-    backend: Optional[str] = None,
+    backend: str = "solver",
     config: Optional[SolverConfig] = None,
 ) -> Dict[str, FrozenSet[Result]]:
     """Every model's admitted results on ``program``, keyed by model name.
@@ -194,7 +182,6 @@ def allowed_results_by_model(
     the deadline covers the pass.
     """
     models = list(models)
-    backend = backend or default_backend()
     if backend not in ("solver", "enumerator"):
         raise ValueError(f"unknown axiomatic backend {backend!r}")
     groups = model_groups(program, models)

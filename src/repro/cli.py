@@ -37,23 +37,39 @@ Commands:
   campaign's status-snapshot history, or ask the daemon to drain;
 * ``status PATH`` / ``top PATH`` -- render a live campaign's
   ``--status-json`` snapshot once, or as a refreshing stdlib-ANSI view
-  (``sweep``/``fuzz``/``chaos``/``drf0`` all accept ``--status-json``);
+  (``sweep``/``fuzz``/``diff``/``chaos``/``drf0`` accept ``--status-json``);
 * ``catalog`` -- list available litmus tests and workloads.
 
-Persistence: ``sweep``, ``fuzz``, and ``chaos`` accept ``--cache-dir DIR``
--- a content-addressed verdict store shared across runs and processes;
-warm runs skip already-judged verdicts and already-simulated hardware
-runs while producing byte-identical output, so a killed sweep re-run
-against the same directory resumes (see ``docs/caching.md``).
+Campaigns: ``sweep`` and ``submit`` take the same campaign flags
+(program names, ``--policy``, ``--seeds``, ``--drf0-seeds``,
+``--exhaustive-drf0``, ``--check-51``), which one function turns into a
+:class:`~repro.service.campaigns.CampaignSpec` wire dict: ``submit``
+sends it to the daemon, and ``sweep`` adds its hardware and fault flags
+as the spec's ``config`` and runs it, as the daemon does.
 
-Fault injection: ``simulate`` and ``sweep`` accept ``--faults PLAN``
-(see ``repro chaos`` for the plan names), ``--fault-seed N``, and
-``--watchdog CYCLES``.  ``sweep`` also accepts ``--task-timeout``.
+Engines: ``sweep``, ``fuzz``, ``diff`` and ``chaos`` each run on one
+verification engine, built by one handler from ``--jobs N``,
+``--cache-dir DIR``, ``--status-json FILE`` and (but for ``chaos``)
+``--metrics-json FILE``.  ``--cache-dir`` is a content-addressed verdict
+store shared across runs and processes; warm runs skip already-judged
+verdicts and already-simulated hardware runs while producing
+byte-identical output, so a killed sweep re-run against the same
+directory resumes (see ``docs/caching.md``).
+
+Hardware: ``litmus``, ``simulate``, ``sweep`` and ``profile`` take
+``--topology``, ``--no-caches``, ``--net-latency`` and ``--capacity``;
+``simulate`` and ``profile`` run one seed (``--seed``), ``litmus`` and
+``sweep`` a range of them (``--seeds``).  Fault injection: ``simulate``
+and ``sweep`` accept ``--faults PLAN`` (see ``repro chaos`` for the plan
+names), ``--fault-seed N``, and ``--watchdog CYCLES``.  ``sweep`` also
+accepts ``--task-timeout``.  Options match only when spelled in full.
 Usage errors (bad flag combinations) exit with status 2; liveness
 failures print a per-processor diagnosis and exit 1 instead of hanging.
 
 Workload names (``lock``, ``ttas``, ``prodcons``, ``barrier``, ``phases``,
-``critical_section``) are accepted wherever a program is expected.
+``workqueue``, ``critical_section``: the keys of
+:data:`repro.workloads.WORKLOAD_FACTORIES`) are accepted wherever a
+program is expected.
 
 Observability: ``simulate``, ``litmus``, ``drf0``, ``sweep``, and
 ``profile`` accept ``--trace-out FILE`` (Chrome trace-event JSON, loadable
@@ -66,46 +82,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro import _deferred
 from repro.hw import POLICY_FACTORIES
+from repro.workloads import WORKLOAD_FACTORIES, resolve_program
 
 if TYPE_CHECKING:
     from repro.machine.program import Program
-    from repro.sim.system import SystemConfig
 
 # Module level holds only what build_parser needs; every handler imports
 # what it runs, so each command loads only its own modules at start-up.
-
-
-WORKLOAD_FACTORIES = {
-    "lock": _deferred("repro.workloads.locks", "lock_workload", 3, 1),
-    "ttas": _deferred(
-        "repro.workloads.locks", "lock_workload", 3, 1, ttas=True
-    ),
-    "prodcons": _deferred(
-        "repro.workloads.producer_consumer", "producer_consumer_workload",
-        batch_size=6,
-    ),
-    "barrier": _deferred(
-        "repro.workloads.barrier", "barrier_workload", num_procs=3, phases=1
-    ),
-    "phases": _deferred(
-        "repro.workloads.barrier", "phase_parallel_workload",
-        num_procs=3, chunk=2, phases=1,
-    ),
-    "workqueue": _deferred(
-        "repro.workloads.work_queue", "work_queue_workload",
-        num_consumers=2, num_items=4,
-    ),
-    # Figure 3's release/acquire handoff with cold invalidations and
-    # post-release work -- the stall-attribution showcase.
-    "critical_section": _deferred(
-        "repro.litmus.figures", "figure3_program",
-        num_extra_sharers=2, post_release_work=80,
-    ),
-}
 
 
 def _canon_policy(name: str) -> str:
@@ -114,12 +101,8 @@ def _canon_policy(name: str) -> str:
 
 
 def _resolve_program(name: str) -> Program:
-    from repro.litmus import by_name
-
-    if name in WORKLOAD_FACTORIES:
-        return WORKLOAD_FACTORIES[name]()
     try:
-        return by_name(name).program
+        return resolve_program(name)
     except KeyError:
         raise SystemExit(
             f"unknown program {name!r}; see `python -m repro catalog`"
@@ -132,27 +115,19 @@ def _usage_error(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _config_from_args(args) -> SystemConfig:
-    from repro.sim.system import SystemConfig
-
-    fault_plan = None
-    plan_name = getattr(args, "faults", None)
-    if plan_name is not None:
-        from repro.sim.faults import FAULT_PLANS
-
-        fault_plan = FAULT_PLANS[plan_name]
-        fault_seed = getattr(args, "fault_seed", None)
-        if fault_seed is not None:
-            fault_plan = fault_plan.with_seed(fault_seed)
-    return SystemConfig(
-        topology=args.topology,
-        caches=not args.no_caches,
-        seed=args.seed,
-        net_latency=args.net_latency,
-        cache_capacity=args.capacity,
-        fault_plan=fault_plan,
-        watchdog_cycles=getattr(args, "watchdog", None),
-    )
+def _hardware_config(args) -> dict:
+    """The hardware and fault flags as a campaign spec's ``config``
+    object, which :func:`~repro.sim.system.build_config` builds."""
+    return {
+        "topology": args.topology,
+        "caches": not args.no_caches,
+        "seed": getattr(args, "seed", 0),
+        "net_latency": args.net_latency,
+        "cache_capacity": args.capacity,
+        "faults": getattr(args, "faults", None),
+        "fault_seed": getattr(args, "fault_seed", None),
+        "watchdog_cycles": getattr(args, "watchdog", None),
+    }
 
 
 def _make_tracer(args, force: bool = False):
@@ -216,11 +191,11 @@ def cmd_catalog(args) -> int:
 def cmd_litmus(args) -> int:
     from repro.core.contract import appears_sc
     from repro.litmus import all_tests, by_name
-    from repro.sim.system import run_on_hardware
+    from repro.sim.system import build_config, run_on_hardware
 
     tests = [by_name(n) for n in args.names] if args.names else all_tests()
     factory = POLICY_FACTORIES[args.policy]
-    config = _config_from_args(args)
+    config = build_config(**_hardware_config(args))
     tracer = _make_tracer(args)
     registry = None
     if args.metrics_json:
@@ -293,7 +268,7 @@ def cmd_drf0(args) -> int:
     monitor = _make_monitor(args, f"drf0 {args.name}")
     if monitor is not None:
         monitor.claim_plan()
-        monitor.plan([(program.name, 1, 0.0)])
+        monitor.progress.plan([(program.name, 1, 0.0)])
         monitor.poll(force=True)
     start = time.perf_counter()
     try:
@@ -305,19 +280,17 @@ def cmd_drf0(args) -> int:
                 program, config=ExplorationConfig(max_ops=400, tracer=tracer)
             )
             mode = f"exhaustive over {report.stats.states} configurations"
-    except ExplorationCapError as exc:
-        # A cap is no verdict: exit 1 would read as "violates DRF0".
-        if monitor is not None:
-            monitor.fail(f"{type(exc).__name__}: {exc}")
-        raise _usage_error(f"{args.name}: {exc}")
     except BaseException as exc:
         if monitor is not None:
             monitor.fail(f"{type(exc).__name__}: {exc}")
+        if isinstance(exc, ExplorationCapError):
+            # A cap is no verdict: exit 1 would read as "violates DRF0".
+            raise _usage_error(f"{args.name}: {exc}")
         raise
     elapsed = time.perf_counter() - start
     if monitor is not None:
-        monitor.unit_done(0)
-        monitor.observe_cell_us(0, elapsed * 1e6)
+        monitor.progress.unit_done(0)
+        monitor.progress.observe_cell_us(0, elapsed * 1e6)
         monitor.finish(
             ok=True,
             result={
@@ -393,14 +366,15 @@ def cmd_models(args) -> int:
 
 def cmd_simulate(args) -> int:
     from repro.core.contract import appears_sc
-    from repro.sim.system import LivenessError, run_on_hardware
+    from repro.sim.system import LivenessError, build_config, run_on_hardware
 
     program = _resolve_program(args.name)
     factory = POLICY_FACTORIES[args.policy]
     tracer = _make_tracer(args, force=args.trace)
     try:
         run = run_on_hardware(
-            program, factory(), _config_from_args(args), tracer=tracer
+            program, factory(), build_config(**_hardware_config(args)),
+            tracer=tracer,
         )
     except LivenessError as exc:
         # A fault plan (or a policy bug) stalled the machine: report which
@@ -471,81 +445,119 @@ def _print_evidence_table(rows) -> None:
         )
 
 
-def cmd_sweep(args) -> int:
-    from repro.sim.system import LivenessError
-    from repro.verify.engine import VerificationEngine
-
-    if args.jobs < 0:
-        raise _usage_error(
-            f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
-        )
-    names = args.names or DEFAULT_SWEEP_PROGRAMS
-    programs = [_resolve_program(name) for name in names]
-    policy_names = args.policy or [
+def _campaign_request(args) -> dict:
+    """The campaign ``sweep`` runs and ``submit`` sends: the flags they
+    share as a :class:`~repro.service.campaigns.CampaignSpec`'s wire
+    dict.  The default policies are every policy but the broken
+    ``relaxed`` strawman."""
+    policies = args.policy or [
         name for name in sorted(POLICY_FACTORIES) if name != "relaxed"
     ]
-    factories = {name: POLICY_FACTORIES[name] for name in policy_names}
-    tracer = _make_tracer(args)
+    return {
+        "programs": tuple(args.names or DEFAULT_SWEEP_PROGRAMS),
+        "policies": tuple(policies),
+        "seeds": args.seeds,
+        "drf0_seeds": args.drf0_seeds,
+        "exhaustive_drf0": args.exhaustive_drf0,
+        "check_51": args.check_51,
+    }
+
+
+@contextmanager
+def _engine_session(args, command: str, tracer=None):
+    """The verification engine of an engine-backed command.
+
+    Builds the engine from the command's ``--jobs`` and ``--cache-dir``,
+    with a metrics registry for ``--metrics-json`` and a campaign
+    monitor for ``--status-json`` (titled ``command``).  A failure that
+    escapes the body marks the status snapshot failed.  On the way out
+    the verdict store is closed; after a body that ran to its end, the
+    engine's counters are folded into the registry and the requested
+    output files written.  The body makes the engine call, prints its
+    summary and finishes the monitor (:func:`_finish`).
+    """
+    from repro.verify.engine import VerificationEngine
+
     registry = None
-    if args.metrics_json:
+    if getattr(args, "metrics_json", None):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    monitor = _make_monitor(args, "sweep " + " ".join(names))
+    monitor = _make_monitor(args, command)
     engine = VerificationEngine(
         jobs=args.jobs, tracer=tracer, metrics=registry,
-        task_timeout=args.task_timeout, cache_dir=args.cache_dir,
-        monitor=monitor,
+        task_timeout=getattr(args, "task_timeout", None),
+        cache_dir=args.cache_dir, monitor=monitor,
     )
     try:
-        evidence = engine.definition2_sweep(
-            programs,
-            factories,
-            config=_config_from_args(args),
-            seeds=range(args.seeds),
-            drf0_seeds=range(args.drf0_seeds),
-            exhaustive_drf0=args.exhaustive_drf0,
-            check_51_conditions=args.check_51,
-        )
-    except LivenessError as exc:
-        if monitor is not None:
-            monitor.fail(exc.diagnosis())
-        if engine.store is not None:
-            engine.store.close()
-        print(exc.diagnosis(), file=sys.stderr)
-        return 1
+        yield engine
     except BaseException as exc:
         if monitor is not None:
-            monitor.fail(f"{type(exc).__name__}: {exc}")
+            from repro.obs.progress import failure_text
+
+            monitor.fail(failure_text(exc))
         raise
-    if engine.store is not None:
-        stats = engine.store.stats
-        print(
-            f"cache {args.cache_dir}: {stats.loaded_sc} SC + "
-            f"{stats.loaded_drf0} DRF0 verdicts loaded, "
-            f"{stats.runs_reused} hardware runs reused, "
-            f"{stats.flushed_sc + stats.flushed_drf0 + stats.flushed_runs} "
-            "new records flushed",
-            file=sys.stderr,
-        )
-        engine.store.close()
-    _print_evidence_table(evidence.rows)
-    holds = evidence.contract_holds
-    if monitor is not None:
-        # The snapshot embeds the evidence rows verbatim, so the final
-        # status file's verdict table is byte-identical to this output.
-        monitor.finish(
-            ok=holds,
-            verdicts=evidence.rows,
-            result={"contract_holds": holds},
-        )
-    if args.stats:
-        print("\noracle work (SC-membership judgments + DRF0 verdicts):")
-        _print_explorer_stats(engine.explorer_stats)
-    print(f"\nDefinition-2 contract: {'holds' if holds else 'VIOLATED'}")
+    finally:
+        if engine.store is not None:
+            engine.store.close()
     if registry is not None:
         engine.metrics_snapshot(registry)
     _write_obs_outputs(args, tracer, registry)
+
+
+def _finish(engine, ok: bool, **payload) -> None:
+    """Write the campaign's terminal status snapshot, if one is watched."""
+    if engine.monitor is not None:
+        engine.monitor.finish(ok=ok, **payload)
+
+
+def cmd_sweep(args) -> int:
+    from repro.service.campaigns import CampaignError, CampaignSpec
+    from repro.sim.system import LivenessError
+
+    spec = CampaignSpec(
+        **_campaign_request(args), config=_hardware_config(args)
+    )
+    try:
+        sweep = spec.sweep_arguments()
+    except CampaignError as exc:
+        raise SystemExit(f"{exc}; see `python -m repro catalog`")
+    tracer = _make_tracer(args)
+    command = "sweep " + " ".join(spec.programs)
+    try:
+        with _engine_session(args, command, tracer) as engine:
+            evidence = engine.definition2_sweep(**sweep)
+            if engine.store is not None:
+                stats = engine.store.stats
+                flushed = (
+                    stats.flushed_sc + stats.flushed_drf0 + stats.flushed_runs
+                )
+                print(
+                    f"cache {args.cache_dir}: {stats.loaded_sc} SC + "
+                    f"{stats.loaded_drf0} DRF0 verdicts loaded, "
+                    f"{stats.runs_reused} hardware runs reused, "
+                    f"{flushed} new records flushed",
+                    file=sys.stderr,
+                )
+            _print_evidence_table(evidence.rows)
+            holds = evidence.contract_holds
+            # The snapshot embeds the evidence rows verbatim, so the final
+            # status file's verdict table is byte-identical to this output.
+            _finish(
+                engine, holds,
+                verdicts=evidence.rows, result={"contract_holds": holds},
+            )
+            if args.stats:
+                print(
+                    "\noracle work "
+                    "(SC-membership judgments + DRF0 verdicts):"
+                )
+                _print_explorer_stats(engine.explorer_stats)
+            verdict = "holds" if holds else "VIOLATED"
+            print(f"\nDefinition-2 contract: {verdict}")
+    except LivenessError as exc:
+        print(exc.diagnosis(), file=sys.stderr)
+        return 1
     return 0 if holds else 1
 
 
@@ -565,10 +577,10 @@ def cmd_profile(args) -> int:
         render_stall_comparison,
         run_metrics,
     )
-    from repro.sim.system import run_on_hardware
+    from repro.sim.system import build_config, run_on_hardware
 
     program = _resolve_program(args.workload)
-    config = _config_from_args(args)
+    config = build_config(**_hardware_config(args))
     policies = [args.policy]
     if args.compare and args.compare not in policies:
         policies.append(args.compare)
@@ -648,7 +660,7 @@ class _Subcommands(argparse._SubParsersAction):
         def register(add_arguments: Callable) -> Callable:
             parser_class, self._parser_class = self._parser_class, _Unbuilt
             try:
-                self.add_parser(name, **kwargs)
+                self.add_parser(name, allow_abbrev=False, **kwargs)
             finally:
                 self._parser_class = parser_class
             self._unbuilt[name] = (func, add_arguments)
@@ -677,34 +689,38 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
     With ``lazy`` (what :func:`main` uses) a subcommand's parser is built
     only when it is invoked, so a command pays for its own parser alone;
     ``lazy=False`` builds every subcommand's parser up front.  Both
-    parse, print help and fail alike on every command line.
+    parse, print help and fail alike on every command line.  Options
+    match only in full, so a retired option is an error rather than an
+    abbreviation of a live one (``sweep --seed`` is not ``--seeds``).
     """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Weak Ordering -- A New Definition (ISCA 1990) reproduction",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(
         dest="command", required=True, action=_Subcommands, lazy=lazy
     )
 
-    def add_hw_args(p, single_policy=True):
-        if single_policy:
-            p.add_argument("--policy", type=_canon_policy,
-                           choices=sorted(POLICY_FACTORIES),
-                           default="adve-hill")
+    def add_policy_arg(p):
+        p.add_argument("--policy", type=_canon_policy,
+                       choices=sorted(POLICY_FACTORIES), default="adve-hill")
+
+    def add_hw_args(p):
         p.add_argument("--topology", choices=["bus", "network"], default="network")
         p.add_argument("--no-caches", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--seeds", type=int, default=20)
         p.add_argument("--net-latency", type=int, default=3)
         p.add_argument("--capacity", type=int, default=None)
+
+    def add_metrics_arg(p):
+        p.add_argument("--metrics-json", metavar="FILE", default=None,
+                       help="write the metrics registry as JSON")
 
     def add_obs_args(p):
         p.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write a Chrome trace-event JSON file "
                             "(load in Perfetto / chrome://tracing)")
-        p.add_argument("--metrics-json", metavar="FILE", default=None,
-                       help="write the metrics registry as JSON")
+        add_metrics_arg(p)
 
     def add_status_arg(p):
         p.add_argument("--status-json", metavar="FILE", default=None,
@@ -712,6 +728,33 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                             "status snapshot (per-worker heartbeats, "
                             "completion %%, ETA); poll it with "
                             "`repro status FILE` or `repro top FILE`")
+
+    def add_engine_args(p):
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (0 = one per CPU); output is "
+                            "identical to --jobs 1")
+        p.add_argument("--cache-dir", metavar="DIR", default=None,
+                       help="persistent verdict store: warm-start from DIR and "
+                            "flush every new verdict and run summary back "
+                            "(identical output, large speedup on repeat runs; "
+                            "a killed run re-run on DIR resumes)")
+        add_status_arg(p)
+
+    def add_campaign_args(p):
+        p.add_argument("names", nargs="*",
+                       help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
+        p.add_argument("--policy", action="append", type=_canon_policy,
+                       choices=sorted(POLICY_FACTORIES), metavar="POLICY",
+                       help="policy to include, repeatable (default: all except "
+                            "the broken 'relaxed' strawman)")
+        p.add_argument("--seeds", type=int, default=20)
+        p.add_argument("--drf0-seeds", type=int, default=30,
+                       help="seeds for the sampled DRF0 premise check")
+        p.add_argument("--exhaustive-drf0", action="store_true",
+                       help="search every reachable configuration for the "
+                            "DRF0 verdict")
+        p.add_argument("--check-51", action="store_true",
+                       help="run the Section-5.1 condition monitor on every run")
 
     def add_fault_args(p):
         from repro.sim.faults import FAULT_PLANS
@@ -736,7 +779,9 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                  help="run litmus tests on simulated hardware")
     def litmus(p):
         p.add_argument("names", nargs="*")
+        add_policy_arg(p)
         add_hw_args(p)
+        p.add_argument("--seeds", type=int, default=20)
         add_obs_args(p)
 
     @sub.command("drf0", cmd_drf0, help="Definition-3 verdict for a program")
@@ -766,7 +811,9 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                             "chronological event stream of the run")
         p.add_argument("--json", action="store_true",
                        help="machine-readable run report on stdout")
+        add_policy_arg(p)
         add_hw_args(p)
+        p.add_argument("--seed", type=int, default=0)
         add_fault_args(p)
         add_obs_args(p)
 
@@ -775,23 +822,9 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
         help="Definition-2 evidence sweep (programs x policies x seeds)",
     )
     def sweep(p):
-        p.add_argument("names", nargs="*",
-                       help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
-        add_hw_args(p, single_policy=False)
-        p.add_argument("--policy", action="append", type=_canon_policy,
-                       choices=sorted(POLICY_FACTORIES), metavar="POLICY",
-                       help="policy to include, repeatable (default: all except "
-                            "the broken 'relaxed' strawman)")
-        p.add_argument("--drf0-seeds", type=int, default=30,
-                       help="seeds for the sampled DRF0 premise check")
-        p.add_argument("--exhaustive-drf0", action="store_true",
-                       help="search every reachable configuration for the "
-                            "DRF0 verdict")
-        p.add_argument("--check-51", action="store_true",
-                       help="run the Section-5.1 condition monitor on every run")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = one per CPU); output is "
-                            "identical to --jobs 1")
+        add_campaign_args(p)
+        add_hw_args(p)
+        add_fault_args(p)
         p.add_argument("--stats", action="store_true",
                        help="print aggregate explorer counters for the oracle "
                             "work the sweep dispatched")
@@ -799,14 +832,8 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="abandon and resubmit a pooled task stuck longer "
                             "than this (hung-worker recovery)")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent verdict store: warm-start from DIR and "
-                            "flush new verdicts/run summaries back (identical "
-                            "output, large speedup on repeat runs; a killed "
-                            "sweep re-run on DIR resumes)")
-        add_fault_args(p)
+        add_engine_args(p)
         add_obs_args(p)
-        add_status_arg(p)
 
     @sub.command(
         "profile", cmd_profile,
@@ -819,7 +846,9 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                        metavar="POLICY",
                        help="second policy for the side-by-side stall table "
                             "(default: definition1; empty string disables)")
+        add_policy_arg(p)
         add_hw_args(p)
+        p.add_argument("--seed", type=int, default=0)
         add_obs_args(p)
 
     @sub.command("delays", cmd_delays, help="Shasha-Snir delay pairs")
@@ -833,15 +862,8 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
     def fuzz(p):
         p.add_argument("--programs", type=int, default=20)
         p.add_argument("--start-seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = one per CPU); output is "
-                            "identical to --jobs 1")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent verdict store shared across runs")
-        p.add_argument("--metrics-json", metavar="FILE", default=None,
-                       help="write engine metrics (incl. aggregated cache hit "
-                            "rates and store counters) as JSON")
-        add_status_arg(p)
+        add_engine_args(p)
+        add_metrics_arg(p)
 
     @sub.command(
         "diff", cmd_diff,
@@ -853,20 +875,13 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--start-seed", type=int, default=0)
         p.add_argument("--hw-seeds", type=int, default=2,
                        help="hardware nondeterminism seeds per substrate")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = one per CPU); output is "
-                            "identical to --jobs 1")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent verdict store shared across runs")
         p.add_argument("--no-minimize", action="store_true",
                        help="skip DSL-level shrinking of disagreements")
         p.add_argument("--report", metavar="FILE", default=None,
                        help="also write the campaign report (with minimized "
                             "litmus reproducers) as JSON")
-        p.add_argument("--metrics-json", metavar="FILE", default=None,
-                       help="write engine metrics (incl. aggregated cache hit "
-                            "rates and store counters) as JSON")
-        add_status_arg(p)
+        add_engine_args(p)
+        add_metrics_arg(p)
 
     @sub.command(
         "chaos", cmd_chaos,
@@ -879,13 +894,8 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
                             "and seeds")
         p.add_argument("--seeds", type=int, default=10,
                        help="hardware seeds per (program, policy, plan) cell")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the per-plan sweeps")
         p.add_argument("--report", metavar="FILE", default=None,
                        help="also write the report as JSON")
-        p.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent verdict store shared by the baseline "
-                            "and every fault plan (and across chaos runs)")
         p.add_argument("--service", metavar="DIR", default=None,
                        help="process-level chaos instead: run a campaign "
                             "daemon on DIR, kill fleet workers mid-campaign "
@@ -897,7 +907,7 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--service-no-restart", action="store_true",
                        help="with --service: skip the daemon SIGKILL/restart "
                             "round (worker kills only)")
-        add_status_arg(p)
+        add_engine_args(p)
 
     @sub.command(
         "cache", cmd_cache,
@@ -957,21 +967,8 @@ def build_parser(lazy: bool = True) -> argparse.ArgumentParser:
              "evidence table",
     )
     def submit(p):
-        p.add_argument("names", nargs="*",
-                       help=f"programs to sweep (default: {DEFAULT_SWEEP_PROGRAMS})")
         add_service_client_args(p)
-        p.add_argument("--policy", action="append", type=_canon_policy,
-                       choices=sorted(POLICY_FACTORIES), metavar="POLICY",
-                       help="policy to include, repeatable (default: all except "
-                            "the broken 'relaxed' strawman)")
-        p.add_argument("--seeds", type=int, default=20)
-        p.add_argument("--drf0-seeds", type=int, default=30,
-                       help="seeds for the sampled DRF0 premise check")
-        p.add_argument("--exhaustive-drf0", action="store_true",
-                       help="search every reachable configuration for the "
-                            "DRF0 verdict")
-        p.add_argument("--check-51", action="store_true",
-                       help="run the Section-5.1 condition monitor on every run")
+        add_campaign_args(p)
         p.add_argument("--no-wait", action="store_true",
                        help="print the campaign id and return immediately "
                             "instead of waiting for the evidence table")
@@ -1059,57 +1056,41 @@ def cmd_cache(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.verify.chaos import chaos_sweep
+    def say(message: str) -> None:
+        print(f"  .. {message}", file=sys.stderr)
 
-    if args.jobs < 0:
-        raise _usage_error(
-            f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
-        )
     if args.service:
-        from repro.verify.chaos import service_kill_chaos
+        from repro.service.chaos import service_kill_chaos
 
         if args.service_kills < 1:
             raise _usage_error(
                 f"--service-kills must be >= 1 (got {args.service_kills})"
             )
-        report = service_kill_chaos(
+        payload = service_kill_chaos(
             args.service,
             worker_kills=args.service_kills,
             daemon_restart=not args.service_no_restart,
-            progress=lambda message: print(
-                f"  .. {message}", file=sys.stderr
-            ),
+            progress=say,
         )
-        print(json.dumps(report, indent=2, sort_keys=True))
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"report -> {args.report}", file=sys.stderr)
-        return 0 if report["ok"] else 1
-    monitor = _make_monitor(args, f"chaos --seeds {args.seeds}")
-    try:
-        report = chaos_sweep(
-            seeds=range(args.seeds),
-            jobs=args.jobs,
-            quick=args.quick,
-            progress=lambda message: print(f"  .. {message}", file=sys.stderr),
-            cache_dir=args.cache_dir,
-            monitor=monitor,
-        )
-    except BaseException as exc:
-        if monitor is not None:
-            monitor.fail(f"{type(exc).__name__}: {exc}")
-        raise
-    if monitor is not None:
-        monitor.finish(ok=report.ok, result=report.to_json())
-    print(report.render())
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        ok = payload["ok"]
+    else:
+        from repro.verify.chaos import chaos_sweep
+
+        with _engine_session(args, f"chaos --seeds {args.seeds}") as engine:
+            report = chaos_sweep(
+                engine, seeds=range(args.seeds), quick=args.quick,
+                progress=say,
+            )
+            payload, ok = report.to_json(), report.ok
+            _finish(engine, ok, result=payload)
+        print(report.render())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"report -> {args.report}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 def _service_client(args):
@@ -1167,21 +1148,10 @@ def cmd_submit(args) -> int:
     """Submit a campaign and (unless ``--no-wait``) print its evidence."""
     from repro.service.client import ServiceError
 
-    names = args.names or DEFAULT_SWEEP_PROGRAMS
-    policy_names = args.policy or [
-        name for name in sorted(POLICY_FACTORIES) if name != "relaxed"
-    ]
-    spec = {
-        "programs": list(names),
-        "policies": list(policy_names),
-        "seeds": args.seeds,
-        "drf0_seeds": args.drf0_seeds,
-        "exhaustive_drf0": args.exhaustive_drf0,
-        "check_51": args.check_51,
-    }
+    request = _campaign_request(args)
     try:
         client = _service_client(args)
-        accepted = client.submit_with_backoff(spec)
+        accepted = client.submit_with_backoff(request)
         cid = accepted["id"]
         print(
             f"campaign {cid} accepted "
@@ -1268,95 +1238,49 @@ def cmd_campaigns(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from repro.verify.engine import VerificationEngine
-
-    if args.jobs < 0:
-        raise _usage_error(
-            f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
-        )
-    registry = None
-    if args.metrics_json:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    monitor = _make_monitor(
+    with _engine_session(
         args, f"fuzz --programs {args.programs} --start-seed {args.start_seed}"
-    )
-    engine = VerificationEngine(
-        jobs=args.jobs, metrics=registry, cache_dir=args.cache_dir,
-        monitor=monitor,
-    )
-    try:
+    ) as engine:
         report = engine.fuzz(
             range(args.start_seed, args.start_seed + args.programs)
         )
-    except BaseException as exc:
-        if monitor is not None:
-            monitor.fail(f"{type(exc).__name__}: {exc}")
-        raise
-    if monitor is not None:
-        monitor.finish(
-            ok=report.ok,
+        _finish(
+            engine, report.ok,
             result={
                 "programs_run": report.programs_run,
                 "hardware_runs": report.hardware_runs,
                 "failures": list(report.failures),
             },
         )
-    stats = engine.sc_cache.stats
-    print(
-        f"fuzz: {report.programs_run} programs, "
-        f"{report.hardware_runs} hardware runs, "
-        f"{len(report.failures)} failures "
-        f"(SC memo: {stats.hits} hits / {stats.misses} misses)"
-    )
-    for failure in report.failures[:10]:
-        print(f"  {failure}")
-    if engine.store is not None:
-        engine.store.close()
-    if registry is not None:
-        engine.metrics_snapshot(registry)
-    _write_obs_outputs(args, None, registry)
+        stats = engine.sc_cache.stats
+        print(
+            f"fuzz: {report.programs_run} programs, "
+            f"{report.hardware_runs} hardware runs, "
+            f"{len(report.failures)} failures "
+            f"(SC memo: {stats.hits} hits / {stats.misses} misses)"
+        )
+        for failure in report.failures[:10]:
+            print(f"  {failure}")
     return 0 if report.ok else 1
 
 
 def cmd_diff(args) -> int:
     from repro.verify.diff import render_program, report_as_dict
-    from repro.verify.engine import VerificationEngine
 
-    if args.jobs < 0:
-        raise _usage_error(
-            f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
-        )
     if args.hw_seeds < 1:
         raise _usage_error(
             f"--hw-seeds must be >= 1 (got {args.hw_seeds})"
         )
-    registry = None
-    if args.metrics_json:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    monitor = _make_monitor(
+    with _engine_session(
         args, f"diff --programs {args.programs} --start-seed {args.start_seed}"
-    )
-    engine = VerificationEngine(
-        jobs=args.jobs, metrics=registry, cache_dir=args.cache_dir,
-        monitor=monitor,
-    )
-    try:
+    ) as engine:
         report = engine.diff_campaign(
             range(args.start_seed, args.start_seed + args.programs),
             hardware_seeds=range(args.hw_seeds),
             minimize=not args.no_minimize,
         )
-    except BaseException as exc:
-        if monitor is not None:
-            monitor.fail(f"{type(exc).__name__}: {exc}")
-        raise
-    if monitor is not None:
-        monitor.finish(
-            ok=report.ok,
+        _finish(
+            engine, report.ok,
             result={
                 "programs_run": report.programs_run,
                 "comparisons": report.comparisons,
@@ -1364,29 +1288,27 @@ def cmd_diff(args) -> int:
                 "disagreements": len(report.disagreements),
             },
         )
-    stats = engine.drf0_cache.stats
-    print(
-        f"diff: {report.programs_run} programs, "
-        f"{report.comparisons} comparisons, "
-        f"{report.hardware_runs} hardware runs, "
-        f"{len(report.disagreements)} disagreements "
-        f"(DRF0 memo: {stats.hits} hits / {stats.misses} misses)"
-    )
-    for disagreement in report.disagreements[:10]:
-        print(f"  seed {disagreement.seed} [{disagreement.kind}]: "
-              f"{disagreement.detail}")
-        if disagreement.minimized is not None:
-            for line in render_program(disagreement.minimized).splitlines():
-                print(f"    {line}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report_as_dict(report), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report}")
-    if engine.store is not None:
-        engine.store.close()
-    if registry is not None:
-        engine.metrics_snapshot(registry)
-    _write_obs_outputs(args, None, registry)
+        stats = engine.drf0_cache.stats
+        print(
+            f"diff: {report.programs_run} programs, "
+            f"{report.comparisons} comparisons, "
+            f"{report.hardware_runs} hardware runs, "
+            f"{len(report.disagreements)} disagreements "
+            f"(DRF0 memo: {stats.hits} hits / {stats.misses} misses)"
+        )
+        for disagreement in report.disagreements[:10]:
+            print(f"  seed {disagreement.seed} [{disagreement.kind}]: "
+                  f"{disagreement.detail}")
+            if disagreement.minimized is not None:
+                rendered = render_program(disagreement.minimized)
+                for line in rendered.splitlines():
+                    print(f"    {line}")
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(
+                    report_as_dict(report), fh, indent=2, sort_keys=True
+                )
+            print(f"report written to {args.report}")
     return 0 if report.ok else 1
 
 
@@ -1454,6 +1376,10 @@ def cmd_top(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 0) < 0:
+        raise _usage_error(
+            f"--jobs must be >= 0 (got {args.jobs}); 0 means one per CPU"
+        )
     try:
         return args.func(args)
     except KeyboardInterrupt:

@@ -92,6 +92,16 @@ def rss_kb() -> int:
         return 0
 
 
+def failure_text(exc: BaseException) -> str:
+    """How a status snapshot reports a failure: the exception's
+    per-processor ``diagnosis()`` where it has one (a
+    :class:`~repro.sim.system.LivenessError`), else ``Type: message``."""
+    diagnose = getattr(exc, "diagnosis", None)
+    if callable(diagnose):
+        return diagnose()
+    return f"{type(exc).__name__}: {exc}"
+
+
 class Heartbeat:
     """One process's live telemetry, handed to ``sink`` record by record.
 
@@ -496,33 +506,14 @@ class CampaignMonitor:
     # -- plan ownership ------------------------------------------------
 
     def claim_plan(self) -> bool:
-        """First caller owns the campaign plan; later engines sharing
-        this monitor (e.g. chaos' per-plan engines) heartbeat and poll
-        but must not tick units.  Returns ``True`` exactly once."""
+        """First caller owns the campaign plan; a later claimant (the
+        engine under the chaos harness, which plans the suite itself)
+        heartbeats and polls but must not tick units.  Returns ``True``
+        exactly once."""
         if self._plan_claimed:
             return False
         self._plan_claimed = True
         return True
-
-    # -- delegation to the progress engine -----------------------------
-
-    def plan(self, cells: Sequence[Tuple[str, int, float]]) -> None:
-        self.progress.plan(cells)
-
-    def prefill(self, index: int, units: int) -> None:
-        self.progress.prefill(index, units)
-
-    def add_extra(self, kind: str, units: int) -> None:
-        self.progress.add_extra(kind, units)
-
-    def unit_done(self, index: int, units: int = 1) -> None:
-        self.progress.unit_done(index, units)
-
-    def extra_done(self, kind: str, units: int = 1) -> None:
-        self.progress.extra_done(kind, units)
-
-    def observe_cell_us(self, index: int, us: float) -> None:
-        self.progress.observe_cell_us(index, us)
 
     def attach_resilience(self, counters: dict) -> None:
         """Expose the engine's live resilience counter dict (crashes,

@@ -26,7 +26,10 @@ Layers (each its own module):
   :class:`~repro.verify.engine.VerificationEngine` on the fleet,
   SIGTERM drain, and restart resume from the shared verdict store;
 * :mod:`repro.service.client`     -- the stdlib client the ``submit`` /
-  ``campaigns`` CLI subcommands and the tests drive.
+  ``campaigns`` CLI subcommands and the tests drive;
+* :mod:`repro.service.chaos`      -- ``repro chaos --service``: kill
+  fleet workers and the daemon itself mid-campaign, and require the
+  evidence of a serial in-process sweep.
 
 Importing the package loads none of these layers: its names re-export
 lazily, so ``repro submit``, which needs only the client, loads neither

@@ -1,13 +1,17 @@
-"""Campaign specs: the JSON documents the daemon accepts and executes.
+"""Campaign specs: the one request for a Definition-2 sweep.
 
 A campaign is exactly a ``definition2_sweep`` call by name: a program
 corpus (litmus/workload names), a policy grid (policy registry names),
-a hardware config, and seed ranges.  Everything is name-based and
-JSON-round-trippable so specs can cross the HTTP protocol, be persisted
-in the daemon's state directory, and be resolved *independently* by the
-daemon (for the engine and its serial-degradation path) and by each
-fleet worker (which was spawned before the campaign existed and cannot
-inherit anything by fork).
+a hardware config, and seed ranges.  ``repro sweep`` builds one from its
+flags and runs it, ``repro submit`` sends one to the daemon, and the
+daemon and the service chaos harness run the ones they receive.  Every
+one of them expands a spec through :meth:`CampaignSpec.sweep_arguments`.
+
+Everything is name-based and JSON-round-trippable so specs can cross
+the HTTP protocol, be persisted in the daemon's state directory, and be
+resolved *independently* by the daemon (for the engine and its
+serial-degradation path) and by each fleet worker (which was spawned
+before the campaign existed and cannot inherit anything by fork).
 
 Content signature: :meth:`CampaignSpec.signature` hashes the canonical
 JSON form.  The daemon embeds it in campaign ids and results.  A
@@ -21,10 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.machine.program import Program
-from repro.sim.system import SystemConfig
+from repro.sim.faults import FAULT_PLANS
+from repro.sim.system import SystemConfig, build_config
+from repro.workloads import WORKLOAD_FACTORIES, resolve_program
 
 
 class CampaignError(ValueError):
@@ -58,49 +63,29 @@ _CONFIG_FIELDS = (
 def config_from_dict(data: Optional[dict]) -> SystemConfig:
     """Build a :class:`SystemConfig` from a spec's ``config`` object.
 
-    Plain fields map one-to-one; the fault plan is named (``faults`` +
-    optional ``fault_seed``) and resolved through the
-    :data:`~repro.sim.faults.FAULT_PLANS` registry -- the same path the
-    CLI's ``--faults`` flag takes, so a daemon campaign under
-    ``delay-storm`` is *the same* delay-storm.
+    The object comes from outside the program, so its names are checked
+    here: plain fields against :data:`_CONFIG_FIELDS`, the fault plan
+    (``faults`` + optional ``fault_seed``) against
+    :data:`~repro.sim.faults.FAULT_PLANS`.
+    :func:`~repro.sim.system.build_config` builds it, as it builds the
+    config of the command line's ``--faults`` flags.
     """
     data = dict(data or {})
-    plan_name = data.pop("faults", None)
-    fault_seed = data.pop("fault_seed", None)
-    unknown = set(data) - set(_CONFIG_FIELDS)
+    unknown = set(data) - {"faults", "fault_seed", *_CONFIG_FIELDS}
     if unknown:
         raise CampaignError(
             f"unknown config fields: {', '.join(sorted(unknown))}"
         )
-    fault_plan = None
-    if plan_name is not None:
-        from repro.sim.faults import FAULT_PLANS
-
-        if plan_name not in FAULT_PLANS:
-            raise CampaignError(
-                f"unknown fault plan {plan_name!r} "
-                f"(known: {', '.join(sorted(FAULT_PLANS))})"
-            )
-        fault_plan = FAULT_PLANS[plan_name]
-        if fault_seed is not None:
-            fault_plan = fault_plan.with_seed(int(fault_seed))
+    plan_name = data.get("faults")
+    if plan_name is not None and plan_name not in FAULT_PLANS:
+        raise CampaignError(
+            f"unknown fault plan {plan_name!r} "
+            f"(known: {', '.join(sorted(FAULT_PLANS))})"
+        )
     try:
-        return SystemConfig(fault_plan=fault_plan, **data)
+        return build_config(**data)
     except TypeError as exc:
         raise CampaignError(f"bad config: {exc}")
-
-
-def resolve_program(name: str) -> Program:
-    """Name -> Program via the workload and litmus registries."""
-    from repro.cli import WORKLOAD_FACTORIES
-    from repro.litmus import by_name
-
-    if name in WORKLOAD_FACTORIES:
-        return WORKLOAD_FACTORIES[name]()
-    try:
-        return by_name(name).program
-    except KeyError:
-        raise CampaignError(f"unknown program {name!r}")
 
 
 def load_program_registries() -> None:
@@ -111,7 +96,6 @@ def load_program_registries() -> None:
     catalog, the workload modules and the policy modules instead of
     each importing them.
     """
-    from repro.cli import WORKLOAD_FACTORIES
     from repro.hw import POLICY_FACTORIES
     from repro.litmus import catalog  # noqa: F401 -- loaded for the fork
 
@@ -119,7 +103,9 @@ def load_program_registries() -> None:
         build()
 
 
-def resolve_policies(names: List[str]) -> Dict[str, Callable[[], object]]:
+def resolve_policies(
+    names: Iterable[str],
+) -> Dict[str, Callable[[], object]]:
     from repro.hw import POLICY_FACTORIES
 
     factories: Dict[str, Callable[[], object]] = {}
@@ -196,7 +182,7 @@ class CampaignSpec:
             config=dict(data.get("config") or {}),
             failpoints=tuple(failpoints),
         )
-        spec.resolve_config()  # validate the config names eagerly
+        config_from_dict(spec.config)  # validate the config names eagerly
         return spec
 
     def to_dict(self) -> dict:
@@ -221,39 +207,48 @@ class CampaignSpec:
 
     # -- resolution ----------------------------------------------------
 
-    def resolve_config(self) -> SystemConfig:
-        return config_from_dict(self.config)
+    def sweep_arguments(self) -> dict:
+        """The keyword arguments of the ``definition2_sweep`` this spec
+        names, its names resolved (:class:`CampaignError` for an unknown
+        one).
 
-    def resolve(self):
-        """(programs, policy factories, config, failpoints) -- the exact
-        arguments of the ``definition2_sweep`` this spec describes."""
-        from repro.verify.engine import Failpoint
-
-        programs = [resolve_program(name) for name in self.programs]
-        factories = resolve_policies(list(self.policies))
-        config = self.resolve_config()
-        failpoints = tuple(
-            Failpoint(f["task_kind"], f["mode"], f["token"])
-            for f in self.failpoints
-        )
-        return programs, factories, config, failpoints
+        The one expansion of a spec: every caller runs a campaign as
+        ``engine.definition2_sweep(**spec.sweep_arguments())``, and each
+        daemon fleet worker builds its task context from the same
+        arguments (:func:`build_task_context`), so the cell indices in
+        task tuples mean the same in every process.
+        """
+        programs = []
+        for name in self.programs:
+            try:
+                programs.append(resolve_program(name))
+            except KeyError:
+                raise CampaignError(f"unknown program {name!r}")
+        return {
+            "programs": programs,
+            "policy_factories": resolve_policies(self.policies),
+            "config": config_from_dict(self.config),
+            "seeds": range(self.seeds),
+            "drf0_seeds": range(self.drf0_seeds),
+            "exhaustive_drf0": self.exhaustive_drf0,
+            "check_51_conditions": self.check_51,
+        }
 
 
 def build_task_context(data: dict):
     """Worker-side: spec dict -> the engine's task context, built by
-    :func:`~repro.verify.engine.sweep_task_context` as
+    :func:`~repro.verify.engine.sweep_task_context` from the arguments
     :meth:`~repro.verify.engine.VerificationEngine.definition2_sweep`
-    builds its own, so cell indices mean the same in every process."""
-    from repro.verify.engine import sweep_task_context
+    builds its own from, with the spec's failpoints armed."""
+    from repro.verify.engine import Failpoint, sweep_task_context
 
     spec = CampaignSpec.from_dict(data)
-    programs, factories, config, failpoints = spec.resolve()
+    arguments = spec.sweep_arguments()
+    del arguments["seeds"]  # each task tuple names its own seeds
     return sweep_task_context(
-        programs,
-        factories,
-        config,
-        spec.exhaustive_drf0,
-        range(spec.drf0_seeds),
-        spec.check_51,
-        failpoints,
+        **arguments,
+        failpoints=tuple(
+            Failpoint(f["task_kind"], f["mode"], f["token"])
+            for f in spec.failpoints
+        ),
     )

@@ -1,10 +1,11 @@
 """The campaign daemon: queueing, execution, drain, resume.
 
 One asyncio loop serves the HTTP protocol; campaigns execute
-sequentially in a worker thread, each as a full
-``VerificationEngine.definition2_sweep`` on the daemon's supervised
-fleet (``VerificationEngine(fleet=)``).  The daemon adds the service
-semantics around that engine call:
+sequentially in a worker thread, each as the full
+``VerificationEngine.definition2_sweep`` its spec names
+(:meth:`~repro.service.campaigns.CampaignSpec.sweep_arguments`) on the
+daemon's supervised fleet (``VerificationEngine(fleet=)``).  The daemon
+adds the service semantics around that engine call:
 
 * **queueing + backpressure** -- submissions past ``queue_limit``
   pending campaigns are rejected with 429 and a ``Retry-After`` hint
@@ -233,7 +234,7 @@ class CampaignDaemon:
         )
         monitor.attach_service(self.counters)
         try:
-            programs, factories, config, _failpoints = spec.resolve()
+            sweep = spec.sweep_arguments()
             self.fleet.ensure()
             self.fleet.set_context(spec.to_dict())
             if record.resumed:
@@ -247,15 +248,7 @@ class CampaignDaemon:
                 max_task_retries=self.max_retries,
                 retry_backoff=self.retry_backoff,
             )
-            evidence = engine.definition2_sweep(
-                programs,
-                factories,
-                config=config,
-                seeds=range(spec.seeds),
-                drf0_seeds=range(spec.drf0_seeds),
-                exhaustive_drf0=spec.exhaustive_drf0,
-                check_51_conditions=spec.check_51,
-            )
+            evidence = engine.definition2_sweep(**sweep)
             holds = evidence.contract_holds
             metrics = engine.metrics_snapshot().as_dict()
             result = {
@@ -366,7 +359,7 @@ class CampaignDaemon:
         try:
             payload = request.json()
             spec = CampaignSpec.from_dict(payload)
-            spec.resolve()  # unknown program/policy names are client errors
+            spec.sweep_arguments()  # unknown names are client errors
         except (ValueError, CampaignError) as exc:
             return json_response(400, {"error": str(exc)})
         signature = spec.signature()

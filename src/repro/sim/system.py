@@ -26,7 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a cycle through repro.hw
 from repro.sim.cache import CacheController
 from repro.sim.directory import Directory
 from repro.sim.events import SimulationError, Simulator
-from repro.sim.faults import FaultPlan, NULL_INJECTOR, build_injector
+from repro.sim.faults import (
+    FAULT_PLANS,
+    FaultPlan,
+    NULL_INJECTOR,
+    build_injector,
+)
 from repro.sim.memory import CachelessPort, MemoryModule
 from repro.sim.network import Bus, GeneralNetwork, Interconnect
 from repro.sim.processor import Processor, ProcessorStats
@@ -156,6 +161,27 @@ class SystemConfig:
         clone.__dict__.update(self.__dict__)
         clone.__dict__["seed"] = seed
         return clone
+
+
+def build_config(
+    faults: Optional[str] = None,
+    fault_seed: Optional[int] = None,
+    **fields,
+) -> SystemConfig:
+    """The :class:`SystemConfig` of ``fields`` under the fault plan named
+    ``faults`` (a key of :data:`~repro.sim.faults.FAULT_PLANS`; None is
+    fault free), reseeded with ``fault_seed`` when one is given.
+
+    Every command's hardware flags and every campaign spec's ``config``
+    object name their hardware this way, so ``--faults jitter-heavy``
+    and a daemon campaign under ``jitter-heavy`` run the same plan.
+    """
+    fault_plan = None
+    if faults is not None:
+        fault_plan = FAULT_PLANS[faults]
+        if fault_seed is not None:
+            fault_plan = fault_plan.with_seed(int(fault_seed))
+    return SystemConfig(fault_plan=fault_plan, **fields)
 
 
 #: The four hardware configurations of the paper's Figure 1.

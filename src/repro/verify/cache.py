@@ -183,18 +183,13 @@ class SCVerdictCache:
             for (fingerprint, result), (verdict, _) in self._entries.items()
         ]
 
-    def judge(
-        self, program: Program, result: Result, quarantine: bool = False
-    ) -> bool:
+    def judge(self, program: Program, result: Result) -> bool:
         """Cached :func:`is_sc_result`: judge once, remember forever.
 
-        With ``quarantine`` a corrupted entry is evicted and re-judged
-        rather than raising :class:`CacheIntegrityError`.
+        A corrupted entry is evicted and re-judged
+        (:meth:`lookup_or_quarantine`), never served.
         """
-        if quarantine:
-            verdict = self.lookup_or_quarantine(program, result)
-        else:
-            verdict = self.lookup(program, result)
+        verdict = self.lookup_or_quarantine(program, result)
         if verdict is None:
             verdict = is_sc_result(program, result)
             self.store(program, result, verdict)

@@ -24,18 +24,19 @@ The report renders as text (the ``repro chaos`` subcommand) and as JSON
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.faults import (
     DELIVERY_PRESERVING_PLANS,
     DELIVERY_VIOLATING_PLANS,
 )
-from repro.sim.system import LivenessError, SystemConfig, run_on_hardware
-from repro.verify.cache import DRF0VerdictCache, SCVerdictCache
+from repro.sim.system import (
+    LivenessError,
+    SystemConfig,
+    build_config,
+    run_on_hardware,
+)
 from repro.verify.engine import VerificationEngine
 
 #: Default litmus selection: covers the contract's load-bearing shapes
@@ -54,6 +55,10 @@ DEFAULT_POLICIES = (
 QUICK_POLICIES = ("sc", "adve-hill", "relaxed")
 
 QUICK_PRESERVING = ("jitter-heavy", "reorder", "duplicate", "kitchen-sink")
+
+#: Every faulted run's liveness watchdog: a delivery-violating plan must
+#: end in a diagnosed stall within this many cycles, never a hang.
+WATCHDOG_CYCLES = 20_000
 
 
 @dataclass
@@ -206,97 +211,71 @@ def _verdict_map(evidence) -> Dict[str, Tuple[bool, bool]]:
 
 
 def chaos_sweep(
-    program_names: Optional[Sequence[str]] = None,
-    policy_names: Optional[Sequence[str]] = None,
+    engine: VerificationEngine,
     seeds: Sequence[int] = range(10),
-    config: Optional[SystemConfig] = None,
-    jobs: Optional[int] = 1,
     quick: bool = False,
-    watchdog_cycles: int = 20_000,
-    preserving_plans: Optional[Sequence[str]] = None,
-    violating_plans: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
-    cache_dir: Optional[str] = None,
-    monitor=None,
 ) -> ChaosReport:
-    """Run the full chaos suite and return its report.
+    """Run the full chaos suite on ``engine`` and return its report.
 
     ``quick`` shrinks every axis (programs, policies, plans, seeds) to a
-    CI-smoke-sized subset.  SC and DRF0 verdict caches are shared across
-    all plans: an SC judgment is keyed by (program, result) and is
-    fault-plan-independent, so the baseline pays for the oracle and every
-    plan after it mostly re-proves hardware behavior.  ``cache_dir``
-    additionally attaches one shared persistent
-    :class:`~repro.verify.store.VerdictStore`, so a *second* chaos run
-    skips the oracle entirely and reuses per-plan hardware summaries
-    (the run keys include the fault plan via the config repr, so plans
-    never cross-contaminate).
+    CI-smoke-sized subset.  Every sweep -- the baseline and one per
+    delivery-preserving plan -- runs on the one engine, so its SC and
+    DRF0 verdict caches serve them all: an SC judgment is keyed by
+    (program, result) and is fault-plan-independent, so the baseline
+    pays for the oracle and every plan after it mostly re-proves
+    hardware behavior.  An engine with a persistent
+    :class:`~repro.verify.store.VerdictStore` lets a *second* chaos run
+    skip the oracle entirely and reuse per-plan hardware summaries (the
+    run keys include the fault plan via the config repr, so plans never
+    cross-contaminate); the caller closes it.
 
-    ``monitor`` (a :class:`~repro.obs.progress.CampaignMonitor`) makes
-    the suite watchable: the chaos harness claims the campaign plan --
-    one unit per sweep plan plus one per violating-plan probe -- and the
-    per-plan engines share the monitor for heartbeats without re-planning
-    it (their :meth:`claim_plan` returns ``False``).
+    The engine's monitor (a :class:`~repro.obs.progress.CampaignMonitor`)
+    makes the suite watchable: the harness claims the campaign plan --
+    one unit for the baseline, one per preserving plan and one per
+    violating-plan probe -- before its sweeps run, so they heartbeat
+    without re-planning it (their :meth:`claim_plan` returns ``False``).
     """
     from repro.hw import POLICY_FACTORIES
     from repro.litmus.catalog import by_name
 
-    if program_names is None:
-        program_names = QUICK_PROGRAMS if quick else DEFAULT_PROGRAMS
-    if policy_names is None:
-        policy_names = QUICK_POLICIES if quick else DEFAULT_POLICIES
-    if preserving_plans is None:
-        preserving_plans = (
-            QUICK_PRESERVING if quick else tuple(DELIVERY_PRESERVING_PLANS)
-        )
-    if violating_plans is None:
-        violating_plans = tuple(DELIVERY_VIOLATING_PLANS)
+    program_names = QUICK_PROGRAMS if quick else DEFAULT_PROGRAMS
+    policy_names = QUICK_POLICIES if quick else DEFAULT_POLICIES
+    preserving_plans = (
+        QUICK_PRESERVING if quick else tuple(DELIVERY_PRESERVING_PLANS)
+    )
     if quick:
         seeds = range(min(6, len(list(seeds)) or 6))
     seeds = list(seeds)
-    config = config or SystemConfig()
+    config = SystemConfig()
     say = progress if progress is not None else (lambda _msg: None)
 
     programs = [by_name(name).program for name in program_names]
     factories = {name: POLICY_FACTORIES[name] for name in policy_names}
 
-    sc_cache = SCVerdictCache()
-    drf0_cache = DRF0VerdictCache()
-    store = None
-    if cache_dir is not None:
-        from repro.verify.store import VerdictStore
-
-        store = VerdictStore(cache_dir)
-        store.load()
-
-    def engine() -> VerificationEngine:
-        return VerificationEngine(
-            jobs=jobs, sc_cache=sc_cache, drf0_cache=drf0_cache, store=store,
-            monitor=monitor,
-        )
-
     probe_seeds = seeds[:2] or [0]
     probes_per_plan = len(programs) * len(factories) * len(probe_seeds)
+    monitor = engine.monitor
     owns_plan = monitor is not None and monitor.claim_plan()
     if owns_plan:
-        monitor.plan(
+        monitor.progress.plan(
             [("baseline", 1, 0.0)]
             + [(f"plan/{name}", 1, 0.0) for name in preserving_plans]
             + [
                 (f"probe/{name}", probes_per_plan, 0.0)
-                for name in violating_plans
+                for name in DELIVERY_VIOLATING_PLANS
             ]
         )
         monitor.poll(force=True)
 
-    def plan_tick(cell: int, units: int = 1) -> None:
+    def plan_tick(cell: int) -> None:
         if owns_plan:
-            monitor.unit_done(cell, units)
+            monitor.progress.unit_done(cell)
             monitor.poll()
 
     say("baseline sweep (no faults)")
     baseline = _verdict_map(
-        engine().definition2_sweep(programs, factories, config, seeds=seeds)
+        engine.definition2_sweep(programs, factories, config, seeds=seeds)
     )
     plan_tick(0)
 
@@ -308,14 +287,11 @@ def chaos_sweep(
     )
 
     for plan_index, plan_name in enumerate(preserving_plans):
-        plan = DELIVERY_PRESERVING_PLANS[plan_name]
         say(f"plan {plan_name} (delivery-preserving)")
         outcome = PlanOutcome(plan=plan_name, delivery_preserving=True)
-        cfg = replace(
-            config, fault_plan=plan, watchdog_cycles=watchdog_cycles
-        )
+        cfg = build_config(faults=plan_name, watchdog_cycles=WATCHDOG_CYCLES)
         faulted = _verdict_map(
-            engine().definition2_sweep(programs, factories, cfg, seeds=seeds)
+            engine.definition2_sweep(programs, factories, cfg, seeds=seeds)
         )
         outcome.runs = len(programs) * len(factories) * len(seeds)
         outcome.verdicts_match = faulted == baseline
@@ -330,13 +306,10 @@ def chaos_sweep(
         report.outcomes.append(outcome)
         plan_tick(1 + plan_index)
 
-    for probe_index, plan_name in enumerate(violating_plans):
-        plan = DELIVERY_VIOLATING_PLANS[plan_name]
+    for probe_index, plan_name in enumerate(DELIVERY_VIOLATING_PLANS):
         say(f"plan {plan_name} (delivery-violating)")
         outcome = PlanOutcome(plan=plan_name, delivery_preserving=False)
-        cfg = replace(
-            config, fault_plan=plan, watchdog_cycles=watchdog_cycles
-        )
+        cfg = build_config(faults=plan_name, watchdog_cycles=WATCHDOG_CYCLES)
         probe_cell = 1 + len(preserving_plans) + probe_index
         for program in programs:
             for name, factory in factories.items():
@@ -364,8 +337,6 @@ def chaos_sweep(
                     plan_tick(probe_cell)
         report.outcomes.append(outcome)
 
-    if store is not None:
-        store.close()
     return report
 
 
@@ -381,196 +352,3 @@ def _sample_fault_events(
         for key, value in run.fault_stats.items():
             totals[key] = totals.get(key, 0) + value
     return totals
-
-
-# -- service kill-chaos -------------------------------------------------
-
-def _daemon_entry(state_dir: str, workers: int, task_timeout: float) -> None:
-    """Child-process body: run a campaign daemon until it drains."""
-    from repro.service.daemon import CampaignDaemon
-
-    daemon = CampaignDaemon(
-        state_dir, port=0, workers=workers, task_timeout=task_timeout
-    )
-    daemon.serve_forever()
-
-
-def service_kill_chaos(
-    state_dir: str,
-    program_names: Sequence[str] = ("MP+sync", "SB"),
-    policy_names: Sequence[str] = ("sc", "adve-hill"),
-    seeds: int = 4,
-    drf0_seeds: int = 4,
-    worker_kills: int = 2,
-    daemon_restart: bool = True,
-    workers: int = 2,
-    task_timeout: float = 30.0,
-    timeout: float = 300.0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """Process-level chaos: the daemon's evidence must survive murder.
-
-    The fault-plan chaos above perturbs the *simulated* memory system;
-    this half perturbs the *service* itself.  A campaign is submitted to
-    a real daemon with ``worker_kills`` crash failpoints armed
-    (``{"task_kind": "run", "mode": "crash"}`` -- each kills one fleet
-    worker mid-task, exactly once, token-claimed across the fleet), and
-    -- with ``daemon_restart`` -- the daemon process is SIGKILLed the
-    moment the first worker dies, then restarted on the same state
-    directory to resume the campaign from the daemon's verdict store.
-
-    The invariance obligation is the same as every other chaos axis:
-    the final evidence rows must be byte-identical (as canonical JSON)
-    to a plain in-process serial sweep of the same spec.  The returned
-    report also carries the ``engine.service.*`` counters so callers can
-    assert the recovery machinery actually engaged (worker crashes
-    reaped, leases reclaimed, retries charged) rather than the kills
-    having silently missed.
-    """
-    import multiprocessing
-    import signal as signal_mod
-
-    from repro.service.campaigns import resolve_policies, resolve_program
-    from repro.service.client import ServiceClient, ServiceError
-
-    say = progress if progress is not None else (lambda _msg: None)
-    deadline = time.monotonic() + timeout
-    os.makedirs(state_dir, exist_ok=True)
-    token_dir = os.path.join(state_dir, "chaos-tokens")
-    os.makedirs(token_dir, exist_ok=True)
-    tokens = [
-        os.path.join(token_dir, f"kill-{index}")
-        for index in range(worker_kills)
-    ]
-    for token in tokens:
-        try:
-            os.unlink(token)
-        except OSError:
-            pass
-
-    spec = {
-        "programs": list(program_names),
-        "policies": list(policy_names),
-        "seeds": int(seeds),
-        "drf0_seeds": int(drf0_seeds),
-        "failpoints": [
-            {"task_kind": "run", "mode": "crash", "token": token}
-            for token in tokens
-        ],
-    }
-
-    say("serial baseline sweep (no daemon, no kills)")
-    programs = [resolve_program(name) for name in program_names]
-    factories = resolve_policies(list(policy_names))
-    baseline = VerificationEngine(jobs=1).definition2_sweep(
-        programs,
-        factories,
-        SystemConfig(),
-        seeds=range(int(seeds)),
-        drf0_seeds=range(int(drf0_seeds)),
-    )
-    baseline_blob = json.dumps(baseline.rows, sort_keys=True)
-
-    ctx = multiprocessing.get_context("fork")
-    endpoint_path = os.path.join(state_dir, "endpoint.json")
-
-    def start_daemon():
-        proc = ctx.Process(
-            target=_daemon_entry,
-            args=(state_dir, workers, task_timeout),
-        )
-        proc.start()
-        while time.monotonic() < deadline:
-            try:
-                with open(endpoint_path, "r", encoding="utf-8") as handle:
-                    endpoint = json.load(handle)
-                if endpoint.get("pid") == proc.pid:
-                    return proc, ServiceClient(
-                        endpoint.get("host", "127.0.0.1"), endpoint["port"]
-                    )
-            except (OSError, ValueError, KeyError):
-                pass
-            if not proc.is_alive():
-                raise RuntimeError("campaign daemon died during startup")
-            time.sleep(0.05)
-        proc.terminate()
-        raise RuntimeError("campaign daemon did not bind in time")
-
-    say("starting the campaign daemon")
-    proc, client = start_daemon()
-    restarts = 0
-    try:
-        accepted = client.submit_with_backoff(spec)
-        cid = accepted["id"]
-        say(f"campaign {cid} submitted ({worker_kills} worker kills armed)")
-        if daemon_restart:
-            while not any(os.path.exists(token) for token in tokens):
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        "no worker kill fired before the chaos deadline"
-                    )
-                if not proc.is_alive():
-                    raise RuntimeError("daemon died before any worker kill")
-                time.sleep(0.02)
-            say("first worker kill observed; SIGKILLing the daemon")
-            os.kill(proc.pid, signal_mod.SIGKILL)
-            proc.join(timeout=10.0)
-            restarts += 1
-            say("restarting the daemon on the same state directory")
-            proc, client = start_daemon()
-        info = client.wait(
-            cid, timeout=max(1.0, deadline - time.monotonic())
-        )
-        if info.get("state") != "done":
-            raise RuntimeError(
-                f"campaign ended {info.get('state')!r}: "
-                f"{info.get('error', 'no error recorded')}"
-            )
-        result = client.result(cid)
-        say("draining the daemon")
-        try:
-            client.shutdown()
-        except ServiceError:
-            pass
-        proc.join(timeout=30.0)
-    finally:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=10.0)
-
-    fired = sum(1 for token in tokens if os.path.exists(token))
-    rows_identical = (
-        json.dumps(result["rows"], sort_keys=True) == baseline_blob
-    )
-    metric_counters = (result.get("metrics") or {}).get("counters") or {}
-    service_metrics = {
-        key: value
-        for key, value in metric_counters.items()
-        if key.startswith("engine.service.")
-    }
-    return {
-        "campaign": cid,
-        "signature": result.get("signature"),
-        "programs": list(program_names),
-        "policies": list(policy_names),
-        "seeds": int(seeds),
-        "worker_kills_requested": worker_kills,
-        "worker_kills_fired": fired,
-        "daemon_restarts": restarts,
-        "resumed_after_restart": bool(result.get("resumed")),
-        "rows_identical_to_serial": rows_identical,
-        "contract_holds": result.get("contract_holds"),
-        "baseline_contract_holds": baseline.contract_holds,
-        "service": dict(result.get("service") or {}),
-        "service_metrics": service_metrics,
-        "ok": (
-            rows_identical
-            and fired >= worker_kills
-            and bool(result.get("contract_holds"))
-            == bool(baseline.contract_holds)
-            and (
-                not daemon_restart
-                or (restarts >= 1 and bool(result.get("resumed")))
-            )
-        ),
-    }

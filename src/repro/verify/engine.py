@@ -484,12 +484,9 @@ def _execute_task(task: tuple, gen: int = 0):
             raise ValueError(f"unknown task kind {kind!r}")
     except Exception as exc:
         if heartbeat is not None:
-            diagnose = getattr(exc, "diagnosis", None)
-            diagnosis = (
-                diagnose() if callable(diagnose)
-                else f"{type(exc).__name__}: {exc}"
-            )
-            heartbeat.stall(diagnosis, task=label)
+            from repro.obs.progress import failure_text
+
+            heartbeat.stall(failure_text(exc), task=label)
             heartbeat.beat(label, gen, force=True)
         raise
     if heartbeat is not None:
@@ -662,8 +659,6 @@ class VerificationEngine:
             ``0`` or ``None`` means one per CPU.  Parallel dispatch needs
             the ``fork`` start method (POSIX); elsewhere the engine runs
             in-process regardless of ``jobs``.
-        sc_cache / drf0_cache: Verdict caches; pass shared instances to
-            memoize across engine calls (both benchmarks do).
         tracer: Optional :class:`~repro.obs.tracer.Tracer` receiving
             parent-side dispatch spans (timestamps are wall-clock
             microseconds -- workers are separate processes and are not
@@ -709,8 +704,6 @@ class VerificationEngine:
     def __init__(
         self,
         jobs: Optional[int] = 1,
-        sc_cache: Optional[SCVerdictCache] = None,
-        drf0_cache: Optional[DRF0VerdictCache] = None,
         tracer=None,
         metrics=None,
         task_timeout: Optional[float] = None,
@@ -733,10 +726,10 @@ class VerificationEngine:
         #: task_timeouts, task_errors, worker_crashes, degraded_to_serial
         #: and the lease loop's other events (absent until first event).
         self.resilience: Dict[str, int] = {}
-        self.sc_cache = sc_cache if sc_cache is not None else SCVerdictCache()
-        self.drf0_cache = (
-            drf0_cache if drf0_cache is not None else DRF0VerdictCache()
-        )
+        #: Verdict caches shared by every call on this engine (the chaos
+        #: harness runs its whole suite on one engine).
+        self.sc_cache = SCVerdictCache()
+        self.drf0_cache = DRF0VerdictCache()
         if tracer is None:
             from repro.obs.tracer import NULL_TRACER
 
@@ -749,8 +742,8 @@ class VerificationEngine:
         #: the same lease loop.
         self.fleet = fleet
         #: Whether *this* engine owns the monitor's campaign plan (the
-        #: first engine to claim it does; chaos' helper engines share a
-        #: monitor and only heartbeat).
+        #: first caller to claim it does; under the chaos harness, which
+        #: claims it first, the engine only heartbeats).
         self._owns_plan = False
         if monitor is not None:
             monitor.attach_resilience(self.resilience)
@@ -816,16 +809,17 @@ class VerificationEngine:
         monitor.fold.tasks += 1
         monitor.fold.add(_task_counts(task, value))
         if self._owns_plan:
+            progress = monitor.progress
             kind = task[0]
             if kind == "run":
-                monitor.unit_done(task[1], len(task[2]))
-                monitor.observe_cell_us(task[1], seconds * 1e6)
+                progress.unit_done(task[1], len(task[2]))
+                progress.observe_cell_us(task[1], seconds * 1e6)
             elif kind == "drf0":
-                monitor.extra_done("drf0")
+                progress.extra_done("drf0")
             elif kind == "judge":
-                monitor.extra_done("judge", len(task[2]))
+                progress.extra_done("judge", len(task[2]))
             elif kind in ("fuzz", "diff"):
-                monitor.unit_done(0, 1)
+                progress.unit_done(0, 1)
         monitor.poll()
 
     @contextmanager
@@ -1062,7 +1056,7 @@ class VerificationEngine:
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
             expected = self._expected_us(identities, len(cells))
-            self.monitor.plan(
+            self.monitor.progress.plan(
                 [
                     (label, len(seeds), expected[index])
                     for index, label in enumerate(labels)
@@ -1082,11 +1076,12 @@ class VerificationEngine:
             ]
             run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
             if self._owns_plan:
+                progress = self.monitor.progress
                 for cell_index, summaries in enumerate(per_cell):
                     filled = sum(1 for summary in summaries if summary is not None)
                     if filled:
-                        self.monitor.prefill(cell_index, filled)
-                self.monitor.add_extra("drf0", len(drf0_pending))
+                        progress.prefill(cell_index, filled)
+                progress.add_extra("drf0", len(drf0_pending))
                 self.monitor.poll(force=True)
             drf0_tasks = [("drf0", index) for index in drf0_pending]
             run_tasks, positions = self._plan_run_tasks(
@@ -1152,7 +1147,9 @@ class VerificationEngine:
                 for chunk in chunks
             ]
             if self._owns_plan and judge_tasks:
-                self.monitor.add_extra("judge", sum(map(len, pending)))
+                self.monitor.progress.add_extra(
+                    "judge", sum(map(len, pending))
+                )
 
             def on_judged(index: int, task: tuple, value) -> None:
                 _, cell_index, results = task
@@ -1195,9 +1192,7 @@ class VerificationEngine:
             if summary.result in seen:
                 continue
             seen.add(summary.result)
-            if not self.sc_cache.judge(
-                cell.program, summary.result, quarantine=True
-            ):
+            if not self.sc_cache.judge(cell.program, summary.result):
                 non_sc.append(summary.result)
         if summaries:
             policy_name = summaries[0].policy_name
@@ -1233,7 +1228,7 @@ class VerificationEngine:
         _policy_names([cell])
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
-            self.monitor.plan([(program.name, len(seeds), 0.0)])
+            self.monitor.progress.plan([(program.name, len(seeds), 0.0)])
         summaries: List[Optional[RunSummary]] = [None] * len(seeds)
         tasks, positions = self._plan_run_tasks(
             [cell], seeds, [summaries], None
@@ -1350,7 +1345,7 @@ class VerificationEngine:
         seeds = list(seeds)
         if self.monitor is not None and self.monitor.claim_plan():
             self._owns_plan = True
-            self.monitor.plan([(kind, len(seeds), 0.0)])
+            self.monitor.progress.plan([(kind, len(seeds), 0.0)])
         _WORKER_MEMO.clear()
         for fingerprint, arg, verdict in cache.entries():
             _WORKER_MEMO[(fingerprint, arg)] = verdict
@@ -1503,7 +1498,9 @@ class VerificationEngine:
         a registry was attached at construction they are already there),
         verdict-cache hit/miss counters, the persistent store's
         load/flush/reuse counters (when a store is attached), the
-        and the aggregate explorer counters from oracle tasks.
+        resilience counters, the aggregate explorer counters from oracle
+        tasks, the monitor's task totals (when one watches) and the
+        daemon fleet's supervision counters (when one is lent).
         """
         from repro.obs.metrics import (
             MetricsRegistry,

@@ -566,12 +566,6 @@ class VerdictStore:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "VerdictStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
     # -- maintenance -------------------------------------------------------
 
     def compact(self) -> Tuple[int, int]:

@@ -120,16 +120,20 @@ class TestImports:
 
     def test_submit_path_loads_no_daemon(self):
         # `repro submit` sends one HTTP request over a socket: it parses
-        # its own arguments only and loads neither the daemon, its event
-        # loop, the engine, http.client (with email and ssl), nor a
-        # policy or simulator module.
+        # its own arguments and builds its request only, and loads
+        # neither the daemon, its event loop, the campaign spec module,
+        # the engine, http.client (with email and ssl), nor a policy or
+        # simulator module.
         assert self._loaded_after(
             "import repro.cli, repro.service.client\n"
-            "repro.cli.build_parser().parse_args(\n"
-            "    ['submit', 'SB', '--policy', 'sc', '--state-dir', 'svc'])",
+            "args = repro.cli.build_parser().parse_args(\n"
+            "    ['submit', 'SB', '--policy', 'sc', '--state-dir', 'svc'])\n"
+            "request = repro.cli._campaign_request(args)\n"
+            "assert request['programs'] == ('SB',), request",
             ["asyncio", "multiprocessing", "repro.service.daemon",
-             "repro.service.protocol", "repro.verify", "http", "email",
-             "ssl", "dataclasses", "repro.hw", "repro.sim", "repro.core"],
+             "repro.service.protocol", "repro.service.campaigns",
+             "repro.verify", "http", "email", "ssl", "dataclasses",
+             "repro.hw", "repro.sim", "repro.core"],
         ) == ["repro.hw"]
 
     def test_warm_pooled_sweep_loads_no_multiprocessing(self, tmp_path):
@@ -169,10 +173,10 @@ class TestImports:
         # must cover every name, so no worker imports a module.
         proc = _run_cli("-c", (
             "import json, sys\n"
-            "from repro.cli import WORKLOAD_FACTORIES\n"
             "from repro.hw import POLICY_FACTORIES\n"
             "from repro.service.campaigns import (\n"
-            "    load_program_registries, resolve_policies, resolve_program)\n"
+            "    load_program_registries, resolve_policies)\n"
+            "from repro.workloads import WORKLOAD_FACTORIES, resolve_program\n"
             "load_program_registries()\n"
             "from repro.litmus import all_tests\n"
             "names = [*WORKLOAD_FACTORIES, *(t.name for t in all_tests())]\n"
@@ -311,7 +315,7 @@ PARSER_CORPUS = [
     ["catalog"],
     ["litmus"],
     ["litmus", "SB", "MP", "--policy", "adve_hill", "--topology", "bus",
-     "--no-caches", "--seed", "3", "--seeds", "4", "--net-latency", "2",
+     "--no-caches", "--seeds", "4", "--net-latency", "2",
      "--capacity", "8", "--trace-out", "t.json", "--metrics-json", "m.json"],
     ["drf0", "SB", "--sampled", "--seeds", "5", "--witness", "--stats",
      "--json", "--trace-out", "t.json", "--metrics-json", "m.json",
@@ -319,13 +323,13 @@ PARSER_CORPUS = [
     ["models"],
     ["models", "SB", "MP"],
     ["simulate", "TAS", "--trace", "--json", "--policy", "sc",
-     "--topology", "network", "--no-caches", "--seed", "1", "--seeds", "2",
+     "--topology", "network", "--no-caches", "--seed", "1",
      "--net-latency", "1", "--capacity", "4", "--faults", "reorder",
      "--fault-seed", "3", "--watchdog", "1000", "--trace-out", "t.json",
      "--metrics-json", "m.json"],
     ["sweep"],
     ["sweep", "MP+sync", "SB", "--policy", "sc", "--policy", "adve_hill",
-     "--policy", "relaxed", "--topology", "bus", "--no-caches", "--seed", "2",
+     "--policy", "relaxed", "--topology", "bus", "--no-caches",
      "--seeds", "3", "--net-latency", "4", "--capacity", "16",
      "--drf0-seeds", "4", "--exhaustive-drf0", "--check-51", "--jobs", "2",
      "--stats", "--task-timeout", "1.5", "--cache-dir", "store",
@@ -335,7 +339,7 @@ PARSER_CORPUS = [
     ["profile", "--workload", "lock"],
     ["profile", "--workload", "critical_section", "--compare", "sc",
      "--policy", "definition1", "--topology", "bus", "--no-caches",
-     "--seed", "5", "--seeds", "2", "--net-latency", "2", "--capacity", "4",
+     "--seed", "5", "--net-latency", "2", "--capacity", "4",
      "--trace-out", "t.json", "--metrics-json", "m.json"],
     ["delays", "SB"],
     ["fuzz"],
@@ -383,6 +387,12 @@ BAD_ARGV = [
     ["sweep", "--journal", "j.jsonl"],
     ["sweep", "--resume"],
     ["serve", "svc", "--keep-journals", "2"],
+    # Flags that changed nothing: every run reseeds the config itself,
+    # and one run or one profile reads no seed count.
+    ["sweep", "--seed", "3"],
+    ["litmus", "--seed", "3"],
+    ["simulate", "TAS", "--seeds", "2"],
+    ["profile", "--workload", "lock", "--seeds", "2"],
     ["drf0"],
     ["simulate"],
     ["delays"],
@@ -650,7 +660,7 @@ class TestSimulateCommand:
         for hash_seed in ("0", "1", "2"):
             proc = _run_cli(
                 "-m", "repro", "simulate", "barrier",
-                "--policy", "adve-hill-drf1", "--seeds", "10",
+                "--policy", "adve-hill-drf1",
                 PYTHONHASHSEED=hash_seed,
             )
             assert proc.returncode == 0, proc.stderr

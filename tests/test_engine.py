@@ -20,11 +20,9 @@ from repro.hw import (
 from repro.litmus.catalog import by_name, message_passing_sync
 from repro.litmus.harness import run_litmus_on_hardware
 from repro.obs import MetricsRegistry, RecordingTracer
-from repro.service.campaigns import resolve_program
 from repro.sim.system import SystemConfig
 from repro.verify import (
     CacheIntegrityError,
-    SCVerdictCache,
     VerificationEngine,
     contract_sweep,
     definition2_sweep,
@@ -32,6 +30,7 @@ from repro.verify import (
     program_fingerprint,
 )
 from repro.verify.engine import _balanced_chunks
+from repro.workloads import resolve_program
 
 from helpers import message_passing_program, store_buffer_program
 
@@ -350,11 +349,11 @@ class TestVerdictCacheIntegrity:
     """A poisoned memo entry must be detected, never silently served."""
 
     def _warm_cache(self):
-        cache = SCVerdictCache()
-        engine = VerificationEngine(jobs=1, sc_cache=cache)
+        engine = VerificationEngine(jobs=1)
         engine.contract_sweep(
             message_passing_program(sync=True), AdveHillPolicy, seeds=range(6)
         )
+        cache = engine.sc_cache
         assert len(cache) > 0
         return cache
 

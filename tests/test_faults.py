@@ -226,8 +226,9 @@ class TestFaultPlumbing:
 class TestChaosHarness:
     def test_quick_chaos_sweep_passes(self):
         from repro.verify.chaos import chaos_sweep
+        from repro.verify.engine import VerificationEngine
 
-        report = chaos_sweep(quick=True, seeds=range(4))
+        report = chaos_sweep(VerificationEngine(), quick=True, seeds=range(4))
         assert report.invariance_holds
         assert report.watchdog_sound
         assert report.ok
@@ -235,3 +236,48 @@ class TestChaosHarness:
         assert "MATCH" in text and "HOLDS" in text
         payload = report.to_json()
         assert payload["ok"] is True
+
+    def test_cli_chaos_plans_its_suite_and_reuses_its_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro chaos`` with a status file and a store: the harness
+        plans the whole suite on the monitor before its sweeps run, ticks
+        every unit of it, and a second run on the store prints the same
+        report without judging a verdict again."""
+        import json
+
+        from repro.cli import main
+        from repro.obs import validate_status
+        from repro.sim.faults import DELIVERY_VIOLATING_PLANS
+        from repro.verify.chaos import QUICK_PRESERVING
+        from repro.verify.store import VerdictStore
+
+        store, status = tmp_path / "store", tmp_path / "status.json"
+        argv = ["chaos", "--quick", "--seeds", "2", "--jobs", "2",
+                "--cache-dir", str(store), "--status-json", str(status)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        snap = json.loads(status.read_text())
+        assert validate_status(snap) == []
+        assert snap["state"] == "done"
+        cells = snap["progress"]["cells"]
+        assert [cell["cell"] for cell in cells] == (
+            ["baseline"]
+            + [f"plan/{name}" for name in QUICK_PRESERVING]
+            + [f"probe/{name}" for name in DELIVERY_VIOLATING_PLANS]
+        )
+        assert all(cell["done"] == cell["units"] > 0 for cell in cells)
+        assert snap["result"]["ok"] is True
+
+        flushed = []
+        for method in ("record_sc", "record_drf0"):
+            original = getattr(VerdictStore, method)
+
+            def counting(self, *args, _original=original, **kwargs):
+                flushed.append(args[0])
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(VerdictStore, method, counting)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert flushed == []

@@ -122,3 +122,68 @@ def test_the_scan_sees_an_unused_import(tmp_path):
         "    return {}\n"
     )
     assert unused_imports(module) == ["2: os", "6: Fraction"]
+
+
+#: Who may import what: ``repro.cli`` is the command line's own module,
+#: and ``repro.service`` is the campaign daemon's package, which only
+#: the command line (``repro serve``, ``submit``, ``chaos --service``)
+#: reaches into.  A library module that imported either would drag the
+#: CLI or the daemon into every program that uses the library.
+LAYERS = (
+    ("repro.cli", ("cli.py", "__main__.py")),
+    ("repro.service", ("cli.py", "service/")),
+)
+
+
+def _imported_names(tree):
+    """``(name, line)`` of every module an import anywhere in ``tree``
+    may load: ``import a.b`` names ``a.b``; ``from a.b import c`` names
+    ``a.b`` and ``a.b.c``, since ``c`` may be a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module, node.lineno
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}", node.lineno
+
+
+def layering_violations(path, relative):
+    """``line: package`` of each import in ``path`` (``relative`` to the
+    package root, ``/``-separated) of a package :data:`LAYERS` keeps it
+    from importing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for name, line in _imported_names(tree):
+        for package, allowed in LAYERS:
+            inside = name == package or name.startswith(package + ".")
+            if inside and not relative.startswith(allowed):
+                found.add(f"{line}: {package}")
+    return sorted(found)
+
+
+def test_library_modules_import_neither_the_cli_nor_the_daemon():
+    violations = {}
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        found = layering_violations(path, relative)
+        if found:
+            violations[relative] = found
+    assert violations == {}
+
+
+def test_the_layering_scan_sees_lazy_and_from_imports(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from repro import cli\n"
+        "def f():\n"
+        "    from repro.service.campaigns import CampaignSpec\n"
+        "    import repro.service\n"
+        "    from repro.workloads import resolve_program\n"
+    )
+    assert layering_violations(module, "verify/m.py") == [
+        "1: repro.cli", "3: repro.service", "4: repro.service",
+    ]
+    assert layering_violations(module, "service/m.py") == ["1: repro.cli"]
+    assert layering_violations(module, "cli.py") == []

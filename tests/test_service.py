@@ -174,11 +174,12 @@ def test_campaign_spec_resolves_workloads_and_config():
             "config": {"topology": "bus", "seed": 5},
         }
     )
-    programs, factories, config, failpoints = spec.resolve()
-    assert programs[0].name
-    assert list(factories) == ["sc"]
+    sweep = spec.sweep_arguments()
+    assert sweep["programs"][0].name
+    assert list(sweep["policy_factories"]) == ["sc"]
+    config = sweep["config"]
     assert config.topology == "bus" and config.seed == 5
-    assert failpoints == ()
+    assert list(sweep["seeds"]) == list(range(20))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +199,7 @@ def test_campaign_spec_resolves_workloads_and_config():
 def test_campaign_spec_rejects_bad_payloads(payload):
     with pytest.raises(CampaignError):
         spec = CampaignSpec.from_dict(payload)
-        spec.resolve()
+        spec.sweep_arguments()
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +346,8 @@ def _serial_rows(spec_dict):
     from repro.verify.engine import VerificationEngine
 
     spec = CampaignSpec.from_dict(spec_dict)
-    programs, factories, config, _ = spec.resolve()
     evidence = VerificationEngine(jobs=1).definition2_sweep(
-        programs,
-        factories,
-        config=config,
-        seeds=range(spec.seeds),
-        drf0_seeds=range(spec.drf0_seeds),
+        **spec.sweep_arguments()
     )
     return evidence.rows
 
@@ -546,7 +542,7 @@ def test_drain_answers_held_status_requests(tmp_path):
 def test_chaos_worker_kills_and_daemon_sigkill_bit_identical(tmp_path):
     """The headline acceptance: two injected worker kills plus a daemon
     SIGKILL/restart leave the verdict table byte-identical to serial."""
-    from repro.verify.chaos import service_kill_chaos
+    from repro.service.chaos import service_kill_chaos
 
     report = service_kill_chaos(
         str(tmp_path / "svc"),

@@ -22,7 +22,6 @@ import pytest
 from repro.axiomatic import (
     AxiomGraph,
     CoherenceModel,
-    LEGACY_BACKEND_ENV,
     SCModel,
     SearchBudgetExceeded,
     SolverConfig,
@@ -32,7 +31,6 @@ from repro.axiomatic import (
     allowed_candidates,
     allowed_results,
     allowed_results_by_model,
-    default_backend,
     enumerate_candidates,
     extract_layout,
     result_allowed,
@@ -567,18 +565,23 @@ class TestTargetMode:
 
 class TestBackendRouting:
     def test_default_is_solver(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_BACKEND_ENV, raising=False)
-        assert default_backend() == "solver"
+        from repro.axiomatic import checker
 
-    @pytest.mark.parametrize("flag", ["1", "true", "YES", " on "])
-    def test_env_opt_out(self, monkeypatch, flag):
-        monkeypatch.setenv(LEGACY_BACKEND_ENV, flag)
-        assert default_backend() == "enumerator"
+        searched = []
 
-    @pytest.mark.parametrize("flag", ["", "0", "no", "off"])
-    def test_env_noise_ignored(self, monkeypatch, flag):
-        monkeypatch.setenv(LEGACY_BACKEND_ENV, flag)
-        assert default_backend() == "solver"
+        def recording(program, model, config):
+            searched.append(model.name)
+            return solve_candidates(program, model, config)
+
+        def no_enumeration(*_args, **_kwargs):
+            raise AssertionError("the default backend enumerated")
+
+        monkeypatch.setattr(checker, "solve_candidates", recording)
+        monkeypatch.setattr(checker, "enumerate_candidates", no_enumeration)
+        program = store_buffer().program
+        assert allowed_results(program, SCModel())
+        assert allowed_results_by_model(program, [TSOModel()])
+        assert searched == ["SC", "TSO"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

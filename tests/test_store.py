@@ -535,10 +535,12 @@ class TestMaintenance:
         # unauditable, instead of failing on the program lookup.
         from repro.verify import SCVerdictCache
 
-        cache = SCVerdictCache()
-        VerificationEngine(jobs=1, sc_cache=cache).contract_sweep(
+        engine = VerificationEngine(jobs=1)
+        engine.contract_sweep(
             message_passing_program(sync=True), AdveHillPolicy, seeds=range(2)
         )
+        cache = engine.sc_cache
+        assert isinstance(cache, SCVerdictCache)
         (_, result), (verdict, _) = next(iter(cache._entries.items()))
         cache.store_by_fingerprint("0" * 64, result, verdict, program=None)
         assert cache.audit() == []

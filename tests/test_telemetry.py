@@ -277,8 +277,8 @@ class TestCampaignMonitor:
         try:
             assert monitor.claim_plan()
             assert not monitor.claim_plan()  # exactly once
-            monitor.plan([("cell", 4, 10.0)])
-            monitor.unit_done(0, 2)
+            monitor.progress.plan([("cell", 4, 10.0)])
+            monitor.progress.unit_done(0, 2)
             snap = monitor.poll(force=True)
             assert validate_status(snap) == []
             assert validate_status_file(monitor.status_path) == []
@@ -328,8 +328,8 @@ class TestCampaignMonitor:
         monitor = self._monitor(tmp_path)
         rows = [{"program": "MP+sync", "appears_sc": True}]
         monitor.claim_plan()
-        monitor.plan([("cell", 1, 0.0)])
-        monitor.unit_done(0)
+        monitor.progress.plan([("cell", 1, 0.0)])
+        monitor.progress.unit_done(0)
         monitor.finish(ok=True, verdicts=rows, result={"contract_holds": True})
         snap = json.load(open(monitor.status_path))
         assert snap["state"] == "done"
@@ -366,8 +366,8 @@ class TestCampaignMonitor:
         monitor = self._monitor(tmp_path)
         try:
             monitor.claim_plan()
-            monitor.plan([("MP+sync/sc", 4, 10.0)])
-            monitor.unit_done(0, 1)
+            monitor.progress.plan([("MP+sync/sc", 4, 10.0)])
+            monitor.progress.unit_done(0, 1)
             text = render_status(monitor.poll(force=True))
             assert "repro campaign: test" in text
             assert "25.00%" in text
