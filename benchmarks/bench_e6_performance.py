@@ -2,9 +2,9 @@
 
 "A quantitative performance analysis comparing implementations for the
 old and new definitions of weak ordering would provide useful insight."
-(Section 7.)  This experiment runs the workload suite under all four
-memory systems and reports mean cycles and total stall cycles.  Expected
-shape (the paper's qualitative claims):
+(Section 7.)  This experiment runs the workload suite under the five
+memory systems and reports the mean cycles of each.  Expected shape (the
+paper's qualitative claims):
 
 * both weak orderings beat SC wherever data writes can overlap;
 * the new implementation is at least as fast as Definition 1 everywhere,
@@ -12,12 +12,10 @@ shape (the paper's qualitative claims):
   work (Figure 3's asymmetry);
 * the DRF1 variant wins on spin-heavy workloads (Section 6).
 
-The seed loop fans out through the parallel verification engine
-(``REPRO_BENCH_JOBS`` workers, default one per CPU); per-seed cycle and
-stall counts are identical to serial runs, so the assertions stand.
+Each cell is one :func:`~repro.sim.system.run_seed_sweep` over the
+seeds, in this process: the pairing is checked once and one policy
+instance serves every seed.
 """
-
-import os
 
 from conftest import emit_table, mean
 
@@ -27,8 +25,7 @@ from repro.hw import (
     ReleaseConsistencyPolicy,
     SCPolicy,
 )
-from repro.sim.system import SystemConfig
-from repro.verify import VerificationEngine
+from repro.sim.system import SystemConfig, run_seed_sweep
 from repro.workloads import (
     barrier_workload,
     contended_release_workload,
@@ -60,26 +57,25 @@ def workloads():
     ]
 
 
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (os.cpu_count() or 1)
-ENGINE = VerificationEngine(jobs=JOBS)
-
-
 def performance_table():
     rows = []
     for program in workloads():
-        cells = {}
-        for name, factory in POLICIES:
-            summaries = ENGINE.hardware_summaries(
-                program, factory, SystemConfig(), seeds=SEEDS
+        cycles = {
+            name: mean(
+                [
+                    run.cycles
+                    for run in run_seed_sweep(
+                        program, factory, SystemConfig(), SEEDS
+                    )
+                ]
             )
-            cycles = [s.cycles for s in summaries]
-            stalls = [s.stall_cycles for s in summaries]
-            cells[name] = (mean(cycles), mean(stalls))
+            for name, factory in POLICIES
+        }
         rows.append(
             (
                 program.name,
-                *(f"{cells[name][0]:.0f}" for name, _ in POLICIES),
-                f"{cells['sc'][0] / cells['adve-hill'][0]:.2f}",
+                *(f"{cycles[name]:.0f}" for name, _ in POLICIES),
+                f"{cycles['sc'] / cycles['adve-hill']:.2f}",
             )
         )
     return rows

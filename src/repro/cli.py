@@ -115,6 +115,18 @@ def _usage_error(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
+def _check_substrate(config, policy_names) -> None:
+    """A usage error for a named policy the configured substrate cannot
+    run, before the first run."""
+    from repro.sim.system import validate_policy_config
+
+    for name in policy_names:
+        try:
+            validate_policy_config(POLICY_FACTORIES[name](), config)
+        except ValueError as exc:
+            raise _usage_error(str(exc))
+
+
 def _hardware_config(args) -> dict:
     """The hardware and fault flags as a campaign spec's ``config``
     object, which :func:`~repro.sim.system.build_config` builds."""
@@ -196,6 +208,7 @@ def cmd_litmus(args) -> int:
     tests = [by_name(n) for n in args.names] if args.names else all_tests()
     factory = POLICY_FACTORIES[args.policy]
     config = build_config(**_hardware_config(args))
+    _check_substrate(config, [args.policy])
     tracer = _make_tracer(args)
     registry = None
     if args.metrics_json:
@@ -370,12 +383,11 @@ def cmd_simulate(args) -> int:
 
     program = _resolve_program(args.name)
     factory = POLICY_FACTORIES[args.policy]
+    config = build_config(**_hardware_config(args))
+    _check_substrate(config, [args.policy])
     tracer = _make_tracer(args, force=args.trace)
     try:
-        run = run_on_hardware(
-            program, factory(), build_config(**_hardware_config(args)),
-            tracer=tracer,
-        )
+        run = run_on_hardware(program, factory(), config, tracer=tracer)
     except LivenessError as exc:
         # A fault plan (or a policy bug) stalled the machine: report which
         # processor is stuck on what, instead of a traceback.
@@ -522,6 +534,8 @@ def cmd_sweep(args) -> int:
         sweep = spec.sweep_arguments()
     except CampaignError as exc:
         raise SystemExit(f"{exc}; see `python -m repro catalog`")
+    except ValueError as exc:  # a policy the substrate cannot run
+        raise _usage_error(str(exc))
     tracer = _make_tracer(args)
     command = "sweep " + " ".join(spec.programs)
     try:
@@ -590,6 +604,7 @@ def cmd_profile(args) -> int:
                 f"unknown policy {name!r}; choose from "
                 f"{', '.join(sorted(POLICY_FACTORIES))}"
             )
+    _check_substrate(config, policies)
     tracer = _make_tracer(args)
     registry = MetricsRegistry() if args.metrics_json else None
     runs = {}

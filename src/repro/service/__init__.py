@@ -8,11 +8,12 @@ worker fleet, and keeps producing bit-identical evidence while workers
 crash, stall, and lie.
 
 The fleet and its lease loop are the engine's own: the daemon keeps one
-:class:`~repro.verify.fleet.Fleet` for its whole life (workers resolve
-each campaign's spec into a task context and send their heartbeats over
-their pipes) and lends it to each campaign's engine as ``fleet=``,
-with its drain switch on the fleet -- the same supervised dispatch,
-circuit breaker included, that a batch ``--jobs N`` runs.
+:class:`~repro.verify.fleet.Fleet` for its whole life (workers build
+each campaign's :class:`~repro.verify.engine.SweepCampaign` from its
+spec and send their heartbeats over their pipes) and lends it to each
+campaign's engine as ``fleet=``, with its drain switch on the fleet --
+the same supervised dispatch, circuit breaker included, that a batch
+``--jobs N`` runs.
 
 Layers (each its own module):
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.sim.faults import FAULT_PLANS
-from repro.sim.system import SystemConfig, build_config
+from repro.sim.system import SystemConfig, build_config, validate_policy_config
 from repro.workloads import WORKLOAD_FACTORIES, resolve_program
 
 
@@ -210,11 +210,12 @@ class CampaignSpec:
     def sweep_arguments(self) -> dict:
         """The keyword arguments of the ``definition2_sweep`` this spec
         names, its names resolved (:class:`CampaignError` for an unknown
-        one).
+        one) and every policy checked against the config before any run
+        (:class:`ValueError` for one the substrate cannot run).
 
         The one expansion of a spec: every caller runs a campaign as
         ``engine.definition2_sweep(**spec.sweep_arguments())``, and each
-        daemon fleet worker builds its task context from the same
+        daemon fleet worker builds its sweep campaign from the same
         arguments (:func:`build_task_context`), so the cell indices in
         task tuples mean the same in every process.
         """
@@ -224,10 +225,14 @@ class CampaignSpec:
                 programs.append(resolve_program(name))
             except KeyError:
                 raise CampaignError(f"unknown program {name!r}")
+        policy_factories = resolve_policies(self.policies)
+        config = config_from_dict(self.config)
+        for factory in policy_factories.values():
+            validate_policy_config(factory(), config)
         return {
             "programs": programs,
-            "policy_factories": resolve_policies(self.policies),
-            "config": config_from_dict(self.config),
+            "policy_factories": policy_factories,
+            "config": config,
             "seeds": range(self.seeds),
             "drf0_seeds": range(self.drf0_seeds),
             "exhaustive_drf0": self.exhaustive_drf0,
@@ -236,17 +241,15 @@ class CampaignSpec:
 
 
 def build_task_context(data: dict):
-    """Worker-side: spec dict -> the engine's task context, built by
-    :func:`~repro.verify.engine.sweep_task_context` from the arguments
-    :meth:`~repro.verify.engine.VerificationEngine.definition2_sweep`
-    builds its own from, with the spec's failpoints armed."""
-    from repro.verify.engine import Failpoint, sweep_task_context
+    """Worker-side: spec dict -> the
+    :class:`~repro.verify.engine.SweepCampaign` the daemon's engine
+    builds from the same :meth:`~CampaignSpec.sweep_arguments`, with the
+    spec's failpoints armed."""
+    from repro.verify.engine import Failpoint, SweepCampaign
 
     spec = CampaignSpec.from_dict(data)
-    arguments = spec.sweep_arguments()
-    del arguments["seeds"]  # each task tuple names its own seeds
-    return sweep_task_context(
-        **arguments,
+    return SweepCampaign(
+        **spec.sweep_arguments(),
         failpoints=tuple(
             Failpoint(f["task_kind"], f["mode"], f["token"])
             for f in spec.failpoints

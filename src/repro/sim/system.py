@@ -268,10 +268,15 @@ def build_interconnect(sim: Simulator, config: SystemConfig) -> Interconnect:
     raise ValueError(f"unknown topology {config.topology!r}")
 
 
-def _validate_policy_config(policy: "MemoryPolicy", config: SystemConfig) -> None:
-    """Reject (policy, config) pairings the substrates cannot express.
+def validate_policy_config(
+    policy: "MemoryPolicy", config: SystemConfig
+) -> None:
+    """Reject (policy, config) pairings the substrates cannot express
+    (:class:`ValueError`).
 
-    Factored out so seed sweeps can fail fast once instead of per run.
+    Every run makes this check; seed sweeps, the command line and
+    campaign specs make it once, before their first run, so a bad
+    pairing is an up-front error rather than a failure mid-run.
     """
     if policy.requires_caches and not config.caches:
         raise ValueError(
@@ -286,6 +291,8 @@ def _validate_policy_config(policy: "MemoryPolicy", config: SystemConfig) -> Non
             "fault injection supports the directory substrate only "
             "(the snooping bus is atomic by construction)"
         )
+    if config.coherence == "snoop" and not config.caches:
+        raise ValueError("the snooping substrate requires caches")
 
 
 def run_on_hardware(
@@ -301,7 +308,7 @@ def run_on_hardware(
     instrumentation free.
     """
     config = config or SystemConfig()
-    _validate_policy_config(policy, config)
+    validate_policy_config(policy, config)
     injector = build_injector(config.fault_plan, config.seed)
 
     sim = Simulator(tracer)
@@ -311,8 +318,6 @@ def run_on_hardware(
     ports: List[object] = []
 
     if config.coherence == "snoop":
-        if not config.caches:
-            raise ValueError("the snooping substrate requires caches")
         from repro.sim.snoop import SnoopBus, SnoopyCache
 
         bus = SnoopBus(
@@ -613,7 +618,7 @@ def run_seed_sweep(
     config = config or SystemConfig()
     if not isinstance(policy, MemoryPolicy):
         policy = policy()
-    _validate_policy_config(policy, config)
+    validate_policy_config(policy, config)
     return [
         run_on_hardware(program, policy, config.with_seed(seed), tracer)
         for seed in seeds

@@ -1,19 +1,30 @@
 """Parallel contract-verification engine.
 
-The evidence behind Definition 2 is a sweep: run every (program, policy)
-pair across many nondeterminism seeds, then judge each distinct observed
-result against the exact guided SC-membership oracle.  Both halves are
-embarrassingly parallel and highly redundant, so :class:`VerificationEngine`
-does two things:
+The evidence behind Definition 2 comes from two kinds of campaign:
 
-* **fan-out** -- hardware runs, DRF0 program verdicts, SC-membership
-  judgments, and whole fuzz seeds are dispatched to a supervised worker
-  fleet as chunked tasks.  Run and judgment chunks are sized against the
-  whole plan, about four tasks per worker: each cell with pending work
-  is split into about ``ceil(jobs * 4 / cells with pending work)``
-  balanced chunks (up to twice as many for a cell whose stored cost is
-  more than twice the median), so a one-cell sweep still gets
-  ``jobs * 4`` tasks and a 40-cell sweep about one task per cell;
+* a **sweep campaign** (:class:`SweepCampaign`) runs every (program,
+  policy) cell across many nondeterminism seeds and judges each
+  distinct observed result against the exact guided SC-membership
+  oracle, with each program's DRF0 verdict as the premise;
+* a **seed campaign** (:class:`SeedCampaign`) runs ``fuzz`` or ``diff``,
+  one task per generated program, its oracle memoized across seeds.
+
+A campaign is the only code that reads its task tuples: it computes a
+task's value and names its heartbeat label, telemetry counts,
+circuit-breaker key and progress tick.  One driver,
+:meth:`VerificationEngine._drive`, claims the monitor's plan, publishes
+the campaign, runs its rounds in one dispatch session and returns its
+fold; SC and DRF0 verdicts are each filed one way (into their cache and
+the store).  Both kinds are embarrassingly parallel and highly
+redundant, so the engine does two things:
+
+* **fan-out** -- tasks are dispatched to a supervised worker fleet.
+  Run and judgment chunks are sized against the whole plan, about four
+  tasks per worker: each cell with pending work is split into about
+  ``ceil(jobs * 4 / cells with pending work)`` balanced chunks (up to
+  twice as many for a cell whose stored cost is more than twice the
+  median), so a one-cell sweep still gets ``jobs * 4`` tasks and a
+  40-cell sweep about one task per cell;
 * **memoization** -- oracle verdicts land in content-keyed caches
   (:mod:`repro.verify.cache`), so a result observed under five policies and
   forty seeds is judged once, and a program swept twice is DRF0-checked
@@ -29,29 +40,23 @@ sum in the identical order too.
 
 Worker plumbing: with ``jobs > 1`` each engine call forks a
 :class:`~repro.verify.fleet.Fleet` of ``jobs`` workers at its first
-non-empty map, and the per-call task context (programs, policy
-factories, configs) is published in a module global *before* that fork
-so workers inherit it by address-space copy.  Only small index tuples
-cross the workers' pipes and only plain result records come back --
-policy factories (often lambdas) are never pickled.  The fork check
-runs there too, at the first pooled map, so a call that dispatches
-nothing (a warm sweep) imports neither the fleet nor
-``multiprocessing``; on platforms without ``fork`` the engine
-transparently degrades to the in-process path (still memoized, still
-identical output).  The diff and fuzz modules, and the snoop substrate
-their seeds run on, are imported before a seed campaign's session
-forks, so workers inherit them and never import after the fork; a
-sweep calls each of its policy factories once before its session
-forks (:func:`_policy_names`), since a factory of
-:data:`repro.hw.POLICY_FACTORIES` imports its policy module when
-called.  The campaign daemon lends the engine its persistent fleet as
-``fleet=`` instead; both run the one lease loop,
-:class:`~repro.verify.supervisor.FleetSession`, which takes its task
-timeout, retry budget and backoff from the engine.  The engine alone
-knows the shape of its task tuples: the task label, the progress tick
-and the circuit-breaker key (:func:`_breaker_key`) are read here, and
-:func:`sweep_task_context` builds a sweep's cells in the one order
-both the engine and the daemon's workers index.
+non-empty map, and the call's campaign is published in a module global
+*before* that fork so workers inherit it by address-space copy; every
+worker runs :func:`_execute_task`, which asks that campaign for each
+task's value.  Only small index tuples cross the workers' pipes and
+only plain result records come back -- policy factories (often
+lambdas) are never pickled.  The fork check runs at the first pooled
+map, so a call that dispatches nothing (a warm sweep) imports neither
+the fleet nor ``multiprocessing``; on platforms without ``fork`` the
+engine transparently degrades to the in-process path (still memoized,
+still identical output).  Building a campaign loads, before the fork,
+the modules its workers run (see each class).  The campaign daemon
+lends the engine its persistent fleet as ``fleet=`` instead; its
+workers, forked before the campaign existed, build the same
+:class:`SweepCampaign` from the campaign spec
+(:func:`repro.service.campaigns.build_task_context`).  Both run the one
+lease loop, :class:`~repro.verify.supervisor.FleetSession`, which takes
+its task timeout, retry budget and backoff from the engine.
 
 Resilience (the lease loop's hardening, all preserving the bit-for-bit
 contract because tasks are pure -- re-executing one yields the identical
@@ -106,6 +111,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -116,6 +122,7 @@ from typing import (
     TYPE_CHECKING,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.core.contract import is_sc_result
@@ -248,64 +255,11 @@ class _SweepCell:
     check_51_conditions: bool = False
 
 
-@dataclass
-class _TaskContext:
-    """Everything a worker needs, inherited via fork (never pickled).
-
-    A sweep fills the cells and the DRF0 premise
-    (:func:`sweep_task_context`).  A fuzz or diff campaign fills
-    ``seed_body``, ``(seed, judge) -> outcome``, which runs one seed,
-    and ``oracle``, ``(program, arg) -> (verdict, states)``, the verdict
-    that judge memoizes (:func:`_seed_task`).
-    """
-
-    cells: Tuple[_SweepCell, ...] = ()
-    programs: Tuple[Program, ...] = ()
-    exhaustive_drf0: bool = False
-    drf0_seeds: Tuple[int, ...] = ()
-    seed_body: Optional[Callable[[int, Callable[..., bool]], object]] = None
-    oracle: Optional[Callable[[Program, object], Tuple[bool, int]]] = None
-    failpoints: Tuple[Failpoint, ...] = ()
-
-
-def sweep_task_context(
-    programs: Sequence[Program],
-    policy_factories: Dict[str, Callable[[], object]],
-    config: SystemConfig,
-    exhaustive_drf0: bool,
-    drf0_seeds: Sequence[int],
-    check_51_conditions: bool,
-    failpoints: Sequence[Failpoint] = (),
-) -> _TaskContext:
-    """The task context of a Definition-2 sweep.
-
-    Cells are ordered ``programs x policies``, so the cell indices inside
-    task tuples mean the same thing in the engine and in every worker
-    that builds its context from a campaign spec (the daemon's fleet).
-    """
-    return _TaskContext(
-        cells=tuple(
-            _SweepCell(program, factory, config, check_51_conditions)
-            for program in programs
-            for factory in policy_factories.values()
-        ),
-        programs=tuple(programs),
-        exhaustive_drf0=exhaustive_drf0,
-        drf0_seeds=tuple(drf0_seeds),
-        failpoints=tuple(failpoints),
-    )
-
-
-#: Published by the parent before its session forks a fleet; workers
-#: read it, the parent restores the previous value afterwards.
-_TASK_CONTEXT: Optional[_TaskContext] = None
-
-#: The memo of a fuzz or diff campaign's oracle, keyed as the campaign's
-#: verdict cache files it: ``(fingerprint, result)`` for SC judgments,
-#: ``(fingerprint, mode)`` for DRF0 verdicts.  The parent resets it to
-#: the cache's entries before its session forks, so workers inherit it,
-#: and merges every task's new verdicts into it as the task lands.
-_WORKER_MEMO: Dict[Tuple[str, object], bool] = {}
+#: The campaign of the engine call now running: published by the parent
+#: before its session forks a fleet (workers inherit it), and set in a
+#: daemon fleet worker from the campaign spec the daemon ships.  The
+#: parent restores the previous value when the session ends.
+_CAMPAIGN: Optional[Campaign] = None
 
 #: Where :func:`_execute_task` sends its beats and stall diagnoses while
 #: a campaign monitor watches: a :class:`~repro.obs.progress.Heartbeat`
@@ -314,21 +268,6 @@ _WORKER_MEMO: Dict[Tuple[str, object], bool] = {}
 #: the monitor's fold (set by the engine's session).  None when no
 #: monitor watches.
 _HEARTBEAT: Optional[Heartbeat] = None
-
-
-def _policy_names(cells: Sequence[_SweepCell]) -> Dict[Callable, str]:
-    """Each distinct policy factory of ``cells`` -> its policy's name.
-
-    Calls every factory once, in the parent and before its session
-    forks: a factory imports its policy module when called
-    (:data:`repro.hw.POLICY_FACTORIES`), and workers must inherit that
-    module rather than import it after the fork.
-    """
-    names: Dict[Callable, str] = {}
-    for cell in cells:
-        if cell.policy_factory not in names:
-            names[cell.policy_factory] = cell.policy_factory().name
-    return names
 
 
 def _run_one(cell: _SweepCell, seed: int) -> RunSummary:
@@ -355,133 +294,599 @@ def _run_one(cell: _SweepCell, seed: int) -> RunSummary:
     )
 
 
-def _seed_task(seed: int, ctx: _TaskContext):
-    """One fuzz or diff seed, its judge memoized in ``_WORKER_MEMO``.
+def _sc_verdict(
+    program: Program, result: Result
+) -> Tuple[bool, ExplorerStats]:
+    """The guided SC-membership verdict on ``result`` and its search."""
+    stats = ExplorerStats()
+    return is_sc_result(program, result, stats=stats), stats
 
-    The judge files ``ctx.oracle(program, arg)`` under
-    ``(fingerprint, arg)``.  Returns ``(outcome, new, judged)``: ``new``
-    lists ``(key, verdict, program, stats)`` for every verdict this
-    task computed (the program rides along so the stored entry is
-    auditable; ``stats`` is the search's :class:`ExplorerStats`),
-    ``judged`` every key the judge was asked, in order, so the parent
-    counts memo hits in seed order.
+
+def _drf0_verdict(
+    program: Program, _mode: object
+) -> Tuple[bool, ExplorerStats]:
+    """The exhaustive DRF0 verdict on ``program`` and its search."""
+    report = check_program(program)
+    return report.obeys, report.stats or ExplorerStats()
+
+
+class SweepCampaign:
+    """A Definition-2 sweep: every ``programs x policies`` cell run under
+    every seed, each distinct result judged against SC, and -- the DRF0
+    premise, which a contract sweep (``premise=False``) omits -- each
+    program's DRF0 verdict.
+
+    Tasks: ``("run", cell, seeds)`` and ``("judge", cell, results)``
+    carry a cell index in ``programs x policies`` order, so it means the
+    same cell in the engine and in every daemon worker that builds the
+    campaign from the same spec; ``("drf0", program)`` indexes
+    ``programs``.  Every policy factory is called once here, for its
+    policy's name: the parent builds the campaign before its session
+    forks, and a factory imports its policy module when called
+    (:data:`repro.hw.POLICY_FACTORIES`), so workers inherit that module
+    rather than import it.
     """
-    new: List[Tuple[Tuple[str, object], bool, Program, ExplorerStats]] = []
-    judged: List[Tuple[str, object]] = []
 
-    def judge(program: Program, arg: object) -> bool:
-        key = (program_fingerprint(program), arg)
-        judged.append(key)
-        verdict = _WORKER_MEMO.get(key)
-        if verdict is None:
-            verdict, stats = ctx.oracle(program, arg)
-            _WORKER_MEMO[key] = verdict
-            new.append((key, verdict, program, stats))
-        return verdict
+    def __init__(
+        self,
+        programs: Sequence[Program],
+        policy_factories: Dict[str, Callable[[], object]],
+        config: Optional[SystemConfig] = None,
+        seeds: Sequence[int] = range(20),
+        drf0_seeds: Sequence[int] = range(30),
+        exhaustive_drf0: bool = False,
+        check_51_conditions: bool = False,
+        failpoints: Sequence[Failpoint] = (),
+        premise: bool = True,
+    ) -> None:
+        config = config or SystemConfig()
+        programs = tuple(programs)
+        names: Dict[Callable, str] = {}
+        for factory in policy_factories.values():
+            if factory not in names:
+                names[factory] = factory().name
+        self.cells = tuple(
+            _SweepCell(program, factory, config, check_51_conditions)
+            for program in programs
+            for factory in policy_factories.values()
+        )
+        #: Per cell: its policy's name, and its row in the monitor's plan.
+        self.policy_names = [names[cell.policy_factory] for cell in self.cells]
+        self.labels = [
+            f"{program.name}/{name}" if premise else program.name
+            for program in programs
+            for name in policy_factories
+        ]
+        self.policies = tuple(policy_factories)
+        self.programs = programs if premise else ()
+        self.seeds = list(seeds)
+        self.exhaustive_drf0 = exhaustive_drf0
+        self.drf0_seeds = tuple(drf0_seeds)
+        self.drf0_mode: object = (
+            "exhaustive" if exhaustive_drf0 else ("sampled", self.drf0_seeds)
+        )
+        self.failpoints = tuple(failpoints)
 
-    return ctx.seed_body(seed, judge), new, judged
+    # -- the tasks (worker side and parent side) -----------------------
 
+    def value(self, task: tuple, beat: Optional[Callable[[], None]]):
+        """A task's value: a DRF0 task's ``(verdict, stats)``; a run
+        task's :class:`RunSummary` per seed, a judge task's ``(verdict,
+        stats)`` per result, in the task's order, ``beat`` called after
+        each."""
+        kind = task[0]
+        if kind == "drf0":
+            program = self.programs[task[1]]
+            if self.exhaustive_drf0:
+                report = check_program(program)
+            else:
+                report = check_program_sampled(program, seeds=self.drf0_seeds)
+            return report.obeys, report.stats
+        _, cell_index, items = task
+        cell = self.cells[cell_index]
+        value = []
+        for item in items:
+            if kind == "run":
+                value.append(_run_one(cell, item))
+            else:
+                value.append(_sc_verdict(cell.program, item))
+            if beat is not None:
+                beat()
+        return value
 
-def _task_label(task: tuple) -> str:
-    """Short human-readable task id for heartbeat records."""
-    kind = task[0]
-    if kind in ("run", "judge"):
-        return f"{kind}:cell{task[1]}x{len(task[2])}"
-    if kind == "drf0":
-        return f"drf0:prog{task[1]}"
-    if kind in ("fuzz", "diff"):
-        return f"{kind}:seed{task[1]}"
-    return str(kind)
+    def label(self, task: tuple) -> str:
+        """Short human-readable task id for heartbeat records."""
+        if task[0] == "drf0":
+            return f"drf0:prog{task[1]}"
+        return f"{task[0]}:cell{task[1]}x{len(task[2])}"
 
-
-def _task_counts(task: tuple, value) -> Dict[str, int]:
-    """The work one task did, as telemetry counters: the runs, judgments,
-    explored states, DRF0 verdicts and fuzz or diff seeds of its value.
-    (A seed's memo hits, misses and states are counted where it lands,
-    by :meth:`VerificationEngine._seed_campaign`.)"""
-    kind = task[0]
-    if kind == "run":
-        return {"runs": len(task[2])}
-    if kind == "judge":
-        return {
-            "judges": len(task[2]),
-            "states": sum(stats.states for _, stats in value),
-        }
-    if kind == "drf0":
+    def counts(self, task: tuple, value) -> Dict[str, int]:
+        """The work one task did, as telemetry counters."""
+        kind = task[0]
+        if kind == "run":
+            return {"runs": len(task[2])}
+        if kind == "judge":
+            return {
+                "judges": len(task[2]),
+                "states": sum(stats.states for _, stats in value),
+            }
         stats = value[1]
         return {"drf0": 1, "states": stats.states if stats else 0}
-    if kind == "fuzz":
-        return {"fuzz_seeds": 1}
-    return {"diff_seeds": 1, "runs": value[0].hardware_runs}
+
+    def breaker_key(self, task: tuple) -> str:
+        """The circuit-breaker key a task's failures count against: its
+        cell (``cell:<i>``) or its program (``drf0:<i>``)."""
+        return f"{'drf0' if task[0] == 'drf0' else 'cell'}:{task[1]}"
+
+    def tick(self, progress, task: tuple, seconds: float) -> None:
+        """Progress for one landed task: its runs, DRF0 verdict or
+        judgments."""
+        kind = task[0]
+        if kind == "run":
+            progress.unit_done(task[1], len(task[2]))
+            progress.observe_cell_us(task[1], seconds * 1e6)
+        elif kind == "drf0":
+            progress.extra_done("drf0")
+        else:
+            progress.extra_done("judge", len(task[2]))
+
+    # -- the parent's side ---------------------------------------------
+
+    def plan(
+        self, engine: "VerificationEngine"
+    ) -> List[Tuple[str, int, float]]:
+        """One plan row per cell: its label, seeds and stored per-run
+        cost in microseconds (0.0 when unknown or without a store).
+
+        With a store, also resolves each cell's content identity in the
+        store, ``(program fingerprint, policy name)``."""
+        self.identities: Optional[List[Tuple[str, str]]] = None
+        self.expected_us = [0.0] * len(self.cells)
+        if engine.store is not None:
+            self.identities = [
+                (program_fingerprint(cell.program), name)
+                for cell, name in zip(self.cells, self.policy_names)
+            ]
+            costs = engine.store.warm().costs
+            for index, identity in enumerate(self.identities):
+                cost = costs.get(cell_key(*identity))
+                if cost:
+                    self.expected_us[index] = cost.us_per_run
+        return [
+            (label, len(self.seeds), us)
+            for label, us in zip(self.labels, self.expected_us)
+        ]
+
+    def _fill_from_store(self, store) -> Dict[Tuple[int, int], str]:
+        """Start :attr:`summaries`, each cell's run summaries in seed
+        order, from the stored ones (None where none is stored).
+
+        Returns the run content key of *every* (cell, position) -- also
+        the ones left unfilled, so newly computed summaries can be
+        flushed under the same keys.
+        """
+        self.summaries: List[List[Optional[RunSummary]]] = [
+            [None] * len(self.seeds) for _ in self.cells
+        ]
+        keys: Dict[Tuple[int, int], str] = {}
+        if self.identities is None:
+            return keys
+        state = store.warm()
+        # Cells of one sweep usually share a config: repr each seeded
+        # config once, not once per cell.
+        seeded_reprs: Dict[SystemConfig, List[str]] = {}
+        for cell_index, cell in enumerate(self.cells):
+            fingerprint, policy_name = self.identities[cell_index]
+            config_reprs = seeded_reprs.get(cell.config)
+            if config_reprs is None:
+                config_reprs = seeded_reprs[cell.config] = [
+                    repr(cell.config.with_seed(seed)) for seed in self.seeds
+                ]
+            for pos, config_repr in enumerate(config_reprs):
+                key = run_key(
+                    fingerprint,
+                    policy_name,
+                    config_repr,
+                    cell.check_51_conditions,
+                )
+                keys[(cell_index, pos)] = key
+                stored = state.runs.get(key)
+                if stored is None:
+                    continue
+                try:
+                    self.summaries[cell_index][pos] = _decode_summary(stored)
+                except (KeyError, TypeError):
+                    continue  # malformed payload: recompute this run
+                store.stats.runs_reused += 1
+        return keys
+
+    def _run_tasks(
+        self, engine: "VerificationEngine"
+    ) -> Tuple[List[tuple], List[Tuple[int, Tuple[int, ...]]]]:
+        """Chunked run tasks for every unfilled position, with each
+        task's ``(cell, positions)``.
+
+        Without a store this is the deterministic plan (cell order,
+        balanced chunks, see :meth:`VerificationEngine._plan_chunks`).
+        With one, cells are dispatched longest-expected-first using
+        stored cost observations, and cells costing more than twice the
+        median per seed get half-size chunks -- stragglers start early
+        and load-balance finely, cutting tail latency on skewed grids.
+        Only *issue order* changes; the fold order (and so every output)
+        is identical either way.
+        """
+        missing = [
+            [pos for pos, summary in enumerate(summaries) if summary is None]
+            for summaries in self.summaries
+        ]
+        entries: List[Tuple[float, int, Tuple[int, ...]]] = [
+            (self.expected_us[cell_index] * len(chunk), cell_index, chunk)
+            for cell_index, chunks in enumerate(
+                engine._plan_chunks(missing, self.expected_us)
+            )
+            for chunk in chunks
+        ]
+        if self.identities is not None:
+            entries.sort(key=lambda e: (-e[0], e[1], e[2][0]))
+        tasks = [
+            ("run", cell_index, tuple(self.seeds[pos] for pos in chunk))
+            for _, cell_index, chunk in entries
+        ]
+        return tasks, [(cell_index, chunk) for _, cell_index, chunk in entries]
+
+    def _record_costs(
+        self, store, observed: Iterable[Tuple[int, int, float, int]]
+    ) -> None:
+        """Record observed per-cell cost into the store.
+
+        ``observed`` yields ``(cell_index, runs, seconds, states)`` per
+        task; each cell's sums become one cost record, in cell order."""
+        if self.identities is None:
+            return
+        acc: Dict[int, Tuple[int, int, int]] = {}
+        for cell_index, runs, seconds, states in observed:
+            total_runs, wall_us, total_states = acc.get(cell_index, (0, 0, 0))
+            acc[cell_index] = (
+                total_runs + runs,
+                wall_us + int(seconds * 1_000_000),
+                total_states + states,
+            )
+        for cell_index, (runs, wall_us, states) in sorted(acc.items()):
+            store.record_cost(
+                cell_key(*self.identities[cell_index]),
+                runs=runs,
+                wall_us=wall_us,
+                states=states,
+            )
+
+    def run(self, engine: "VerificationEngine", session: "_Session") -> None:
+        """The sweep's two rounds, filling :attr:`summaries`.
+
+        Fills positions from the store, then runs every position still
+        missing together with the DRF0 verdict of each program the cache
+        lacks, then judges every distinct result the SC cache lacks,
+        once.  Every unit -- run, DRF0 verdict, judgment -- is filed and
+        flushed to the store in its map's ``on_result``, as it lands
+        (crash tolerance: a unit computed is a unit persisted, so a
+        re-run against the same store resumes); each map's observed cost
+        is recorded against the cells once it ends.
+        """
+        store = engine.store
+        drf0_pending = [
+            index
+            for index, program in enumerate(self.programs)
+            if engine.drf0_cache.lookup_or_quarantine(
+                program, self.exhaustive_drf0, self.drf0_seeds
+            )
+            is None
+        ]
+        run_keys = self._fill_from_store(store)
+        if engine._owns_plan:
+            progress = engine.monitor.progress
+            for cell_index, summaries in enumerate(self.summaries):
+                filled = sum(1 for summary in summaries if summary is not None)
+                if filled:
+                    progress.prefill(cell_index, filled)
+            progress.add_extra("drf0", len(drf0_pending))
+            engine.monitor.poll(force=True)
+        drf0_tasks = [("drf0", index) for index in drf0_pending]
+        run_tasks, positions = self._run_tasks(engine)
+
+        def on_run(index: int, task: tuple, value) -> None:
+            if index < len(drf0_tasks):
+                program = self.programs[task[1]]
+                verdict, stats = value
+                if stats is not None:
+                    engine.explorer_stats.merge(stats)
+                engine._file_drf0(
+                    program_fingerprint(program), self.drf0_mode, verdict,
+                    program,
+                )
+                return
+            cell_index, chunk = positions[index - len(drf0_tasks)]
+            for pos, summary in zip(chunk, value):
+                self.summaries[cell_index][pos] = summary
+                if store is not None:
+                    store.record_run(
+                        run_keys[(cell_index, pos)], _encode_summary(summary)
+                    )
+
+        session.map(drf0_tasks + run_tasks, on_result=on_run)
+        self._record_costs(
+            store,
+            (
+                (cell_index, len(chunk), seconds, 0)
+                for (cell_index, chunk), seconds in zip(
+                    positions, session.task_seconds[len(drf0_tasks) :]
+                )
+            ),
+        )
+
+        sc_cache = engine.sc_cache
+        pending: List[List[Result]] = [[] for _ in self.cells]
+        claimed: Set[Tuple[str, Result]] = set()
+        for cell_index, summaries in enumerate(self.summaries):
+            program = self.cells[cell_index].program
+            for result in [summary.result for summary in summaries]:
+                key = sc_cache.key(program, result)
+                if key in claimed:
+                    continue
+                claimed.add(key)
+                if sc_cache.lookup_or_quarantine(program, result) is None:
+                    pending[cell_index].append(result)
+        judge_tasks = [
+            ("judge", cell_index, chunk)
+            for cell_index, chunks in enumerate(engine._plan_chunks(pending))
+            for chunk in chunks
+        ]
+        if engine._owns_plan and judge_tasks:
+            engine.monitor.progress.add_extra("judge", sum(map(len, pending)))
+
+        def on_judged(index: int, task: tuple, value) -> None:
+            _, cell_index, results = task
+            program = self.cells[cell_index].program
+            fingerprint = program_fingerprint(program)
+            for result, (verdict, stats) in zip(results, value):
+                engine.explorer_stats.merge(stats)
+                engine._file_sc(fingerprint, result, verdict, program)
+
+        judged = session.map(judge_tasks, on_result=on_judged)
+        self._record_costs(
+            store,
+            (
+                (task[1], 0, seconds, sum(s.states for _, s in verdicts))
+                for task, verdicts, seconds in zip(
+                    judge_tasks, judged, session.task_seconds
+                )
+            ),
+        )
+
+    def fold(self, engine: "VerificationEngine") -> List[SweepReport]:
+        """Each cell's report, folded exactly as the serial sweep folds
+        it, in cell order."""
+        reports = []
+        for cell, policy_name, summaries in zip(
+            self.cells, self.policy_names, self.summaries
+        ):
+            seen: Set[Result] = set()
+            non_sc: List[Result] = []
+            condition_problems: List[str] = []
+            cycles: List[int] = []
+            for summary in summaries:
+                cycles.append(summary.cycles)
+                condition_problems.extend(summary.condition_violations)
+                if summary.result in seen:
+                    continue
+                seen.add(summary.result)
+                if not engine.sc_cache.judge(cell.program, summary.result):
+                    non_sc.append(summary.result)
+            reports.append(
+                SweepReport(
+                    program=cell.program,
+                    policy_name=policy_name,
+                    seeds_run=len(self.seeds),
+                    distinct_results=len(seen),
+                    non_sc_results=non_sc,
+                    condition_violations=condition_problems,
+                    mean_cycles=sum(cycles) / len(cycles) if cycles else 0.0,
+                )
+            )
+        return reports
+
+    def evidence(
+        self, engine: "VerificationEngine", reports: Sequence[SweepReport]
+    ) -> Definition2Evidence:
+        """The Definition-2 evidence rows: each cell's report beside its
+        program's DRF0 verdict, in the serial sweep's row order."""
+        evidence = Definition2Evidence()
+        cell_reports = iter(reports)
+        for program in self.programs:
+            drf0 = engine.drf0_cache.lookup(
+                program, self.exhaustive_drf0, self.drf0_seeds
+            )
+            assert drf0 is not None
+            for name in self.policies:
+                evidence.rows.append(
+                    evidence_row(program, drf0, name, next(cell_reports))
+                )
+        return evidence
 
 
-def _breaker_key(task: tuple) -> str:
-    """The circuit-breaker key a task's failures count against: its cell
-    (``cell:<i>``), its program (``drf0:<i>``), or its kind."""
-    kind = task[0]
-    if kind in ("run", "judge"):
-        return f"cell:{task[1]}"
-    if kind == "drf0":
-        return f"drf0:{task[1]}"
-    return kind
+class SeedCampaign:
+    """A fuzz or diff campaign: one ``(kind, seed)`` task per seed.
+
+    ``seed_body(seed, judge)`` runs one seed; its ``judge(program, arg)``
+    memoizes ``oracle(program, arg) -> (verdict, stats)`` in :attr:`memo`
+    under ``(fingerprint, arg)``, the key ``cache`` files the verdict by
+    (``arg`` is a result for fuzz's SC judgments, a mode for diff's DRF0
+    verdicts).  The memo is made from ``cache``'s entries here, in the
+    parent before its session forks, so workers inherit it and
+    leftovers of an earlier campaign cannot turn misses into hits.
+    Each task's new verdicts are merged into the memo and handed to
+    ``file(fingerprint, arg, verdict, program)`` -- the engine's cache
+    and store -- as the task lands.
+    """
+
+    failpoints: Tuple[Failpoint, ...] = ()
+
+    def __init__(
+        self,
+        kind: str,
+        seeds: Sequence[int],
+        seed_body: Callable[[int, Callable[..., bool]], object],
+        oracle: Callable[[Program, object], Tuple[bool, ExplorerStats]],
+        cache,
+        file: Callable[[str, object, bool, Program], None],
+    ) -> None:
+        # Loaded before the session forks: run_on_hardware imports the
+        # snoop substrate on first use, which would be once per worker.
+        import repro.sim.snoop  # noqa: F401
+
+        self.kind = kind
+        self.seeds = list(seeds)
+        self.seed_body = seed_body
+        self.oracle = oracle
+        self.cache = cache
+        self.file = file
+        #: The telemetry name of the memoized verdicts.
+        self.verdicts = "sc" if kind == "fuzz" else "drf0"
+        self.memo: Dict[Tuple[str, object], bool] = {
+            (fingerprint, arg): verdict
+            for fingerprint, arg, verdict in cache.entries()
+        }
+
+    # -- the tasks (worker side and parent side) -----------------------
+
+    def value(self, task: tuple, beat: Optional[Callable[[], None]]):
+        """One seed, returned as ``(outcome, new, judged)``: ``new``
+        lists ``(key, verdict, program, stats)`` for every verdict this
+        task computed (the program rides along so the stored entry is
+        auditable; ``stats`` is the search's :class:`ExplorerStats`),
+        ``judged`` every key the judge was asked, in order, so the parent
+        counts memo hits in seed order."""
+        new: List[Tuple[Tuple[str, object], bool, Program, ExplorerStats]] = []
+        judged: List[Tuple[str, object]] = []
+
+        def judge(program: Program, arg: object) -> bool:
+            key = (program_fingerprint(program), arg)
+            judged.append(key)
+            verdict = self.memo.get(key)
+            if verdict is None:
+                verdict, stats = self.oracle(program, arg)
+                self.memo[key] = verdict
+                new.append((key, verdict, program, stats))
+            return verdict
+
+        return self.seed_body(task[1], judge), new, judged
+
+    def label(self, task: tuple) -> str:
+        return f"{self.kind}:seed{task[1]}"
+
+    def counts(self, task: tuple, value) -> Dict[str, int]:
+        """One seed, and a diff seed's hardware runs.  (A seed's memo
+        hits, misses and states are counted where it lands.)"""
+        if self.kind == "fuzz":
+            return {"fuzz_seeds": 1}
+        return {"diff_seeds": 1, "runs": value[0].hardware_runs}
+
+    def breaker_key(self, task: tuple) -> str:
+        return self.kind
+
+    def tick(self, progress, task: tuple, seconds: float) -> None:
+        progress.unit_done(0, 1)
+
+    # -- the parent's side ---------------------------------------------
+
+    def plan(
+        self, engine: "VerificationEngine"
+    ) -> List[Tuple[str, int, float]]:
+        return [(self.kind, len(self.seeds), 0.0)]
+
+    def run(self, engine: "VerificationEngine", session: "_Session") -> None:
+        """The one round: every seed, its outcomes kept in seed order.
+
+        Each verdict's search is merged into the engine's
+        ``explorer_stats`` once per key (two workers may both compute a
+        key the serial run computes once).  Memo hits and misses are
+        counted as each task lands, into ``cache.stats`` and the
+        monitor's totals alike (``sc_*`` for fuzz, ``drf0_*`` for diff,
+        with the states of each key's first search): a miss is a judged
+        key that was not in the memo at the start, counted once, and
+        every other judgment is a hit, so the counts and the explorer
+        counters are the serial run's at any ``jobs`` and in any landing
+        order.
+        """
+        known = set(self.memo)
+        explored = set()
+        monitor = engine.monitor
+
+        def on_result(index: int, task: tuple, value) -> None:
+            _outcome, new, judged = value
+            misses = states = 0
+            for key in judged:
+                if key not in known:
+                    misses += 1
+                    known.add(key)
+            for key, verdict, program, stats in new:
+                self.memo.setdefault(key, verdict)
+                self.file(*key, verdict, program)
+                if key not in explored:
+                    explored.add(key)
+                    engine.explorer_stats.merge(stats)
+                    states += stats.states
+            hits = len(judged) - misses
+            self.cache.stats.add(hits=hits, misses=misses)
+            if monitor is not None:
+                monitor.fold.add(
+                    {
+                        f"{self.verdicts}_hits": hits,
+                        f"{self.verdicts}_misses": misses,
+                        "states": states,
+                    }
+                )
+
+        values = session.map(
+            [(self.kind, seed) for seed in self.seeds], on_result=on_result
+        )
+        self.outcomes = [outcome for outcome, _new, _judged in values]
+
+    def fold(self, engine: "VerificationEngine") -> list:
+        """The seeds' outcomes, in seed order."""
+        return self.outcomes
+
+
+#: What an engine call publishes to its workers.
+Campaign = Union[SweepCampaign, SeedCampaign]
 
 
 def _execute_task(task: tuple, gen: int = 0):
-    """Worker dispatch: map one task tuple to its (picklable) value.
+    """The one worker entry: map a task of the published campaign
+    (:data:`_CAMPAIGN`) to its (picklable) value.
 
-    While a campaign monitor watches (:data:`_HEARTBEAT` is set), the
-    task beats on entry and after each run or judgment of a chunk
-    (rate-limited by :data:`~repro.obs.progress.HEARTBEAT_INTERVAL`),
-    and always on completion, so the worker table ends on the task's
-    counters; a failing task sends its stall diagnosis before it
-    raises, so the diagnosis reaches the parent ahead of the failure.
-    ``gen`` is the resubmission attempt the beats carry.  With no
-    monitor, ``heartbeat`` is ``None`` and every hook below is a single
-    comparison.
+    Fires the campaign's failpoints for the task's kind, then asks the
+    campaign for the value.  While a campaign monitor watches
+    (:data:`_HEARTBEAT` is set), the task beats on entry and after each
+    run or judgment of a chunk (rate-limited by
+    :data:`~repro.obs.progress.HEARTBEAT_INTERVAL`), and always on
+    completion, so the worker table ends on the task's counters; a
+    failing task sends its stall diagnosis before it raises, so the
+    diagnosis reaches the parent ahead of the failure.  ``gen`` is the
+    resubmission attempt the beats carry.  With no monitor, ``heartbeat``
+    is ``None`` and every hook below is a single comparison.
     """
-    ctx = _TASK_CONTEXT
-    assert ctx is not None, "task executed outside an engine session"
-    kind = task[0]
+    campaign = _CAMPAIGN
+    assert campaign is not None, "task executed outside an engine session"
     heartbeat = _HEARTBEAT
-    label = _task_label(task) if heartbeat is not None else None
+    beat = None
     if heartbeat is not None:
-        heartbeat.beat(label, gen)
+        label = campaign.label(task)
+        beat = partial(heartbeat.beat, label, gen)
+        beat()
     try:
-        for failpoint in ctx.failpoints:
-            if failpoint.task_kind in ("*", kind):
+        for failpoint in campaign.failpoints:
+            if failpoint.task_kind in ("*", task[0]):
                 _maybe_fire_failpoint(failpoint)
-        if kind == "run":
-            _, cell_index, seeds = task
-            cell = ctx.cells[cell_index]
-            value = []
-            for seed in seeds:
-                value.append(_run_one(cell, seed))
-                if heartbeat is not None:
-                    heartbeat.beat(label, gen)
-        elif kind == "judge":
-            # One (verdict, stats) per result, in the task's order.
-            _, cell_index, results = task
-            program = ctx.cells[cell_index].program
-            value = []
-            for result in results:
-                stats = ExplorerStats()
-                value.append(
-                    (is_sc_result(program, result, stats=stats), stats)
-                )
-                if heartbeat is not None:
-                    heartbeat.beat(label, gen)
-        elif kind == "drf0":
-            _, program_index = task
-            program = ctx.programs[program_index]
-            if ctx.exhaustive_drf0:
-                report = check_program(program)
-            else:
-                report = check_program_sampled(program, seeds=ctx.drf0_seeds)
-            value = (report.obeys, report.stats)
-        elif kind in ("fuzz", "diff"):
-            value = _seed_task(task[1], ctx)
-        else:
-            raise ValueError(f"unknown task kind {kind!r}")
+        value = campaign.value(task, beat)
     except Exception as exc:
         if heartbeat is not None:
             from repro.obs.progress import failure_text
@@ -490,7 +895,7 @@ def _execute_task(task: tuple, gen: int = 0):
             heartbeat.beat(label, gen, force=True)
         raise
     if heartbeat is not None:
-        heartbeat.add(_task_counts(task, value))
+        heartbeat.add(campaign.counts(task, value))
         heartbeat.beat(label, gen, force=True)
     return value
 
@@ -797,41 +1202,37 @@ class VerificationEngine:
         """Telemetry tick: one task's value just folded into the parent.
 
         Fires exactly once per task slot (the lease loop's board keeps
-        only the first completion), so the task's counts
-        (:func:`_task_counts`) join the monitor's totals once and
+        only the first completion), so the task's counts (the published
+        campaign's ``counts``) join the monitor's totals once and
         completion stays truthful under crash resubmission.  Every
         engine sharing the monitor counts; only the plan-owning engine
-        ticks units; every engine polls so the status file stays fresh.
+        ticks progress; every engine polls so the status file stays
+        fresh.
         """
         monitor = self.monitor
         if monitor is None:
             return
+        campaign = _CAMPAIGN
         monitor.fold.tasks += 1
-        monitor.fold.add(_task_counts(task, value))
+        monitor.fold.add(campaign.counts(task, value))
         if self._owns_plan:
-            progress = monitor.progress
-            kind = task[0]
-            if kind == "run":
-                progress.unit_done(task[1], len(task[2]))
-                progress.observe_cell_us(task[1], seconds * 1e6)
-            elif kind == "drf0":
-                progress.extra_done("drf0")
-            elif kind == "judge":
-                progress.extra_done("judge", len(task[2]))
-            elif kind in ("fuzz", "diff"):
-                progress.unit_done(0, 1)
+            campaign.tick(monitor.progress, task, seconds)
         monitor.poll()
 
     @contextmanager
-    def _session(self, context: _TaskContext):
-        global _TASK_CONTEXT, _HEARTBEAT
-        previous = _TASK_CONTEXT, _HEARTBEAT
-        if self.failpoints and not context.failpoints:
-            context.failpoints = self.failpoints
+    def _session(self, campaign: Campaign):
+        """Publish ``campaign`` and open this call's dispatch session.
+
+        The campaign gets the engine's failpoints unless it was built
+        with its own."""
+        global _CAMPAIGN, _HEARTBEAT
+        previous = _CAMPAIGN, _HEARTBEAT
+        if self.failpoints and not campaign.failpoints:
+            campaign.failpoints = self.failpoints
         # Published before any fork, so a batch fleet inherits it, and
         # on the daemon's path too: serial degradation runs tasks in
         # *this* process through the same `_execute_task`.
-        _TASK_CONTEXT = context
+        _CAMPAIGN = campaign
         _HEARTBEAT = (
             self.monitor.heartbeat if self.monitor is not None else None
         )
@@ -845,12 +1246,42 @@ class VerificationEngine:
             raise
         finally:
             pooled = session.close(failed)
-            _TASK_CONTEXT, _HEARTBEAT = previous
+            _CAMPAIGN, _HEARTBEAT = previous
             if self.tracer.enabled:
                 self.tracer.span(
                     "engine", "session", "engine", session_start, _now_us(),
                     args={"jobs": self.jobs, "pool": pooled},
                 )
+
+    def _drive(self, campaign: Campaign):
+        """The one campaign driver: claim the monitor's plan (the first
+        engine to claim it owns it and ticks its progress), publish the
+        campaign, run its rounds in one session, and return its fold."""
+        rows = campaign.plan(self)
+        if self.monitor is not None and self.monitor.claim_plan():
+            self._owns_plan = True
+            self.monitor.progress.plan(rows)
+        with self._session(campaign) as session:
+            campaign.run(self, session)
+        return campaign.fold(self)
+
+    def _file_sc(
+        self, fingerprint: str, result: Result, verdict: bool, program: Program
+    ) -> None:
+        """File one SC verdict: into :attr:`sc_cache` and the store."""
+        self.sc_cache.store_by_fingerprint(
+            fingerprint, result, verdict, program=program
+        )
+        if self.store is not None:
+            self.store.record_sc(fingerprint, result, verdict, program=program)
+
+    def _file_drf0(
+        self, fingerprint: str, mode: object, verdict: bool, program: Program
+    ) -> None:
+        """File one DRF0 verdict: into :attr:`drf0_cache` and the store."""
+        self.drf0_cache.store_by_key(fingerprint, mode, verdict)
+        if self.store is not None:
+            self.store.record_drf0(fingerprint, mode, verdict, program=program)
 
     def _plan_chunks(
         self, pending: Sequence[Sequence], cost_us: Sequence[float] = ()
@@ -873,371 +1304,8 @@ class VerificationEngine:
         return plan
 
     # ------------------------------------------------------------------
-    # Persistent-store plumbing (all no-ops without a store)
-    # ------------------------------------------------------------------
-
-    def _cell_identities(
-        self, cells: Sequence[_SweepCell]
-    ) -> Optional[List[Tuple[str, str]]]:
-        """(program fingerprint, policy name) per cell -- the store's
-        content identity of a sweep cell.  None without a store; the
-        policies are resolved either way (:func:`_policy_names`)."""
-        names = _policy_names(cells)
-        if self.store is None:
-            return None
-        return [
-            (program_fingerprint(cell.program), names[cell.policy_factory])
-            for cell in cells
-        ]
-
-    def _expected_us(
-        self, identities: Optional[List[Tuple[str, str]]], n_cells: int
-    ) -> List[float]:
-        """Stored per-run cost of each cell in microseconds (0.0 when
-        unknown or without a store)."""
-        expected = [0.0] * n_cells
-        if identities is not None:
-            costs = self.store.warm().costs
-            for index, (fingerprint, policy_name) in enumerate(identities):
-                cost = costs.get(cell_key(fingerprint, policy_name))
-                if cost:
-                    expected[index] = cost.us_per_run
-        return expected
-
-    def _fill_from_store(
-        self,
-        cells: Sequence[_SweepCell],
-        seeds: Sequence[int],
-        per_cell: List[List[Optional[RunSummary]]],
-        identities: Optional[List[Tuple[str, str]]],
-    ) -> Dict[Tuple[int, int], str]:
-        """Fill sweep positions from stored run summaries.
-
-        Returns the run content key of *every* (cell, position) -- also
-        the ones left unfilled, so newly computed summaries can be
-        flushed under the same keys.
-        """
-        keys: Dict[Tuple[int, int], str] = {}
-        if identities is None:
-            return keys
-        state = self.store.warm()
-        # Cells of one sweep usually share a config: repr each seeded
-        # config once, not once per cell.
-        seeded_reprs: Dict[SystemConfig, List[str]] = {}
-        for cell_index, cell in enumerate(cells):
-            fingerprint, policy_name = identities[cell_index]
-            config_reprs = seeded_reprs.get(cell.config)
-            if config_reprs is None:
-                config_reprs = seeded_reprs[cell.config] = [
-                    repr(cell.config.with_seed(seed)) for seed in seeds
-                ]
-            for pos, config_repr in enumerate(config_reprs):
-                key = run_key(
-                    fingerprint,
-                    policy_name,
-                    config_repr,
-                    cell.check_51_conditions,
-                )
-                keys[(cell_index, pos)] = key
-                if per_cell[cell_index][pos] is not None:
-                    continue
-                stored = state.runs.get(key)
-                if stored is None:
-                    continue
-                try:
-                    per_cell[cell_index][pos] = _decode_summary(stored)
-                except (KeyError, TypeError):
-                    continue  # malformed payload: recompute this run
-                self.store.stats.runs_reused += 1
-        return keys
-
-    def _plan_run_tasks(
-        self,
-        cells: Sequence[_SweepCell],
-        seeds: Sequence[int],
-        per_cell: Sequence[Sequence[Optional[RunSummary]]],
-        identities: Optional[List[Tuple[str, str]]],
-    ) -> Tuple[List[tuple], List[Tuple[int, Tuple[int, ...]]]]:
-        """Chunked run tasks for every unfilled sweep position.
-
-        Without a store this is the deterministic plan (cell order,
-        balanced chunks, see :meth:`_plan_chunks`).  With one, cells are
-        dispatched longest-expected-first using stored cost observations,
-        and cells costing more than twice the median per seed get
-        half-size chunks -- stragglers start early and load-balance
-        finely, cutting tail latency on skewed grids.  Only *issue order*
-        changes; the fold order (and so every output) is identical either
-        way.
-        """
-        expected_us = self._expected_us(identities, len(cells))
-        missing = [
-            [pos for pos, summary in enumerate(summaries) if summary is None]
-            for summaries in per_cell
-        ]
-        entries: List[Tuple[float, int, Tuple[int, ...]]] = [
-            (expected_us[cell_index] * len(chunk), cell_index, chunk)
-            for cell_index, chunks in enumerate(
-                self._plan_chunks(missing, expected_us)
-            )
-            for chunk in chunks
-        ]
-        if identities is not None:
-            entries.sort(key=lambda e: (-e[0], e[1], e[2][0]))
-        tasks: List[tuple] = []
-        positions: List[Tuple[int, Tuple[int, ...]]] = []
-        for _, cell_index, chunk in entries:
-            tasks.append(
-                ("run", cell_index, tuple(seeds[pos] for pos in chunk))
-            )
-            positions.append((cell_index, chunk))
-        return tasks, positions
-
-    def _record_costs(
-        self,
-        identities: Optional[List[Tuple[str, str]]],
-        observed: Iterable[Tuple[int, int, float, int]],
-    ) -> None:
-        """Record observed per-cell cost into the store.
-
-        ``observed`` yields ``(cell_index, runs, seconds, states)`` per
-        task; each cell's sums become one cost record, in cell order."""
-        if identities is None:
-            return
-        acc: Dict[int, Tuple[int, int, int]] = {}
-        for cell_index, runs, seconds, states in observed:
-            total_runs, wall_us, total_states = acc.get(cell_index, (0, 0, 0))
-            acc[cell_index] = (
-                total_runs + runs,
-                wall_us + int(seconds * 1_000_000),
-                total_states + states,
-            )
-        for cell_index, (runs, wall_us, states) in sorted(acc.items()):
-            fingerprint, policy_name = identities[cell_index]
-            self.store.record_cost(
-                cell_key(fingerprint, policy_name),
-                runs=runs,
-                wall_us=wall_us,
-                states=states,
-            )
-
-    # ------------------------------------------------------------------
-    # The cell pipeline (contract_sweep, definition2_sweep)
-    # ------------------------------------------------------------------
-
-    def _sweep_cells(
-        self,
-        context: _TaskContext,
-        seeds: Sequence[int],
-        labels: Sequence[str],
-    ) -> List[List[RunSummary]]:
-        """The cell pipeline of both sweeps; returns each cell's run
-        summaries in seed order.
-
-        Registers the plan with the monitor (one row per cell, named by
-        ``labels``), fills positions from the store, runs every position
-        still missing together with the DRF0 verdict of each of
-        ``context.programs`` the cache lacks (none for a contract sweep),
-        then judges every distinct result the SC cache lacks, once, and
-        files the verdicts in :attr:`sc_cache`.  Every unit -- run, DRF0
-        verdict, judgment -- is filed and flushed to the store in its
-        map's ``on_result``, as it lands (crash tolerance: a unit
-        computed is a unit persisted, so a re-run against the same store
-        resumes); each map's observed cost is recorded against the cells
-        once it ends.
-        """
-        cells = context.cells
-        programs = context.programs
-        exhaustive = context.exhaustive_drf0
-        drf0_seeds = context.drf0_seeds
-        drf0_mode: object = (
-            "exhaustive" if exhaustive else ("sampled", drf0_seeds)
-        )
-        identities = self._cell_identities(cells)
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            expected = self._expected_us(identities, len(cells))
-            self.monitor.progress.plan(
-                [
-                    (label, len(seeds), expected[index])
-                    for index, label in enumerate(labels)
-                ]
-            )
-        with self._session(context) as session:
-            drf0_pending = [
-                index
-                for index, program in enumerate(programs)
-                if self.drf0_cache.lookup_or_quarantine(
-                    program, exhaustive, drf0_seeds
-                )
-                is None
-            ]
-            per_cell: List[List[Optional[RunSummary]]] = [
-                [None] * len(seeds) for _ in cells
-            ]
-            run_keys = self._fill_from_store(cells, seeds, per_cell, identities)
-            if self._owns_plan:
-                progress = self.monitor.progress
-                for cell_index, summaries in enumerate(per_cell):
-                    filled = sum(1 for summary in summaries if summary is not None)
-                    if filled:
-                        progress.prefill(cell_index, filled)
-                progress.add_extra("drf0", len(drf0_pending))
-                self.monitor.poll(force=True)
-            drf0_tasks = [("drf0", index) for index in drf0_pending]
-            run_tasks, positions = self._plan_run_tasks(
-                cells, seeds, per_cell, identities
-            )
-
-            def on_run(index: int, task: tuple, value) -> None:
-                if task[0] == "drf0":
-                    program = programs[task[1]]
-                    verdict, stats = value
-                    if stats is not None:
-                        self.explorer_stats.merge(stats)
-                    self.drf0_cache.store(
-                        program, exhaustive, drf0_seeds, verdict
-                    )
-                    if self.store is not None:
-                        self.store.record_drf0(
-                            program_fingerprint(program),
-                            drf0_mode,
-                            verdict,
-                            program=program,
-                        )
-                    return
-                cell_index, chunk = positions[index - len(drf0_tasks)]
-                for pos, summary in zip(chunk, value):
-                    per_cell[cell_index][pos] = summary
-                    if self.store is not None:
-                        self.store.record_run(
-                            run_keys[(cell_index, pos)],
-                            _encode_summary(summary),
-                        )
-
-            session.map(drf0_tasks + run_tasks, on_result=on_run)
-            self._record_costs(
-                identities,
-                (
-                    (cell_index, len(chunk), seconds, 0)
-                    for (cell_index, chunk), seconds in zip(
-                        positions, session.task_seconds[len(drf0_tasks) :]
-                    )
-                ),
-            )
-
-            pending: List[List[Result]] = [[] for _ in cells]
-            claimed: Set[Tuple[str, Result]] = set()
-            for cell_index, summaries in enumerate(per_cell):
-                program = cells[cell_index].program
-                for summary in summaries:
-                    key = self.sc_cache.key(program, summary.result)
-                    if key in claimed:
-                        continue
-                    claimed.add(key)
-                    if (
-                        self.sc_cache.lookup_or_quarantine(
-                            program, summary.result
-                        )
-                        is None
-                    ):
-                        pending[cell_index].append(summary.result)
-            judge_tasks = [
-                ("judge", cell_index, chunk)
-                for cell_index, chunks in enumerate(self._plan_chunks(pending))
-                for chunk in chunks
-            ]
-            if self._owns_plan and judge_tasks:
-                self.monitor.progress.add_extra(
-                    "judge", sum(map(len, pending))
-                )
-
-            def on_judged(index: int, task: tuple, value) -> None:
-                _, cell_index, results = task
-                program = cells[cell_index].program
-                fingerprint = program_fingerprint(program)
-                for result, (verdict, stats) in zip(results, value):
-                    self.explorer_stats.merge(stats)
-                    self.sc_cache.store(program, result, verdict)
-                    if self.store is not None:
-                        self.store.record_sc(
-                            fingerprint, result, verdict, program=program
-                        )
-
-            judged = session.map(judge_tasks, on_result=on_judged)
-            self._record_costs(
-                identities,
-                (
-                    (task[1], 0, seconds, sum(s.states for _, s in verdicts))
-                    for task, verdicts, seconds in zip(
-                        judge_tasks, judged, session.task_seconds
-                    )
-                ),
-            )
-        return per_cell
-
-    def _assemble_sweep(
-        self,
-        cell: _SweepCell,
-        seeds: Sequence[int],
-        summaries: Sequence[RunSummary],
-    ) -> SweepReport:
-        """Fold one cell's summaries exactly as the serial sweep would."""
-        seen: Set[Result] = set()
-        non_sc: List[Result] = []
-        condition_problems: List[str] = []
-        cycles: List[int] = []
-        for summary in summaries:
-            cycles.append(summary.cycles)
-            condition_problems.extend(summary.condition_violations)
-            if summary.result in seen:
-                continue
-            seen.add(summary.result)
-            if not self.sc_cache.judge(cell.program, summary.result):
-                non_sc.append(summary.result)
-        if summaries:
-            policy_name = summaries[0].policy_name
-        else:
-            policy_name = cell.policy_factory().name
-        return SweepReport(
-            program=cell.program,
-            policy_name=policy_name,
-            seeds_run=len(seeds),
-            distinct_results=len(seen),
-            non_sc_results=non_sc,
-            condition_violations=condition_problems,
-            mean_cycles=sum(cycles) / len(cycles) if cycles else 0.0,
-        )
-
-    # ------------------------------------------------------------------
     # Entry points (mirror the serial API)
     # ------------------------------------------------------------------
-
-    def hardware_summaries(
-        self,
-        program: Program,
-        policy_factory: Callable[[], object],
-        config: Optional[SystemConfig] = None,
-        seeds: Sequence[int] = range(20),
-        check_51_conditions: bool = False,
-    ) -> List[RunSummary]:
-        """Raw per-seed run summaries (no SC judging) -- the timing path
-        the performance benchmarks fan out."""
-        config = config or SystemConfig()
-        seeds = list(seeds)
-        cell = _SweepCell(program, policy_factory, config, check_51_conditions)
-        _policy_names([cell])
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            self.monitor.progress.plan([(program.name, len(seeds), 0.0)])
-        summaries: List[Optional[RunSummary]] = [None] * len(seeds)
-        tasks, positions = self._plan_run_tasks(
-            [cell], seeds, [summaries], None
-        )
-        with self._session(_TaskContext(cells=(cell,))) as session:
-            for (_, chunk), values in zip(positions, session.map(tasks)):
-                for pos, summary in zip(chunk, values):
-                    summaries[pos] = summary
-        return summaries
 
     def contract_sweep(
         self,
@@ -1247,15 +1315,19 @@ class VerificationEngine:
         seeds: Sequence[int] = range(20),
         check_51_conditions: bool = False,
     ) -> SweepReport:
-        """Parallel :func:`repro.verify.sweeps.contract_sweep`: the cell
-        pipeline on one cell, with no DRF0 premise."""
-        config = config or SystemConfig()
-        seeds = list(seeds)
-        cell = _SweepCell(program, policy_factory, config, check_51_conditions)
-        (summaries,) = self._sweep_cells(
-            _TaskContext(cells=(cell,)), seeds, [program.name]
+        """Parallel :func:`repro.verify.sweeps.contract_sweep`: a sweep
+        campaign of one cell, with no DRF0 premise."""
+        (report,) = self._drive(
+            SweepCampaign(
+                [program],
+                {program.name: policy_factory},
+                config,
+                seeds,
+                check_51_conditions=check_51_conditions,
+                premise=False,
+            )
         )
-        return self._assemble_sweep(cell, seeds, summaries)
+        return report
 
     def definition2_sweep(
         self,
@@ -1274,116 +1346,16 @@ class VerificationEngine:
         before the kill is filed there and is not recomputed, and the
         output is bit-identical either way.
         """
-        config = config or SystemConfig()
-        programs = list(programs)
-        seeds = list(seeds)
-        context = sweep_task_context(
+        campaign = SweepCampaign(
             programs,
             policy_factories,
             config,
-            exhaustive_drf0,
+            seeds,
             drf0_seeds,
+            exhaustive_drf0,
             check_51_conditions,
         )
-        labels = [
-            f"{program.name}/{name}"
-            for program in programs
-            for name in policy_factories
-        ]
-        per_cell = self._sweep_cells(context, seeds, labels)
-
-        evidence = Definition2Evidence()
-        cell_index = 0
-        for program in programs:
-            drf0 = self.drf0_cache.lookup(
-                program, exhaustive_drf0, context.drf0_seeds
-            )
-            assert drf0 is not None
-            for name in policy_factories:
-                report = self._assemble_sweep(
-                    context.cells[cell_index], seeds, per_cell[cell_index]
-                )
-                evidence.rows.append(evidence_row(program, drf0, name, report))
-                cell_index += 1
-        return evidence
-
-    def _seed_campaign(
-        self,
-        kind: str,
-        seeds: Sequence[int],
-        seed_body: Callable[[int, Callable[..., bool]], object],
-        oracle: Callable[[Program, object], Tuple[bool, ExplorerStats]],
-        cache,
-        file: Callable[[str, object, bool, Program], None],
-    ) -> list:
-        """The seed loop of fuzz and diff: one ``kind`` task per seed,
-        returning the seeds' outcomes in seed order.
-
-        ``seed_body(seed, judge)`` runs one seed, and its
-        ``judge(program, arg)`` memoizes ``oracle`` in ``_WORKER_MEMO``
-        under the keys ``cache`` files its verdicts by
-        (:func:`_seed_task`).  The memo is reset to exactly ``cache``'s
-        entries before the session forks, so workers inherit it and
-        leftovers of an earlier campaign in this process cannot turn
-        misses into hits.  Each task's new verdicts are merged into the
-        memo, passed to ``file(fingerprint, arg, verdict, program)`` --
-        the cache and the store -- as the task lands, and its search's
-        :class:`ExplorerStats` merged into :attr:`explorer_stats` once
-        per key (two workers may both compute a key the serial run
-        computes once).  Memo hits and misses are counted as each task
-        lands, into ``cache.stats`` and the monitor's totals alike
-        (``sc_*`` for fuzz, ``drf0_*`` for diff, with the states of each
-        key's first search): a miss is a judged key that was not in
-        ``cache`` at the start, counted once, and every other judgment
-        is a hit, so the counts and the explorer counters are the serial
-        run's at any ``jobs`` and in any landing order.
-        """
-        # Loaded before the session forks: run_on_hardware imports the
-        # snoop substrate on first use, which would be once per worker.
-        import repro.sim.snoop  # noqa: F401
-
-        seeds = list(seeds)
-        if self.monitor is not None and self.monitor.claim_plan():
-            self._owns_plan = True
-            self.monitor.progress.plan([(kind, len(seeds), 0.0)])
-        _WORKER_MEMO.clear()
-        for fingerprint, arg, verdict in cache.entries():
-            _WORKER_MEMO[(fingerprint, arg)] = verdict
-        known = set(_WORKER_MEMO)
-        explored = set()
-        memo = "sc" if kind == "fuzz" else "drf0"
-
-        def on_result(index: int, task: tuple, value) -> None:
-            _outcome, new, judged = value
-            misses = states = 0
-            for key in judged:
-                if key not in known:
-                    misses += 1
-                    known.add(key)
-            for key, verdict, program, stats in new:
-                _WORKER_MEMO.setdefault(key, verdict)
-                file(*key, verdict, program)
-                if key not in explored:
-                    explored.add(key)
-                    self.explorer_stats.merge(stats)
-                    states += stats.states
-            hits = len(judged) - misses
-            cache.stats.add(hits=hits, misses=misses)
-            if self.monitor is not None:
-                self.monitor.fold.add(
-                    {
-                        f"{memo}_hits": hits,
-                        f"{memo}_misses": misses,
-                        "states": states,
-                    }
-                )
-
-        context = _TaskContext(seed_body=seed_body, oracle=oracle)
-        with self._session(context) as session:
-            values = session.map(
-                [(kind, seed) for seed in seeds], on_result=on_result
-            )
-        return [outcome for outcome, _new, _judged in values]
+        return campaign.evidence(self, self._drive(campaign))
 
     def fuzz(
         self,
@@ -1393,10 +1365,10 @@ class VerificationEngine:
     ) -> FuzzReport:
         """Parallel :func:`repro.verify.fuzz.fuzz` (one task per seed).
 
-        Each seed's SC judgments are memoized (see :meth:`_seed_campaign`),
-        warm from the engine's cache and therefore from the persistent
-        store; new judgments are filed in the cache and flushed to the
-        store as they land.
+        Each seed's SC judgments are memoized (see
+        :class:`SeedCampaign`), warm from the engine's cache and
+        therefore from the persistent store; new judgments are filed in
+        the cache and flushed to the store as they land.
         """
         # Imported before the session forks its fleet, so workers inherit
         # the fuzz module instead of importing it per process.
@@ -1407,24 +1379,12 @@ class VerificationEngine:
         def seed_body(seed: int, judge: Callable[..., bool]) -> SeedOutcome:
             return fuzz_one_seed(seed, generator, hardware_seeds, judge=judge)
 
-        def oracle(
-            program: Program, result: Result
-        ) -> Tuple[bool, ExplorerStats]:
-            stats = ExplorerStats()
-            return is_sc_result(program, result, stats=stats), stats
-
-        def file(fingerprint, result, verdict, program) -> None:
-            self.sc_cache.store_by_fingerprint(
-                fingerprint, result, verdict, program=program
-            )
-            if self.store is not None:
-                self.store.record_sc(
-                    fingerprint, result, verdict, program=program
-                )
-
         return merge_outcomes(
-            self._seed_campaign(
-                "fuzz", seeds, seed_body, oracle, self.sc_cache, file
+            self._drive(
+                SeedCampaign(
+                    "fuzz", seeds, seed_body, _sc_verdict, self.sc_cache,
+                    self._file_sc,
+                )
             )
         )
 
@@ -1442,7 +1402,7 @@ class VerificationEngine:
 
         The expensive shared sub-question -- each program's exhaustive
         DRF0 verdict -- is memoized like fuzz's SC judgments (see
-        :meth:`_seed_campaign`).  Disagreements are auto-minimized in the
+        :class:`SeedCampaign`).  Disagreements are auto-minimized in the
         parent (serial, deterministic) after the fold.
         """
         # Imported before the session forks (see fuzz()).
@@ -1462,22 +1422,12 @@ class VerificationEngine:
                 drf0_judge=lambda program: judge(program, "exhaustive"),
             )
 
-        def oracle(
-            program: Program, _mode: object
-        ) -> Tuple[bool, ExplorerStats]:
-            report = check_program(program)
-            return report.obeys, report.stats or ExplorerStats()
-
-        def file(fingerprint, mode, verdict, program) -> None:
-            self.drf0_cache.store_by_key(fingerprint, mode, verdict)
-            if self.store is not None:
-                self.store.record_drf0(
-                    fingerprint, mode, verdict, program=program
-                )
-
         report = merge_diff_outcomes(
-            self._seed_campaign(
-                "diff", seeds, seed_body, oracle, self.drf0_cache, file
+            self._drive(
+                SeedCampaign(
+                    "diff", seeds, seed_body, _drf0_verdict,
+                    self.drf0_cache, self._file_drf0,
+                )
             )
         )
         if minimize:

@@ -9,14 +9,15 @@ values that come back are byte-for-byte the values an in-process run
 produces.  Two owners use it:
 
 * a batch engine session with ``jobs > 1`` forks a fleet at its first
-  non-empty map, *after* publishing its task context, so workers
-  inherit the (unpicklable) context by address-space copy; the session
-  stops the fleet when it ends;
+  non-empty map, *after* publishing its campaign, so workers inherit
+  the (unpicklable) campaign by address-space copy; the session stops
+  the fleet when it ends;
 * the campaign daemon keeps one fleet for its whole life.  Its workers
-  outlive any single campaign, so their context must cross the pipe:
+  outlive any single campaign, so their campaign must cross the pipe:
   the daemon ships a name-based campaign spec with
-  :meth:`Fleet.set_context`, and each worker resolves it locally with
-  the ``resolve_context`` callable the daemon gave the fleet.
+  :meth:`Fleet.set_context`, and each worker builds the campaign
+  locally with the ``resolve_context`` callable the daemon gave the
+  fleet.
 
 Death is observable without polling: every worker's
 ``Process.sentinel`` joins the ``connection.wait`` the dispatch loop
@@ -54,12 +55,13 @@ def _worker_main(
     inherited_fds: List[int],
     resolve_context: Optional[Callable[[dict], object]],
 ) -> None:
-    """Fleet worker loop: resolve campaign contexts, execute engine tasks.
+    """Fleet worker loop: resolve campaign specs, execute engine tasks.
 
     Protocol (one reply per request, in order):
 
     * ``("ctx", spec_dict)``    -> ``("ctx-ok",)`` | ``("ctx-err", msg)``
-      (the daemon's fleet only; ``resolve_context`` builds the context)
+      (the daemon's fleet only; ``resolve_context`` builds the campaign
+      the worker's tasks belong to)
     * ``("task", tid, task, watched)`` -> ``("ok", tid, value)`` |
       ``("err", tid, msg)``; when ``watched`` (a campaign monitor is
       watching), the task's ``("beat", record)`` messages come first
@@ -104,7 +106,7 @@ def _worker_main(
             return
         if kind == "ctx":
             try:
-                engine_mod._TASK_CONTEXT = resolve_context(message[1])
+                engine_mod._CAMPAIGN = resolve_context(message[1])
             except Exception as exc:
                 sent = reply(("ctx-err", f"{type(exc).__name__}: {exc}"))
             else:

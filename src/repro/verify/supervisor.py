@@ -27,7 +27,7 @@ drives the :class:`~repro.verify.leases.TaskBoard` state machine:
 * a task that exhausts its retry budget degrades to serial execution
   in the parent -- the call always terminates with the exact serial
   output, because the parent runs the engine's own ``_execute_task``
-  against the context the engine published.
+  against the campaign the engine published.
 
 All supervision events land in one counters dict: the engine's
 ``resilience`` dict in batch, or the daemon's on its fleet, surfaced as
@@ -61,13 +61,13 @@ QUARANTINED = "quarantined"
 class CircuitBreaker:
     """Per-key failure circuit: healthy -> suspect -> quarantined.
 
-    Keys are cells (``cell:<i>``) or auxiliary task families
-    (``drf0:<i>``).  The first failure makes a key *suspect* (visible in
-    metrics, no behavior change); ``threshold`` deduplicated failures
-    quarantine it, after which its tasks run serially in the parent
-    process -- except every ``probe_interval``-th task, which is sent to
-    the fleet as a probe.  A probe success closes the circuit
-    (*recovered*).
+    Keys are the published campaign's: a sweep's cells (``cell:<i>``)
+    and programs (``drf0:<i>``), or a seed campaign's kind.  The first
+    failure makes a key *suspect* (visible in metrics, no behavior
+    change); ``threshold`` deduplicated failures quarantine it, after
+    which its tasks run serially in the parent process -- except every
+    ``probe_interval``-th task, which is sent to the fleet as a probe.
+    A probe success closes the circuit (*recovered*).
     """
 
     def __init__(
@@ -176,9 +176,10 @@ class FleetSession:
         results: List[object] = [None] * len(tasks)
         self.task_seconds = [0.0] * len(tasks)
         monitor = engine.monitor
+        campaign = engine_mod._CAMPAIGN
 
         def breaker_key(index: int) -> str:
-            return engine_mod._breaker_key(tasks[index])
+            return campaign.breaker_key(tasks[index])
 
         def finish(index: int, value: object, seconds: float = 0.0) -> None:
             results[index] = value

@@ -108,3 +108,18 @@ def execution_from_specs(
     return Execution(
         program, make_ops(specs), final_memory_from_dict(final_memory or {})
     )
+
+
+class StandInCampaign:
+    """The campaign an engine session publishes for maps whose tasks a
+    patched ``repro.verify.engine._execute_task`` runs: every task
+    counts against one circuit-breaker key and adds no telemetry
+    counts."""
+
+    failpoints = ()
+
+    def breaker_key(self, task: tuple) -> str:
+        return "stand-in"
+
+    def counts(self, task: tuple, value) -> dict:
+        return {}

@@ -668,6 +668,36 @@ class TestSimulateCommand:
         assert len(outputs) == 1
 
 
+class TestSubstratePairing:
+    """A policy the configured substrate cannot run is a usage error,
+    found before the first run: one stderr line, exit status 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "TAS", "--no-caches"],
+            ["litmus", "SB", "--no-caches"],
+            ["profile", "--workload", "TAS", "--no-caches"],
+            ["sweep", "SB", "--no-caches"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cacheless_adve_hill_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: policy 'weak-ordering-adve-hill' needs the "
+            "cache-coherent substrate\n"
+        )
+
+    def test_a_policy_the_substrate_can_run_still_runs(self, capsys):
+        assert main(["sweep", "SB", "--no-caches", "--policy", "sc"]) == 0
+        assert "Definition-2 contract: holds" in capsys.readouterr().out
+
+
 class TestLitmusCommand:
     def test_contract_ok_for_weak_hardware(self, capsys):
         code = main(

@@ -6,6 +6,9 @@ equality assertions between the two paths, including reruns that are
 served from the verdict caches.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from repro.hw import (
 from repro.litmus.catalog import by_name, message_passing_sync
 from repro.litmus.harness import run_litmus_on_hardware
 from repro.obs import MetricsRegistry, RecordingTracer
-from repro.sim.system import SystemConfig
+from repro.sim.system import SystemConfig, run_seed_sweep
 from repro.verify import (
     CacheIntegrityError,
     VerificationEngine,
@@ -110,11 +113,15 @@ class TestConditionPlumbing:
         assert all("condition_violations" in row for row in evidence.rows)
         assert evidence.rows[0]["condition_violations"] == []
 
-    def test_violations_surface_for_broken_hardware(self):
+    @pytest.mark.parametrize("runner", ["serial", "jobs1", "jobs2"])
+    def test_violations_surface_for_broken_hardware(self, runner):
         from repro.machine.dsl import ThreadBuilder, build_program
 
         # The strawman generates past uncommitted syncs (condition 4); this
-        # shape provokes it within a few seeds.
+        # shape provokes it within a few seeds.  The engine files each
+        # run's violations in its worker (or in-process) and folds them
+        # into the rows in the parent, so every runner gives the serial
+        # sweep's rows.
         program = build_program(
             [
                 ThreadBuilder().unset("s").store("x", 1),
@@ -123,14 +130,24 @@ class TestConditionPlumbing:
             initial_memory={"s": 1},
             name="sync-then-write",
         )
-        evidence = definition2_sweep(
-            [program],
-            {"relaxed": RelaxedPolicy},
-            seeds=range(20),
-            exhaustive_drf0=True,
-            check_51_conditions=True,
-        )
-        assert evidence.rows[0]["condition_violations"]
+        runners = {
+            "serial": definition2_sweep,
+            "jobs1": VerificationEngine(jobs=1).definition2_sweep,
+            "jobs2": VerificationEngine(jobs=2).definition2_sweep,
+        }
+
+        def rows(sweep):
+            return sweep(
+                [program],
+                {"relaxed": RelaxedPolicy},
+                seeds=range(20),
+                exhaustive_drf0=True,
+                check_51_conditions=True,
+            ).rows
+
+        evidence_rows = rows(runners[runner])
+        assert evidence_rows[0]["condition_violations"]
+        assert evidence_rows == rows(definition2_sweep)
 
 
 class TestParallelMatchesSerial:
@@ -253,14 +270,13 @@ class TestPlanShape:
         )
         # Cells whose runs show a result no earlier cell of the same
         # program showed: each has SC judgments to dispatch.
-        serial = VerificationEngine(jobs=1)
         seen = set()
         cells_with_new = 0
         for program in programs:
             for factory in factories.values():
                 fresh = {
-                    (program_fingerprint(program), summary.result)
-                    for summary in serial.hardware_summaries(
+                    (program_fingerprint(program), run.result)
+                    for run in run_seed_sweep(
                         program, factory, seeds=range(10)
                     )
                 } - seen
@@ -323,6 +339,44 @@ class TestPlanShape:
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
         assert [s for chunk in chunks for s in chunk] == list(range(251))
+
+
+#: perfbench's traced layers a sweep and a diff campaign call.
+#: (``axiomatic.enumerator`` is left out: its wrapper sees no calls.)
+TRACED_LAYERS = (
+    "sim", "core.sc_judge", "core.drf0", "verify.cache.lookup",
+    "verify.store.warm", "verify.store.record", "axiomatic.solver",
+    "core.sc_results", "machine.generator",
+)
+
+
+def _perfbench_layers():
+    """``perfbench/layers.py``, loaded from its file (it is a script
+    directory, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLayerTrace:
+    """perfbench's traced pass wraps each layer by name where the engine
+    (and the cache, the store and ``verify.diff``) call it, so a task
+    body that stopped calling through those names would read 0 there."""
+
+    def test_every_layer_is_seen(self, tmp_path):
+        with _perfbench_layers().LayerTrace() as trace:
+            engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path))
+            engine.definition2_sweep(
+                [by_name(name).program for name in ("MP+sync", "SB")],
+                {name: POLICY_FACTORIES[name] for name in ("sc", "adve-hill")},
+                seeds=range(3),
+            )
+            engine.store.close()
+            VerificationEngine(jobs=1).diff_campaign(range(3), minimize=False)
+        calls = {layer: trace.calls.get(layer, 0) for layer in TRACED_LAYERS}
+        assert all(calls.values()), calls
 
 
 #: Shared across property examples so later examples exercise the

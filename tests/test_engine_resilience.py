@@ -24,7 +24,9 @@ from repro.verify import (
     program_fingerprint,
 )
 from repro.verify import engine as engine_module
-from repro.verify.engine import _TaskContext
+from repro.verify.engine import SweepCampaign
+
+from helpers import StandInCampaign
 
 PROGRAM_NAMES = ("MP+sync", "SB")
 POLICY_NAMES = ("sc", "adve-hill")
@@ -170,7 +172,7 @@ class TestCompletionWake:
 
         monkeypatch.setattr(engine_module, "_execute_task", _held_oldest_task)
         engine = VerificationEngine(jobs=2)
-        with engine._session(_TaskContext()) as session:
+        with engine._session(StandInCampaign()) as session:
             start = time.monotonic()
             values = session.map(tasks, on_result)
             elapsed = time.monotonic() - start
@@ -188,11 +190,11 @@ class TestCompletionWake:
         monkeypatch.setattr(
             engine_module, "_execute_task", _late_first_attempt_task
         )
-        with VerificationEngine(jobs=1)._session(_TaskContext()) as serial:
+        with VerificationEngine(jobs=1)._session(StandInCampaign()) as serial:
             expected = serial.map(tasks)
         engine = VerificationEngine(jobs=2, task_timeout=0.5)
         landed = []
-        with engine._session(_TaskContext()) as session:
+        with engine._session(StandInCampaign()) as session:
             values = session.map(
                 tasks, lambda index, task, value: landed.append(index)
             )
@@ -237,7 +239,7 @@ class TestBreakerScope:
                 engine = VerificationEngine(
                     jobs=2, fleet=fleet, max_task_retries=0, retry_backoff=0
                 )
-                with engine._session(_TaskContext()) as session:
+                with engine._session(StandInCampaign()) as session:
                     tasks = [("x", index, fail) for index in range(8)]
                     assert session.map(tasks) == list(range(8))
                 serial_tasks.append(counters.get("breaker_serial_tasks", 0))
@@ -263,9 +265,68 @@ class TestLeaseGenerations:
         # heartbeats would report retries that never ran.
         monkeypatch.setattr(engine_module, "_execute_task", _attempt_of_task)
         engine = VerificationEngine(jobs=2)
-        with engine._session(_TaskContext()) as session:
+        with engine._session(StandInCampaign()) as session:
             assert session.map([("x", index) for index in range(20)]) == [0] * 20
         assert engine.resilience == {}
+
+
+@pool_available
+class TestParentFloors:
+    """The lease loop's parent-side floors run ``_execute_task`` against
+    the published campaign, so the values they produce are exact."""
+
+    TASKS = [("run", 0, (seed,)) for seed in range(6)]
+
+    def _expected(self):
+        with VerificationEngine(jobs=1)._session(_context()) as serial:
+            return serial.map(self.TASKS)
+
+    def test_fleet_that_cannot_respawn_finishes_in_the_parent(
+        self, monkeypatch
+    ):
+        from repro.verify.fleet import Fleet
+
+        expected = self._expected()
+        fleet = Fleet(2)
+        engine = VerificationEngine(jobs=2, fleet=fleet)
+        try:
+            with engine._session(_context()) as session:
+                fleet.start()
+                for pid in fleet.live_pids():
+                    fleet.kill(pid)
+                monkeypatch.setattr(Fleet, "_spawn", lambda self: None)
+                assert session.map(self.TASKS) == expected
+        finally:
+            fleet.stop()
+        assert fleet.counters["degraded_to_serial"] == len(self.TASKS)
+
+    def test_lease_whose_send_fails_is_requeued_free(self):
+        from repro.verify.fleet import Fleet
+
+        expected = self._expected()
+        fleet = Fleet(2)
+        engine = VerificationEngine(jobs=2, fleet=fleet)
+        failed = []
+        try:
+            # Forked inside the session, so the workers inherit its
+            # campaign, as a batch session's fleet does.
+            with engine._session(_context()) as session:
+                fleet.start()
+                for handle in fleet.handles:
+
+                    def send_failing_once(message, send=handle.conn.send):
+                        if not failed:
+                            failed.append(message)
+                            raise OSError("injected send failure")
+                        send(message)
+
+                    handle.conn.send = send_failing_once
+                assert session.map(self.TASKS) == expected
+        finally:
+            fleet.stop()
+        assert [message[0] for message in failed] == ["task"]
+        assert fleet.counters.get("tasks_retried", 0) == 0
+        assert fleet.counters.get("task_errors", 0) == 0
 
 
 class TestCacheQuarantine:
@@ -326,7 +387,4 @@ class TestInterruptSafety:
 
 
 def _context():
-    from repro.verify.engine import _SweepCell, _TaskContext
-
-    cell = _SweepCell(_programs()[0], POLICY_FACTORIES["sc"], SystemConfig())
-    return _TaskContext(cells=(cell,))
+    return SweepCampaign(_programs()[:1], {"sc": POLICY_FACTORIES["sc"]})

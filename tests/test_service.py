@@ -651,6 +651,29 @@ def test_daemon_restart_scan_skips_malformed_specs(tmp_path):
     assert daemon._counter == 5
 
 
+def test_daemon_rejects_a_pairing_its_substrate_cannot_run(tmp_path):
+    """A policy the spec's config cannot run (a cache-coherent policy
+    without caches, a fault plan on the atomic snooping bus, a snooping
+    bus without caches) is a client error at submit, not a campaign that
+    fails when it runs."""
+    state = tmp_path / "svc"
+    proc = _daemon_proc(state, workers=1)
+    try:
+        client = _wait_endpoint(state, proc)
+        for policy, config in (
+            ("adve-hill", {"caches": False}),
+            ("sc", {"coherence": "snoop", "faults": "kitchen-sink"}),
+            ("sc", {"coherence": "snoop", "caches": False}),
+        ):
+            spec = {"programs": ["SB"], "policies": [policy], "config": config}
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(spec)
+            assert excinfo.value.status == 400
+        assert client.campaigns() == []
+    finally:
+        _stop_daemon(proc, state)
+
+
 def test_daemon_backpressure_and_bad_specs(tmp_path):
     state = tmp_path / "svc"
     proc = _daemon_proc(state, workers=1, queue_limit=1, task_timeout=60.0)

@@ -23,7 +23,7 @@ from repro.sim.system import SystemConfig
 from repro.verify import engine as engine_module
 from repro.verify import SEMANTICS_VERSION, VerdictStore, VerificationEngine
 from repro.verify.cache import program_fingerprint
-from repro.verify.engine import _SweepCell
+from repro.verify.engine import SweepCampaign
 from repro.verify.store import (
     STORE_FORMAT,
     _line_checksum,
@@ -393,28 +393,29 @@ class TestRunKeys:
         engine = VerificationEngine(jobs=1, cache_dir=str(tmp_path / "cache"))
         program = store_buffer_program()
         first, second = SystemConfig(), SystemConfig(net_jitter=2)
-        cells = [
-            _SweepCell(program, AdveHillPolicy, first),
-            _SweepCell(program, AdveHillPolicy, second),
-            _SweepCell(program, AdveHillPolicy, first, check_51_conditions=True),
-        ]
         seeds = [0, 3, 7]
-        identities = engine._cell_identities(cells)
-        per_cell = [[None] * len(seeds) for _ in cells]
-        keys = engine._fill_from_store(cells, seeds, per_cell, identities)
-        assert keys == {
-            (index, pos): run_key(
-                fingerprint,
-                policy_name,
-                repr(cell.config.with_seed(seed)),
-                cell.check_51_conditions,
+        keys = []
+        for config, check_51 in (
+            (first, False), (second, False), (first, True)
+        ):
+            campaign = SweepCampaign(
+                [program], {"adve-hill": AdveHillPolicy}, config, seeds,
+                check_51_conditions=check_51,
             )
-            for index, (cell, (fingerprint, policy_name)) in enumerate(
-                zip(cells, identities)
-            )
-            for pos, seed in enumerate(seeds)
-        }
-        assert len(set(keys.values())) == len(cells) * len(seeds)
+            campaign.plan(engine)
+            [(fingerprint, policy_name)] = campaign.identities
+            cell_keys = campaign._fill_from_store(engine.store)
+            assert cell_keys == {
+                (0, pos): run_key(
+                    fingerprint,
+                    policy_name,
+                    repr(config.with_seed(seed)),
+                    check_51,
+                )
+                for pos, seed in enumerate(seeds)
+            }
+            keys.extend(cell_keys.values())
+        assert len(set(keys)) == 3 * len(seeds)
         engine.store.close()
 
 

@@ -36,9 +36,11 @@ from repro.obs.tracer import OBS_CLOCK, now_us
 from repro.sim.faults import DELIVERY_PRESERVING_PLANS
 from repro.sim.system import SystemConfig
 from repro.verify import engine as engine_module
-from repro.verify.engine import Failpoint, VerificationEngine, _TaskContext
+from repro.verify.engine import Failpoint, SweepCampaign, VerificationEngine
 from repro.verify.leases import TaskBoard
 from repro.verify.supervisor import FleetSession
+
+from helpers import StandInCampaign
 
 PROGRAM_NAMES = ("MP+sync", "SB")
 POLICY_NAMES = ("sc", "adve-hill")
@@ -58,6 +60,10 @@ def _sweep(engine, config=None, **kwargs):
         _programs(), _factories(), config or SystemConfig(),
         seeds=SEEDS, **kwargs
     )
+
+
+def _one_cell_campaign():
+    return SweepCampaign(_programs()[:1], {"sc": POLICY_FACTORIES["sc"]})
 
 
 pool_available = pytest.mark.skipif(
@@ -100,11 +106,11 @@ def _sink_of_task(task, gen=0):
 
 class TestHeartbeat:
     def test_disabled_telemetry_hooks_are_none(self, tmp_path):
-        with VerificationEngine(jobs=1)._session(_TaskContext()):
+        with VerificationEngine(jobs=1)._session(StandInCampaign()):
             assert engine_module._HEARTBEAT is None
         monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
         watched = VerificationEngine(jobs=1, monitor=monitor)
-        with watched._session(_TaskContext()):
+        with watched._session(StandInCampaign()):
             assert engine_module._HEARTBEAT is monitor.heartbeat
         assert engine_module._HEARTBEAT is None
 
@@ -112,14 +118,13 @@ class TestHeartbeat:
     def test_workers_beat_only_when_watched(self, monkeypatch, tmp_path):
         # The task message says whether a monitor watches: unwatched
         # workers get no sink, watched ones their own worker-<pid> one.
-        # (Fuzz-shaped tasks, so the landed tasks count as fuzz seeds.)
         monkeypatch.setattr(engine_module, "_execute_task", _sink_of_task)
         tasks = [("fuzz", index) for index in range(6)]
-        with VerificationEngine(jobs=2)._session(_TaskContext()) as session:
+        with VerificationEngine(jobs=2)._session(StandInCampaign()) as session:
             assert session.map(tasks) == [None] * 6
         monitor = CampaignMonitor(str(tmp_path / "s.json"), interval=0.0)
         watched = VerificationEngine(jobs=2, monitor=monitor)
-        with watched._session(_TaskContext()) as session:
+        with watched._session(StandInCampaign()) as session:
             ids = session.map(tasks)
         assert all(i.startswith("worker-") for i in ids)
         assert f"worker-{os.getpid()}" not in ids
@@ -151,12 +156,15 @@ class TestStreamFold:
         def finish(index, value, seconds=0.0):
             engine._task_landed(task, value, seconds)
 
-        for gen in (1, 2):
-            handle = SimpleNamespace(assignment=(0, gen, time.monotonic()))
-            session._absorb_reply(
-                handle, ("ok", (0, gen), []), board, session.breaker,
-                lambda index: "cell:0", finish, None,
-            )
+        with engine._session(_one_cell_campaign()):
+            for gen in (1, 2):
+                handle = SimpleNamespace(
+                    assignment=(0, gen, time.monotonic())
+                )
+                session._absorb_reply(
+                    handle, ("ok", (0, gen), []), board, session.breaker,
+                    lambda index: "cell:0", finish, None,
+                )
         fold = monitor.fold
         assert fold.totals == {"runs": 2}
         assert fold.tasks == 1
@@ -313,7 +321,9 @@ class TestCampaignMonitor:
             for record in sent:
                 monitor.fold.absorb(record)
             task = ("run", 0, (0, 1, 2))
-            VerificationEngine(monitor=monitor)._task_landed(task, [])
+            engine = VerificationEngine(monitor=monitor)
+            with engine._session(_one_cell_campaign()):
+                engine._task_landed(task, [])
             snap = monitor.poll(force=True)
             [row] = snap["workers"]
             assert row["state"] == "ok"
